@@ -8,10 +8,12 @@ comment lines:
 * GPS:        ``timestamp x y``
 
 Values are written with 17 significant digits so a write/read round trip
-reproduces the numbers exactly.
+reproduces the numbers exactly. Readers reject NaN and inf.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,9 +46,12 @@ def _parse_floats(path, lineno: int, line: str, count: int) -> list[float]:
     if len(parts) != count:
         raise TrajectoryFormatError(path, lineno, f"expected {count} fields, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise TrajectoryFormatError(path, lineno, f"non-numeric field: {exc}") from None
+    if not all(map(math.isfinite, vals)):
+        raise TrajectoryFormatError(path, lineno, "non-finite field (NaN or inf)")
+    return vals
 
 
 def read_trajectory(path) -> Trajectory:

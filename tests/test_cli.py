@@ -122,6 +122,22 @@ class TestFuse:
         assert main(["fuse", "--abs", str(abs_path), "--vo", str(short),
                      "--out", str(tmp_path / "o")]) == DATA_ERROR
 
+    @pytest.mark.parametrize("which", ["abs", "vo"])
+    @pytest.mark.parametrize("frame", [20, 25])  # on the --spacing 10 grid, and off it
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_is_data_error(self, tmp_path, capsys, which, frame, value):
+        gt, abs_path, vo = _simulate(tmp_path, frames=60)
+        path = abs_path if which == "abs" else vo
+        lines = path.read_text().splitlines()
+        lineno = frame + 2  # line 1 is the header comment
+        fields = lines[lineno - 1].split()
+        fields[2] = value
+        lines[lineno - 1] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
+                     "--out", str(tmp_path / "o"), "--spacing", "10"]) == DATA_ERROR
+        assert f"{path}:{lineno}:" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         gt, abs_path, vo = _simulate(
             tmp_path, ["--abs-t-sigma", "0.3", "--vo-t-bias", "0.01"], frames=100)

@@ -68,6 +68,21 @@ class TestTrajectoryFormat:
         traj = read_trajectory(path)
         assert abs(np.linalg.norm(traj.poses[0].q) - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("reader, line", [
+        (read_trajectory, "1 0 0 {} 1 0 0 0"),
+        (read_trajectory, "1 0 0 0 1 0 0 {}"),
+        (read_trajectory, "{} 0 0 0 1 0 0 0"),
+        (read_vo, "1 0 {} 0 0 0 0"),
+        (read_gps, "1 {} 0"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_rejected(self, tmp_path, reader, line, value):
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\n" + line.format(0) + "\n" + line.format(value) + "\n")
+        with pytest.raises(TrajectoryFormatError) as exc:
+            reader(path)
+        assert exc.value.lineno == 3 and "non-finite" in str(exc.value)
+
     def test_unsorted_timestamps_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 0 0 0 1 0 0 0\n0 0 0 0 1 0 0 0\n")

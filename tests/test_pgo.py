@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from posefusion import quat
+from posefusion import pgo, quat
 from posefusion.pose import Pose, RelativePose, Trajectory, integrate, relative_pose, rotation_error_deg, transform, transform_relative
 from posefusion.pgo import (
     Constraint,
@@ -11,6 +11,7 @@ from posefusion.pgo import (
     PgoConfig,
     RankDeficientError,
     SolveStats,
+    _nearest_grid_index,
     build_window_graph,
     fuse_trajectory,
     gauss_newton_solve,
@@ -244,6 +245,17 @@ class TestGaussNewton:
             gauss_newton_solve(cons, z0, PgoConfig(window_T=2))
         assert len(err.value.columns) > 0
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_step_raises(self, rng):
+        poses = [safe_random_pose(rng) for _ in range(3)]
+        vo = [relative_pose(poses[i], poses[i + 1]) for i in range(2)]
+        cfg = PgoConfig(window_T=3)
+        for bad in (np.nan, np.inf):
+            cons = build_window_graph(poses, vo, cfg)
+            cons[0].observation = np.array([bad, 0.0, 0.0])
+            with pytest.raises(np.linalg.LinAlgError):
+                gauss_newton_solve(cons, poses, cfg)
+
 
 def mean_translation_error(poses, gt_poses):
     return float(np.mean([np.linalg.norm(a.t - b.t) for a, b in zip(poses, gt_poses)]))
@@ -320,6 +332,70 @@ class TestFuseTrajectory:
         for p, q in zip(a.poses, b.poses):
             assert rotation_error_deg(p.q, q.q) < 1e-9
 
+    def _noisy_loop(self, n=200, seed=3):
+        gt = generate_trajectory("loop", n, 0.1)
+        nm = NoiseModel(abs_t_sigma=0.3, abs_r_sigma=3, vo_t_sigma=0.01,
+                        vo_r_sigma=0.1, vo_t_bias=0.01, seed=seed)
+        return corrupt_absolute(gt, nm), corrupt_vo(gt, nm)
+
+    def test_batches_match_single_window_solver(self, monkeypatch):
+        # 20 grid poses give 16 windows: five batches of 3 and a partial one
+        monkeypatch.setattr(pgo, "FUSE_BATCH", 3)
+        abs_traj, vo = self._noisy_loop()
+        cfg = PgoConfig(window_T=5, spacing_k=10)
+        stats = FusionStats()
+        fused = fuse_trajectory(abs_traj, vo, cfg, stats)
+
+        grid = list(range(0, len(abs_traj), cfg.spacing_k))
+        vo_traj = integrate(abs_traj.poses[0], vo)
+        grid_vo = [relative_pose(vo_traj[a], vo_traj[b]) for a, b in zip(grid, grid[1:])]
+        T = cfg.window_T
+        iterations = []
+        for w in range(len(grid) - T + 1):
+            abs_window = [abs_traj.poses[f] for f in grid[w:w + T]]
+            solve_stats = SolveStats()
+            z = gauss_newton_solve(build_window_graph(abs_window, grid_vo[w:w + T - 1], cfg),
+                                   abs_window, cfg, solve_stats)
+            iterations.append(solve_stats.iterations)
+            for offset in (range(T) if w == 0 else [T - 1]):
+                got = fused.poses[grid[w + offset]]
+                assert np.max(np.abs(got.t - z[offset].t)) < 1e-12
+                assert np.max(np.abs(got.q - z[offset].q)) < 1e-12
+        assert stats.window_iterations == iterations
+
+    def test_output_independent_of_batch_size(self, monkeypatch):
+        abs_traj, vo = self._noisy_loop()
+        cfg = PgoConfig(window_T=5, spacing_k=10)
+        runs = []
+        for batch in (1, 3, 16, 100):
+            monkeypatch.setattr(pgo, "FUSE_BATCH", batch)
+            stats = FusionStats()
+            runs.append((fuse_trajectory(abs_traj, vo, cfg, stats), stats.window_iterations))
+        ref, ref_iterations = runs[0]
+        for fused, iterations in runs[1:]:
+            assert iterations == ref_iterations
+            for a, b in zip(fused.poses, ref.poses):
+                assert np.max(np.abs(a.t - b.t)) < 1e-12
+                assert np.max(np.abs(a.q - b.q)) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("frame", [0, 10, 15])  # grid frame, off-grid frame
+    def test_non_finite_grid_pose_raises_off_grid_ignored(self, frame):
+        abs_traj, vo = self._noisy_loop()
+        cfg = PgoConfig(window_T=5, spacing_k=10)
+        for bad in (np.nan, np.inf):
+            poses = list(abs_traj.poses)
+            poses[frame] = Pose(np.array([bad, 0.0, 0.0]), poses[frame].q)
+            broken = Trajectory(abs_traj.timestamps, tuple(poses))
+            if frame % cfg.spacing_k == 0:
+                with pytest.raises(np.linalg.LinAlgError):
+                    fuse_trajectory(broken, vo, cfg)
+            else:
+                # only grid frames are observed; off-grid frames are carried from VO
+                clean = fuse_trajectory(abs_traj, vo, cfg)
+                for a, b in zip(fuse_trajectory(broken, vo, cfg).poses, clean.poses):
+                    assert np.array_equal(a.t, b.t) and np.array_equal(a.q, b.q)
+
     def test_too_short_rejected(self):
         gt = generate_trajectory("random-walk", 2, 0.5)
         with pytest.raises(ValueError):
@@ -346,3 +422,12 @@ class TestTemporalMedianFilter:
         for p in out.poses:
             assert np.array_equal(p.t, base.t)
             assert rotation_error_deg(p.q, base.q) == 0.0
+
+
+@pytest.mark.parametrize("n, k", [(100, 10), (101, 10), (96, 4), (95, 7), (13, 12), (7, 2), (2, 1)])
+def test_nearest_grid_index_matches_brute_force(n, k):
+    # even k puts frames halfway between grid frames; the lower index wins
+    grid = list(range(0, n, k))
+    for f in range(n):
+        expected = min(range(len(grid)), key=lambda g: abs(grid[g] - f))
+        assert _nearest_grid_index(f, k, len(grid)) == expected

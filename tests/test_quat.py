@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from posefusion import quat
 
@@ -178,3 +179,75 @@ class TestExpMapDerivative:
     def test_matches_finite_differences(self):
         fd = finite_difference(quat.qexp, np.zeros(3))
         assert np.max(np.abs(fd - quat.EXP_DERIV_AT_ZERO)) < 1e-7
+
+
+# Leading batch shapes: a single row, a flat batch and a stack of windows.
+batch_shapes = st.one_of(st.just(()), st.tuples(st.integers(1, 5)),
+                         st.tuples(st.integers(1, 3), st.integers(1, 4)))
+
+
+@st.composite
+def quat_batches(draw, shape):
+    """Unit quaternions of the given leading shape; some rows have zero leading parts."""
+    raw = draw(hnp.arrays(float, shape + (4,), elements=st.floats(-1.0, 1.0)))
+    # zero the first 1-3 components of some rows to exercise canonicalize's tie-break
+    zeros = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 3)))
+    raw = np.where(np.arange(4) < zeros[..., None], 0.0, raw)
+    norm = np.linalg.norm(raw, axis=-1, keepdims=True)
+    return np.where(norm > 1e-2, raw / np.where(norm > 1e-2, norm, 1.0), quat.IDENTITY)
+
+
+ONE_QUAT = {
+    "canonicalize": quat.canonicalize, "qlog": quat.qlog, "qinv": quat.qinv,
+    "to_matrix": quat.to_matrix, "drotate_dt": quat.drotate_dt,
+    "dqmul_left": quat.dqmul_left, "dqmul_right": quat.dqmul_right,
+}
+QUAT_AND_VECTOR = {"qrotate": quat.qrotate, "drotate_dq": quat.drotate_dq}
+
+
+class TestBatches:
+    """Every batched function equals the single-quaternion call on each row."""
+
+    @staticmethod
+    def _rows_match(fn, shape, *batches):
+        out = fn(*batches)
+        for idx in np.ndindex(*shape):
+            single = fn(*(b[idx] for b in batches))
+            assert np.array_equal(out[idx], single), (idx, out[idx], single)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_quaternion_functions(self, data):
+        shape = data.draw(batch_shapes)
+        q = data.draw(quat_batches(shape))
+        for fn in ONE_QUAT.values():
+            self._rows_match(fn, shape, q)
+        self._rows_match(quat.qmul, shape, q, data.draw(quat_batches(shape)))
+        vec = data.draw(hnp.arrays(float, shape + (3,), elements=st.floats(-10.0, 10.0)))
+        for fn in QUAT_AND_VECTOR.values():
+            self._rows_match(fn, shape, q, vec)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exp_map(self, data):
+        shape = data.draw(batch_shapes)
+        # include angles under SMALL_ANGLE, where qexp switches to its series
+        scale = data.draw(st.sampled_from([1e-12, 1e-9, 1e-3, 1.0]))
+        w = scale * data.draw(hnp.arrays(float, shape + (3,), elements=st.floats(-1.5, 1.5)))
+        self._rows_match(quat.qexp, shape, w)
+
+    def test_canonicalize_zero_scalar_tie_break_on_batches(self):
+        q = np.array([[[0.0, -0.6, 0.8, 0.0], [0.0, 0.0, -1.0, 0.0]],
+                      [[0.0, 0.0, 0.0, -1.0], [-0.0, 0.6, -0.8, 0.0]]])
+        expected = np.array([[[0.0, 0.6, -0.8, 0.0], [0.0, 0.0, 1.0, 0.0]],
+                             [[0.0, 0.0, 0.0, 1.0], [-0.0, 0.6, -0.8, 0.0]]])
+        assert np.array_equal(quat.canonicalize(q), expected)
+        assert np.array_equal(quat.canonicalize(-q), quat.canonicalize(q))
+
+    def test_check_unit_rejects_any_bad_row(self):
+        q = np.tile(quat.IDENTITY, (2, 3, 1))
+        quat.check_unit(q)
+        for bad in (np.array([1.1, 0.0, 0.0, 0.0]), np.full(4, np.nan)):
+            q[1, 2] = bad
+            with pytest.raises(ValueError):
+                quat.check_unit(q)
