@@ -4,7 +4,7 @@ Refines noisy drift-free absolute poses with smooth-but-drifty relative
 measurements via moving-window on-manifold pose-graph optimization.
 """
 
-from .pose import LossConfig, Pose, RelativePose, Trajectory
+from .pose import LossConfig, Pose, RelativePose, Trajectory, VoChain
 from .pgo import Constraint, ConstraintKind, PgoConfig, fuse_trajectory
 from .sim import GpsTrack, NoiseModel
 
@@ -18,5 +18,6 @@ __all__ = [
     "Pose",
     "RelativePose",
     "Trajectory",
+    "VoChain",
     "fuse_trajectory",
 ]

@@ -76,11 +76,10 @@ def _cmd_simulate(args) -> int:
     gt = sim.generate_trajectory(args.shape, args.frames, args.step, seed=args.seed)
     trajio.write_trajectory(gt, args.out_gt)
     trajio.write_trajectory(sim.corrupt_absolute(gt, nm), args.out_abs)
-    trajio.write_vo(sim.corrupt_vo(gt, nm), gt.timestamps[1:], args.out_vo)
+    trajio.write_vo(sim.corrupt_vo(gt, nm), args.out_vo)
     if args.out_gps is not None:
         idx = np.arange(0, len(gt), args.gps_every)
-        track = sim.GpsTrack(gt.timestamps[idx],
-                             np.array([gt.poses[i].t[:2] for i in idx]))
+        track = sim.GpsTrack(gt.timestamps[idx], gt.t[idx, :2])
         trajio.write_gps(track, args.out_gps)
     return 0
 
@@ -97,7 +96,7 @@ def _cmd_fuse(args) -> int:
         print(f"fuse: {exc}", file=sys.stderr)
         return USAGE_ERROR
     abs_traj = trajio.read_trajectory(args.abs_path)
-    vo = trajio.read_vo(args.vo)
+    vo = trajio.read_vo(args.vo, timestamps=abs_traj.timestamps[1:])
     fused = pgo.fuse_trajectory(abs_traj, vo, cfg)
     if args.median_window is not None:
         fused = pgo.temporal_median_filter(fused, args.median_window)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quat
 from .pose import Trajectory, rotation_error_deg
 
 
@@ -30,10 +31,8 @@ def compare(est: Trajectory, gt: Trajectory, cdf_points: int | None = None) -> E
         raise ValueError(f"length mismatch: {len(est)} vs {len(gt)}")
     if not np.array_equal(est.timestamps, gt.timestamps):
         raise ValueError("timestamps do not match")
-    t_err = np.array([float(np.linalg.norm(e.t - g.t))
-                      for e, g in zip(est.poses, gt.poses)])
-    r_err = np.array([rotation_error_deg(e.q, g.q)
-                      for e, g in zip(est.poses, gt.poses)])
+    t_err = quat.row_norm(est.t - gt.t)
+    r_err = rotation_error_deg(est.q, gt.q)
     n = len(t_err)
     srt = np.sort(t_err)
     if cdf_points is None:

@@ -21,9 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quat
-from .pose import Pose, RelativePose, Trajectory, compose, integrate, relative_pose
+from .pose import (Pose, RelativePose, Trajectory, VoChain, compose_arrays, integrate,
+                   relative_pose_arrays)
 
 
 class ConstraintKind(Enum):
@@ -46,6 +48,11 @@ FUSE_BATCH = 32
 # positive-definite, is solved by lstsq, whose SVD rank check decides
 # whether the window is rank-deficient.
 MIN_PIVOT_RATIO = 1e-6
+
+# Full windows whose rotation medoids temporal_median_filter picks together.
+# Their pairwise-angle temporaries are MEDIAN_CHUNK x window x window
+# doubles: about 1.3 MB at the default window of 51.
+MEDIAN_CHUNK = 64
 
 
 def _whitener(covariance: np.ndarray) -> np.ndarray:
@@ -370,16 +377,13 @@ class FusionStats:
     window_iterations: list[int] = field(default_factory=list)
 
 
-def _grid_indices(n: int, k: int) -> list[int]:
-    return list(range(0, n, k))
-
-
-def _nearest_grid_index(frame: int, k: int, n_grid: int) -> int:
+def _nearest_grid_index(frame, k: int, n_grid: int):
     """Index into the grid 0, k, 2k, ... of the grid frame nearest to frame.
 
-    Ties go to the lower index; frames past the last grid frame map to it.
+    Takes one frame or an array of them. Ties go to the lower index; frames
+    past the last grid frame map to it.
     """
-    return min((frame + (k - 1) // 2) // k, n_grid - 1)
+    return np.minimum((frame + (k - 1) // 2) // k, n_grid - 1)
 
 
 def _window_blocks(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
@@ -402,48 +406,50 @@ def _window_blocks(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
     ]
 
 
-def fuse_trajectory(abs_traj: Trajectory, vo: list[RelativePose], cfg: PgoConfig,
+def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
                     stats: FusionStats | None = None) -> Trajectory:
     """Refine absolute poses with per-frame VO via moving-window optimization.
 
-    Grid frames spaced spacing_k apart are optimized in overlapping windows
-    of window_T poses (stride 1, newest pose emitted; the first window
-    emits all of its poses). Each window's optimum depends only on its own
-    observations, so every window starts from its absolute poses and the
-    windows are solved independently, FUSE_BATCH at a time. Grid-step VO
-    observations come from the integrated VO trajectory, and frames off the
-    grid are carried through by composing the nearest refined grid pose
-    with the intermediate VO.
+    vo holds one relative pose per frame after the first, stamped with that
+    frame's timestamp. Grid frames spaced spacing_k apart are optimized in
+    overlapping windows of window_T poses (stride 1, newest pose emitted;
+    the first window emits all of its poses). Each window's optimum depends
+    only on its own observations, so every window starts from its absolute
+    poses and the windows are solved independently, FUSE_BATCH at a time.
+    Grid-step VO observations come from the integrated VO trajectory, and
+    frames off the grid are carried through by composing the nearest
+    refined grid pose with the intermediate VO.
     """
     n = len(abs_traj)
     if n < 2:
         raise ValueError("need at least 2 poses to fuse")
-    if len(vo) != n - 1:
-        raise ValueError(f"expected {n - 1} per-frame relative poses, got {len(vo)}")
+    if not np.array_equal(vo.timestamps, abs_traj.timestamps[1:]):
+        raise ValueError(f"expected {n - 1} per-frame relative poses at the trajectory's "
+                         f"timestamps after the first, got {len(vo)} at other timestamps")
 
     k = cfg.spacing_k
     if (n - 1) // k < 1:
         # Too short for the requested spacing: single window over all frames
         # reachable at the widest spacing that still yields 2 grid poses.
         k = n - 1
-    grid = _grid_indices(n, k)
+    grid = np.arange(0, n, k)
     if len(grid) < 2:
         raise ValueError("trajectory too short for any window")
     T = min(cfg.window_T, len(grid))
 
     # Smooth-but-drifty trajectory from integrating the VO chain; grid-step
     # relative observations are taken between its samples.
-    vo_traj = integrate(abs_traj.poses[0], vo)
-    grid_vo = [relative_pose(vo_traj[grid[g]], vo_traj[grid[g + 1]])
-               for g in range(len(grid) - 1)]
+    vo_t, vo_q = integrate(abs_traj.poses[0], vo)
+    step_t, step_w = relative_pose_arrays(vo_t[grid[:-1]], vo_q[grid[:-1]],
+                                          vo_t[grid[1:]], vo_q[grid[1:]])
 
     # Window w holds grid poses w .. w + T - 1.
     windows = np.arange(len(grid) - T + 1)[:, None] + np.arange(T)
-    abs_t = np.array([abs_traj.poses[f].t for f in grid])[windows]
-    abs_q = np.array([abs_traj.poses[f].q for f in grid])[windows]
-    vo_t = np.array([r.t for r in grid_vo])[windows[:, :-1]]
-    vo_q = quat.canonicalize(quat.qexp(np.array([r.w for r in grid_vo])))[windows[:, :-1]]
-    blocks = _window_blocks(abs_t, abs_q, vo_t, vo_q, cfg)  # Pose.q is canonical
+    abs_t = abs_traj.t[grid][windows]
+    abs_q = abs_traj.q[grid][windows]  # canonical, as Trajectory keeps them
+    obs_t = step_t[windows[:, :-1]]
+    obs_q = quat.canonicalize(quat.qexp(step_w))[windows[:, :-1]]
+    blocks = _window_blocks(abs_t, abs_q, obs_t, obs_q, cfg)
     t, q = abs_t.copy(), abs_q.copy()
     iterations = np.zeros(len(windows), dtype=int)
     for lo in range(0, len(windows), FUSE_BATCH):
@@ -454,21 +460,23 @@ def fuse_trajectory(abs_traj: Trajectory, vo: list[RelativePose], cfg: PgoConfig
         stats.window_iterations.extend(iterations.tolist())
 
     # The first window emits all of its poses, every later one its newest.
-    fused_t = np.concatenate((t[0, :-1], t[:, -1]))
-    fused_q = np.concatenate((q[0, :-1], q[:, -1]))
-    fused_grid = [Pose(ti, qi) for ti, qi in zip(fused_t, fused_q)]
+    out_t, out_q = np.empty((n, 3)), np.empty((n, 4))
+    out_t[grid] = np.concatenate((t[0, :-1], t[:, -1]))
+    out_q[grid] = quat.canonicalize(np.concatenate((q[0, :-1], q[:, -1])))
 
     # Carry non-grid frames through the VO chain from the nearest grid pose.
-    out: list[Pose | None] = [None] * n
-    for g, frame in enumerate(grid):
-        out[frame] = fused_grid[g]
-    for f in range(n):
-        if out[f] is not None:
-            continue
-        g = _nearest_grid_index(f, k, len(grid))
-        rel = relative_pose(vo_traj[f], vo_traj[grid[g]])
-        out[f] = compose(fused_grid[g], rel)
-    return Trajectory(abs_traj.timestamps, tuple(out))
+    off = np.setdiff1d(np.arange(n), grid)
+    near = grid[_nearest_grid_index(off, k, len(grid))]
+    rel_t, rel_w = relative_pose_arrays(vo_t[off], vo_q[off], vo_t[near], vo_q[near])
+    out_t[off], out_q[off] = compose_arrays(out_t[near], out_q[near], rel_t, rel_w)
+    return Trajectory(abs_traj.timestamps, out_t, out_q)
+
+
+def _medoid_index(blocks: np.ndarray) -> np.ndarray:
+    """Per block of quaternions (B, m, 4), the row minimizing the summed
+    angular distance to all rows of its block."""
+    dots = np.clip(np.abs(blocks @ blocks.transpose(0, 2, 1)), 0.0, 1.0)
+    return np.argmin(np.sum(np.arccos(dots), axis=-1), axis=-1)
 
 
 def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
@@ -483,16 +491,19 @@ def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
         return traj
     half = window // 2
     n = len(traj)
-    ts = np.array([p.t for p in traj.poses])
-    qs = np.array([p.q for p in traj.poses])
-    out = []
-    for i in range(n):
+    out_t, out_q = np.empty((n, 3)), np.empty((n, 4))
+    # Frames closer than half to an end: truncated windows, one at a time.
+    for i in [i for i in range(n) if i < half or i >= n - half]:
         lo, hi = max(0, i - half), min(n, i + half + 1)
-        t_med = np.median(ts[lo:hi], axis=0)
-        block = qs[lo:hi]
-        # geometric medoid via pairwise quaternion angles
-        dots = np.clip(np.abs(block @ block.T), 0.0, 1.0)
-        cost = np.sum(np.arccos(dots), axis=1)
-        q_med = block[int(np.argmin(cost))]
-        out.append(Pose(t_med, q_med))
-    return Trajectory(traj.timestamps, tuple(out))
+        out_t[i] = np.median(traj.t[lo:hi], axis=0)
+        out_q[i] = traj.q[lo + _medoid_index(traj.q[None, lo:hi])[0]]
+    # Full windows, MEDIAN_CHUNK at a time: window c is centred on frame half + c.
+    if n >= window:
+        win_t = sliding_window_view(traj.t, window, axis=0)  # (n - 2 half, 3, window)
+        win_q = sliding_window_view(traj.q, window, axis=0).transpose(0, 2, 1)
+        for lo in range(0, len(win_t), MEDIAN_CHUNK):
+            blocks = win_q[lo:lo + MEDIAN_CHUNK]
+            centre = slice(half + lo, half + lo + len(blocks))
+            out_t[centre] = np.median(win_t[lo:lo + MEDIAN_CHUNK], axis=-1)
+            out_q[centre] = blocks[np.arange(len(blocks)), _medoid_index(blocks)]
+    return Trajectory(traj.timestamps, out_t, out_q)

@@ -86,6 +86,17 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return math.sqrt(sq) if isinstance(sq, float) else np.sqrt(sq)
 
 
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis.
+
+    Each row is rounded as np.linalg.norm rounds that row alone (a BLAS
+    dot product per row), which np.linalg.norm(x, axis=-1) does not do;
+    _norm rounds differently again.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
 def check_unit(q: np.ndarray) -> None:
     """Raise ValueError unless every quaternion is unit-norm within UNIT_TOL."""
     n = _norm(q)
@@ -207,11 +218,6 @@ def dqmul_right(b: np.ndarray) -> np.ndarray:
     ], lead, depth=2)
 
 
-def drotate_dt(q: np.ndarray) -> np.ndarray:
-    """d(qrotate(q, t))/dt: the rotation matrix of q."""
-    return to_matrix(q)
-
-
 def drotate_dq(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     """d(qrotate(q, t))/dq as a 3x4 matrix over the raw components of q.
 
@@ -231,7 +237,3 @@ def drotate_dq(q: np.ndarray, t: np.ndarray) -> np.ndarray:
          2 * (z * t1 - t2 * y - u * t0), 2 * vt],
     ], _broadcast(lead_q, lead_t), depth=2)
 
-
-def exp_map_derivative_at_zero() -> np.ndarray:
-    """The constant 4x3 derivative of qexp at w = 0."""
-    return EXP_DERIV_AT_ZERO.copy()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .pose import Pose, RelativePose, Trajectory, relative_pose
+from .pose import Trajectory, VoChain, relative_pose_arrays
 
 
 @dataclass
@@ -51,10 +51,6 @@ class GpsTrack:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-
-def _yaw_pose(position: np.ndarray, yaw: float) -> Pose:
-    return Pose(position, np.array([np.cos(yaw / 2), 0.0, 0.0, np.sin(yaw / 2)]))
 
 
 def _headings_from_positions(positions: np.ndarray) -> np.ndarray:
@@ -106,49 +102,51 @@ def generate_trajectory(shape: str, n: int, step: float, seed: int = 0) -> Traje
     else:
         raise ValueError(f"unknown shape {shape!r}")
 
-    yaws = _headings_from_positions(positions)
-    poses = tuple(_yaw_pose(positions[i], yaws[i]) for i in range(n))
-    return Trajectory(np.arange(n, dtype=float), poses)
+    half_yaw = _headings_from_positions(positions) / 2
+    zeros = np.zeros(n)
+    q = np.column_stack([np.cos(half_yaw), zeros, zeros, np.sin(half_yaw)])
+    return Trajectory(np.arange(n, dtype=float), positions, q)
 
 
-def _random_rotation(rng: np.random.Generator, sigma_deg: float) -> np.ndarray:
-    """Small random rotation: uniform axis, Gaussian angle in degrees."""
-    if sigma_deg == 0.0:
-        return quat.IDENTITY.copy()
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    angle = np.radians(rng.normal(0.0, sigma_deg))
-    return quat.qexp(axis * angle / 2.0)
+def _draws(rng: np.random.Generator, steps: int, t_sigma: float, r_sigma: float):
+    """Per-step translation noise (steps, 3) and noise rotations (steps, 4).
+
+    Each step draws, in this order, 3 standard normals for the translation
+    if t_sigma > 0, then 3 for a uniform rotation axis and 1 for a Gaussian
+    rotation angle in degrees if r_sigma > 0; one bulk draw gives the same
+    stream as drawing step by step. A zero sigma draws nothing: the
+    translation noise is None, the rotations are identities.
+    """
+    z = rng.standard_normal((steps, 3 * (t_sigma > 0) + 4 * (r_sigma > 0)))
+    dt = t_sigma * z[:, :3] if t_sigma else None
+    if not r_sigma:
+        return dt, np.tile(quat.IDENTITY, (steps, 1))
+    axis = z[:, -4:-1] / quat.row_norm(z[:, -4:-1])[:, None]
+    angle = np.radians(r_sigma * z[:, -1:])
+    return dt, quat.qexp(axis * angle / 2.0)
 
 
 def corrupt_absolute(traj: Trajectory, nm: NoiseModel) -> Trajectory:
     """Per-pose independent noise: noisy but drift-free by construction."""
     rng = np.random.default_rng(nm.seed)
-    poses = []
-    for p in traj.poses:
-        t = p.t + rng.normal(0.0, nm.abs_t_sigma, size=3) if nm.abs_t_sigma else p.t
-        q = quat.qmul(p.q, _random_rotation(rng, nm.abs_r_sigma))
-        poses.append(Pose(t, q))
-    return Trajectory(traj.timestamps, tuple(poses))
+    dt, rot = _draws(rng, len(traj), nm.abs_t_sigma, nm.abs_r_sigma)
+    t = traj.t if dt is None else traj.t + dt
+    return Trajectory(traj.timestamps, t, quat.qmul(traj.q, rot))
 
 
-def corrupt_vo(traj: Trajectory, nm: NoiseModel) -> list[RelativePose]:
+def corrupt_vo(traj: Trajectory, nm: NoiseModel) -> VoChain:
     """Per-step relative poses with noise and a constant translation bias.
 
     The bias points along the observer-frame x axis, so integrating the
     output drifts when vo_t_bias > 0.
     """
     rng = np.random.default_rng(nm.seed)
-    bias = np.array([nm.vo_t_bias, 0.0, 0.0])
-    out = []
-    for i in range(len(traj) - 1):
-        true_rel = relative_pose(traj.poses[i], traj.poses[i + 1])
-        t = true_rel.t + bias
-        if nm.vo_t_sigma:
-            t = t + rng.normal(0.0, nm.vo_t_sigma, size=3)
-        q = quat.qmul(true_rel.q, _random_rotation(rng, nm.vo_r_sigma))
-        out.append(RelativePose(t, quat.qlog(q)))
-    return out
+    rel_t, rel_w = relative_pose_arrays(traj.t[:-1], traj.q[:-1], traj.t[1:], traj.q[1:])
+    dt, rot = _draws(rng, len(rel_t), nm.vo_t_sigma, nm.vo_r_sigma)
+    t = rel_t + np.array([nm.vo_t_bias, 0.0, 0.0])
+    if dt is not None:
+        t = t + dt
+    return VoChain(traj.timestamps[1:], t, quat.qlog(quat.qmul(quat.qexp(rel_w), rot)))
 
 
 def interpolate_gps(track: GpsTrack, timestamps) -> np.ndarray:

@@ -9,15 +9,21 @@ comment lines:
 
 Values are written with 17 significant digits so a write/read round trip
 reproduces the numbers exactly. Readers reject NaN and inf.
+
+A file is read whole and parsed in bulk. Only when that fails is it parsed
+again line by line, to name the first offending line; the error is the one
+a line-by-line reader stopping at the first bad line would raise.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
-from .pose import Pose, RelativePose, Trajectory
+from . import quat
+from .pose import LOG_NORM_ERROR, MAX_LOG_NORM, Trajectory, VoChain
 from .sim import GpsTrack
 
 QUAT_NORM_TOL = 1e-3
@@ -41,6 +47,15 @@ def _data_lines(path):
             yield lineno, line
 
 
+def _lineno(path, row: int) -> int:
+    """Line number of data row `row` of path, or the line after the last data row."""
+    lineno = 0
+    for r, (lineno, _) in enumerate(_data_lines(path)):
+        if r == row:
+            return lineno
+    return lineno + 1
+
+
 def _parse_floats(path, lineno: int, line: str, count: int) -> list[float]:
     parts = line.split()
     if len(parts) != count:
@@ -54,71 +69,114 @@ def _parse_floats(path, lineno: int, line: str, count: int) -> list[float]:
     return vals
 
 
-def read_trajectory(path) -> Trajectory:
-    timestamps = []
-    poses = []
+def _parse(path, count: int) -> tuple[np.ndarray, TrajectoryFormatError | None]:
+    """The data lines of path as an (n, count) array of finite values.
+
+    Returns the rows before the first line that is not `count` finite
+    numbers, and that line's error; (all rows, None) for a valid file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [s for raw in fh.read().split("\n") if (s := raw.strip()) and s[0] != "#"]
+    fields = [line.split() for line in lines]
+    if all(len(f) == count for f in fields):
+        try:
+            table = np.array(list(map(float, chain.from_iterable(fields))))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(table).all():
+                return table.reshape(len(lines), count), None
+    rows = []
     for lineno, line in _data_lines(path):
-        vals = _parse_floats(path, lineno, line, 8)
-        q = np.array(vals[4:8])
-        if abs(np.linalg.norm(q) - 1.0) > QUAT_NORM_TOL:
-            raise TrajectoryFormatError(path, lineno, "quaternion is not unit-norm")
-        timestamps.append(vals[0])
-        poses.append(Pose(np.array(vals[1:4]), q / np.linalg.norm(q)))
+        try:
+            rows.append(_parse_floats(path, lineno, line, count))
+        except TrajectoryFormatError as exc:
+            return np.array(rows).reshape(-1, count), exc
+    return np.array(rows).reshape(-1, count), None
+
+
+def _read_table(path, count: int, row_checks=()) -> np.ndarray:
+    """The data lines of path as an (n, count) array, checked row by row.
+
+    row_checks are (message, predicate) pairs, applied in order; a
+    predicate maps the array to a boolean mask of the rows it rejects.
+    Raises TrajectoryFormatError at the first line that fails to parse or
+    that a check rejects.
+    """
+    table, error = _parse(path, count)
+    if row_checks and len(table):
+        bad = np.column_stack([check(table) for _, check in row_checks])
+        if bad.any():
+            row = int(np.argmax(bad.any(axis=1)))
+            message = row_checks[int(np.argmax(bad[row]))][0]
+            raise TrajectoryFormatError(path, _lineno(path, row), message)
+    if error is not None:
+        raise error
+    return table
+
+
+def _not_increasing(timestamps: np.ndarray) -> np.ndarray:
+    return np.concatenate(([False], timestamps[1:] <= timestamps[:-1]))
+
+
+def _write_table(path, header: str, columns: list[np.ndarray]) -> None:
+    table = np.column_stack(columns)
+    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# {header}\n" + (row * len(table)) % tuple(table.ravel().tolist()))
+
+
+def read_trajectory(path) -> Trajectory:
+    table = _read_table(path, 8, [
+        ("quaternion is not unit-norm",
+         lambda r: np.abs(quat.row_norm(r[:, 4:]) - 1.0) > QUAT_NORM_TOL)])
+    q = table[:, 4:]
     try:
-        return Trajectory(np.array(timestamps), tuple(poses))
+        return Trajectory(table[:, 0], table[:, 1:4], q / quat.row_norm(q)[:, None])
     except ValueError as exc:
         raise TrajectoryFormatError(path, 0, str(exc)) from None
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# timestamp tx ty tz qu qv1 qv2 qv3\n")
-        for ts, p in zip(traj.timestamps, traj.poses):
-            fields = [ts, *p.t, *p.q]
-            fh.write(" ".join(f"{v:.17g}" for v in fields) + "\n")
+    _write_table(path, "timestamp tx ty tz qu qv1 qv2 qv3", [traj.timestamps, traj.t, traj.q])
 
 
-def read_vo(path) -> list[RelativePose]:
-    rels = []
-    last_ts = None
-    for lineno, line in _data_lines(path):
-        vals = _parse_floats(path, lineno, line, 7)
-        if last_ts is not None and vals[0] <= last_ts:
-            raise TrajectoryFormatError(path, lineno, "timestamps must be strictly increasing")
-        last_ts = vals[0]
-        try:
-            rels.append(RelativePose(np.array(vals[1:4]), np.array(vals[4:7])))
-        except ValueError as exc:
-            raise TrajectoryFormatError(path, lineno, str(exc)) from None
-    return rels
+def read_vo(path, *, timestamps=None) -> VoChain:
+    """Read a VO file; with timestamps given, its rows must carry exactly those.
+
+    A fused trajectory's VO carries the trajectory's timestamps after the
+    first. A mismatch raises TrajectoryFormatError at the first differing
+    line, or at the line after the last row of a file that is too short.
+    """
+    table = _read_table(path, 7, [
+        ("timestamps must be strictly increasing", lambda r: _not_increasing(r[:, 0])),
+        (LOG_NORM_ERROR, lambda r: quat.row_norm(r[:, 4:]) > MAX_LOG_NORM)])
+    if timestamps is not None:
+        expected = np.asarray(timestamps, dtype=float)
+        common = min(len(expected), len(table))
+        differ = np.flatnonzero(table[:common, 0] != expected[:common])
+        if differ.size:
+            row = int(differ[0])
+            raise TrajectoryFormatError(path, _lineno(path, row),
+                                        f"timestamp {float(table[row, 0])!r} differs from the "
+                                        f"trajectory's {float(expected[row])!r}")
+        if len(table) != len(expected):
+            raise TrajectoryFormatError(path, _lineno(path, common),
+                                        f"{len(table)} relative poses, expected {len(expected)}")
+    return VoChain(table[:, 0], table[:, 1:4], table[:, 4:])
 
 
-def write_vo(rels: list[RelativePose], timestamps, path) -> None:
-    timestamps = np.asarray(timestamps, dtype=float)
-    if len(timestamps) != len(rels):
-        raise ValueError("one timestamp per relative pose required")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# timestamp tx ty tz w1 w2 w3\n")
-        for ts, rel in zip(timestamps, rels):
-            fields = [ts, *rel.t, *rel.w]
-            fh.write(" ".join(f"{v:.17g}" for v in fields) + "\n")
+def write_vo(vo: VoChain, path) -> None:
+    _write_table(path, "timestamp tx ty tz w1 w2 w3", [vo.timestamps, vo.t, vo.w])
 
 
 def read_gps(path) -> GpsTrack:
-    timestamps = []
-    positions = []
-    for lineno, line in _data_lines(path):
-        vals = _parse_floats(path, lineno, line, 3)
-        timestamps.append(vals[0])
-        positions.append(vals[1:3])
+    table = _read_table(path, 3)
     try:
-        return GpsTrack(np.array(timestamps), np.array(positions).reshape(-1, 2))
+        return GpsTrack(table[:, 0], table[:, 1:])
     except ValueError as exc:
         raise TrajectoryFormatError(path, 0, str(exc)) from None
 
 
 def write_gps(track: GpsTrack, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# timestamp x y\n")
-        for ts, xy in zip(track.timestamps, track.positions):
-            fh.write(f"{ts:.17g} {xy[0]:.17g} {xy[1]:.17g}\n")
+    _write_table(path, "timestamp x y", [track.timestamps, track.positions])

@@ -122,6 +122,17 @@ class TestFuse:
         assert main(["fuse", "--abs", str(abs_path), "--vo", str(short),
                      "--out", str(tmp_path / "o")]) == DATA_ERROR
 
+    def test_vo_timestamp_mismatch_is_data_error(self, tmp_path, capsys):
+        gt, abs_path, vo = _simulate(tmp_path, frames=60)
+        lines = vo.read_text().splitlines()
+        fields = lines[10].split()  # line 11: the relative pose stamped 10
+        fields[0] = "10.5"  # still increasing, but not the trajectory's timestamp
+        lines[10] = " ".join(fields)
+        vo.write_text("\n".join(lines) + "\n")
+        assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
+                     "--out", str(tmp_path / "o"), "--spacing", "10"]) == DATA_ERROR
+        assert f"{vo}:11: timestamp 10.5 differs from the trajectory's 10.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("which", ["abs", "vo"])
     @pytest.mark.parametrize("frame", [20, 25])  # on the --spacing 10 grid, and off it
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posefusion.pose import Pose, RelativePose, Trajectory
+from posefusion.pose import Pose, RelativePose, Trajectory, VoChain
 from posefusion.sim import GpsTrack
 from posefusion.trajio import (
     TrajectoryFormatError,
@@ -18,8 +18,8 @@ from conftest import random_pose
 
 class TestTrajectoryFormat:
     def test_round_trip(self, tmp_path, rng):
-        poses = tuple(random_pose(rng, scale=100.0) for _ in range(50))
-        traj = Trajectory(np.sort(rng.uniform(0, 1000, size=50)), poses)
+        poses = [random_pose(rng, scale=100.0) for _ in range(50)]
+        traj = Trajectory.from_poses(np.sort(rng.uniform(0, 1000, size=50)), poses)
         path = tmp_path / "traj.txt"
         write_trajectory(traj, path)
         back = read_trajectory(path)
@@ -92,27 +92,48 @@ class TestTrajectoryFormat:
 
 class TestVoFormat:
     def test_round_trip(self, tmp_path, rng):
-        rels = [RelativePose(rng.normal(size=3), 0.9 * rng.normal(size=3) / 3)
-                for _ in range(30)]
-        ts = np.arange(30, dtype=float) + 0.5
+        vo = VoChain(np.arange(30, dtype=float) + 0.5, rng.normal(size=(30, 3)),
+                     0.9 * rng.normal(size=(30, 3)) / 3)
         path = tmp_path / "vo.txt"
-        write_vo(rels, ts, path)
+        write_vo(vo, path)
         back = read_vo(path)
         assert len(back) == 30
-        for a, b in zip(back, rels):
-            assert np.max(np.abs(a.t - b.t)) < 1e-12
-            assert np.max(np.abs(a.w - b.w)) < 1e-12
+        for name in ("timestamps", "t", "w"):
+            assert np.array_equal(getattr(back, name), getattr(vo, name))
 
     def test_zero_motion_line(self, tmp_path):
         path = tmp_path / "vo.txt"
         path.write_text("1 0 0 0 0 0 0\n")
-        rels = read_vo(path)
-        assert np.array_equal(rels[0].t, np.zeros(3))
-        assert np.array_equal(rels[0].w, np.zeros(3))
+        vo = read_vo(path)
+        assert np.array_equal(vo.t, np.zeros((1, 3)))
+        assert np.array_equal(vo.w, np.zeros((1, 3)))
 
     def test_timestamp_count_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_vo([RelativePose.identity()], [0.0, 1.0], tmp_path / "vo.txt")
+            VoChain.from_relative([0.0, 1.0], [RelativePose.identity()])
+
+    @pytest.mark.parametrize("expected, lineno, message", [
+        ([1.0, 2.0, 3.0], None, None),
+        ([1.0, 2.5, 3.0], 3, "timestamp 2.0 differs from the trajectory's 2.5"),
+        ([1.0, 2.0], 4, "3 relative poses, expected 2"),
+        ([1.0, 2.0, 3.0, 4.0], 5, "3 relative poses, expected 4"),
+    ])
+    def test_expected_timestamps(self, tmp_path, expected, lineno, message):
+        path = tmp_path / "vo.txt"
+        path.write_text("# header\n1 0 0 0 0 0 0\n2 0 0 0 0 0 0\n3 0 0 0 0 0 0\n")
+        if lineno is None:
+            assert len(read_vo(path, timestamps=expected)) == 3
+            return
+        with pytest.raises(TrajectoryFormatError) as exc:
+            read_vo(path, timestamps=expected)
+        assert str(exc.value) == f"{path}:{lineno}: {message}"
+
+    def test_decreasing_timestamp_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "vo.txt"
+        path.write_text("1 0 0 0 0 0 0\n\n3 0 0 0 0 0 0\n2 0 0 0 0 0 0\n")
+        with pytest.raises(TrajectoryFormatError) as exc:
+            read_vo(path)
+        assert str(exc.value) == f"{path}:4: timestamps must be strictly increasing"
 
     def test_oversized_log_rotation_rejected(self, tmp_path):
         path = tmp_path / "vo.txt"
@@ -120,6 +141,92 @@ class TestVoFormat:
         with pytest.raises(TrajectoryFormatError) as exc:
             read_vo(path)
         assert exc.value.lineno == 1
+
+
+def _reference_read(path, count, row_error):
+    """Line-by-line reader: the first line that is not count finite numbers,
+    or for which row_error(previous row, row) returns a message, raises."""
+    previous = None
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != count:
+                raise TrajectoryFormatError(path, lineno, f"expected {count} fields, got {len(parts)}")
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError as exc:
+                raise TrajectoryFormatError(path, lineno, f"non-numeric field: {exc}") from None
+            if not np.isfinite(vals).all():
+                raise TrajectoryFormatError(path, lineno, "non-finite field (NaN or inf)")
+            message = row_error(previous, vals)
+            if message:
+                raise TrajectoryFormatError(path, lineno, message)
+            rows.append(vals)
+            previous = vals
+    return np.array(rows).reshape(-1, count)
+
+
+def _trajectory_row_error(previous, vals):
+    if abs(np.linalg.norm(vals[4:]) - 1.0) > 1e-3:
+        return "quaternion is not unit-norm"
+    return None
+
+
+def _vo_row_error(previous, vals):
+    if previous is not None and vals[0] <= previous[0]:
+        return "timestamps must be strictly increasing"
+    if np.linalg.norm(vals[4:]) > np.pi + 1e-9:
+        return "log-quaternion norm exceeds pi"
+    return None
+
+
+class TestBulkReadMatchesLineByLine:
+    """The bulk readers raise the error a line-by-line reader raises first."""
+
+    GOOD = {8: "{ts} 1.5 -2 3e2 0.5 0.5 0.5 0.5", 7: "{ts} 1.5 -2 3e2 0.1 0.2 -0.3"}
+    BAD = {8: ["{ts} 1 2 3 1 0 0", "{ts} 1 2 x 1 0 0 0", "{ts} 1 2 3 nan 0 0 0",
+               "{ts} 1 2 3 1.1 0 0 0", "-1 0 0 0 1 0 0 0"],
+           7: ["{ts} 1 2 3 0 0", "{ts} 1 2 3 0 0 zero", "{ts} inf 2 3 0 0 0",
+               "-1 0 0 0 0 0 0", "{ts} 0 0 0 4 0 0"]}
+
+    @pytest.mark.parametrize("count", [8, 7])
+    def test_random_files(self, tmp_path, count):
+        reader = read_trajectory if count == 8 else read_vo
+        row_error = _trajectory_row_error if count == 8 else _vo_row_error
+        rng = np.random.default_rng(count)
+        path = tmp_path / "f.txt"
+        for trial in range(60):
+            lines = ["# header"]
+            for i in range(int(rng.integers(1, 12))):
+                kind = rng.random()
+                if kind < 0.1:
+                    lines.append("" if rng.random() < 0.5 else "  # note")
+                elif kind < 0.8 or trial % 4 == 0:
+                    lines.append(self.GOOD[count].format(ts=i))
+                else:
+                    lines.append(rng.choice(self.BAD[count]).format(ts=i))
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                expected = _reference_read(path, count, row_error)
+            except TrajectoryFormatError as exc:
+                with pytest.raises(TrajectoryFormatError) as got:
+                    reader(path)
+                if count == 8 and "strictly increasing" in str(got.value):
+                    continue  # trajectory order is checked after the whole file
+                assert str(got.value) == str(exc)
+                continue
+            try:
+                back = reader(path)
+            except TrajectoryFormatError as exc:
+                # the trajectory reader reports time order after reading all lines
+                assert count == 8 and exc.lineno == 0
+                continue
+            assert np.array_equal(back.timestamps, expected[:, 0])
+            assert np.array_equal(back.t, expected[:, 1:4])
 
 
 class TestGpsFormat:

@@ -9,7 +9,7 @@ from conftest import random_pose
 
 
 def _traj(poses):
-    return Trajectory(np.arange(len(poses), dtype=float), tuple(poses))
+    return Trajectory.from_poses(np.arange(len(poses), dtype=float), poses)
 
 
 def _shifted(gt, offsets):
@@ -71,8 +71,8 @@ class TestCompare:
         gt = _traj([random_pose(rng) for _ in range(4)])
         with pytest.raises(ValueError):
             compare(_traj([random_pose(rng) for _ in range(3)]), gt)
-        other = Trajectory(np.arange(4) + 0.5,
-                           tuple(random_pose(rng) for _ in range(4)))
+        other = Trajectory.from_poses(np.arange(4) + 0.5,
+                                      [random_pose(rng) for _ in range(4)])
         with pytest.raises(ValueError):
             compare(other, gt)
 

@@ -1,0 +1,115 @@
+"""The array code of the fuse path against per-pose reference loops.
+
+The references are the per-pose loops the array code replaced: the
+`advance` chain of VO integration, the relative_pose + compose carry of
+off-grid frames, and the per-window median filter. The array code keeps
+their arithmetic, so every comparison here is exact.
+"""
+
+import numpy as np
+import pytest
+
+from posefusion import quat
+from posefusion.pgo import PgoConfig, fuse_trajectory, temporal_median_filter
+from posefusion.pose import (Pose, RelativePose, Trajectory, compose, integrate,
+                             relative_pose)
+from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
+
+
+def advance(p_i: Pose, rel: RelativePose) -> Pose:
+    """The observer pose p_j from p_i and rel = relative_pose(p_i, p_j)."""
+    q_j = quat.qmul(p_i.q, quat.qinv(rel.q))
+    t_j = p_i.t - quat.qrotate(quat.qinv(q_j), rel.t)
+    return Pose(t_j, q_j)
+
+
+def integrate_reference(start: Pose, vo) -> list[Pose]:
+    out = [start]
+    for t, w in zip(vo.t, vo.w):
+        out.append(advance(out[-1], RelativePose(t, w)))
+    return out
+
+
+def carry_reference(fused: Trajectory, vo_poses: list[Pose], k: int) -> list[Pose]:
+    """Every frame composed from its nearest grid frame of fused (ties lower)."""
+    n = len(fused)
+    grid = list(range(0, n, k))
+    out = []
+    for f in range(n):
+        g = min(grid, key=lambda frame: abs(frame - f))
+        out.append(compose(fused.poses[g], relative_pose(vo_poses[f], vo_poses[g])))
+    return out
+
+
+def median_reference(traj: Trajectory, window: int) -> list[Pose]:
+    half = window // 2
+    n = len(traj)
+    ts = np.array([p.t for p in traj.poses])
+    qs = np.array([p.q for p in traj.poses])
+    out = []
+    for i in range(n):
+        lo, hi = max(0, i - half), min(n, i + half + 1)
+        t_med = np.median(ts[lo:hi], axis=0)
+        block = qs[lo:hi]
+        dots = np.clip(np.abs(block @ block.T), 0.0, 1.0)
+        cost = np.sum(np.arccos(dots), axis=1)
+        out.append(Pose(t_med, block[int(np.argmin(cost))]))
+    return out
+
+
+def _noisy_loop(n, seed, abs_r_sigma=5.0):
+    # A closed loop turns through every heading, so yaw crosses 180 degrees
+    # and the canonical quaternion's scalar part passes through zero.
+    gt = generate_trajectory("loop", n, 0.1)
+    nm = NoiseModel(abs_t_sigma=0.5, abs_r_sigma=abs_r_sigma, vo_t_sigma=0.01,
+                    vo_r_sigma=0.1, vo_t_bias=0.01, seed=seed)
+    return gt, corrupt_absolute(gt, nm), corrupt_vo(gt, nm)
+
+
+def _assert_rows_equal(traj_t, traj_q, poses):
+    assert np.array_equal(traj_t, [p.t for p in poses])
+    assert np.array_equal(traj_q, [p.q for p in poses])
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (40, 1), (701, 2), (1500, 3)])
+def test_integrate_matches_advance_chain(n, seed):
+    gt, abs_traj, vo = _noisy_loop(n, seed)
+    t, q = integrate(abs_traj.poses[0], vo)
+    _assert_rows_equal(t, q, integrate_reference(abs_traj.poses[0], vo))
+    if n > 2:  # the heading wraps from +180 to -180 degrees
+        yaw = 2 * np.arctan2(gt.q[:, 3], gt.q[:, 0])
+        assert np.abs(np.diff(yaw)).max() > np.pi
+
+
+@pytest.mark.parametrize("n, k, T", [
+    (200, 7, 5),    # frames 197-199 lie past the last grid frame
+    (201, 10, 7),   # the last frame is a grid frame
+    (300, 4, 7),    # even k: frames halfway between grid frames go to the lower one
+    (9, 150, 7),    # shorter than k: one window over frames 0 and n - 1
+    (2, 1, 2),
+])
+def test_off_grid_carry_matches_relative_pose_compose(n, k, T):
+    _, abs_traj, vo = _noisy_loop(n, seed=n)
+    fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=T, spacing_k=k))
+    vo_poses = integrate_reference(abs_traj.poses[0], vo)
+    k_used = k if (n - 1) // k >= 1 else n - 1
+    _assert_rows_equal(fused.t, fused.q, carry_reference(fused, vo_poses, k_used))
+
+
+@pytest.mark.parametrize("n, window", [
+    (1, 51), (2, 3), (20, 51),  # n smaller than the window: only truncated windows
+    (51, 51),                   # n equal to the window: one full window
+    (52, 51), (300, 51),        # full windows in several chunks
+    (700, 5), (64 + 10, 11),
+])
+def test_median_filter_matches_per_window_loop(n, window):
+    _, abs_traj, _ = _noisy_loop(max(n, 2), seed=window, abs_r_sigma=60.0)
+    traj = Trajectory(abs_traj.timestamps[:n], abs_traj.t[:n], abs_traj.q[:n])
+    out = temporal_median_filter(traj, window)
+    _assert_rows_equal(out.t, out.q, median_reference(traj, window))
+    assert np.array_equal(out.timestamps, traj.timestamps)
+
+
+def test_median_window_of_one_is_identity():
+    _, abs_traj, _ = _noisy_loop(30, seed=4)
+    assert temporal_median_filter(abs_traj, 1) is abs_traj

@@ -3,7 +3,8 @@ import pytest
 import scipy.optimize
 
 from posefusion import pgo, quat
-from posefusion.pose import Pose, RelativePose, Trajectory, integrate, relative_pose, rotation_error_deg, transform, transform_relative
+from posefusion.pose import (Pose, RelativePose, Trajectory, VoChain, integrate, relative_pose,
+                             rotation_error_deg, transform, transform_relative)
 from posefusion.pgo import (
     Constraint,
     ConstraintKind,
@@ -257,8 +258,8 @@ class TestGaussNewton:
                 gauss_newton_solve(cons, poses, cfg)
 
 
-def mean_translation_error(poses, gt_poses):
-    return float(np.mean([np.linalg.norm(a.t - b.t) for a, b in zip(poses, gt_poses)]))
+def mean_translation_error(t, gt_t):
+    return float(np.mean(np.linalg.norm(t - gt_t, axis=1)))
 
 
 class TestFuseTrajectory:
@@ -293,10 +294,10 @@ class TestFuseTrajectory:
         abs_traj = corrupt_absolute(gt, nm)
         vo = corrupt_vo(gt, nm)
         fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=10))
-        vo_integ = integrate(gt.poses[0], vo)
-        err_fused = mean_translation_error(fused.poses, gt.poses)
-        assert err_fused < mean_translation_error(abs_traj.poses, gt.poses)
-        assert err_fused < mean_translation_error(vo_integ, gt.poses)
+        vo_integ_t, _ = integrate(gt.poses[0], vo)
+        err_fused = mean_translation_error(fused.t, gt.t)
+        assert err_fused < mean_translation_error(abs_traj.t, gt.t)
+        assert err_fused < mean_translation_error(vo_integ_t, gt.t)
 
     def test_rigid_transform_equivariance(self, rng):
         gt = generate_trajectory("loop", 120, 0.2)
@@ -309,9 +310,10 @@ class TestFuseTrajectory:
 
         g_t = rng.normal(size=3)
         g_q = random_unit_quat(rng)
-        abs2 = Trajectory(abs_traj.timestamps,
-                          tuple(transform(p, g_t, g_q) for p in abs_traj.poses))
-        vo2 = [transform_relative(r, g_q) for r in vo]
+        abs2 = Trajectory.from_poses(abs_traj.timestamps,
+                                     [transform(p, g_t, g_q) for p in abs_traj.poses])
+        vo2 = VoChain.from_relative(vo.timestamps, [transform_relative(RelativePose(t, w), g_q)
+                                                    for t, w in zip(vo.t, vo.w)])
         fused2 = fuse_trajectory(abs2, vo2, cfg)
         for a, b in zip(fused.poses, fused2.poses):
             moved = transform(a, g_t, g_q)
@@ -324,8 +326,7 @@ class TestFuseTrajectory:
                         vo_r_sigma=0.1, seed=5)
         abs_traj = corrupt_absolute(gt, nm)
         vo = corrupt_vo(gt, nm)
-        flipped = Trajectory(abs_traj.timestamps,
-                             tuple(Pose(p.t, -p.q) for p in abs_traj.poses))
+        flipped = Trajectory(abs_traj.timestamps, abs_traj.t, -abs_traj.q)
         cfg = PgoConfig(window_T=5, spacing_k=6)
         a = fuse_trajectory(abs_traj, vo, cfg)
         b = fuse_trajectory(flipped, vo, cfg)
@@ -347,7 +348,7 @@ class TestFuseTrajectory:
         fused = fuse_trajectory(abs_traj, vo, cfg, stats)
 
         grid = list(range(0, len(abs_traj), cfg.spacing_k))
-        vo_traj = integrate(abs_traj.poses[0], vo)
+        vo_traj = Trajectory(abs_traj.timestamps, *integrate(abs_traj.poses[0], vo)).poses
         grid_vo = [relative_pose(vo_traj[a], vo_traj[b]) for a, b in zip(grid, grid[1:])]
         T = cfg.window_T
         iterations = []
@@ -378,28 +379,36 @@ class TestFuseTrajectory:
                 assert np.max(np.abs(a.t - b.t)) < 1e-12
                 assert np.max(np.abs(a.q - b.q)) < 1e-12
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("frame", [0, 10, 15])  # grid frame, off-grid frame
-    def test_non_finite_grid_pose_raises_off_grid_ignored(self, frame):
+    def test_non_finite_pose_rejected_before_fuse(self, frame):
+        # a non-finite pose cannot reach fuse_trajectory, grid frame or not:
+        # the trajectory refuses it when built
         abs_traj, vo = self._noisy_loop()
-        cfg = PgoConfig(window_T=5, spacing_k=10)
         for bad in (np.nan, np.inf):
-            poses = list(abs_traj.poses)
-            poses[frame] = Pose(np.array([bad, 0.0, 0.0]), poses[frame].q)
-            broken = Trajectory(abs_traj.timestamps, tuple(poses))
-            if frame % cfg.spacing_k == 0:
-                with pytest.raises(np.linalg.LinAlgError):
-                    fuse_trajectory(broken, vo, cfg)
-            else:
-                # only grid frames are observed; off-grid frames are carried from VO
-                clean = fuse_trajectory(abs_traj, vo, cfg)
-                for a, b in zip(fuse_trajectory(broken, vo, cfg).poses, clean.poses):
-                    assert np.array_equal(a.t, b.t) and np.array_equal(a.q, b.q)
+            t = abs_traj.t.copy()
+            t[frame, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                Trajectory(abs_traj.timestamps, t, abs_traj.q)
+            w = vo.w.copy()
+            w[frame, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                VoChain(vo.timestamps, vo.t, w)
 
     def test_too_short_rejected(self):
         gt = generate_trajectory("random-walk", 2, 0.5)
         with pytest.raises(ValueError):
-            fuse_trajectory(gt, [], PgoConfig())
+            fuse_trajectory(gt, VoChain(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3))),
+                            PgoConfig())
+
+    def test_vo_timestamps_must_match(self):
+        abs_traj, vo = self._noisy_loop(n=40)
+        cfg = PgoConfig(window_T=3, spacing_k=5)
+        fuse_trajectory(abs_traj, vo, cfg)
+        for ts in (vo.timestamps + 0.5, np.append(vo.timestamps[:-1], 100.0)):
+            with pytest.raises(ValueError, match="timestamps"):
+                fuse_trajectory(abs_traj, VoChain(ts, vo.t, vo.w), cfg)
+        with pytest.raises(ValueError, match="timestamps"):
+            fuse_trajectory(abs_traj, VoChain(vo.timestamps[:-1], vo.t[:-1], vo.w[:-1]), cfg)
 
 
 class TestTemporalMedianFilter:
@@ -417,7 +426,7 @@ class TestTemporalMedianFilter:
         base = Pose(np.array([1.0, 2.0, 3.0]), quat.qexp(np.array([0.2, 0, 0])))
         poses = [base] * 20
         poses[10] = Pose(np.array([50.0, 2.0, 3.0]), quat.qexp(np.array([0, 1.0, 0])))
-        traj = Trajectory(np.arange(20.0), tuple(poses))
+        traj = Trajectory.from_poses(np.arange(20.0), poses)
         out = temporal_median_filter(traj, 5)
         for p in out.poses:
             assert np.array_equal(p.t, base.t)

@@ -8,6 +8,8 @@ from posefusion.pose import (
     LossConfig,
     Pose,
     RelativePose,
+    Trajectory,
+    VoChain,
     compose,
     mapnet_loss,
     pose_distance,
@@ -32,6 +34,94 @@ class TestPoseType:
     def test_relative_rejects_long_log(self):
         with pytest.raises(ValueError):
             RelativePose(np.zeros(3), np.array([4.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pose_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Pose(np.array([bad, 0.0, 0.0]), quat.IDENTITY)
+        with pytest.raises(ValueError):
+            Pose(np.zeros(3), np.array([bad, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_relative_pose_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            RelativePose(np.array([0.0, bad, 0.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            RelativePose(np.zeros(3), np.array([0.0, 0.0, bad]))
+
+
+def _arrays(rng, n):
+    t = rng.normal(size=(n, 3))
+    q = rng.normal(size=(n, 4))
+    return np.arange(n, dtype=float), t, q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+class TestTrajectoryType:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["timestamps", "t", "q"])
+    def test_rejects_non_finite(self, rng, field, bad):
+        arrays = dict(zip(("timestamps", "t", "q"), _arrays(rng, 6)))
+        arrays[field].reshape(6, -1)[3, 0] = bad  # a view of the array
+        with pytest.raises(ValueError):
+            Trajectory(**arrays)
+
+    def test_rejects_bad_shapes_order_and_norm(self, rng):
+        ts, t, q = _arrays(rng, 5)
+        for args in ((ts, t[:4], q), (ts, t, q[:, :3]), (ts[::-1], t, q), (ts, t, 2 * q)):
+            with pytest.raises(ValueError):
+                Trajectory(*args)
+
+    def test_canonical_read_only_copies(self, rng):
+        ts, t, q = _arrays(rng, 50)
+        traj = Trajectory(ts, t, q)
+        assert np.array_equal(traj.q, quat.canonicalize(q)) and np.all(traj.q[:, 0] >= 0)
+        t[0] = 99.0  # the trajectory keeps its own copy
+        assert traj.t[0, 0] != 99.0
+        for a in (traj.timestamps, traj.t, traj.q):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_poses_are_row_views(self, rng):
+        ts, t, q = _arrays(rng, 20)
+        traj = Trajectory(ts, t, q)
+        poses = traj.poses
+        assert len(poses) == 20 and isinstance(poses[3], Pose)
+        assert np.array_equal(poses[-1].t, traj.t[-1]) and np.array_equal(poses[5].q, traj.q[5])
+        assert [p.t[0] for p in poses[2:8:3]] == list(traj.t[2:8:3, 0])
+        back = Trajectory.from_poses(ts, list(poses))
+        assert np.array_equal(back.t, traj.t) and np.array_equal(back.q, traj.q)
+        with pytest.raises(ValueError):
+            poses[0].t[0] = 1.0
+
+    def test_empty_and_single(self):
+        assert len(Trajectory.from_poses([], [])) == 0
+        one = Trajectory.from_poses([2.0], [Pose(np.ones(3), -quat.IDENTITY)])
+        assert np.array_equal(one.q, [quat.IDENTITY])
+
+
+class TestVoChainType:
+    def test_from_relative_round_trip(self, rng):
+        rels = [RelativePose(rng.normal(size=3), 0.3 * rng.normal(size=3)) for _ in range(7)]
+        vo = VoChain.from_relative(np.arange(1.0, 8.0), rels)
+        assert len(vo) == 7
+        assert np.array_equal(vo.t, [r.t for r in rels]) and np.array_equal(vo.w, [r.w for r in rels])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["timestamps", "t", "w"])
+    def test_rejects_non_finite(self, rng, field, bad):
+        arrays = {"timestamps": np.arange(4.0), "t": rng.normal(size=(4, 3)),
+                  "w": 0.1 * rng.normal(size=(4, 3))}
+        arrays[field].reshape(4, -1)[2, 0] = bad  # a view of the array
+        with pytest.raises(ValueError, match="non-finite"):
+            VoChain(**arrays)
+
+    def test_rejects_long_log_order_and_shapes(self):
+        ts, t, w = np.arange(3.0), np.zeros((3, 3)), np.zeros((3, 3))
+        long_w = w.copy()
+        long_w[1, 0] = 4.0
+        for args in ((ts, t, long_w), (ts[::-1], t, w), (ts, t[:2], w)):
+            with pytest.raises(ValueError):
+                VoChain(*args)
 
 
 class TestRelativePose:

@@ -143,11 +143,11 @@ class TestDerivatives:
             assert np.max(np.abs(fd_left - quat.dqmul_left(a))) < 1e-7
             assert np.max(np.abs(fd_right - quat.dqmul_right(b))) < 1e-7
 
-    def test_drotate_dt_is_rotation_matrix(self, rng):
+    def test_to_matrix_is_rotation_matrix(self, rng):
         q = random_unit_quat(rng)
-        mat = quat.drotate_dt(q)
+        mat = quat.to_matrix(q)
         assert np.allclose(mat @ mat.T, np.eye(3), atol=1e-12)
-        assert np.allclose(quat.drotate_dt(quat.IDENTITY), np.eye(3))
+        assert np.allclose(quat.to_matrix(quat.IDENTITY), np.eye(3))
 
     def test_drotate_finite_differences(self, rng):
         # d/dq goes through the conjugation q * (0,t) * conj(q), which is what
@@ -163,14 +163,14 @@ class TestDerivatives:
             fd_t = finite_difference(lambda x: quat.qrotate(q, x), t)
             fd_q = finite_difference(lambda x: conjugation(x, t), q)
             scale = max(1.0, np.max(np.abs(fd_q)))
-            assert np.max(np.abs(fd_t - quat.drotate_dt(q))) / scale < 1e-6
+            assert np.max(np.abs(fd_t - quat.to_matrix(q))) / scale < 1e-6
             assert np.max(np.abs(fd_q - quat.drotate_dq(q, t))) / scale < 1e-6
 
 
 class TestExpMapDerivative:
     def test_constant_value(self):
         expected = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-        assert np.array_equal(quat.exp_map_derivative_at_zero(), expected)
+        assert np.array_equal(quat.EXP_DERIV_AT_ZERO, expected)
 
     def test_first_basis_vector(self):
         e1 = np.array([1.0, 0.0, 0.0])
@@ -199,7 +199,7 @@ def quat_batches(draw, shape):
 
 ONE_QUAT = {
     "canonicalize": quat.canonicalize, "qlog": quat.qlog, "qinv": quat.qinv,
-    "to_matrix": quat.to_matrix, "drotate_dt": quat.drotate_dt,
+    "to_matrix": quat.to_matrix,
     "dqmul_left": quat.dqmul_left, "dqmul_right": quat.dqmul_right,
 }
 QUAT_AND_VECTOR = {"qrotate": quat.qrotate, "drotate_dq": quat.drotate_dq}
@@ -243,6 +243,14 @@ class TestBatches:
                              [[0.0, 0.0, 0.0, 1.0], [-0.0, 0.6, -0.8, 0.0]]])
         assert np.array_equal(quat.canonicalize(q), expected)
         assert np.array_equal(quat.canonicalize(-q), quat.canonicalize(q))
+
+    def test_row_norm_rounds_like_linalg_norm_of_each_row(self, rng):
+        for dim in (3, 4):
+            x = rng.normal(size=(2000, dim)) * rng.uniform(0.5, 2.0, size=(2000, 1))
+            expected = [np.linalg.norm(row) for row in x]
+            assert np.array_equal(quat.row_norm(x), expected)
+            assert np.array_equal(quat.row_norm(x.reshape(40, 50, dim)).ravel(), expected)
+            assert quat.row_norm(x[7]) == expected[7]
 
     def test_check_unit_rejects_any_bad_row(self):
         q = np.tile(quat.IDENTITY, (2, 3, 1))
