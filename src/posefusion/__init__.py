@@ -5,11 +5,10 @@ measurements via moving-window on-manifold pose-graph optimization.
 """
 
 from .pose import LossConfig, Pose, RelativePose, Trajectory, VoChain
-from .pgo import Constraint, ConstraintKind, PgoConfig, fuse_trajectory
+from .pgo import ConstraintKind, PgoConfig, fuse_trajectory
 from .sim import GpsTrack, NoiseModel
 
 __all__ = [
-    "Constraint",
     "ConstraintKind",
     "GpsTrack",
     "LossConfig",

@@ -2,15 +2,16 @@
 
 The state is a stack of windows of poses, t (W, T, 3) and q (W, T, 4); each
 pose contributes 6 manifold coordinates (3 translation + 3 rotation) while
-being stored as 7 numbers. Constraints are grouped per kind into arrays of
-observations, whiteners and pose indices shared by every window of the
-stack, and one kernel linearizes them all: each yields a whitened residual
-r = L^T (k - f(z)) and Jacobian J = L^T df/d(manifold coords), where the
-covariance S = L L^T. Rotation blocks are chained through the
-quaternion-product derivative and the constant derivative of the
-exponential map at zero, and the update is z ⊞ dz: translations add,
-rotations right-multiply by qexp(dw). The windows of a stack are solved
-independently, each stopping on its own.
+being stored as 7 numbers. build_window_graph groups the constraints per
+kind into Blocks: arrays of observations, whiteners and pose indices shared
+by every window of the stack. One kernel, linearize, evaluates them all:
+each constraint yields a whitened residual r = L^T (k - f(z)) and Jacobian
+J = L^T df/d(manifold coords), where the covariance S = L L^T. Rotation
+blocks are chained through the quaternion-product derivative and the
+constant derivative of the exponential map at zero, and the update is
+z ⊞ dz: translations add, rotations right-multiply by qexp(dw).
+gauss_newton_solve solves the windows of a stack independently, each
+stopping on its own.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quat
-from .pose import (Pose, RelativePose, Trajectory, VoChain, compose_arrays, integrate,
-                   relative_pose_arrays)
+from .pose import Trajectory, VoChain, compose_arrays, integrate, relative_pose_arrays
 
 
 class ConstraintKind(Enum):
@@ -34,8 +33,6 @@ class ConstraintKind(Enum):
     REL_TRANSLATION = "rel-t"
     REL_ROTATION = "rel-r"
 
-
-_RELATIVE_KINDS = (ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION)
 
 # Windows that fuse_trajectory linearizes and solves together. The dense
 # per-batch Jacobian grows with it: solving all 394 windows of a
@@ -58,39 +55,6 @@ MEDIAN_CHUNK = 64
 def _whitener(covariance: np.ndarray) -> np.ndarray:
     """Upper-triangular L^T from covariance = L L^T."""
     return np.linalg.cholesky(covariance).T
-
-
-@dataclass
-class Constraint:
-    """One residual block of the pose graph.
-
-    observation is a 3-vector for translations and a 4-vector quaternion
-    for rotations; covariance must be symmetric positive-definite.
-    """
-
-    kind: ConstraintKind
-    i: int
-    j: int | None
-    observation: np.ndarray
-    covariance: np.ndarray
-    # Upper-triangular whitener L^T from covariance = L L^T, cached.
-    _lt: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.observation = np.asarray(self.observation, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        if (self.j is not None) != (self.kind in _RELATIVE_KINDS):
-            raise ValueError("second index j must be present iff the kind is relative")
-        dim = 3 if self.kind in (ConstraintKind.ABS_TRANSLATION,
-                                 ConstraintKind.REL_TRANSLATION) else 4
-        if self.observation.shape != (dim,):
-            raise ValueError(f"{self.kind.value} observation must have shape ({dim},)")
-        if self.covariance.shape != (dim, dim):
-            raise ValueError(f"{self.kind.value} covariance must be {dim}x{dim}")
-        try:
-            self._lt = _whitener(self.covariance)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance is not positive-definite") from exc
 
 
 @dataclass
@@ -122,7 +86,7 @@ class RankDeficientError(RuntimeError):
         super().__init__(f"rank-deficient system; offending manifold columns {self.columns}")
 
 
-class _Block(NamedTuple):
+class Block(NamedTuple):
     """Every constraint of one kind, in a stack of identically built windows."""
 
     kind: ConstraintKind
@@ -131,32 +95,21 @@ class _Block(NamedTuple):
     obs: np.ndarray  # (W, m, d) observations
     lt: np.ndarray  # (m, d, d) whiteners L^T
 
-    def windows(self, sel) -> "_Block":
+    def windows(self, sel) -> "Block":
         """The same constraints in the windows sel of the stack."""
         return self._replace(obs=self.obs[sel])
 
 
-def _blocks(constraints: list[Constraint]) -> list[_Block]:
-    """A constraint list as per-kind blocks of a stack of one window."""
-    groups: dict[ConstraintKind, list[Constraint]] = {}
-    for c in constraints:
-        groups.setdefault(c.kind, []).append(c)
-    return [_Block(kind, np.array([c.i for c in group]),
-                   np.array([c.j for c in group]) if kind in _RELATIVE_KINDS else None,
-                   np.array([[c.observation for c in group]]),
-                   np.array([c._lt for c in group]))
-            for kind in ConstraintKind if (group := groups.get(kind))]
-
-
-def _linearize(blocks: list[_Block], t: np.ndarray, q: np.ndarray,
-               jacobian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray,
+              jacobian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Whitened residuals (W, M) and Jacobians (W, M, 6T) of a window stack.
 
-    Rows run block by block, constraint by constraint. The first-order
-    change of the residual along dz is -J dz. Rotation observables are
-    hemisphere-canonicalized (scalar part >= 0) before the comparison, with
-    the sign folded into the Jacobian. With jacobian=False only the
-    residuals are computed, and None stands in for the Jacobians.
+    Rows run block by block, constraint by constraint; a window's objective
+    E(z) is the squared norm of its residual row, r[w] @ r[w]. The
+    first-order change of the residual along dz is -J dz. Rotation
+    observables are hemisphere-canonicalized (scalar part >= 0) before the
+    comparison, with the sign folded into the Jacobian. With jacobian=False
+    only the residuals are computed, and None stands in for the Jacobians.
     """
     n_win, T = t.shape[:2]
     residuals, jacobians = [], []
@@ -201,53 +154,30 @@ def _linearize(blocks: list[_Block], t: np.ndarray, q: np.ndarray,
     return r, np.concatenate(jacobians, axis=1) if jacobian else None
 
 
-def _state(z: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
-    """A pose list as a stack of one window."""
-    return np.array([[p.t for p in z]]), np.array([[p.q for p in z]])
+def build_window_graph(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
+                       vo_q: np.ndarray, cfg: PgoConfig) -> list[Block]:
+    """Constraints of a window stack: per-pose absolute + consecutive relative.
 
-
-def build_window_graph(abs_poses: list[Pose], vo: list[RelativePose],
-                       cfg: PgoConfig) -> list[Constraint]:
-    """Constraints for one window: per-pose absolute + consecutive relative.
-
-    Absolute translations carry identity covariance; rotation constraints
-    carry sigma_rot * I4. Total 2T + 2(T-1) constraints, grouped per pose
-    with absolute before relative.
+    abs_t (W, T, 3) and abs_q (W, T, 4) are each window's absolute
+    observations; vo_t (W, T-1, 3) and vo_q (W, T-1, 4) its relative ones,
+    pose i as seen from pose i + 1. Rotation observations are canonicalized.
+    Translations carry identity covariance, rotations sigma_rot * I4. One
+    block per kind, in ConstraintKind order: 2T + 2(T-1) constraints per
+    window.
     """
-    T = len(abs_poses)
-    if len(vo) != T - 1:
-        raise ValueError(f"expected {T - 1} relative poses for {T} absolute poses, got {len(vo)}")
-    eye3 = np.eye(3)
-    sig4 = cfg.sigma_rot * np.eye(4)
-    constraints: list[Constraint] = []
-    for i, p in enumerate(abs_poses):
-        constraints.append(Constraint(ConstraintKind.ABS_TRANSLATION, i, None, p.t, eye3))
-        constraints.append(Constraint(ConstraintKind.ABS_ROTATION, i, None,
-                                      quat.canonicalize(p.q), sig4))
-        if i < T - 1:
-            constraints.append(Constraint(ConstraintKind.REL_TRANSLATION, i, i + 1,
-                                          vo[i].t, eye3))
-            constraints.append(Constraint(ConstraintKind.REL_ROTATION, i, i + 1,
-                                          quat.canonicalize(vo[i].q), sig4))
-    return constraints
-
-
-def residual_and_jacobian(c: Constraint, z: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened residual and Jacobian rows over the 6T manifold coordinates.
-
-    The residual is L^T (k - f(z)); the Jacobian is L^T df/d(dz) so that
-    the first-order change of the residual along dz is -J dz. Rotation
-    observables are hemisphere-canonicalized (scalar part >= 0) before the
-    comparison, with the sign folded into the Jacobian.
-    """
-    r, jac = _linearize(_blocks([c]), *_state(z))
-    return r[0], jac[0]
-
-
-def objective(constraints: list[Constraint], z: list[Pose]) -> float:
-    """Total whitened squared error E(z) = sum_c (k - f)^T S (k - f)."""
-    r, _ = _linearize(_blocks(constraints), *_state(z), jacobian=False)
-    return float(r[0] @ r[0])
+    n_win, T = abs_t.shape[:2]
+    if vo_t.shape[:2] != (n_win, T - 1) or vo_q.shape[:2] != (n_win, T - 1):
+        raise ValueError(f"expected {T - 1} relative poses per window of {T} absolute "
+                         f"poses, got {vo_t.shape[1]}")
+    idx = np.arange(T)
+    lt3 = np.broadcast_to(_whitener(np.eye(3)), (T, 3, 3))
+    lt4 = np.broadcast_to(_whitener(cfg.sigma_rot * np.eye(4)), (T, 4, 4))
+    return [
+        Block(ConstraintKind.ABS_TRANSLATION, idx, None, abs_t, lt3),
+        Block(ConstraintKind.ABS_ROTATION, idx, None, quat.canonicalize(abs_q), lt4),
+        Block(ConstraintKind.REL_TRANSLATION, idx[:-1], idx[1:], vo_t, lt3[:-1]),
+        Block(ConstraintKind.REL_ROTATION, idx[:-1], idx[1:], quat.canonicalize(vo_q), lt4[:-1]),
+    ]
 
 
 def _cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -286,7 +216,7 @@ def _certified_cholesky(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, ok
 
 
-def _gn_step(blocks: list[_Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """One Gauss-Newton step dz (W, 6T) for every window of the stack.
 
     Each window solves its normal equations J^T J dz = J^T r through a
@@ -294,7 +224,7 @@ def _gn_step(blocks: list[_Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
     squares on J itself, and raises RankDeficientError when J has lost
     full column rank.
     """
-    r, jac = _linearize(blocks, t, q)
+    r, jac = linearize(blocks, t, q)
     jac_t = jac.transpose(0, 2, 1)
     h = jac_t @ jac
     g = (jac_t @ r[..., None])[..., 0]
@@ -308,6 +238,8 @@ def _gn_step(blocks: list[_Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
     for w in np.flatnonzero(~ok):
         dz[w], _, rank, _ = np.linalg.lstsq(jac[w], r[w], rcond=None)
         if rank < n_cols:
+            import scipy.linalg  # here, not at module level: its import dominates CLI start-up
+
             _, rmat, piv = scipy.linalg.qr(jac[w], mode="economic", pivoting=True)
             diag = np.abs(np.diag(rmat))
             bad = sorted(int(piv[k]) for k in range(len(diag)) if diag[k] <= diag[0] * 1e-12)
@@ -315,13 +247,17 @@ def _gn_step(blocks: list[_Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
     return dz
 
 
-def _solve_windows(blocks: list[_Block], t: np.ndarray, q: np.ndarray, cfg: PgoConfig):
+def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: PgoConfig):
     """Gauss-Newton over a stack of windows from the state (t, q).
 
-    Every window iterates until its own step norm drops below step_tol or
-    it has taken max_iters steps; windows still iterating are linearized
-    together. Returns the final t and q, and per window the number of
-    steps taken and the norm of the last one.
+    Each iteration solves min ||J dz - r||^2 per window through the normal
+    equations (see _gn_step), then applies the manifold update. Every
+    window iterates until its own step norm drops below step_tol or it has
+    taken max_iters steps; windows still iterating are linearized together.
+    Returns the final t and q, and per window the number of steps taken
+    and the norm of the last one. Raises RankDeficientError when a window's
+    Jacobian loses full column rank, and numpy.linalg.LinAlgError when a
+    step is not finite.
     """
     t, q = t.copy(), q.copy()
     n_win, T = t.shape[:2]
@@ -343,34 +279,6 @@ def _solve_windows(blocks: list[_Block], t: np.ndarray, q: np.ndarray, cfg: PgoC
 
 
 @dataclass
-class SolveStats:
-    iterations: int = 0
-    final_objective: float = 0.0
-    final_step_norm: float = 0.0
-
-
-def gauss_newton_solve(constraints: list[Constraint], z0: list[Pose],
-                       cfg: PgoConfig, stats: SolveStats | None = None) -> list[Pose]:
-    """Iterate stacked linearization until the step norm drops below tol.
-
-    The constraints form a stack of one window, solved by the same kernel
-    that fuse_trajectory runs on batches of windows: each iteration solves
-    min ||J dz - r||^2 through the normal equations (see _gn_step), then
-    applies the manifold update. Raises RankDeficientError when the
-    Jacobian loses full column rank, and numpy.linalg.LinAlgError when a
-    step is not finite.
-    """
-    blocks = _blocks(constraints)
-    t, q, iterations, step_norm = _solve_windows(blocks, *_state(z0), cfg)
-    if stats is not None:
-        stats.iterations = int(iterations[0])
-        stats.final_step_norm = float(step_norm[0])
-        r, _ = _linearize(blocks, t, q, jacobian=False)
-        stats.final_objective = float(r[0] @ r[0])
-    return [Pose(ti, qi) for ti, qi in zip(t[0], q[0])]
-
-
-@dataclass
 class FusionStats:
     """Per-window diagnostics collected by fuse_trajectory when requested."""
 
@@ -384,26 +292,6 @@ def _nearest_grid_index(frame, k: int, n_grid: int):
     past the last grid frame map to it.
     """
     return np.minimum((frame + (k - 1) // 2) // k, n_grid - 1)
-
-
-def _window_blocks(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
-                   vo_q: np.ndarray, cfg: PgoConfig) -> list[_Block]:
-    """Per-kind blocks of a window stack, as build_window_graph would make them.
-
-    abs_t (W, T, 3) and abs_q (W, T, 4) are each window's absolute
-    observations, vo_t (W, T-1, 3) and vo_q (W, T-1, 4) its relative ones
-    between consecutive poses; quaternions must be canonical.
-    """
-    T = abs_t.shape[1]
-    idx = np.arange(T)
-    lt3 = np.broadcast_to(_whitener(np.eye(3)), (T, 3, 3))
-    lt4 = np.broadcast_to(_whitener(cfg.sigma_rot * np.eye(4)), (T, 4, 4))
-    return [
-        _Block(ConstraintKind.ABS_TRANSLATION, idx, None, abs_t, lt3),
-        _Block(ConstraintKind.ABS_ROTATION, idx, None, abs_q, lt4),
-        _Block(ConstraintKind.REL_TRANSLATION, idx[:-1], idx[1:], vo_t, lt3[:-1]),
-        _Block(ConstraintKind.REL_ROTATION, idx[:-1], idx[1:], vo_q, lt4[:-1]),
-    ]
 
 
 def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
@@ -446,15 +334,14 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     # Window w holds grid poses w .. w + T - 1.
     windows = np.arange(len(grid) - T + 1)[:, None] + np.arange(T)
     abs_t = abs_traj.t[grid][windows]
-    abs_q = abs_traj.q[grid][windows]  # canonical, as Trajectory keeps them
-    obs_t = step_t[windows[:, :-1]]
-    obs_q = quat.canonicalize(quat.qexp(step_w))[windows[:, :-1]]
-    blocks = _window_blocks(abs_t, abs_q, obs_t, obs_q, cfg)
+    abs_q = abs_traj.q[grid][windows]
+    blocks = build_window_graph(abs_t, abs_q, step_t[windows[:, :-1]],
+                                quat.qexp(step_w)[windows[:, :-1]], cfg)
     t, q = abs_t.copy(), abs_q.copy()
     iterations = np.zeros(len(windows), dtype=int)
     for lo in range(0, len(windows), FUSE_BATCH):
         batch = slice(lo, lo + FUSE_BATCH)
-        t[batch], q[batch], iterations[batch], _ = _solve_windows(
+        t[batch], q[batch], iterations[batch], _ = gauss_newton_solve(
             [b.windows(batch) for b in blocks], t[batch], q[batch], cfg)
     if stats is not None:
         stats.window_iterations.extend(iterations.tolist())

@@ -8,7 +8,8 @@ comment lines:
 * GPS:        ``timestamp x y``
 
 Values are written with 17 significant digits so a write/read round trip
-reproduces the numbers exactly. Readers reject NaN and inf.
+reproduces the numbers exactly. Readers reject NaN and inf, and timestamps
+that do not strictly increase.
 
 A file is read whole and parsed in bulk. Only when that fails is it parsed
 again line by line, to name the first offending line; the error is the one
@@ -95,16 +96,22 @@ def _parse(path, count: int) -> tuple[np.ndarray, TrajectoryFormatError | None]:
     return np.array(rows).reshape(-1, count), None
 
 
+def _not_increasing(table: np.ndarray) -> np.ndarray:
+    return np.concatenate(([False], table[1:, 0] <= table[:-1, 0]))
+
+
 def _read_table(path, count: int, row_checks=()) -> np.ndarray:
     """The data lines of path as an (n, count) array, checked row by row.
 
-    row_checks are (message, predicate) pairs, applied in order; a
-    predicate maps the array to a boolean mask of the rows it rejects.
-    Raises TrajectoryFormatError at the first line that fails to parse or
-    that a check rejects.
+    Column 0 is a timestamp, which must be strictly increasing. row_checks
+    are further (message, predicate) pairs, applied in order after that
+    one; a predicate maps the array to a boolean mask of the rows it
+    rejects. Raises TrajectoryFormatError at the first line that fails to
+    parse or that a check rejects.
     """
     table, error = _parse(path, count)
-    if row_checks and len(table):
+    row_checks = [("timestamps must be strictly increasing", _not_increasing), *row_checks]
+    if len(table):
         bad = np.column_stack([check(table) for _, check in row_checks])
         if bad.any():
             row = int(np.argmax(bad.any(axis=1)))
@@ -113,10 +120,6 @@ def _read_table(path, count: int, row_checks=()) -> np.ndarray:
     if error is not None:
         raise error
     return table
-
-
-def _not_increasing(timestamps: np.ndarray) -> np.ndarray:
-    return np.concatenate(([False], timestamps[1:] <= timestamps[:-1]))
 
 
 def _write_table(path, header: str, columns: list[np.ndarray]) -> None:
@@ -131,10 +134,7 @@ def read_trajectory(path) -> Trajectory:
         ("quaternion is not unit-norm",
          lambda r: np.abs(quat.row_norm(r[:, 4:]) - 1.0) > QUAT_NORM_TOL)])
     q = table[:, 4:]
-    try:
-        return Trajectory(table[:, 0], table[:, 1:4], q / quat.row_norm(q)[:, None])
-    except ValueError as exc:
-        raise TrajectoryFormatError(path, 0, str(exc)) from None
+    return Trajectory(table[:, 0], table[:, 1:4], q / quat.row_norm(q)[:, None])
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
@@ -149,7 +149,6 @@ def read_vo(path, *, timestamps=None) -> VoChain:
     line, or at the line after the last row of a file that is too short.
     """
     table = _read_table(path, 7, [
-        ("timestamps must be strictly increasing", lambda r: _not_increasing(r[:, 0])),
         (LOG_NORM_ERROR, lambda r: quat.row_norm(r[:, 4:]) > MAX_LOG_NORM)])
     if timestamps is not None:
         expected = np.asarray(timestamps, dtype=float)
@@ -172,10 +171,7 @@ def write_vo(vo: VoChain, path) -> None:
 
 def read_gps(path) -> GpsTrack:
     table = _read_table(path, 3)
-    try:
-        return GpsTrack(table[:, 0], table[:, 1:])
-    except ValueError as exc:
-        raise TrajectoryFormatError(path, 0, str(exc)) from None
+    return GpsTrack(table[:, 0], table[:, 1:])
 
 
 def write_gps(track: GpsTrack, path) -> None:

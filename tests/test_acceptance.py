@@ -24,21 +24,18 @@ from posefusion.pose import (
     rotation_error_deg,
 )
 from posefusion.pgo import (
-    Constraint,
     ConstraintKind,
     FusionStats,
     PgoConfig,
-    SolveStats,
-    build_window_graph,
     fuse_trajectory,
     gauss_newton_solve,
-    objective,
-    residual_and_jacobian,
+    linearize,
     temporal_median_filter,
 )
 from posefusion.sim import GpsTrack, NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
-from conftest import random_pose, random_unit_quat
+from conftest import (objective, perturb_state, random_pose, random_unit_quat, single_block,
+                      stack_window, window_graph)
 
 
 def _passed(name):
@@ -50,15 +47,6 @@ def _safe_random_pose(rng):
         p = random_pose(rng)
         if p.q[0] > 1e-2:
             return p
-
-
-def _perturb_state(z, dz):
-    out = []
-    for idx, p in enumerate(z):
-        dt = dz[6 * idx:6 * idx + 3]
-        dw = dz[6 * idx + 3:6 * idx + 6]
-        out.append(Pose(p.t + dt, quat.qmul(p.q, quat.qexp(dw))))
-    return out
 
 
 def _mean_t_error(t, gt_t):
@@ -92,26 +80,27 @@ def test_jacobian_finite_difference_oracle():
                 if abs(f_raw[0]) < 1e-2:
                     continue
             if kind is ConstraintKind.ABS_TRANSLATION:
-                c = Constraint(kind, 0, None, rng.normal(size=3), np.eye(3))
+                b = single_block(kind, rng.normal(size=3), np.eye(3))
             elif kind is ConstraintKind.ABS_ROTATION:
-                c = Constraint(kind, 0, None,
-                               random_unit_quat(rng, positive_scalar=True), 4.0 * np.eye(4))
+                b = single_block(kind, random_unit_quat(rng, positive_scalar=True),
+                                 4.0 * np.eye(4))
             elif kind is ConstraintKind.REL_TRANSLATION:
-                c = Constraint(kind, 0, 1, rng.normal(size=3), np.eye(3))
+                b = single_block(kind, rng.normal(size=3), np.eye(3))
             else:
-                c = Constraint(kind, 0, 1,
-                               random_unit_quat(rng, positive_scalar=True), 4.0 * np.eye(4))
-            _, jac = residual_and_jacobian(c, z)
+                b = single_block(kind, random_unit_quat(rng, positive_scalar=True),
+                                 4.0 * np.eye(4))
+            t, q = stack_window(z)
+            _, jac = linearize([b], t, q)
             cols = []
             for m in range(12):
                 e = np.zeros(12)
                 e[m] = h
-                r_plus, _ = residual_and_jacobian(c, _perturb_state(z, e))
-                r_minus, _ = residual_and_jacobian(c, _perturb_state(z, -e))
-                cols.append(-(r_plus - r_minus) / (2 * h))
+                r_plus, _ = linearize([b], *perturb_state(t, q, e), jacobian=False)
+                r_minus, _ = linearize([b], *perturb_state(t, q, -e), jacobian=False)
+                cols.append(-(r_plus[0] - r_minus[0]) / (2 * h))
             fd = np.column_stack(cols)
             scale = max(1.0, float(np.max(np.abs(fd))))
-            worst = max(worst, float(np.max(np.abs(jac - fd))) / scale)
+            worst = max(worst, float(np.max(np.abs(jac[0] - fd))) / scale)
             checked += 1
     elapsed = time.perf_counter() - start
     assert worst <= 1e-5
@@ -125,22 +114,21 @@ def test_solver_matches_derivative_free_minimizer():
     gt = [_safe_random_pose(rng) for _ in range(3)]
     vo = [relative_pose(gt[i], gt[i + 1]) for i in range(2)]
     cfg = PgoConfig(window_T=3, sigma_rot=10.0)
-    constraints = build_window_graph(gt, vo, cfg)
+    blocks = window_graph(gt, vo, cfg)
     z0 = [Pose(p.t + 0.2 * rng.normal(size=3),
                quat.qmul(p.q, quat.qexp(0.2 * rng.normal(size=3)))) for p in gt]
-    stats = SolveStats()
-    gauss_newton_solve(constraints, z0, cfg, stats)
+    t0, q0 = stack_window(z0)
+    t, q, _, _ = gauss_newton_solve(blocks, t0, q0, cfg)
 
     def energy(x):
-        poses = [Pose(x[6 * i:6 * i + 3], quat.qexp(x[6 * i + 3:6 * i + 6]))
-                 for i in range(3)]
-        return objective(constraints, poses)
+        z = x.reshape(1, 3, 6)
+        return objective(blocks, z[..., :3], quat.qexp(z[..., 3:]))
 
-    x0 = np.concatenate([np.concatenate([p.t, quat.qlog(p.q)]) for p in z0])
+    x0 = np.concatenate([t0, quat.qlog(q0)], axis=-1).ravel()
     res = scipy.optimize.minimize(energy, x0, method="Powell",
                                   options={"maxiter": 100000, "maxfev": 400000,
                                            "xtol": 1e-12, "ftol": 1e-14})
-    gap = abs(stats.final_objective - res.fun)
+    gap = abs(objective(blocks, t, q) - res.fun)
     assert gap < 1e-6
     _passed(f"solver vs derivative-free minimizer: objective gap {gap:.2e}")
 
@@ -152,11 +140,10 @@ def test_solver_pure_translation_closed_form():
     n = 3
     abs_obs = [rng.normal(size=3) for _ in range(n)]
     cfg = PgoConfig(window_T=n, sigma_rot=10.0, step_tol=1e-14, max_iters=100)
-    constraints = build_window_graph(
-        [Pose(t, quat.IDENTITY) for t in abs_obs],
-        [RelativePose.identity() for _ in range(n - 1)], cfg)
+    blocks = window_graph([Pose(t, quat.IDENTITY) for t in abs_obs],
+                          [RelativePose.identity() for _ in range(n - 1)], cfg)
     z0 = [Pose(abs_obs[i] + 0.2 * rng.normal(size=3), quat.IDENTITY) for i in range(n)]
-    z = gauss_newton_solve(constraints, z0, cfg)
+    t, _, _, _ = gauss_newton_solve(blocks, *stack_window(z0), cfg)
 
     rows_a, rows_b = [], []
     for i in range(n):
@@ -173,7 +160,7 @@ def test_solver_pure_translation_closed_form():
     a = np.vstack(rows_a)
     b = np.concatenate(rows_b)
     expected = np.linalg.solve(a.T @ a, a.T @ b)
-    err = float(np.max(np.abs(np.concatenate([p.t for p in z]) - expected)))
+    err = float(np.max(np.abs(t.ravel() - expected)))
     assert err < 1e-9
     _passed(f"pure-translation solve vs normal equations: max error {err:.2e}")
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -133,6 +138,18 @@ class TestFuse:
                      "--out", str(tmp_path / "o"), "--spacing", "10"]) == DATA_ERROR
         assert f"{vo}:11: timestamp 10.5 differs from the trajectory's 10.0" in capsys.readouterr().err
 
+    def test_decreasing_abs_timestamp_is_data_error(self, tmp_path, capsys):
+        gt, abs_path, vo = _simulate(tmp_path, frames=60)
+        lines = abs_path.read_text().splitlines()
+        fields = lines[3].split()  # line 4: the third pose, stamped 2
+        fields[0] = "0.5"  # older than the second pose, stamped 1
+        lines[3] = " ".join(fields)
+        abs_path.write_text("\n".join(lines) + "\n")
+        assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
+                     "--out", str(tmp_path / "o"), "--spacing", "10"]) == DATA_ERROR
+        assert (f"{abs_path}:4: timestamps must be strictly increasing"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("which", ["abs", "vo"])
     @pytest.mark.parametrize("frame", [20, 25])  # on the --spacing 10 grid, and off it
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -192,3 +209,12 @@ class TestEval:
 class TestExitCodes:
     def test_numerical_error_code_is_distinct(self):
         assert {0, USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR} == {0, 2, 3, 4}
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is only needed by the rank-deficient fallback, and importing it
+    # takes most of the CLI's start-up time.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, posefusion.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -86,8 +86,9 @@ class TestTrajectoryFormat:
     def test_unsorted_timestamps_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 0 0 0 1 0 0 0\n0 0 0 0 1 0 0 0\n")
-        with pytest.raises(TrajectoryFormatError):
+        with pytest.raises(TrajectoryFormatError) as exc:
             read_trajectory(path)
+        assert str(exc.value) == f"{path}:2: timestamps must be strictly increasing"
 
 
 class TestVoFormat:
@@ -171,6 +172,8 @@ def _reference_read(path, count, row_error):
 
 
 def _trajectory_row_error(previous, vals):
+    if previous is not None and vals[0] <= previous[0]:
+        return "timestamps must be strictly increasing"
     if abs(np.linalg.norm(vals[4:]) - 1.0) > 1e-3:
         return "quaternion is not unit-norm"
     return None
@@ -215,16 +218,9 @@ class TestBulkReadMatchesLineByLine:
             except TrajectoryFormatError as exc:
                 with pytest.raises(TrajectoryFormatError) as got:
                     reader(path)
-                if count == 8 and "strictly increasing" in str(got.value):
-                    continue  # trajectory order is checked after the whole file
                 assert str(got.value) == str(exc)
                 continue
-            try:
-                back = reader(path)
-            except TrajectoryFormatError as exc:
-                # the trajectory reader reports time order after reading all lines
-                assert count == 8 and exc.lineno == 0
-                continue
+            back = reader(path)
             assert np.array_equal(back.timestamps, expected[:, 0])
             assert np.array_equal(back.t, expected[:, 1:4])
 
@@ -251,3 +247,10 @@ class TestGpsFormat:
         path.write_text("0 1 2 3\n")
         with pytest.raises(TrajectoryFormatError):
             read_gps(path)
+
+    def test_decreasing_timestamp_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "gps.txt"
+        path.write_text("# header\n0 1 2\n2 3 4\n1 5 6\n")
+        with pytest.raises(TrajectoryFormatError) as exc:
+            read_gps(path)
+        assert str(exc.value) == f"{path}:4: timestamps must be strictly increasing"

@@ -6,45 +6,32 @@ from posefusion import pgo, quat
 from posefusion.pose import (Pose, RelativePose, Trajectory, VoChain, integrate, relative_pose,
                              rotation_error_deg, transform, transform_relative)
 from posefusion.pgo import (
-    Constraint,
     ConstraintKind,
     FusionStats,
     PgoConfig,
     RankDeficientError,
-    SolveStats,
     _nearest_grid_index,
-    build_window_graph,
     fuse_trajectory,
     gauss_newton_solve,
-    objective,
-    residual_and_jacobian,
+    linearize,
     temporal_median_filter,
 )
 from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
-from conftest import random_pose, random_unit_quat
+from conftest import (objective, perturb_state, random_pose, random_unit_quat, single_block,
+                      stack_window, window_graph)
 
 
-def perturb_state(z, dz):
-    """Manifold step used by the finite-difference oracles."""
-    out = []
-    for idx, p in enumerate(z):
-        dt = dz[6 * idx:6 * idx + 3]
-        dw = dz[6 * idx + 3:6 * idx + 6]
-        out.append(Pose(p.t + dt, quat.qmul(p.q, quat.qexp(dw))))
-    return out
-
-
-def fd_jacobian(c, z, h=1e-6):
-    """-d(residual)/d(manifold coords) by central differences."""
-    n = 6 * len(z)
+def fd_jacobian(blocks, t, q, h=1e-6):
+    """-d(residual)/d(manifold coords) of a one-window state by central differences."""
+    n = 6 * t.shape[1]
     cols = []
     for m in range(n):
         e = np.zeros(n)
         e[m] = h
-        r_plus, _ = residual_and_jacobian(c, perturb_state(z, e))
-        r_minus, _ = residual_and_jacobian(c, perturb_state(z, -e))
-        cols.append(-(r_plus - r_minus) / (2 * h))
+        r_plus, _ = linearize(blocks, *perturb_state(t, q, e), jacobian=False)
+        r_minus, _ = linearize(blocks, *perturb_state(t, q, -e), jacobian=False)
+        cols.append(-(r_plus[0] - r_minus[0]) / (2 * h))
     return np.column_stack(cols)
 
 
@@ -56,16 +43,10 @@ def safe_random_pose(rng):
             return p
 
 
-def random_constraint(kind, rng, sigma=4.0):
-    if kind is ConstraintKind.ABS_TRANSLATION:
-        return Constraint(kind, 0, None, rng.normal(size=3), np.eye(3))
-    if kind is ConstraintKind.ABS_ROTATION:
-        return Constraint(kind, 0, None, random_unit_quat(rng, positive_scalar=True),
-                          sigma * np.eye(4))
-    if kind is ConstraintKind.REL_TRANSLATION:
-        return Constraint(kind, 0, 1, rng.normal(size=3), np.eye(3))
-    return Constraint(kind, 0, 1, random_unit_quat(rng, positive_scalar=True),
-                      sigma * np.eye(4))
+def random_block(kind, rng, sigma=4.0):
+    if kind in (ConstraintKind.ABS_TRANSLATION, ConstraintKind.REL_TRANSLATION):
+        return single_block(kind, rng.normal(size=3), np.eye(3))
+    return single_block(kind, random_unit_quat(rng, positive_scalar=True), sigma * np.eye(4))
 
 
 class TestBuildWindowGraph:
@@ -73,78 +54,61 @@ class TestBuildWindowGraph:
         for T, expected in [(2, 6), (7, 26)]:
             poses = [random_pose(rng) for _ in range(T)]
             vo = [relative_pose(poses[i], poses[i + 1]) for i in range(T - 1)]
-            cons = build_window_graph(poses, vo, PgoConfig(window_T=T))
-            assert len(cons) == expected
+            blocks = window_graph(poses, vo, PgoConfig(window_T=T))
+            assert sum(len(b.i) for b in blocks) == expected
 
     def test_covariances(self, rng):
         poses = [random_pose(rng) for _ in range(3)]
         vo = [relative_pose(poses[i], poses[i + 1]) for i in range(2)]
-        cons = build_window_graph(poses, vo, PgoConfig(sigma_rot=20.0))
-        for c in cons:
-            if c.kind in (ConstraintKind.ABS_TRANSLATION, ConstraintKind.REL_TRANSLATION):
-                assert np.array_equal(c.covariance, np.eye(3))
+        for b in window_graph(poses, vo, PgoConfig(sigma_rot=20.0)):
+            # each whitener is the Cholesky factor L^T of its covariance
+            if b.kind in (ConstraintKind.ABS_TRANSLATION, ConstraintKind.REL_TRANSLATION):
+                expected = np.eye(3)
             else:
-                assert np.array_equal(c.covariance, 20.0 * np.eye(4))
+                expected = np.sqrt(20.0) * np.eye(4)
+            assert np.array_equal(b.lt, np.broadcast_to(expected, b.lt.shape))
 
     def test_length_mismatch(self, rng):
         poses = [random_pose(rng) for _ in range(3)]
         with pytest.raises(ValueError):
-            build_window_graph(poses, [], PgoConfig())
-
-
-class TestConstraintType:
-    def test_j_required_iff_relative(self, rng):
-        with pytest.raises(ValueError):
-            Constraint(ConstraintKind.ABS_TRANSLATION, 0, 1, np.zeros(3), np.eye(3))
-        with pytest.raises(ValueError):
-            Constraint(ConstraintKind.REL_TRANSLATION, 0, None, np.zeros(3), np.eye(3))
-
-    def test_non_positive_definite_rejected(self):
-        with pytest.raises(ValueError):
-            Constraint(ConstraintKind.ABS_TRANSLATION, 0, None, np.zeros(3),
-                       -np.eye(3))
+            window_graph(poses, [], PgoConfig())
 
 
 class TestResidualAndJacobian:
     def test_zero_residual_at_consistent_state(self, rng):
         poses = [safe_random_pose(rng) for _ in range(3)]
         vo = [relative_pose(poses[i], poses[i + 1]) for i in range(2)]
-        for c in build_window_graph(poses, vo, PgoConfig()):
-            r, _ = residual_and_jacobian(c, poses)
-            assert np.max(np.abs(r)) < 1e-12
+        r, _ = linearize(window_graph(poses, vo, PgoConfig()), *stack_window(poses))
+        assert np.max(np.abs(r)) < 1e-12
 
     def test_identity_covariance_whitening_noop(self, rng):
         p = safe_random_pose(rng)
-        c = Constraint(ConstraintKind.ABS_TRANSLATION, 0, None, rng.normal(size=3), np.eye(3))
-        r, _ = residual_and_jacobian(c, [p])
-        assert np.allclose(r, c.observation - p.t)
+        b = single_block(ConstraintKind.ABS_TRANSLATION, rng.normal(size=3), np.eye(3))
+        r, _ = linearize([b], *stack_window([p]))
+        assert np.allclose(r[0], b.obs[0, 0] - p.t)
 
     @pytest.mark.parametrize("kind", list(ConstraintKind))
     def test_jacobian_matches_finite_differences(self, kind):
         rng = np.random.default_rng(hash(kind.value) % 2**32)
         for _ in range(200):
             z = [safe_random_pose(rng), safe_random_pose(rng)]
-            c = random_constraint(kind, rng)
+            b = random_block(kind, rng)
             if kind is ConstraintKind.REL_ROTATION:
                 # keep the linearization off the hemisphere flip boundary
                 f_raw = quat.qmul(quat.qinv(z[1].q), z[0].q)
                 if abs(f_raw[0]) < 1e-2:
                     continue
-            _, jac = residual_and_jacobian(c, z)
-            fd = fd_jacobian(c, z)
+            t, q = stack_window(z)
+            _, jac = linearize([b], t, q)
+            fd = fd_jacobian([b], t, q)
             scale = max(1.0, np.max(np.abs(fd)))
-            assert np.max(np.abs(jac - fd)) / scale < 1e-5
+            assert np.max(np.abs(jac[0] - fd)) / scale < 1e-5
 
 
-def energy_over_chart(constraints, base_t, x):
+def energy_over_chart(blocks, x):
     """E(z) with z parameterized by 6 free numbers per pose (t and log q)."""
-    n = len(base_t)
-    poses = []
-    for idx in range(n):
-        t = x[6 * idx:6 * idx + 3]
-        w = x[6 * idx + 3:6 * idx + 6]
-        poses.append(Pose(t, quat.qexp(w)))
-    return objective(constraints, poses)
+    z = x.reshape(1, -1, 6)
+    return objective(blocks, z[..., :3], quat.qexp(z[..., 3:]))
 
 
 class TestGaussNewton:
@@ -152,42 +116,39 @@ class TestGaussNewton:
         gt = [safe_random_pose(rng) for _ in range(n)]
         vo = [relative_pose(gt[i], gt[i + 1]) for i in range(n - 1)]
         cfg = PgoConfig(window_T=n, sigma_rot=10.0)
-        constraints = build_window_graph(gt, vo, cfg)
+        blocks = window_graph(gt, vo, cfg)
         z0 = [Pose(p.t + noise * rng.normal(size=3),
                    quat.qmul(p.q, quat.qexp(noise * rng.normal(size=3))))
               for p in gt]
-        return constraints, z0, cfg
+        return blocks, stack_window(z0), cfg
 
     def test_consistent_state_is_fixed_point(self, rng):
         poses = [safe_random_pose(rng) for _ in range(3)]
         vo = [relative_pose(poses[i], poses[i + 1]) for i in range(2)]
         cfg = PgoConfig(window_T=3)
-        stats = SolveStats()
-        z = gauss_newton_solve(build_window_graph(poses, vo, cfg), poses, cfg, stats)
-        assert stats.iterations == 1
-        assert stats.final_step_norm < 1e-12
-        for a, b in zip(z, poses):
-            assert np.max(np.abs(a.t - b.t)) < 1e-12
+        t0, q0 = stack_window(poses)
+        t, _, iterations, step_norm = gauss_newton_solve(window_graph(poses, vo, cfg),
+                                                         t0, q0, cfg)
+        assert iterations[0] == 1
+        assert step_norm[0] < 1e-12
+        assert np.max(np.abs(t - t0)) < 1e-12
 
     def test_matches_derivative_free_minimizer(self, rng):
-        constraints, z0, cfg = self._toy_problem(rng)
-        stats = SolveStats()
-        gauss_newton_solve(constraints, z0, cfg, stats)
+        blocks, (t0, q0), cfg = self._toy_problem(rng)
+        t, q, _, _ = gauss_newton_solve(blocks, t0, q0, cfg)
 
-        x0 = np.concatenate([np.concatenate([p.t, quat.qlog(p.q)]) for p in z0])
-        base_t = [p.t for p in z0]
+        x0 = np.concatenate([t0, quat.qlog(q0)], axis=-1).ravel()
         res = scipy.optimize.minimize(
-            lambda x: energy_over_chart(constraints, base_t, x), x0,
+            lambda x: energy_over_chart(blocks, x), x0,
             method="L-BFGS-B",
             options={"maxiter": 5000, "maxfun": 200000, "ftol": 1e-16, "gtol": 1e-12})
-        assert abs(stats.final_objective - res.fun) < 1e-6
+        assert abs(objective(blocks, t, q) - res.fun) < 1e-6
 
     def test_objective_never_increases_over_corpus(self, rng):
         for _ in range(20):
-            constraints, z0, cfg = self._toy_problem(rng, noise=0.1)
-            stats = SolveStats()
-            gauss_newton_solve(constraints, z0, cfg, stats)
-            assert stats.final_objective <= objective(constraints, z0) + 1e-12
+            blocks, (t0, q0), cfg = self._toy_problem(rng, noise=0.1)
+            t, q, _, _ = gauss_newton_solve(blocks, t0, q0, cfg)
+            assert objective(blocks, t, q) <= objective(blocks, t0, q0) + 1e-12
 
     def test_pure_translation_closed_form(self, rng):
         # All rotations identity and zero relative-translation observations:
@@ -197,13 +158,12 @@ class TestGaussNewton:
         n = 3
         abs_obs = [rng.normal(size=3) for _ in range(n)]
         cfg = PgoConfig(window_T=n, sigma_rot=10.0, step_tol=1e-14, max_iters=100)
-        constraints = build_window_graph(
-            [Pose(t, quat.IDENTITY) for t in abs_obs],
-            [RelativePose.identity() for _ in range(n - 1)], cfg)
+        blocks = window_graph([Pose(t, quat.IDENTITY) for t in abs_obs],
+                              [RelativePose.identity() for _ in range(n - 1)], cfg)
 
         z0 = [Pose(abs_obs[i] + 0.2 * rng.normal(size=3), quat.IDENTITY)
               for i in range(n)]
-        z = gauss_newton_solve(constraints, z0, cfg)
+        t, q, _, _ = gauss_newton_solve(blocks, *stack_window(z0), cfg)
 
         rows_a, rows_b = [], []
         for i in range(n):
@@ -220,30 +180,28 @@ class TestGaussNewton:
         a = np.vstack(rows_a)
         b = np.concatenate(rows_b)
         expected = np.linalg.solve(a.T @ a, a.T @ b)
-        got = np.concatenate([p.t for p in z])
-        assert np.max(np.abs(got - expected)) < 1e-9
-        for p in z:
-            assert rotation_error_deg(p.q, quat.IDENTITY) < 1e-9
+        assert np.max(np.abs(t.ravel() - expected)) < 1e-9
+        for qi in q[0]:
+            assert rotation_error_deg(qi, quat.IDENTITY) < 1e-9
 
     def test_quaternions_stay_unit_without_renormalization(self, rng):
-        constraints, z0, cfg = self._toy_problem(rng, noise=0.3)
+        blocks, (t0, q0), cfg = self._toy_problem(rng, noise=0.3)
         cfg.max_iters = 200
         cfg.step_tol = 0.0  # force every iteration to run
-        z = gauss_newton_solve(constraints, z0, cfg)
-        for p in z:
-            assert abs(np.linalg.norm(p.q) - 1.0) < 1e-9
+        _, q, _, _ = gauss_newton_solve(blocks, t0, q0, cfg)
+        for qi in q[0]:
+            assert abs(np.linalg.norm(qi) - 1.0) < 1e-9
 
     def test_rank_deficiency_reported(self, rng):
         # relative constraints only: the global gauge is unobservable
         poses = [safe_random_pose(rng) for _ in range(2)]
         vo = [relative_pose(poses[0], poses[1])]
-        cons = [
-            Constraint(ConstraintKind.REL_TRANSLATION, 0, 1, vo[0].t, np.eye(3)),
-            Constraint(ConstraintKind.REL_ROTATION, 0, 1, vo[0].q, np.eye(4)),
-        ]
+        cfg = PgoConfig(window_T=2, sigma_rot=1.0)
+        blocks = [b for b in window_graph(poses, vo, cfg)
+                  if b.kind in (ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION)]
         z0 = [Pose(p.t + 0.1, p.q) for p in poses]
         with pytest.raises(RankDeficientError) as err:
-            gauss_newton_solve(cons, z0, PgoConfig(window_T=2))
+            gauss_newton_solve(blocks, *stack_window(z0), cfg)
         assert len(err.value.columns) > 0
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -252,10 +210,12 @@ class TestGaussNewton:
         vo = [relative_pose(poses[i], poses[i + 1]) for i in range(2)]
         cfg = PgoConfig(window_T=3)
         for bad in (np.nan, np.inf):
-            cons = build_window_graph(poses, vo, cfg)
-            cons[0].observation = np.array([bad, 0.0, 0.0])
+            blocks = window_graph(poses, vo, cfg)
+            obs = blocks[0].obs.copy()  # absolute translation of pose 0
+            obs[0, 0] = [bad, 0.0, 0.0]
+            blocks[0] = blocks[0]._replace(obs=obs)
             with pytest.raises(np.linalg.LinAlgError):
-                gauss_newton_solve(cons, poses, cfg)
+                gauss_newton_solve(blocks, *stack_window(poses), cfg)
 
 
 def mean_translation_error(t, gt_t):
@@ -354,14 +314,13 @@ class TestFuseTrajectory:
         iterations = []
         for w in range(len(grid) - T + 1):
             abs_window = [abs_traj.poses[f] for f in grid[w:w + T]]
-            solve_stats = SolveStats()
-            z = gauss_newton_solve(build_window_graph(abs_window, grid_vo[w:w + T - 1], cfg),
-                                   abs_window, cfg, solve_stats)
-            iterations.append(solve_stats.iterations)
+            t, q, its, _ = gauss_newton_solve(window_graph(abs_window, grid_vo[w:w + T - 1], cfg),
+                                              *stack_window(abs_window), cfg)
+            iterations.append(int(its[0]))
             for offset in (range(T) if w == 0 else [T - 1]):
                 got = fused.poses[grid[w + offset]]
-                assert np.max(np.abs(got.t - z[offset].t)) < 1e-12
-                assert np.max(np.abs(got.q - z[offset].q)) < 1e-12
+                assert np.max(np.abs(got.t - t[0, offset])) < 1e-12
+                assert np.max(np.abs(got.q - quat.canonicalize(q[0, offset]))) < 1e-12
         assert stats.window_iterations == iterations
 
     def test_output_independent_of_batch_size(self, monkeypatch):
