@@ -42,7 +42,7 @@ def main(argv=None):
                     vo_t_bias=args.vo_t_bias, seed=args.seed)
     abs_traj = corrupt_absolute(gt, nm)
     vo = corrupt_vo(gt, nm)
-    vo_traj = Trajectory(gt.timestamps, *integrate(abs_traj.poses[0], vo))
+    vo_traj = Trajectory(gt.timestamps, *integrate(abs_traj.t[0], abs_traj.q[0], vo))
 
     cfg = PgoConfig(window_T=args.window, spacing_k=args.spacing,
                     sigma_rot=args.sigma_rot)

@@ -4,7 +4,7 @@ Refines noisy drift-free absolute poses with smooth-but-drifty relative
 measurements via moving-window on-manifold pose-graph optimization.
 """
 
-from .pose import LossConfig, Pose, RelativePose, Trajectory, VoChain
+from .pose import LossConfig, Trajectory, VoChain
 from .pgo import ConstraintKind, PgoConfig, fuse_trajectory
 from .sim import GpsTrack, NoiseModel
 
@@ -14,8 +14,6 @@ __all__ = [
     "LossConfig",
     "NoiseModel",
     "PgoConfig",
-    "Pose",
-    "RelativePose",
     "Trajectory",
     "VoChain",
     "fuse_trajectory",

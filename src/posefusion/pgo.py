@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quat
-from .pose import Trajectory, VoChain, compose_arrays, integrate, relative_pose_arrays
+from .pose import Trajectory, VoChain, compose, integrate, relative_pose
 
 
 class ConstraintKind(Enum):
@@ -327,9 +327,8 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
 
     # Smooth-but-drifty trajectory from integrating the VO chain; grid-step
     # relative observations are taken between its samples.
-    vo_t, vo_q = integrate(abs_traj.poses[0], vo)
-    step_t, step_w = relative_pose_arrays(vo_t[grid[:-1]], vo_q[grid[:-1]],
-                                          vo_t[grid[1:]], vo_q[grid[1:]])
+    vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
+    step_t, step_w = relative_pose(vo_t[grid[:-1]], vo_q[grid[:-1]], vo_t[grid[1:]], vo_q[grid[1:]])
 
     # Window w holds grid poses w .. w + T - 1.
     windows = np.arange(len(grid) - T + 1)[:, None] + np.arange(T)
@@ -354,8 +353,8 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     # Carry non-grid frames through the VO chain from the nearest grid pose.
     off = np.setdiff1d(np.arange(n), grid)
     near = grid[_nearest_grid_index(off, k, len(grid))]
-    rel_t, rel_w = relative_pose_arrays(vo_t[off], vo_q[off], vo_t[near], vo_q[near])
-    out_t[off], out_q[off] = compose_arrays(out_t[near], out_q[near], rel_t, rel_w)
+    rel_t, rel_w = relative_pose(vo_t[off], vo_q[off], vo_t[near], vo_q[near])
+    out_t[off], out_q[off] = compose(out_t[near], out_q[near], rel_t, rel_w)
     return Trajectory(abs_traj.timestamps, out_t, out_q)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .pose import Trajectory, VoChain, relative_pose_arrays
+from .pose import Trajectory, VoChain, _check_finite, _check_increasing, _freeze, relative_pose
 
 
 @dataclass
@@ -34,7 +34,11 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class GpsTrack:
-    """Sparse 2-d position samples with strictly increasing timestamps."""
+    """Sparse 2-d position samples with strictly increasing timestamps.
+
+    Construction checks finite values and the timestamp order, and keeps
+    read-only copies, as Trajectory does.
+    """
 
     timestamps: np.ndarray
     positions: np.ndarray  # shape (n, 2), meters
@@ -44,10 +48,10 @@ class GpsTrack:
         xy = np.asarray(self.positions, dtype=float)
         if ts.ndim != 1 or xy.shape != (len(ts), 2):
             raise ValueError("track needs matching timestamps and (n, 2) positions")
-        if len(ts) > 1 and not np.all(np.diff(ts) > 0):
-            raise ValueError("timestamps must be strictly increasing")
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "positions", xy)
+        _check_finite(timestamps=ts, positions=xy)
+        _check_increasing(ts)
+        object.__setattr__(self, "timestamps", _freeze(ts))
+        object.__setattr__(self, "positions", _freeze(xy))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -95,10 +99,8 @@ def generate_trajectory(shape: str, n: int, step: float, seed: int = 0) -> Traje
         rng = np.random.default_rng(seed)
         turns = rng.normal(0.0, 0.15, size=n - 1)
         yaw = np.concatenate([[0.0], np.cumsum(turns)])
-        positions = np.zeros((n, 3))
-        for i in range(1, n):
-            positions[i] = positions[i - 1] + step * np.array(
-                [np.cos(yaw[i - 1]), np.sin(yaw[i - 1]), 0.0])
+        steps = step * np.column_stack([np.cos(yaw[:-1]), np.sin(yaw[:-1]), np.zeros(n - 1)])
+        positions = np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
     else:
         raise ValueError(f"unknown shape {shape!r}")
 
@@ -141,7 +143,7 @@ def corrupt_vo(traj: Trajectory, nm: NoiseModel) -> VoChain:
     output drifts when vo_t_bias > 0.
     """
     rng = np.random.default_rng(nm.seed)
-    rel_t, rel_w = relative_pose_arrays(traj.t[:-1], traj.q[:-1], traj.t[1:], traj.q[1:])
+    rel_t, rel_w = relative_pose(traj.t[:-1], traj.q[:-1], traj.t[1:], traj.q[1:])
     dt, rot = _draws(rng, len(rel_t), nm.vo_t_sigma, nm.vo_r_sigma)
     t = rel_t + np.array([nm.vo_t_bias, 0.0, 0.0])
     if dt is not None:

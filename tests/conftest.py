@@ -3,7 +3,7 @@ import pytest
 
 from posefusion import quat
 from posefusion.pgo import Block, ConstraintKind, build_window_graph, linearize
-from posefusion.pose import Pose
+from posefusion.pose import relative_pose
 
 
 def random_unit_quat(rng, positive_scalar=False):
@@ -13,7 +13,36 @@ def random_unit_quat(rng, positive_scalar=False):
 
 
 def random_pose(rng, scale=1.0):
-    return Pose(scale * rng.normal(size=3), random_unit_quat(rng))
+    """One random pose: translation t (3,) and canonical unit quaternion q (4,)."""
+    t = scale * rng.normal(size=3)
+    return t, quat.canonicalize(random_unit_quat(rng))
+
+
+def stack_poses(poses):
+    """A list of (t, q) poses as arrays t (n, 3) and q (n, 4)."""
+    return (np.array([t for t, _ in poses]).reshape(-1, 3),
+            np.array([q for _, q in poses]).reshape(-1, 4))
+
+
+def random_poses(rng, n, scale=1.0):
+    """n random poses, drawn one after another, as t (n, 3) and q (n, 4)."""
+    return stack_poses([random_pose(rng, scale) for _ in range(n)])
+
+
+def safe_random_poses(rng, n):
+    """n random poses whose scalar parts exceed 1e-2, away from the hemisphere
+    boundary where the log chart is not smooth."""
+    poses = []
+    while len(poses) < n:
+        t, q = random_pose(rng)
+        if q[0] > 1e-2:
+            poses.append((t, q))
+    return stack_poses(poses)
+
+
+def chain_vo(t, q):
+    """Consecutive relative poses (t, w): pose i as seen from pose i + 1."""
+    return relative_pose(t[:-1], q[:-1], t[1:], q[1:])
 
 
 @pytest.fixture
@@ -21,17 +50,11 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def stack_window(poses):
-    """A Pose list as a stack of one window: t (1, T, 3) and q (1, T, 4)."""
-    return np.array([[p.t for p in poses]]), np.array([[p.q for p in poses]])
-
-
-def window_graph(poses, vo, cfg):
-    """pgo.build_window_graph of one window given as Pose and RelativePose lists."""
-    t, q = stack_window(poses)
-    vo_t = np.array([r.t for r in vo]).reshape(1, -1, 3)
-    vo_q = np.array([r.q for r in vo]).reshape(1, -1, 4)
-    return build_window_graph(t, q, vo_t, vo_q, cfg)
+def window_graph(t, q, vo_t, vo_w, cfg):
+    """pgo.build_window_graph of one window: poses t (T, 3), q (T, 4) and
+    relative poses vo_t (T-1, 3), vo_w (T-1, 3)."""
+    return build_window_graph(t[None], q[None], np.reshape(vo_t, (1, -1, 3)),
+                              quat.qexp(np.reshape(vo_w, (1, -1, 3))), cfg)
 
 
 def single_block(kind, observation, covariance):

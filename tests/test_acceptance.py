@@ -13,14 +13,11 @@ import scipy.optimize
 from posefusion import quat, trajio
 from posefusion.pose import (
     LossConfig,
-    Pose,
-    RelativePose,
     Trajectory,
     VoChain,
     integrate,
     mapnet_loss,
     pose_distance,
-    relative_pose,
     rotation_error_deg,
 )
 from posefusion.pgo import (
@@ -34,19 +31,12 @@ from posefusion.pgo import (
 )
 from posefusion.sim import GpsTrack, NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
-from conftest import (objective, perturb_state, random_pose, random_unit_quat, single_block,
-                      stack_window, window_graph)
+from conftest import (chain_vo, objective, perturb_state, random_poses, random_unit_quat,
+                      safe_random_poses, single_block, stack_poses, window_graph)
 
 
 def _passed(name):
     print(f"PASS {name}")
-
-
-def _safe_random_pose(rng):
-    while True:
-        p = random_pose(rng)
-        if p.q[0] > 1e-2:
-            return p
 
 
 def _mean_t_error(t, gt_t):
@@ -74,9 +64,9 @@ def test_jacobian_finite_difference_oracle():
         rng = np.random.default_rng(17)
         checked = 0
         while checked < 200:
-            z = [_safe_random_pose(rng), _safe_random_pose(rng)]
+            t, q = safe_random_poses(rng, 2)
             if kind is ConstraintKind.REL_ROTATION:
-                f_raw = quat.qmul(quat.qinv(z[1].q), z[0].q)
+                f_raw = quat.qmul(quat.qinv(q[1]), q[0])
                 if abs(f_raw[0]) < 1e-2:
                     continue
             if kind is ConstraintKind.ABS_TRANSLATION:
@@ -89,7 +79,7 @@ def test_jacobian_finite_difference_oracle():
             else:
                 b = single_block(kind, random_unit_quat(rng, positive_scalar=True),
                                  4.0 * np.eye(4))
-            t, q = stack_window(z)
+            t, q = t[None], q[None]
             _, jac = linearize([b], t, q)
             cols = []
             for m in range(12):
@@ -111,13 +101,13 @@ def test_jacobian_finite_difference_oracle():
 
 def test_solver_matches_derivative_free_minimizer():
     rng = np.random.default_rng(21)
-    gt = [_safe_random_pose(rng) for _ in range(3)]
-    vo = [relative_pose(gt[i], gt[i + 1]) for i in range(2)]
+    gt_t, gt_q = safe_random_poses(rng, 3)
     cfg = PgoConfig(window_T=3, sigma_rot=10.0)
-    blocks = window_graph(gt, vo, cfg)
-    z0 = [Pose(p.t + 0.2 * rng.normal(size=3),
-               quat.qmul(p.q, quat.qexp(0.2 * rng.normal(size=3)))) for p in gt]
-    t0, q0 = stack_window(z0)
+    blocks = window_graph(gt_t, gt_q, *chain_vo(gt_t, gt_q), cfg)
+    t0, q0 = stack_poses([(t + 0.2 * rng.normal(size=3),
+                           quat.qmul(q, quat.qexp(0.2 * rng.normal(size=3))))
+                          for t, q in zip(gt_t, gt_q)])
+    t0, q0 = t0[None], quat.canonicalize(q0)[None]
     t, q, _, _ = gauss_newton_solve(blocks, t0, q0, cfg)
 
     def energy(x):
@@ -140,10 +130,11 @@ def test_solver_pure_translation_closed_form():
     n = 3
     abs_obs = [rng.normal(size=3) for _ in range(n)]
     cfg = PgoConfig(window_T=n, sigma_rot=10.0, step_tol=1e-14, max_iters=100)
-    blocks = window_graph([Pose(t, quat.IDENTITY) for t in abs_obs],
-                          [RelativePose.identity() for _ in range(n - 1)], cfg)
-    z0 = [Pose(abs_obs[i] + 0.2 * rng.normal(size=3), quat.IDENTITY) for i in range(n)]
-    t, _, _, _ = gauss_newton_solve(blocks, *stack_window(z0), cfg)
+    identities = np.tile(quat.IDENTITY, (n, 1))
+    blocks = window_graph(np.array(abs_obs), identities,
+                          np.zeros((n - 1, 3)), np.zeros((n - 1, 3)), cfg)
+    t0 = np.array([abs_obs[i] + 0.2 * rng.normal(size=3) for i in range(n)])
+    t, _, _, _ = gauss_newton_solve(blocks, t0[None], identities[None], cfg)
 
     rows_a, rows_b = [], []
     for i in range(n):
@@ -172,10 +163,8 @@ def test_zero_noise_fuse_is_fixed_point():
     vo = corrupt_vo(gt, nm)
     stats = FusionStats()
     fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=10), stats)
-    worst_t = max(float(np.max(np.abs(a.t - b.t)))
-                  for a, b in zip(fused.poses, gt.poses))
-    worst_r = max(rotation_error_deg(a.q, b.q)
-                  for a, b in zip(fused.poses, gt.poses))
+    worst_t = float(np.max(np.abs(fused.t - gt.t)))
+    worst_r = float(np.max(rotation_error_deg(fused.q, gt.q)))
     assert worst_t < 1e-9 and worst_r < 1e-9
     assert all(it == 1 for it in stats.window_iterations)
     _passed(f"zero-noise fixed point: max drift {worst_t:.2e} m, "
@@ -195,7 +184,7 @@ def test_fusion_beats_both_inputs_over_five_seeds():
         fused = fuse_trajectory(abs_traj, vo, cfg)
         e_fused = _mean_t_error(fused.t, gt.t)
         e_abs = _mean_t_error(abs_traj.t, gt.t)
-        e_vo = _mean_t_error(integrate(abs_traj.poses[0], vo)[0], gt.t)
+        e_vo = _mean_t_error(integrate(abs_traj.t[0], abs_traj.q[0], vo)[0], gt.t)
         assert e_fused < e_abs
         assert e_fused < e_vo
         assert e_fused <= 0.8 * e_abs
@@ -211,14 +200,11 @@ def test_loss_identities():
     for _ in range(10):
         beta, gamma = rng.normal(), rng.normal()
         cfg = LossConfig(beta=beta, gamma=gamma)
-        for _ in range(100):
-            p = random_pose(rng)
-            assert pose_distance(p, p, cfg) == beta + gamma
-    pred = [random_pose(rng) for _ in range(25)]
-    gt = [random_pose(rng) for _ in range(25)]
+        t, q = random_poses(rng, 100)
+        assert np.all(pose_distance(t, q, t, q, cfg) == beta + gamma)
+    (pred_t, pred_q), gt = random_poses(rng, 25), random_poses(rng, 25)
     cfg = LossConfig(s=3, k=10)
-    flipped = [Pose(p.t, -p.q) for p in pred]
-    assert mapnet_loss(pred, gt, cfg) == mapnet_loss(flipped, gt, cfg)
+    assert mapnet_loss(pred_t, pred_q, *gt, cfg) == mapnet_loss(pred_t, -pred_q, *gt, cfg)
     _passed("loss identities: self-distance is beta+gamma exactly; "
             "loss is hemisphere-exact")
 
@@ -233,7 +219,7 @@ def test_quaternion_sign_robustness_through_fuse():
     cfg = PgoConfig(window_T=7, spacing_k=10)
     a = fuse_trajectory(abs_traj, vo, cfg)
     b = fuse_trajectory(flipped, vo, cfg)
-    worst = max(rotation_error_deg(pa.q, pb.q) for pa, pb in zip(a.poses, b.poses))
+    worst = float(np.max(rotation_error_deg(a.q, b.q)))
     assert worst <= 1e-9
     _passed(f"sign robustness: negating all input quaternions changes rotations "
             f"by at most {worst:.2e} deg")
@@ -241,14 +227,14 @@ def test_quaternion_sign_robustness_through_fuse():
 
 def test_median_filter_restores_outliers():
     n = 300
-    base = Pose(np.array([1.0, -2.0, 0.5]), quat.qexp(np.array([0.1, 0.2, -0.3])))
-    spike = Pose(np.array([50.0, 50.0, 50.0]), quat.qexp(np.array([1.0, 0.0, 0.0])))
-    poses = [spike if i % 100 == 50 else base for i in range(n)]
-    traj = Trajectory.from_poses(np.arange(n, dtype=float), poses)
-    out = temporal_median_filter(traj, 51)
-    for p in out.poses:
-        assert np.array_equal(p.t, base.t)
-        assert np.array_equal(p.q, base.q)
+    base_t = np.tile([1.0, -2.0, 0.5], (n, 1))
+    base_q = np.tile(quat.canonicalize(quat.qexp(np.array([0.1, 0.2, -0.3]))), (n, 1))
+    spikes = np.arange(n) % 100 == 50
+    t, q = base_t.copy(), base_q.copy()
+    t[spikes], q[spikes] = [50.0, 50.0, 50.0], quat.qexp(np.array([1.0, 0.0, 0.0]))
+    out = temporal_median_filter(Trajectory(np.arange(n, dtype=float), t, q), 51)
+    assert np.array_equal(out.t, base_t)
+    assert np.array_equal(out.q, base_q)
     _passed("median filter: window 51 removes 1 outlier per 100 frames exactly")
 
 
@@ -272,14 +258,12 @@ def test_fuse_performance_and_determinism(tmp_path):
 
 def test_file_round_trips(tmp_path):
     rng = np.random.default_rng(8)
-    poses = [random_pose(rng, scale=100.0) for _ in range(40)]
-    traj = Trajectory.from_poses(np.sort(rng.uniform(0, 100, size=40)), poses)
+    t, q = random_poses(rng, 40, scale=100.0)
+    traj = Trajectory(np.sort(rng.uniform(0, 100, size=40)), t, q)
     trajio.write_trajectory(traj, tmp_path / "t.txt")
     back = trajio.read_trajectory(tmp_path / "t.txt")
-    worst = float(np.max(np.abs(back.timestamps - traj.timestamps)))
-    for a, b in zip(back.poses, traj.poses):
-        worst = max(worst, float(np.max(np.abs(a.t - b.t))),
-                    float(np.max(np.abs(a.q - b.q))))
+    worst = max(float(np.max(np.abs(back.timestamps - traj.timestamps))),
+                float(np.max(np.abs(back.t - traj.t))), float(np.max(np.abs(back.q - traj.q))))
 
     vo = VoChain(np.arange(40, dtype=float), rng.normal(size=(40, 3)),
                  rng.normal(size=(40, 3)) * 0.3)

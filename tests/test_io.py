@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posefusion.pose import Pose, RelativePose, Trajectory, VoChain
+from posefusion.pose import Trajectory, VoChain
 from posefusion.sim import GpsTrack
 from posefusion.trajio import (
     TrajectoryFormatError,
@@ -13,20 +13,19 @@ from posefusion.trajio import (
     write_vo,
 )
 
-from conftest import random_pose
+from conftest import random_poses
 
 
 class TestTrajectoryFormat:
     def test_round_trip(self, tmp_path, rng):
-        poses = [random_pose(rng, scale=100.0) for _ in range(50)]
-        traj = Trajectory.from_poses(np.sort(rng.uniform(0, 1000, size=50)), poses)
+        t, q = random_poses(rng, 50, scale=100.0)
+        traj = Trajectory(np.sort(rng.uniform(0, 1000, size=50)), t, q)
         path = tmp_path / "traj.txt"
         write_trajectory(traj, path)
         back = read_trajectory(path)
         assert np.max(np.abs(back.timestamps - traj.timestamps)) < 1e-12
-        for a, b in zip(back.poses, traj.poses):
-            assert np.max(np.abs(a.t - b.t)) < 1e-12
-            assert np.max(np.abs(a.q - b.q)) < 1e-12
+        assert np.max(np.abs(back.t - traj.t)) < 1e-12
+        assert np.max(np.abs(back.q - traj.q)) < 1e-12
 
     def test_comment_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -38,8 +37,8 @@ class TestTrajectoryFormat:
         path.write_text("0 0 0 0 1 0 0 0\n")
         traj = read_trajectory(path)
         assert len(traj) == 1 and traj.timestamps[0] == 0.0
-        assert np.array_equal(traj.poses[0].t, np.zeros(3))
-        assert np.array_equal(traj.poses[0].q, [1.0, 0, 0, 0])
+        assert np.array_equal(traj.t, np.zeros((1, 3)))
+        assert np.array_equal(traj.q, [[1.0, 0, 0, 0]])
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -66,7 +65,7 @@ class TestTrajectoryFormat:
         path = tmp_path / "ok.txt"
         path.write_text(f"0 0 0 0 {1.0 + 5e-4} 0 0 0\n")
         traj = read_trajectory(path)
-        assert abs(np.linalg.norm(traj.poses[0].q) - 1.0) < 1e-15
+        assert abs(np.linalg.norm(traj.q[0]) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("reader, line", [
         (read_trajectory, "1 0 0 {} 1 0 0 0"),
@@ -111,7 +110,7 @@ class TestVoFormat:
 
     def test_timestamp_count_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            VoChain.from_relative([0.0, 1.0], [RelativePose.identity()])
+            VoChain([0.0, 1.0], np.zeros((1, 3)), np.zeros((1, 3)))
 
     @pytest.mark.parametrize("expected, lineno, message", [
         ([1.0, 2.0, 3.0], None, None),

@@ -3,57 +3,59 @@ import pytest
 
 from posefusion import quat
 from posefusion.metrics import ErrorReport, aggregate, compare, parse_report, render_report
-from posefusion.pose import Pose, Trajectory
+from posefusion.pose import Trajectory
 
-from conftest import random_pose
+from conftest import random_poses
 
 
-def _traj(poses):
-    return Trajectory.from_poses(np.arange(len(poses), dtype=float), poses)
+def _traj(t, q):
+    return Trajectory(np.arange(len(t), dtype=float), t, q)
+
+
+def _random_traj(rng, n):
+    return _traj(*random_poses(rng, n))
 
 
 def _shifted(gt, offsets):
-    return _traj([Pose(p.t + np.array([dx, 0.0, 0.0]), p.q)
-                  for p, dx in zip(gt.poses, offsets)])
+    return _traj(gt.t + np.column_stack([offsets, np.zeros((len(offsets), 2))]), gt.q)
 
 
 class TestCompare:
     def test_identical_trajectories(self, rng):
-        gt = _traj([random_pose(rng) for _ in range(10)])
+        gt = _random_traj(rng, 10)
         rep = compare(gt, gt)
         assert rep.median_t == 0.0 and rep.mean_t == 0.0
         assert rep.median_r == 0.0 and rep.mean_r == 0.0
 
     def test_known_errors_one_two_three(self, rng):
-        gt = _traj([random_pose(rng) for _ in range(3)])
+        gt = _random_traj(rng, 3)
         rep = compare(_shifted(gt, [1.0, 2.0, 3.0]), gt)
         assert rep.median_t == pytest.approx(2.0, abs=1e-12)
         assert rep.mean_t == pytest.approx(2.0, abs=1e-12)
 
     def test_even_count_median_is_midpoint(self, rng):
-        gt = _traj([random_pose(rng) for _ in range(4)])
+        gt = _random_traj(rng, 4)
         rep = compare(_shifted(gt, [1.0, 2.0, 4.0, 8.0]), gt)
         assert rep.median_t == pytest.approx(3.0, abs=1e-12)
 
     def test_matches_sort_and_count_oracle(self, rng):
-        gt = _traj([random_pose(rng) for _ in range(25)])
-        est = _traj([random_pose(rng) for _ in range(25)])
+        gt = _random_traj(rng, 25)
+        est = _random_traj(rng, 25)
         rep = compare(est, gt)
-        t_err = sorted(np.linalg.norm(e.t - g.t)
-                       for e, g in zip(est.poses, gt.poses))
+        t_err = sorted(np.linalg.norm(e - g) for e, g in zip(est.t, gt.t))
         assert rep.median_t == pytest.approx(t_err[12], abs=1e-12)
         assert rep.mean_t == pytest.approx(np.mean(t_err), abs=1e-12)
         for m, (te, _) in enumerate(rep.per_frame):
             assert te == pytest.approx(
-                np.linalg.norm(est.poses[m].t - gt.poses[m].t), abs=1e-12)
+                np.linalg.norm(est.t[m] - gt.t[m]), abs=1e-12)
         # CDF: fraction of errors at or below each sorted threshold
         for thr, frac in rep.cdf:
             expected = sum(1 for e in t_err if e <= thr + 1e-15) / 25
             assert frac == pytest.approx(expected, abs=1e-12)
 
     def test_cdf_monotone_and_ends_at_one(self, rng):
-        gt = _traj([random_pose(rng) for _ in range(30)])
-        est = _traj([random_pose(rng) for _ in range(30)])
+        gt = _random_traj(rng, 30)
+        est = _random_traj(rng, 30)
         for points in (None, 7, 33):
             cdf = compare(est, gt, cdf_points=points).cdf
             fracs = [f for _, f in cdf]
@@ -61,25 +63,24 @@ class TestCompare:
             assert fracs[-1] == 1.0
 
     def test_quaternion_sign_flip_invariance(self, rng):
-        gt = _traj([random_pose(rng) for _ in range(8)])
-        est = _traj([random_pose(rng) for _ in range(8)])
-        flipped = _traj([Pose(p.t, -p.q) for p in est.poses])
+        gt = _random_traj(rng, 8)
+        est = _random_traj(rng, 8)
+        flipped = _traj(est.t, -est.q)
         a, b = compare(est, gt), compare(flipped, gt)
         assert a.median_r == b.median_r and a.mean_r == b.mean_r
 
     def test_mismatched_inputs_rejected(self, rng):
-        gt = _traj([random_pose(rng) for _ in range(4)])
+        gt = _random_traj(rng, 4)
         with pytest.raises(ValueError):
-            compare(_traj([random_pose(rng) for _ in range(3)]), gt)
-        other = Trajectory.from_poses(np.arange(4) + 0.5,
-                                      [random_pose(rng) for _ in range(4)])
+            compare(_random_traj(rng, 3), gt)
+        other = Trajectory(np.arange(4) + 0.5, *random_poses(rng, 4))
         with pytest.raises(ValueError):
             compare(other, gt)
 
     def test_rotation_errors_in_degrees(self):
         q90 = quat.qexp(np.array([0.0, 0.0, np.pi / 4]))
-        gt = _traj([Pose.identity()] * 1 + [Pose.identity()])
-        est = _traj([Pose(np.zeros(3), q90), Pose.identity()])
+        gt = _traj(np.zeros((2, 3)), np.tile(quat.IDENTITY, (2, 1)))
+        est = _traj(np.zeros((2, 3)), np.stack([q90, quat.IDENTITY]))
         rep = compare(est, gt)
         assert rep.mean_r == pytest.approx(45.0, abs=1e-9)
 
@@ -121,8 +122,8 @@ class TestAggregate:
 
 class TestReportFormat:
     def test_round_trip(self, rng):
-        gt = _traj([random_pose(rng) for _ in range(12)])
-        est = _traj([random_pose(rng) for _ in range(12)])
+        gt = _random_traj(rng, 12)
+        est = _random_traj(rng, 12)
         rep = compare(est, gt, cdf_points=9)
         back = parse_report(render_report(rep))
         assert back.median_t == rep.median_t and back.median_r == rep.median_r
@@ -131,7 +132,7 @@ class TestReportFormat:
         assert back.cdf == rep.cdf
 
     def test_rendered_schema(self, rng):
-        gt = _traj([random_pose(rng) for _ in range(3)])
+        gt = _random_traj(rng, 3)
         text = render_report(compare(gt, gt))
         lines = text.splitlines()
         assert lines[0].startswith("#")

@@ -1,9 +1,11 @@
-"""The array code of the fuse path against per-pose reference loops.
+"""The array code against per-pose reference loops.
 
 The references are the per-pose loops the array code replaced: the
 `advance` chain of VO integration, the relative_pose + compose carry of
-off-grid frames, and the per-window median filter. The array code keeps
-their arithmetic, so every comparison here is exact.
+off-grid frames, the per-window median filter and the step-by-step
+random-walk positions. They run one row at a time on the same array
+functions, canonicalizing as the per-pose code did, and the array code
+keeps their arithmetic, so every comparison here is exact.
 """
 
 import numpy as np
@@ -11,50 +13,61 @@ import pytest
 
 from posefusion import quat
 from posefusion.pgo import PgoConfig, fuse_trajectory, temporal_median_filter
-from posefusion.pose import (Pose, RelativePose, Trajectory, compose, integrate,
-                             relative_pose)
+from posefusion.pose import Trajectory, compose, integrate, relative_pose
 from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
 
-def advance(p_i: Pose, rel: RelativePose) -> Pose:
-    """The observer pose p_j from p_i and rel = relative_pose(p_i, p_j)."""
-    q_j = quat.qmul(p_i.q, quat.qinv(rel.q))
-    t_j = p_i.t - quat.qrotate(quat.qinv(q_j), rel.t)
-    return Pose(t_j, q_j)
+def advance(t_i, q_i, rel_t, rel_w):
+    """The observer pose (t_j, q_j) from pose i and (rel_t, rel_w) = relative_pose(i, j)."""
+    q_j = quat.qmul(q_i, quat.qinv(quat.qexp(rel_w)))
+    t_j = t_i - quat.qrotate(quat.qinv(q_j), rel_t)
+    return t_j, quat.canonicalize(q_j)
 
 
-def integrate_reference(start: Pose, vo) -> list[Pose]:
-    out = [start]
-    for t, w in zip(vo.t, vo.w):
-        out.append(advance(out[-1], RelativePose(t, w)))
+def integrate_reference(t0, q0, vo):
+    out = [(t0, quat.canonicalize(q0))]
+    for rel_t, rel_w in zip(vo.t, vo.w):
+        out.append(advance(*out[-1], rel_t, rel_w))
     return out
 
 
-def carry_reference(fused: Trajectory, vo_poses: list[Pose], k: int) -> list[Pose]:
+def carry_reference(fused: Trajectory, vo_poses, k: int):
     """Every frame composed from its nearest grid frame of fused (ties lower)."""
     n = len(fused)
     grid = list(range(0, n, k))
     out = []
     for f in range(n):
         g = min(grid, key=lambda frame: abs(frame - f))
-        out.append(compose(fused.poses[g], relative_pose(vo_poses[f], vo_poses[g])))
+        rel = relative_pose(*vo_poses[f], *vo_poses[g])
+        t, q = compose(fused.t[g], fused.q[g], *rel)
+        out.append((t, quat.canonicalize(q)))
     return out
 
 
-def median_reference(traj: Trajectory, window: int) -> list[Pose]:
+def median_reference(traj: Trajectory, window: int):
     half = window // 2
     n = len(traj)
-    ts = np.array([p.t for p in traj.poses])
-    qs = np.array([p.q for p in traj.poses])
     out = []
     for i in range(n):
         lo, hi = max(0, i - half), min(n, i + half + 1)
-        t_med = np.median(ts[lo:hi], axis=0)
-        block = qs[lo:hi]
+        t_med = np.median(traj.t[lo:hi], axis=0)
+        block = traj.q[lo:hi]
         dots = np.clip(np.abs(block @ block.T), 0.0, 1.0)
         cost = np.sum(np.arccos(dots), axis=1)
-        out.append(Pose(t_med, block[int(np.argmin(cost))]))
+        out.append((t_med, block[int(np.argmin(cost))]))
     return out
+
+
+def random_walk_reference(n, step, seed):
+    """The random-walk positions, advanced one step at a time."""
+    rng = np.random.default_rng(seed)
+    turns = rng.normal(0.0, 0.15, size=n - 1)
+    yaw = np.concatenate([[0.0], np.cumsum(turns)])
+    positions = np.zeros((n, 3))
+    for i in range(1, n):
+        positions[i] = positions[i - 1] + step * np.array(
+            [np.cos(yaw[i - 1]), np.sin(yaw[i - 1]), 0.0])
+    return positions
 
 
 def _noisy_loop(n, seed, abs_r_sigma=5.0):
@@ -67,15 +80,15 @@ def _noisy_loop(n, seed, abs_r_sigma=5.0):
 
 
 def _assert_rows_equal(traj_t, traj_q, poses):
-    assert np.array_equal(traj_t, [p.t for p in poses])
-    assert np.array_equal(traj_q, [p.q for p in poses])
+    assert np.array_equal(traj_t, [t for t, _ in poses])
+    assert np.array_equal(traj_q, [q for _, q in poses])
 
 
 @pytest.mark.parametrize("n, seed", [(2, 0), (40, 1), (701, 2), (1500, 3)])
 def test_integrate_matches_advance_chain(n, seed):
     gt, abs_traj, vo = _noisy_loop(n, seed)
-    t, q = integrate(abs_traj.poses[0], vo)
-    _assert_rows_equal(t, q, integrate_reference(abs_traj.poses[0], vo))
+    t, q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
+    _assert_rows_equal(t, q, integrate_reference(abs_traj.t[0], abs_traj.q[0], vo))
     if n > 2:  # the heading wraps from +180 to -180 degrees
         yaw = 2 * np.arctan2(gt.q[:, 3], gt.q[:, 0])
         assert np.abs(np.diff(yaw)).max() > np.pi
@@ -91,7 +104,7 @@ def test_integrate_matches_advance_chain(n, seed):
 def test_off_grid_carry_matches_relative_pose_compose(n, k, T):
     _, abs_traj, vo = _noisy_loop(n, seed=n)
     fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=T, spacing_k=k))
-    vo_poses = integrate_reference(abs_traj.poses[0], vo)
+    vo_poses = integrate_reference(abs_traj.t[0], abs_traj.q[0], vo)
     k_used = k if (n - 1) // k >= 1 else n - 1
     _assert_rows_equal(fused.t, fused.q, carry_reference(fused, vo_poses, k_used))
 
@@ -113,3 +126,10 @@ def test_median_filter_matches_per_window_loop(n, window):
 def test_median_window_of_one_is_identity():
     _, abs_traj, _ = _noisy_loop(30, seed=4)
     assert temporal_median_filter(abs_traj, 1) is abs_traj
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 16000])
+@pytest.mark.parametrize("seed", range(5))
+def test_random_walk_matches_step_loop(n, seed):
+    traj = generate_trajectory("random-walk", n, 0.1, seed=seed)
+    assert np.array_equal(traj.t, random_walk_reference(n, 0.1, seed))
