@@ -10,8 +10,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from posefusion.metrics import compare
 from posefusion.pgo import PgoConfig, fuse_trajectory, temporal_median_filter
 from posefusion.pose import Trajectory, integrate

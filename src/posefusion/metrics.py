@@ -51,40 +51,6 @@ def compare(est: Trajectory, gt: Trajectory, cdf_points: int | None = None) -> E
     )
 
 
-@dataclass
-class Summary:
-    """Cross-report averages, grouped by scene and flat over sequences."""
-
-    avg_median_scene: tuple[float, float]
-    avg_median_seq: tuple[float, float]
-    avg_mean_scene: tuple[float, float]
-    avg_mean_seq: tuple[float, float]
-
-
-def aggregate(reports: list[tuple[str, ErrorReport]]) -> Summary:
-    """Average medians and means over sequences, and scene-wise first."""
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    scenes: dict[str, list[ErrorReport]] = {}
-    for scene, rep in reports:
-        scenes.setdefault(scene, []).append(rep)
-
-    def _mean(values):
-        return float(np.mean(values))
-
-    all_reps = [rep for _, rep in reports]
-    seq_median = (_mean([r.median_t for r in all_reps]), _mean([r.median_r for r in all_reps]))
-    seq_mean = (_mean([r.mean_t for r in all_reps]), _mean([r.mean_r for r in all_reps]))
-    scene_medians = [(_mean([r.median_t for r in grp]), _mean([r.median_r for r in grp]))
-                     for grp in scenes.values()]
-    scene_means = [(_mean([r.mean_t for r in grp]), _mean([r.mean_r for r in grp]))
-                   for grp in scenes.values()]
-    scene_median = (_mean([m[0] for m in scene_medians]), _mean([m[1] for m in scene_medians]))
-    scene_mean = (_mean([m[0] for m in scene_means]), _mean([m[1] for m in scene_means]))
-    return Summary(avg_median_scene=scene_median, avg_median_seq=seq_median,
-                   avg_mean_scene=scene_mean, avg_mean_seq=seq_mean)
-
-
 def render_report(report: ErrorReport) -> str:
     """Key-value text document; see README for the schema."""
     lines = [

@@ -4,14 +4,18 @@ The state is a stack of windows of poses, t (W, T, 3) and q (W, T, 4); each
 pose contributes 6 manifold coordinates (3 translation + 3 rotation) while
 being stored as 7 numbers. build_window_graph groups the constraints per
 kind into Blocks: arrays of observations, whiteners and pose indices shared
-by every window of the stack. One kernel, linearize, evaluates them all:
-each constraint yields a whitened residual r = L^T (k - f(z)) and Jacobian
-J = L^T df/d(manifold coords), where the covariance S = L L^T. Rotation
-blocks are chained through the quaternion-product derivative and the
-constant derivative of the exponential map at zero, and the update is
-z ⊞ dz: translations add, rotations right-multiply by qexp(dw).
-gauss_newton_solve solves the windows of a stack independently, each
-stopping on its own.
+by every window of the stack. One kernel, _linearize_block, evaluates a
+block: each constraint yields a whitened residual r = L^T (k - f(z)) and
+Jacobian blocks J = L^T df/d(manifold coords) for the one or two poses it
+touches, where the covariance S = L L^T. Rotation blocks are chained
+through the quaternion-product derivative and the constant derivative of
+the exponential map at zero, and the update is z ⊞ dz: translations add,
+rotations right-multiply by qexp(dw). A window is a chain, so its normal
+matrix J^T J is block-tridiagonal with 6x6 blocks; gauss_newton_solve
+accumulates those blocks and solves each window by block Cholesky, the
+windows of a stack independently, each stopping on its own. linearize
+scatters the same Jacobian blocks into a dense Jacobian for the
+least-squares fallback and for tests.
 """
 
 from __future__ import annotations
@@ -34,21 +38,22 @@ class ConstraintKind(Enum):
     REL_ROTATION = "rel-r"
 
 
-# Windows that fuse_trajectory linearizes and solves together. The dense
-# per-batch Jacobian grows with it: solving all 394 windows of a
-# 4000-frame k=10 fuse in one batch raised peak RSS by 59% over solving one
-# window at a time, batches of 32 by 2%.
-FUSE_BATCH = 32
+# Windows that fuse_trajectory linearizes and solves together. Per-stack
+# temporaries grow with it: on a 4000-frame k=10 fuse (394 windows), peak
+# CLI RSS was 37.1 MB solving one window at a time, 37.2 MB in stacks of 128
+# and 40.6 MB in one stack of all windows: +9%, close to the benchmark's
+# 10% bound on fuse peak RSS.
+FUSE_BATCH = 128
 
-# Smallest accepted ratio of the smallest to the largest diagonal entry of a
-# window's Cholesky factor. A window below it, or whose normal matrix is not
-# positive-definite, is solved by lstsq, whose SVD rank check decides
-# whether the window is rank-deficient.
+# Smallest accepted ratio of the smallest to the largest pivot (diagonal
+# entry of the Cholesky factor) of a window's normal matrix. A window below
+# it, or whose normal matrix is not positive-definite, is solved by lstsq,
+# whose SVD rank check decides whether the window is rank-deficient.
 MIN_PIVOT_RATIO = 1e-6
 
 # Full windows whose rotation medoids temporal_median_filter picks together.
-# Their pairwise-angle temporaries are MEDIAN_CHUNK x window x window
-# doubles: about 1.3 MB at the default window of 51.
+# Their pairwise angles are one matrix over the MEDIAN_CHUNK + window - 1
+# frames they span: about 0.1 MB at the default window of 51.
 MEDIAN_CHUNK = 64
 
 
@@ -91,7 +96,7 @@ class Block(NamedTuple):
 
     kind: ConstraintKind
     i: np.ndarray  # (m,) pose index within the window
-    j: np.ndarray | None  # (m,) second pose index, relative kinds only
+    j: np.ndarray | None  # (m,) second pose index i + 1, relative kinds only
     obs: np.ndarray  # (W, m, d) observations
     lt: np.ndarray  # (m, d, d) whiteners L^T
 
@@ -100,56 +105,79 @@ class Block(NamedTuple):
         return self._replace(obs=self.obs[sel])
 
 
+def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = True):
+    """Whitened residuals (W, m, d) of one block and its Jacobian blocks.
+
+    The Jacobian blocks are (W, m, d, 6): one for each constraint's pose i,
+    and for the relative kinds one for its pose j (None otherwise, and both
+    None when jacobian is False). Their columns are the 6 manifold
+    coordinates of that pose. Rotation columns chain through
+    quat.EXP_DERIV_AT_ZERO = [0; I3], i.e. they keep the last three columns
+    of the 4x4 derivative.
+    """
+    n_win = t.shape[0]
+    m, d = b.obs.shape[1:]
+    relative = b.j is not None
+    if jacobian:
+        ji = np.zeros((n_win, m, d, 6))
+        jj = np.zeros((n_win, m, d, 6)) if relative else None
+    if b.kind is ConstraintKind.ABS_TRANSLATION:
+        f = t[:, b.i]
+        if jacobian:
+            ji[..., :3] = np.eye(3)
+    elif b.kind is ConstraintKind.ABS_ROTATION:
+        f = quat.canonicalize(q[:, b.i])
+        if jacobian:
+            ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
+    elif b.kind is ConstraintKind.REL_TRANSLATION:
+        qj = q[:, b.j]
+        dt = t[:, b.i] - t[:, b.j]
+        f = quat.qrotate(qj, dt)
+        if jacobian:
+            rot = quat.to_matrix(qj)
+            ji[..., :3] = rot
+            jj[..., :3] = -rot
+            jj[..., 3:] = quat.drotate_dq(qj, dt) @ quat.dqmul_left(qj)[..., 1:]
+    else:  # REL_ROTATION
+        f_raw = quat.qmul(quat.qinv(q[:, b.j]), q[:, b.i])
+        sign = np.where(f_raw[..., :1] < 0.0, -1.0, 1.0)
+        f = sign * f_raw
+        if jacobian:
+            ji[..., 3:] = sign[..., None] * quat.dqmul_left(f_raw)[..., 1:]
+            # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
+            jj[..., 3:] = -sign[..., None] * quat.dqmul_right(f_raw)[..., 1:]
+    r = (b.lt @ (b.obs - f)[..., None])[..., 0]
+    if not jacobian:
+        return r, None, None
+    return r, b.lt @ ji, (b.lt @ jj if relative else None)
+
+
 def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray,
               jacobian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Whitened residuals (W, M) and Jacobians (W, M, 6T) of a window stack.
+    """Whitened residuals (W, M) and dense Jacobians (W, M, 6T) of a window stack.
 
     Rows run block by block, constraint by constraint; a window's objective
     E(z) is the squared norm of its residual row, r[w] @ r[w]. The
     first-order change of the residual along dz is -J dz. Rotation
     observables are hemisphere-canonicalized (scalar part >= 0) before the
-    comparison, with the sign folded into the Jacobian. With jacobian=False
-    only the residuals are computed, and None stands in for the Jacobians.
+    comparison, with the sign folded into the Jacobian. The dense Jacobian
+    is scattered from the per-pose blocks of _linearize_block; the solver
+    builds it only for its least-squares fallback. With jacobian=False only
+    the residuals are computed, and None stands in for the Jacobians.
     """
     n_win, T = t.shape[:2]
     residuals, jacobians = [], []
     for b in blocks:
-        m, d = b.obs.shape[1:]
-        c = np.arange(m)
-        # Derivative rows of constraint c over the 6 coordinates of each
-        # window pose; jac[:, c, b.i] is the block of its pose i. Rotation
-        # columns chain through quat.EXP_DERIV_AT_ZERO = [0; I3], i.e. they
-        # keep the last three columns of the 4x4 derivative.
-        jac = np.zeros((n_win, m, T, d, 6)) if jacobian else None
-        if b.kind is ConstraintKind.ABS_TRANSLATION:
-            f = t[:, b.i]
-            if jacobian:
-                jac[:, c, b.i, :, :3] = np.eye(3)
-        elif b.kind is ConstraintKind.ABS_ROTATION:
-            f = quat.canonicalize(q[:, b.i])
-            if jacobian:
-                jac[:, c, b.i, :, 3:] = quat.dqmul_left(f)[..., 1:]
-        elif b.kind is ConstraintKind.REL_TRANSLATION:
-            qj = q[:, b.j]
-            dt = t[:, b.i] - t[:, b.j]
-            f = quat.qrotate(qj, dt)
-            if jacobian:
-                rot = quat.to_matrix(qj)
-                jac[:, c, b.i, :, :3] = rot
-                jac[:, c, b.j, :, :3] = -rot
-                jac[:, c, b.j, :, 3:] = quat.drotate_dq(qj, dt) @ quat.dqmul_left(qj)[..., 1:]
-        else:  # REL_ROTATION
-            f_raw = quat.qmul(quat.qinv(q[:, b.j]), q[:, b.i])
-            sign = np.where(f_raw[..., :1] < 0.0, -1.0, 1.0)
-            f = sign * f_raw
-            if jacobian:
-                jac[:, c, b.i, :, 3:] = sign[..., None] * quat.dqmul_left(f_raw)[..., 1:]
-                # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
-                jac[:, c, b.j, :, 3:] = -sign[..., None] * quat.dqmul_right(f_raw)[..., 1:]
-        residuals.append((b.lt @ (b.obs - f)[..., None]).reshape(n_win, -1))
+        r, ji, jj = _linearize_block(b, t, q, jacobian)
+        residuals.append(r.reshape(n_win, -1))
         if jacobian:
-            jac = jac.transpose(0, 1, 3, 2, 4).reshape(n_win, m, d, 6 * T)
-            jacobians.append((b.lt @ jac).reshape(n_win, -1, 6 * T))
+            m, d = r.shape[1:]
+            c = np.arange(m)
+            jac = np.zeros((n_win, m, T, d, 6))
+            jac[:, c, b.i] = ji
+            if jj is not None:
+                jac[:, c, b.j] = jj
+            jacobians.append(jac.transpose(0, 1, 3, 2, 4).reshape(n_win, m * d, 6 * T))
     r = np.concatenate(residuals, axis=1)
     return r, np.concatenate(jacobians, axis=1) if jacobian else None
 
@@ -180,70 +208,118 @@ def build_window_graph(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
     ]
 
 
-def _cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = b for a stack of lower-triangular factors L (W, n, n)."""
-    n = b.shape[-1]
-    y = np.empty_like(b)
-    for k in range(n):
-        y[:, k] = (b[:, k] - np.einsum("wi,wi->w", low[:, k, :k], y[:, :k])) / low[:, k, k]
-    x = np.empty_like(b)
-    for k in reversed(range(n)):
-        x[:, k] = (y[:, k] - np.einsum("wi,wi->w", low[:, k + 1:, k], x[:, k + 1:])) / low[:, k, k]
-    return x
+def _transpose(a: np.ndarray) -> np.ndarray:
+    """a with its last two axes swapped, as a copy: numpy's stacked matmul
+    is several times slower on a transposed view."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2))
 
 
-def _certified_cholesky(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of a stack of normal matrices, and which to trust.
+def _cholesky_where_pd(s: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of blocks (W, 6, 6).
 
-    A factor is trusted when the factorization succeeds and its smallest
-    diagonal entry is at least MIN_PIVOT_RATIO times its largest.
+    A block that is not positive-definite gets the identity instead, and
+    clears its window's flag in ok.
     """
     try:
-        low = np.linalg.cholesky(h)
-        ok = np.ones(len(h), dtype=bool)
+        return np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         # some window is not positive-definite; find it one window at a time
-        low = np.zeros_like(h)
-        ok = np.zeros(len(h), dtype=bool)
-        for w in range(len(h)):
+        low = np.broadcast_to(np.eye(s.shape[-1]), s.shape).copy()
+        for w in range(len(s)):
             try:
-                low[w] = np.linalg.cholesky(h[w])
-                ok[w] = True
+                low[w] = np.linalg.cholesky(s[w])
             except np.linalg.LinAlgError:
-                pass
-    piv = np.diagonal(low, axis1=-2, axis2=-1)
-    ok &= piv.min(axis=-1) >= MIN_PIVOT_RATIO * piv.max(axis=-1)
-    return low, ok
+                ok[w] = False
+        return low
+
+
+def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
+    """Solve H dz = g for a stack of block-tridiagonal normal matrices.
+
+    H has the diagonal blocks diag (W, T, 6, 6) and the super-diagonal
+    blocks upper (W, T-1, 6, 6). Block Cholesky: pose k's factor L_k is the
+    Cholesky factor of the Schur complement S_k = D_k - C_k^T C_k, with
+    C_k = L_{k-1}^-1 U_{k-1}, followed by forward and back substitution
+    through the inverse factors. The L_k are the diagonal blocks of H's
+    dense Cholesky factor, so their diagonals are its pivots. Returns dz
+    (W, T, 6), the pivots (W, T, 6) and which windows to trust: those whose
+    factorization succeeded with a smallest pivot at least
+    MIN_PIVOT_RATIO times the largest.
+    """
+    n_win, T = g.shape[:2]
+    ok = np.ones(n_win, dtype=bool)
+    inv_low = np.empty_like(diag)  # L_k^-1
+    cross = np.empty_like(upper)   # C_{k+1} = L_k^-1 U_k
+    y = np.empty_like(g)           # forward-substituted right-hand side
+    piv = np.empty_like(g)
+    s, rhs = diag[:, 0], g[:, 0]
+    for k in range(T):
+        low = _cholesky_where_pd(s, ok)
+        piv[:, k] = np.diagonal(low, axis1=-2, axis2=-1)
+        inv_low[:, k] = np.linalg.inv(low)
+        y[:, k] = (inv_low[:, k] @ rhs[..., None])[..., 0]
+        if k < T - 1:
+            cross[:, k] = inv_low[:, k] @ upper[:, k]
+            cross_t = _transpose(cross[:, k])
+            s = diag[:, k + 1] - cross_t @ cross[:, k]
+            rhs = g[:, k + 1] - (cross_t @ y[:, k, :, None])[..., 0]
+    ok &= piv.min(axis=(1, 2)) >= MIN_PIVOT_RATIO * piv.max(axis=(1, 2))
+    dz = np.empty_like(g)
+    for k in reversed(range(T)):
+        if k < T - 1:
+            y[:, k] -= (cross[:, k] @ dz[:, k + 1, :, None])[..., 0]
+        dz[:, k] = (inv_low[:, k].swapaxes(-1, -2) @ y[:, k, :, None])[..., 0]
+    return dz, piv, ok
 
 
 def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """One Gauss-Newton step dz (W, 6T) for every window of the stack.
 
-    Each window solves its normal equations J^T J dz = J^T r through a
-    certified Cholesky factor; a window without one is solved by least
-    squares on J itself, and raises RankDeficientError when J has lost
-    full column rank.
+    Each window solves its normal equations J^T J dz = J^T r. A window is a
+    chain, so J^T J is block-tridiagonal: the blocks and the gradient are
+    accumulated kind by kind from _linearize_block and solved by
+    _block_cholesky_solve. A window whose factorization is not trusted is
+    solved by least squares on its dense J instead, and raises
+    RankDeficientError when J has lost full column rank.
     """
-    r, jac = linearize(blocks, t, q)
-    jac_t = jac.transpose(0, 2, 1)
-    h = jac_t @ jac
-    g = (jac_t @ r[..., None])[..., 0]
-    if not (np.isfinite(h).all() and np.isfinite(g).all()):
+    n_win, T = t.shape[:2]
+    diag = np.zeros((n_win, T, 36))
+    upper = np.zeros((n_win, T - 1, 36))
+    g = np.zeros((n_win, T, 6))
+    pose = np.eye(T)
+    for b in blocks:
+        # Per-constraint products are scattered onto their poses by 0/1
+        # matrices: exact, and repeated pose indices accumulate.
+        r, ji, jj = _linearize_block(b, t, q)
+        ji_t = _transpose(ji)
+        diag += pose[:, b.i] @ (ji_t @ ji).reshape(n_win, -1, 36)
+        g += pose[:, b.i] @ (ji_t @ r[..., None])[..., 0]
+        if jj is not None:
+            if not np.array_equal(b.j, b.i + 1):
+                raise ValueError("a relative constraint must link pose i to pose i + 1")
+            jj_t = _transpose(jj)
+            diag += pose[:, b.j] @ (jj_t @ jj).reshape(n_win, -1, 36)
+            g += pose[:, b.j] @ (jj_t @ r[..., None])[..., 0]
+            upper += pose[:-1, b.i] @ (ji_t @ jj).reshape(n_win, -1, 36)
+    if not (np.isfinite(diag).all() and np.isfinite(upper).all() and np.isfinite(g).all()):
         raise np.linalg.LinAlgError("Gauss-Newton step is not finite: NaN or inf in the "
                                     "observations or the starting poses")
-    low, ok = _certified_cholesky(h)
-    dz = np.empty_like(g)
-    dz[ok] = _cho_solve(low[ok], g[ok])
-    n_cols = jac.shape[-1]
-    for w in np.flatnonzero(~ok):
-        dz[w], _, rank, _ = np.linalg.lstsq(jac[w], r[w], rcond=None)
-        if rank < n_cols:
-            import scipy.linalg  # here, not at module level: its import dominates CLI start-up
+    dz, _, ok = _block_cholesky_solve(diag.reshape(n_win, T, 6, 6),
+                                      upper.reshape(n_win, T - 1, 6, 6), g)
+    dz = dz.reshape(n_win, 6 * T)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        r, jac = linearize([b.windows(bad) for b in blocks], t[bad], q[bad])
+        for w, r_w, jac_w in zip(bad, r, jac):
+            dz[w], _, rank, _ = np.linalg.lstsq(jac_w, r_w, rcond=None)
+            if rank < 6 * T:
+                import scipy.linalg  # here, not at module level: its import dominates CLI start-up
 
-            _, rmat, piv = scipy.linalg.qr(jac[w], mode="economic", pivoting=True)
-            diag = np.abs(np.diag(rmat))
-            bad = sorted(int(piv[k]) for k in range(len(diag)) if diag[k] <= diag[0] * 1e-12)
-            raise RankDeficientError(bad or list(piv[rank:]))
+                _, rmat, piv = scipy.linalg.qr(jac_w, mode="economic", pivoting=True)
+                diag_r = np.abs(np.diag(rmat))
+                cols = sorted(int(piv[k]) for k in range(len(diag_r))
+                              if diag_r[k] <= diag_r[0] * 1e-12)
+                raise RankDeficientError(cols or list(piv[rank:]))
     return dz
 
 
@@ -256,8 +332,9 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
     taken max_iters steps; windows still iterating are linearized together.
     Returns the final t and q, and per window the number of steps taken
     and the norm of the last one. Raises RankDeficientError when a window's
-    Jacobian loses full column rank, and numpy.linalg.LinAlgError when a
-    step is not finite.
+    Jacobian loses full column rank, numpy.linalg.LinAlgError when a step
+    is not finite, and ValueError when a relative block links other poses
+    than i and i + 1.
     """
     t, q = t.copy(), q.copy()
     n_win, T = t.shape[:2]
@@ -358,11 +435,10 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     return Trajectory(abs_traj.timestamps, out_t, out_q)
 
 
-def _medoid_index(blocks: np.ndarray) -> np.ndarray:
-    """Per block of quaternions (B, m, 4), the row minimizing the summed
-    angular distance to all rows of its block."""
-    dots = np.clip(np.abs(blocks @ blocks.transpose(0, 2, 1)), 0.0, 1.0)
-    return np.argmin(np.sum(np.arccos(dots), axis=-1), axis=-1)
+def _pairwise_angles(q: np.ndarray) -> np.ndarray:
+    """Angular distances (m, m) between the unit quaternions q (m, 4), up to
+    sign, as arccos |<q_a, q_b>|."""
+    return np.arccos(np.clip(np.abs(q @ q.T), 0.0, 1.0))
 
 
 def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
@@ -382,14 +458,19 @@ def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
     for i in [i for i in range(n) if i < half or i >= n - half]:
         lo, hi = max(0, i - half), min(n, i + half + 1)
         out_t[i] = np.median(traj.t[lo:hi], axis=0)
-        out_q[i] = traj.q[lo + _medoid_index(traj.q[None, lo:hi])[0]]
-    # Full windows, MEDIAN_CHUNK at a time: window c is centred on frame half + c.
+        out_q[i] = traj.q[lo + np.argmin(np.sum(_pairwise_angles(traj.q[lo:hi]), axis=-1))]
+    # Full windows, MEDIAN_CHUNK at a time: window c is centred on frame
+    # half + c. The windows of a chunk share their frames, so each angle
+    # between those frames is computed once, and window c's angles are the
+    # diagonal block [c, c + window) of the chunk's matrix.
     if n >= window:
         win_t = sliding_window_view(traj.t, window, axis=0)  # (n - 2 half, 3, window)
-        win_q = sliding_window_view(traj.q, window, axis=0).transpose(0, 2, 1)
         for lo in range(0, len(win_t), MEDIAN_CHUNK):
-            blocks = win_q[lo:lo + MEDIAN_CHUNK]
-            centre = slice(half + lo, half + lo + len(blocks))
+            frames = traj.q[lo:lo + MEDIAN_CHUNK + window - 1]
+            blocks = np.diagonal(sliding_window_view(_pairwise_angles(frames), (window, window)),
+                                 axis1=0, axis2=1)  # (window, window, chunk), a view
+            first = np.arange(blocks.shape[-1])
+            centre = slice(half + lo, half + lo + len(first))
             out_t[centre] = np.median(win_t[lo:lo + MEDIAN_CHUNK], axis=-1)
-            out_q[centre] = blocks[np.arange(len(blocks)), _medoid_index(blocks)]
+            out_q[centre] = frames[first + np.argmin(np.sum(blocks, axis=1), axis=0)]
     return Trajectory(traj.timestamps, out_t, out_q)

@@ -7,7 +7,6 @@ suite doubles as a checklist when run with ``pytest -s tests/test_acceptance.py`
 import time
 
 import numpy as np
-import pytest
 import scipy.optimize
 
 from posefusion import quat, trajio

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posefusion import quat
-from posefusion.metrics import ErrorReport, aggregate, compare, parse_report, render_report
+from posefusion.metrics import compare, parse_report, render_report
 from posefusion.pose import Trajectory
 
 from conftest import random_poses
@@ -83,41 +83,6 @@ class TestCompare:
         est = _traj(np.zeros((2, 3)), np.stack([q90, quat.IDENTITY]))
         rep = compare(est, gt)
         assert rep.mean_r == pytest.approx(45.0, abs=1e-9)
-
-
-class TestAggregate:
-    def _report(self, median_t, mean_t, median_r=1.0, mean_r=1.0):
-        return ErrorReport(median_t=median_t, median_r=median_r,
-                           mean_t=mean_t, mean_r=mean_r, per_frame=[], cdf=[])
-
-    def test_single_report_passthrough(self):
-        rep = self._report(0.2, 0.3, 5.0, 6.0)
-        s = aggregate([("scene-a", rep)])
-        assert s.avg_median_scene == (0.2, 5.0)
-        assert s.avg_median_seq == (0.2, 5.0)
-        assert s.avg_mean_scene == (0.3, 6.0)
-        assert s.avg_mean_seq == (0.3, 6.0)
-
-    def test_two_reports_average(self):
-        s = aggregate([("a", self._report(1.0, 1.0)), ("b", self._report(3.0, 3.0))])
-        assert s.avg_median_seq[0] == pytest.approx(2.0)
-        assert s.avg_median_scene[0] == pytest.approx(2.0)
-
-    def test_grouped_fixture_hand_computation(self):
-        # scene x has two sequences, scene y has one; scene average weights
-        # scenes equally while the sequence average weights sequences equally
-        reports = [("x", self._report(1.0, 2.0)),
-                   ("x", self._report(3.0, 4.0)),
-                   ("y", self._report(5.0, 6.0))]
-        s = aggregate(reports)
-        assert s.avg_median_seq[0] == pytest.approx((1 + 3 + 5) / 3)
-        assert s.avg_mean_seq[0] == pytest.approx((2 + 4 + 6) / 3)
-        assert s.avg_median_scene[0] == pytest.approx((2.0 + 5.0) / 2)
-        assert s.avg_mean_scene[0] == pytest.approx((3.0 + 6.0) / 2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([])
 
 
 class TestReportFormat:

@@ -3,13 +3,14 @@ import pytest
 import scipy.optimize
 
 from posefusion import pgo, quat
-from posefusion.pose import Trajectory, VoChain, integrate, rotation_error_deg
+from posefusion.pose import Trajectory, VoChain, integrate, relative_pose, rotation_error_deg
 from posefusion.pgo import (
     ConstraintKind,
     FusionStats,
     PgoConfig,
     RankDeficientError,
     _nearest_grid_index,
+    build_window_graph,
     fuse_trajectory,
     gauss_newton_solve,
     linearize,
@@ -202,6 +203,103 @@ class TestGaussNewton:
                 gauss_newton_solve(blocks, t[None], q[None], cfg)
 
 
+def noisy_window_stack(rng, T, n_win=4):
+    """Blocks of a stack of n_win windows of T poses, and its starting state.
+
+    Observations are ground truth plus noise, and the state starts at the
+    absolute observations, as fuse_trajectory starts it. Window 0 heads
+    near 180 degrees, where the scalar parts of its rotations are about 0
+    and canonicalization flips their signs.
+    """
+    gt_t = rng.normal(size=(n_win, T, 3))
+    yaw = rng.uniform(-np.pi, np.pi, size=(n_win, T))
+    yaw[0] = np.pi + 0.02 * rng.normal(size=T)
+    tilt = 0.1 * rng.normal(size=(n_win, T, 3))
+    gt_q = quat.qmul(quat.qexp(np.stack([0 * yaw, 0 * yaw, yaw / 2], axis=-1)), quat.qexp(tilt))
+    abs_t = gt_t + 0.3 * rng.normal(size=gt_t.shape)
+    abs_q = quat.qmul(gt_q, quat.qexp(0.05 * rng.normal(size=gt_t.shape)))
+    vo_t, vo_w = relative_pose(gt_t[:, :-1], gt_q[:, :-1], gt_t[:, 1:], gt_q[:, 1:])
+    vo_q = quat.qmul(quat.qexp(vo_w), quat.qexp(0.01 * rng.normal(size=vo_w.shape)))
+    blocks = build_window_graph(abs_t, abs_q, vo_t + 0.01 * rng.normal(size=vo_t.shape),
+                                vo_q, PgoConfig(window_T=T))
+    return blocks, abs_t, abs_q
+
+
+def dense_normal_equations(blocks, t, q):
+    """J^T J (W, 6T, 6T) and J^T r (W, 6T) from linearize's dense Jacobian."""
+    r, jac = linearize(blocks, t, q)
+    jac_t = jac.transpose(0, 2, 1)
+    return jac_t @ jac, (jac_t @ r[..., None])[..., 0]
+
+
+def pose_blocks(h):
+    """The 6x6 blocks of normal matrices h (W, 6T, 6T), indexed [w, a, b] by
+    the poses a and b, with their diagonal (W, T, 6, 6) and super-diagonal
+    (W, T-1, 6, 6)."""
+    T = h.shape[-1] // 6
+    blocks = h.reshape(len(h), T, 6, T, 6).transpose(0, 1, 3, 2, 4)
+    k = np.arange(T)
+    return blocks, blocks[:, k, k], blocks[:, k[:-1], k[1:]]
+
+
+class TestBlockCholesky:
+    @pytest.mark.parametrize("T", [2, 3, 7])
+    def test_step_matches_dense_solve(self, rng, T):
+        blocks, t, q = noisy_window_stack(rng, T)
+        h, g = dense_normal_equations(blocks, t, q)
+        expected = np.linalg.solve(h, g[..., None])[..., 0]
+        dz = pgo._gn_step(blocks, t, q)
+        err = np.linalg.norm(dz - expected, axis=-1) / np.linalg.norm(expected, axis=-1)
+        assert np.max(err) < 1e-10
+
+    @pytest.mark.parametrize("T", [2, 3, 7])
+    def test_pivots_are_dense_cholesky_diagonal(self, rng, T):
+        blocks, t, q = noisy_window_stack(rng, T)
+        h, g = dense_normal_equations(blocks, t, q)
+        h_blocks, diag, upper = pose_blocks(h)
+        # a chain couples only neighbours: every block off the three middle
+        # diagonals is 0
+        k = np.arange(T)
+        assert np.all(h_blocks[:, np.abs(k[:, None] - k) > 1] == 0.0)
+        _, piv, ok = pgo._block_cholesky_solve(diag, upper, g.reshape(len(h), T, 6))
+        assert ok.all()
+        expected = np.diagonal(np.linalg.cholesky(h), axis1=-2, axis2=-1)
+        assert np.max(np.abs(piv.reshape(len(h), -1) - expected) / expected) < 1e-10
+
+    def test_low_pivot_ratio_takes_least_squares(self, rng):
+        # absolute translations weighted 1e-7: the window stays full rank,
+        # but its smallest pivot falls below MIN_PIVOT_RATIO of its largest
+        blocks, t, q = noisy_window_stack(rng, 3, n_win=2)
+        blocks[0] = blocks[0]._replace(lt=1e-7 * blocks[0].lt)
+        h, g = dense_normal_equations(blocks, t, q)
+        _, diag, upper = pose_blocks(h)
+        _, piv, ok = pgo._block_cholesky_solve(diag, upper, g.reshape(2, 3, 6))
+        assert not ok.any()
+        assert np.all(piv.min(axis=(1, 2)) < pgo.MIN_PIVOT_RATIO * piv.max(axis=(1, 2)))
+        dz = pgo._gn_step(blocks, t, q)
+        r, jac = linearize(blocks, t, q)
+        for w in range(2):
+            assert np.array_equal(dz[w], np.linalg.lstsq(jac[w], r[w], rcond=None)[0])
+
+    def test_not_positive_definite_window_is_flagged_alone(self, rng):
+        blocks, t, q = noisy_window_stack(rng, 3, n_win=2)
+        h, g = dense_normal_equations(blocks, t, q)
+        _, diag, upper = pose_blocks(h)
+        diag = diag.copy()
+        diag[0, 1, 0, 0] = -1.0  # window 0, pose 1
+        dz, _, ok = pgo._block_cholesky_solve(diag, upper, g.reshape(2, 3, 6))
+        assert ok.tolist() == [False, True]
+        expected = np.linalg.solve(h[1], g[1])
+        assert np.linalg.norm(dz[1].ravel() - expected) < 1e-10 * np.linalg.norm(expected)
+
+    def test_relative_constraint_must_link_neighbours(self, rng):
+        blocks, t, q = noisy_window_stack(rng, 3, n_win=1)
+        rel_t = blocks[2]
+        blocks[2] = rel_t._replace(i=rel_t.j, j=rel_t.i)
+        with pytest.raises(ValueError, match="i \\+ 1"):
+            pgo._gn_step(blocks, t, q)
+
+
 def mean_translation_error(t, gt_t):
     return float(np.mean(np.linalg.norm(t - gt_t, axis=1)))
 
@@ -373,6 +471,21 @@ class TestTemporalMedianFilter:
         out = temporal_median_filter(Trajectory(np.arange(20.0), t, q), 5)
         assert np.array_equal(out.t, np.tile(base_t, (20, 1)))
         assert np.all(rotation_error_deg(out.q, base_q) == 0.0)
+
+    @pytest.mark.parametrize("n, window", [(60, 11), (23, 11), (11, 11), (8, 11)])
+    def test_rotations_match_brute_force_medoid(self, monkeypatch, rng, n, window):
+        # chunks of 7 windows: several full chunks and a partial one
+        monkeypatch.setattr(pgo, "MEDIAN_CHUNK", 7)
+        q = quat.canonicalize(quat.qexp(rng.normal(size=(n, 3))))
+        out = temporal_median_filter(Trajectory(np.arange(float(n)), rng.normal(size=(n, 3)), q),
+                                     window)
+        half = window // 2
+        for i in range(n):
+            frames = q[max(0, i - half):i + half + 1]
+            summed = np.arccos(np.clip(np.abs(frames @ frames.T), 0.0, 1.0)).sum(axis=1)
+            chosen = np.flatnonzero((frames == out.q[i]).all(axis=1))
+            assert len(chosen) == 1
+            assert summed[chosen[0]] - summed.min() < 1e-12
 
 
 @pytest.mark.parametrize("n, k", [(100, 10), (101, 10), (96, 4), (95, 7), (13, 12), (7, 2), (2, 1)])
