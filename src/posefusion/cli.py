@@ -64,15 +64,19 @@ def _cmd_simulate(args) -> int:
     if args.frames < 2:
         print("simulate: --frames must be >= 2", file=sys.stderr)
         return USAGE_ERROR
-    if args.step <= 0:
-        print("simulate: --step must be > 0", file=sys.stderr)
+    if not (np.isfinite(args.step) and args.step > 0):
+        print("simulate: --step must be finite and > 0", file=sys.stderr)
         return USAGE_ERROR
     if args.out_gps is not None and args.gps_every < 1:
         print("simulate: --gps-every must be >= 1", file=sys.stderr)
         return USAGE_ERROR
-    nm = sim.NoiseModel(abs_t_sigma=args.abs_t_sigma, abs_r_sigma=args.abs_r_sigma,
-                        vo_t_sigma=args.vo_t_sigma, vo_r_sigma=args.vo_r_sigma,
-                        vo_t_bias=args.vo_t_bias, seed=args.seed)
+    try:
+        nm = sim.NoiseModel(abs_t_sigma=args.abs_t_sigma, abs_r_sigma=args.abs_r_sigma,
+                            vo_t_sigma=args.vo_t_sigma, vo_r_sigma=args.vo_r_sigma,
+                            vo_t_bias=args.vo_t_bias, seed=args.seed)
+    except ValueError as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     gt = sim.generate_trajectory(args.shape, args.frames, args.step, seed=args.seed)
     trajio.write_trajectory(gt, args.out_gt)
     trajio.write_trajectory(sim.corrupt_absolute(gt, nm), args.out_abs)

@@ -31,6 +31,8 @@ def compare(est: Trajectory, gt: Trajectory, cdf_points: int | None = None) -> E
         raise ValueError(f"length mismatch: {len(est)} vs {len(gt)}")
     if not np.array_equal(est.timestamps, gt.timestamps):
         raise ValueError("timestamps do not match")
+    if not len(gt):
+        raise ValueError("no frames to compare")
     t_err = quat.row_norm(est.t - gt.t)
     r_err = rotation_error_deg(est.q, gt.q)
     n = len(t_err)

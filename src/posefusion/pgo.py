@@ -2,15 +2,15 @@
 
 The state is a stack of windows of poses, t (W, T, 3) and q (W, T, 4); each
 pose contributes 6 manifold coordinates (3 translation + 3 rotation) while
-being stored as 7 numbers. build_window_graph groups the constraints per
-kind into Blocks: arrays of observations, whiteners and pose indices shared
-by every window of the stack. One kernel, _linearize_block, evaluates a
-block: each constraint yields a whitened residual r = L^T (k - f(z)) and
-Jacobian blocks J = L^T df/d(manifold coords) for the one or two poses it
-touches, where the covariance S = L L^T. Rotation blocks are chained
-through the quaternion-product derivative and the constant derivative of
-the exponential map at zero, and the update is z ⊞ dz: translations add,
-rotations right-multiply by qexp(dw). A window is a chain, so its normal
+being stored as 7 numbers. A window is a chain: build_window_graph gives
+one Block per constraint kind, an absolute observation of every pose and a
+relative one of every consecutive pair, with one scalar weight per kind.
+One kernel, _linearize_block, evaluates a block: each constraint yields a
+weighted residual r = weight * (k - f(z)) and Jacobian blocks
+J = weight * df/d(manifold coords) for the one or two poses it touches.
+Rotation blocks are chained through the quaternion-product derivative and
+the constant derivative of the exponential map at zero, and the update is
+z ⊞ dz: translations add, rotations right-multiply by qexp(dw). Its normal
 matrix J^T J is block-tridiagonal with 6x6 blocks; gauss_newton_solve
 accumulates those blocks and solves each window by block Cholesky, the
 windows of a stack independently, each stopping on its own. linearize
@@ -57,11 +57,6 @@ MIN_PIVOT_RATIO = 1e-6
 MEDIAN_CHUNK = 64
 
 
-def _whitener(covariance: np.ndarray) -> np.ndarray:
-    """Upper-triangular L^T from covariance = L L^T."""
-    return np.linalg.cholesky(covariance).T
-
-
 @dataclass
 class PgoConfig:
     """Window size, frame spacing, covariance tuning and solver controls."""
@@ -77,10 +72,12 @@ class PgoConfig:
             raise ValueError("window_T must be >= 2")
         if self.spacing_k < 1:
             raise ValueError("spacing_k must be >= 1")
-        if self.sigma_rot <= 0:
-            raise ValueError("sigma_rot must be > 0")
+        if not (np.isfinite(self.sigma_rot) and self.sigma_rot > 0):
+            raise ValueError("sigma_rot must be finite and > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not (np.isfinite(self.step_tol) and self.step_tol >= 0):
+            raise ValueError("step_tol must be finite and >= 0")
 
 
 class RankDeficientError(RuntimeError):
@@ -92,13 +89,15 @@ class RankDeficientError(RuntimeError):
 
 
 class Block(NamedTuple):
-    """Every constraint of one kind, in a stack of identically built windows."""
+    """Every constraint of one kind, in a stack of identically built windows.
+
+    Constraint i of an absolute block observes pose i; of a relative block,
+    pose i as seen from pose i + 1. Its residual is weight * (obs - f).
+    """
 
     kind: ConstraintKind
-    i: np.ndarray  # (m,) pose index within the window
-    j: np.ndarray | None  # (m,) second pose index i + 1, relative kinds only
     obs: np.ndarray  # (W, m, d) observations
-    lt: np.ndarray  # (m, d, d) whiteners L^T
+    weight: float
 
     def windows(self, sel) -> "Block":
         """The same constraints in the windows sel of the stack."""
@@ -106,32 +105,32 @@ class Block(NamedTuple):
 
 
 def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = True):
-    """Whitened residuals (W, m, d) of one block and its Jacobian blocks.
+    """Weighted residuals (W, m, d) of one block and its Jacobian blocks.
 
     The Jacobian blocks are (W, m, d, 6): one for each constraint's pose i,
-    and for the relative kinds one for its pose j (None otherwise, and both
-    None when jacobian is False). Their columns are the 6 manifold
+    and for the relative kinds one for its pose i + 1 (None otherwise, and
+    both None when jacobian is False). Their columns are the 6 manifold
     coordinates of that pose. Rotation columns chain through
     quat.EXP_DERIV_AT_ZERO = [0; I3], i.e. they keep the last three columns
     of the 4x4 derivative.
     """
     n_win = t.shape[0]
     m, d = b.obs.shape[1:]
-    relative = b.j is not None
+    relative = b.kind in (ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION)
     if jacobian:
         ji = np.zeros((n_win, m, d, 6))
         jj = np.zeros((n_win, m, d, 6)) if relative else None
     if b.kind is ConstraintKind.ABS_TRANSLATION:
-        f = t[:, b.i]
+        f = t[:, :m]
         if jacobian:
             ji[..., :3] = np.eye(3)
     elif b.kind is ConstraintKind.ABS_ROTATION:
-        f = quat.canonicalize(q[:, b.i])
+        f = quat.canonicalize(q[:, :m])
         if jacobian:
             ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
     elif b.kind is ConstraintKind.REL_TRANSLATION:
-        qj = q[:, b.j]
-        dt = t[:, b.i] - t[:, b.j]
+        qj = q[:, 1:m + 1]
+        dt = t[:, :m] - t[:, 1:m + 1]
         f = quat.qrotate(qj, dt)
         if jacobian:
             rot = quat.to_matrix(qj)
@@ -139,22 +138,22 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = Tr
             jj[..., :3] = -rot
             jj[..., 3:] = quat.drotate_dq(qj, dt) @ quat.dqmul_left(qj)[..., 1:]
     else:  # REL_ROTATION
-        f_raw = quat.qmul(quat.qinv(q[:, b.j]), q[:, b.i])
+        f_raw = quat.qmul(quat.qinv(q[:, 1:m + 1]), q[:, :m])
         sign = np.where(f_raw[..., :1] < 0.0, -1.0, 1.0)
         f = sign * f_raw
         if jacobian:
             ji[..., 3:] = sign[..., None] * quat.dqmul_left(f_raw)[..., 1:]
             # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
             jj[..., 3:] = -sign[..., None] * quat.dqmul_right(f_raw)[..., 1:]
-    r = (b.lt @ (b.obs - f)[..., None])[..., 0]
+    r = b.weight * (b.obs - f)
     if not jacobian:
         return r, None, None
-    return r, b.lt @ ji, (b.lt @ jj if relative else None)
+    return r, b.weight * ji, (b.weight * jj if relative else None)
 
 
 def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray,
               jacobian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Whitened residuals (W, M) and dense Jacobians (W, M, 6T) of a window stack.
+    """Weighted residuals (W, M) and dense Jacobians (W, M, 6T) of a window stack.
 
     Rows run block by block, constraint by constraint; a window's objective
     E(z) is the squared norm of its residual row, r[w] @ r[w]. The
@@ -174,9 +173,9 @@ def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray,
             m, d = r.shape[1:]
             c = np.arange(m)
             jac = np.zeros((n_win, m, T, d, 6))
-            jac[:, c, b.i] = ji
+            jac[:, c, c] = ji
             if jj is not None:
-                jac[:, c, b.j] = jj
+                jac[:, c, c + 1] = jj
             jacobians.append(jac.transpose(0, 1, 3, 2, 4).reshape(n_win, m * d, 6 * T))
     r = np.concatenate(residuals, axis=1)
     return r, np.concatenate(jacobians, axis=1) if jacobian else None
@@ -189,22 +188,20 @@ def build_window_graph(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
     abs_t (W, T, 3) and abs_q (W, T, 4) are each window's absolute
     observations; vo_t (W, T-1, 3) and vo_q (W, T-1, 4) its relative ones,
     pose i as seen from pose i + 1. Rotation observations are canonicalized.
-    Translations carry identity covariance, rotations sigma_rot * I4. One
-    block per kind, in ConstraintKind order: 2T + 2(T-1) constraints per
-    window.
+    Translations have weight 1 and rotations sqrt(sigma_rot), so sigma_rot
+    scales the squared norm of every rotation residual. One block per kind,
+    in ConstraintKind order: 2T + 2(T-1) constraints per window.
     """
     n_win, T = abs_t.shape[:2]
     if vo_t.shape[:2] != (n_win, T - 1) or vo_q.shape[:2] != (n_win, T - 1):
         raise ValueError(f"expected {T - 1} relative poses per window of {T} absolute "
                          f"poses, got {vo_t.shape[1]}")
-    idx = np.arange(T)
-    lt3 = np.broadcast_to(_whitener(np.eye(3)), (T, 3, 3))
-    lt4 = np.broadcast_to(_whitener(cfg.sigma_rot * np.eye(4)), (T, 4, 4))
+    w_rot = float(np.sqrt(cfg.sigma_rot))
     return [
-        Block(ConstraintKind.ABS_TRANSLATION, idx, None, abs_t, lt3),
-        Block(ConstraintKind.ABS_ROTATION, idx, None, quat.canonicalize(abs_q), lt4),
-        Block(ConstraintKind.REL_TRANSLATION, idx[:-1], idx[1:], vo_t, lt3[:-1]),
-        Block(ConstraintKind.REL_ROTATION, idx[:-1], idx[1:], quat.canonicalize(vo_q), lt4[:-1]),
+        Block(ConstraintKind.ABS_TRANSLATION, abs_t, 1.0),
+        Block(ConstraintKind.ABS_ROTATION, quat.canonicalize(abs_q), w_rot),
+        Block(ConstraintKind.REL_TRANSLATION, vo_t, 1.0),
+        Block(ConstraintKind.REL_ROTATION, quat.canonicalize(vo_q), w_rot),
     ]
 
 
@@ -283,29 +280,25 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
     RankDeficientError when J has lost full column rank.
     """
     n_win, T = t.shape[:2]
-    diag = np.zeros((n_win, T, 36))
-    upper = np.zeros((n_win, T - 1, 36))
+    diag = np.zeros((n_win, T, 6, 6))
+    upper = np.zeros((n_win, T - 1, 6, 6))
     g = np.zeros((n_win, T, 6))
-    pose = np.eye(T)
     for b in blocks:
-        # Per-constraint products are scattered onto their poses by 0/1
-        # matrices: exact, and repeated pose indices accumulate.
+        # constraint c couples pose c and, for a relative kind, pose c + 1
         r, ji, jj = _linearize_block(b, t, q)
+        m = r.shape[1]
         ji_t = _transpose(ji)
-        diag += pose[:, b.i] @ (ji_t @ ji).reshape(n_win, -1, 36)
-        g += pose[:, b.i] @ (ji_t @ r[..., None])[..., 0]
+        diag[:, :m] += ji_t @ ji
+        g[:, :m] += (ji_t @ r[..., None])[..., 0]
         if jj is not None:
-            if not np.array_equal(b.j, b.i + 1):
-                raise ValueError("a relative constraint must link pose i to pose i + 1")
             jj_t = _transpose(jj)
-            diag += pose[:, b.j] @ (jj_t @ jj).reshape(n_win, -1, 36)
-            g += pose[:, b.j] @ (jj_t @ r[..., None])[..., 0]
-            upper += pose[:-1, b.i] @ (ji_t @ jj).reshape(n_win, -1, 36)
+            diag[:, 1:m + 1] += jj_t @ jj
+            g[:, 1:m + 1] += (jj_t @ r[..., None])[..., 0]
+            upper[:, :m] += ji_t @ jj
     if not (np.isfinite(diag).all() and np.isfinite(upper).all() and np.isfinite(g).all()):
         raise np.linalg.LinAlgError("Gauss-Newton step is not finite: NaN or inf in the "
                                     "observations or the starting poses")
-    dz, _, ok = _block_cholesky_solve(diag.reshape(n_win, T, 6, 6),
-                                      upper.reshape(n_win, T - 1, 6, 6), g)
+    dz, _, ok = _block_cholesky_solve(diag, upper, g)
     dz = dz.reshape(n_win, 6 * T)
     bad = np.flatnonzero(~ok)
     if bad.size:
@@ -332,9 +325,8 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
     taken max_iters steps; windows still iterating are linearized together.
     Returns the final t and q, and per window the number of steps taken
     and the norm of the last one. Raises RankDeficientError when a window's
-    Jacobian loses full column rank, numpy.linalg.LinAlgError when a step
-    is not finite, and ValueError when a relative block links other poses
-    than i and i + 1.
+    Jacobian loses full column rank and numpy.linalg.LinAlgError when a
+    step is not finite.
     """
     t, q = t.copy(), q.copy()
     n_win, T = t.shape[:2]

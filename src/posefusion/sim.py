@@ -28,8 +28,11 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("abs_t_sigma", "abs_r_sigma", "vo_t_sigma", "vo_r_sigma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not np.isfinite(self.vo_t_bias):
+            raise ValueError("vo_t_bias must be finite")
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,8 @@ def generate_trajectory(shape: str, n: int, step: float, seed: int = 0) -> Traje
     """
     if n < 2:
         raise ValueError("need n >= 2 frames")
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError("step must be finite and > 0")
 
     if shape == "loop":
         m = n - 1  # chords around the circle; pose n-1 closes onto pose 0
@@ -120,8 +123,8 @@ def _draws(rng: np.random.Generator, steps: int, t_sigma: float, r_sigma: float)
     translation noise is None, the rotations are identities.
     """
     z = rng.standard_normal((steps, 3 * (t_sigma > 0) + 4 * (r_sigma > 0)))
-    dt = t_sigma * z[:, :3] if t_sigma else None
-    if not r_sigma:
+    dt = t_sigma * z[:, :3] if t_sigma > 0 else None
+    if not r_sigma > 0:
         return dt, np.tile(quat.IDENTITY, (steps, 1))
     axis = z[:, -4:-1] / quat.row_norm(z[:, -4:-1])[:, None]
     angle = np.radians(r_sigma * z[:, -1:])

@@ -11,15 +11,15 @@ Values are written with 17 significant digits so a write/read round trip
 reproduces the numbers exactly. Readers reject NaN and inf, and timestamps
 that do not strictly increase.
 
-A file is read whole and parsed in bulk. Only when that fails is it parsed
-again line by line, to name the first offending line; the error is the one
-a line-by-line reader stopping at the first bad line would raise.
+A file is read once and parsed in bulk. Only when that fails are its lines
+parsed again one by one, to name the first offending line; the error is the
+one a line-by-line reader stopping at the first bad line would raise.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -39,26 +39,7 @@ class TrajectoryFormatError(ValueError):
         super().__init__(f"{path}:{lineno}: {message}")
 
 
-def _data_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
-
-
-def _lineno(path, row: int) -> int:
-    """Line number of data row `row` of path, or the line after the last data row."""
-    lineno = 0
-    for r, (lineno, _) in enumerate(_data_lines(path)):
-        if r == row:
-            return lineno
-    return lineno + 1
-
-
-def _parse_floats(path, lineno: int, line: str, count: int) -> list[float]:
-    parts = line.split()
+def _parse_floats(path, lineno: int, parts: list[str], count: int) -> list[float]:
     if len(parts) != count:
         raise TrajectoryFormatError(path, lineno, f"expected {count} fields, got {len(parts)}")
     try:
@@ -70,15 +51,18 @@ def _parse_floats(path, lineno: int, line: str, count: int) -> list[float]:
     return vals
 
 
-def _parse(path, count: int) -> tuple[np.ndarray, TrajectoryFormatError | None]:
+def _parse(path, count: int) -> tuple[np.ndarray, np.ndarray, TrajectoryFormatError | None]:
     """The data lines of path as an (n, count) array of finite values.
 
     Returns the rows before the first line that is not `count` finite
-    numbers, and that line's error; (all rows, None) for a valid file.
+    numbers, the line numbers of all data lines, and that line's error;
+    (all rows, line numbers, None) for a valid file.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [s for raw in fh.read().split("\n") if (s := raw.strip()) and s[0] != "#"]
-    fields = [line.split() for line in lines]
+        lines = fh.read().split("\n")
+    data = [bool(s) and s[0] != "#" for s in map(str.lstrip, lines)]
+    fields = list(map(str.split, compress(lines, data)))
+    linenos = np.flatnonzero(data) + 1
     if all(len(f) == count for f in fields):
         try:
             table = np.array(list(map(float, chain.from_iterable(fields))))
@@ -86,40 +70,41 @@ def _parse(path, count: int) -> tuple[np.ndarray, TrajectoryFormatError | None]:
             pass
         else:
             if np.isfinite(table).all():
-                return table.reshape(len(lines), count), None
+                return table.reshape(len(fields), count), linenos, None
     rows = []
-    for lineno, line in _data_lines(path):
+    for lineno, parts in zip(linenos.tolist(), fields):
         try:
-            rows.append(_parse_floats(path, lineno, line, count))
+            rows.append(_parse_floats(path, lineno, parts, count))
         except TrajectoryFormatError as exc:
-            return np.array(rows).reshape(-1, count), exc
-    return np.array(rows).reshape(-1, count), None
+            return np.array(rows).reshape(-1, count), linenos, exc
+    return np.array(rows).reshape(-1, count), linenos, None
 
 
 def _not_increasing(table: np.ndarray) -> np.ndarray:
     return np.concatenate(([False], table[1:, 0] <= table[:-1, 0]))
 
 
-def _read_table(path, count: int, row_checks=()) -> np.ndarray:
+def _read_table(path, count: int, row_checks=()) -> tuple[np.ndarray, np.ndarray]:
     """The data lines of path as an (n, count) array, checked row by row.
 
     Column 0 is a timestamp, which must be strictly increasing. row_checks
     are further (message, predicate) pairs, applied in order after that
     one; a predicate maps the array to a boolean mask of the rows it
     rejects. Raises TrajectoryFormatError at the first line that fails to
-    parse or that a check rejects.
+    parse or that a check rejects. Also returns n + 1 line numbers: those
+    of the n rows, then the line after the last row.
     """
-    table, error = _parse(path, count)
+    table, linenos, error = _parse(path, count)
     row_checks = [("timestamps must be strictly increasing", _not_increasing), *row_checks]
     if len(table):
         bad = np.column_stack([check(table) for _, check in row_checks])
         if bad.any():
             row = int(np.argmax(bad.any(axis=1)))
             message = row_checks[int(np.argmax(bad[row]))][0]
-            raise TrajectoryFormatError(path, _lineno(path, row), message)
+            raise TrajectoryFormatError(path, int(linenos[row]), message)
     if error is not None:
         raise error
-    return table
+    return table, np.append(linenos, linenos[-1] + 1 if len(linenos) else 1)
 
 
 def _write_table(path, header: str, columns: list[np.ndarray]) -> None:
@@ -130,7 +115,7 @@ def _write_table(path, header: str, columns: list[np.ndarray]) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    table = _read_table(path, 8, [
+    table, _ = _read_table(path, 8, [
         ("quaternion is not unit-norm",
          lambda r: np.abs(quat.row_norm(r[:, 4:]) - 1.0) > QUAT_NORM_TOL)])
     q = table[:, 4:]
@@ -148,7 +133,7 @@ def read_vo(path, *, timestamps=None) -> VoChain:
     first. A mismatch raises TrajectoryFormatError at the first differing
     line, or at the line after the last row of a file that is too short.
     """
-    table = _read_table(path, 7, [
+    table, linenos = _read_table(path, 7, [
         (LOG_NORM_ERROR, lambda r: quat.row_norm(r[:, 4:]) > MAX_LOG_NORM)])
     if timestamps is not None:
         expected = np.asarray(timestamps, dtype=float)
@@ -156,11 +141,11 @@ def read_vo(path, *, timestamps=None) -> VoChain:
         differ = np.flatnonzero(table[:common, 0] != expected[:common])
         if differ.size:
             row = int(differ[0])
-            raise TrajectoryFormatError(path, _lineno(path, row),
+            raise TrajectoryFormatError(path, int(linenos[row]),
                                         f"timestamp {float(table[row, 0])!r} differs from the "
                                         f"trajectory's {float(expected[row])!r}")
         if len(table) != len(expected):
-            raise TrajectoryFormatError(path, _lineno(path, common),
+            raise TrajectoryFormatError(path, int(linenos[common]),
                                         f"{len(table)} relative poses, expected {len(expected)}")
     return VoChain(table[:, 0], table[:, 1:4], table[:, 4:])
 
@@ -170,7 +155,7 @@ def write_vo(vo: VoChain, path) -> None:
 
 
 def read_gps(path) -> GpsTrack:
-    table = _read_table(path, 3)
+    table, _ = _read_table(path, 3)
     return GpsTrack(table[:, 0], table[:, 1:])
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posefusion import quat
-from posefusion.pgo import Block, ConstraintKind, build_window_graph, linearize
+from posefusion.pgo import Block, build_window_graph, linearize
 from posefusion.pose import relative_pose
 
 
@@ -57,12 +57,9 @@ def window_graph(t, q, vo_t, vo_w, cfg):
                               quat.qexp(np.reshape(vo_w, (1, -1, 3))), cfg)
 
 
-def single_block(kind, observation, covariance):
+def single_block(kind, observation, weight):
     """One constraint of kind on pose 0 (seen from pose 1 if relative) of one window."""
-    relative = kind in (ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION)
-    return Block(kind, np.array([0]), np.array([1]) if relative else None,
-                 np.asarray(observation, dtype=float)[None, None],
-                 np.linalg.cholesky(covariance).T[None])
+    return Block(kind, np.asarray(observation, dtype=float)[None, None], weight)
 
 
 def perturb_state(t, q, dz):

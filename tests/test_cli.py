@@ -55,6 +55,22 @@ class TestSimulate:
         assert main(["simulate", "--out-gps", str(tmp_path / "p"),
                      "--gps-every", "0", *base]) == USAGE_ERROR
 
+    @pytest.mark.parametrize("flag", ["--step", "--abs-t-sigma", "--abs-r-sigma",
+                                      "--vo-t-sigma", "--vo-r-sigma", "--vo-t-bias"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_option_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = [tmp_path / "g", tmp_path / "a", tmp_path / "v"]
+        assert main(["simulate", "--frames", "50", f"{flag}={value}",
+                     "--out-gt", str(out[0]), "--out-abs", str(out[1]),
+                     "--out-vo", str(out[2])]) == USAGE_ERROR
+        assert "finite" in capsys.readouterr().err
+        assert not any(p.exists() for p in out)
+
+    def test_negative_sigma_is_usage_error(self, tmp_path):
+        assert main(["simulate", "--abs-t-sigma", "-1", "--out-gt", str(tmp_path / "g"),
+                     "--out-abs", str(tmp_path / "a"),
+                     "--out-vo", str(tmp_path / "v")]) == USAGE_ERROR
+
 
 class TestFuse:
     def test_pipeline_smoke(self, tmp_path, capsys):
@@ -105,6 +121,17 @@ class TestFuse:
         gt, abs_path, vo = _simulate(tmp_path)
         assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
                      "--out", str(tmp_path / "o"), "--window", "1"]) == USAGE_ERROR
+
+    @pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"],
+                                        ["--sigma-rot", "nan"], ["--sigma-rot", "inf"]],
+                             ids="=".join)
+    def test_non_finite_solver_option_is_usage_error(self, tmp_path, capsys, option):
+        gt, abs_path, vo = _simulate(tmp_path)
+        out = tmp_path / "o"
+        assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
+                     "--out", str(out), "--spacing", "10", *option]) == USAGE_ERROR
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fuse", "--abs", str(tmp_path / "no.txt"),
@@ -203,6 +230,17 @@ class TestEval:
         gt2, _, _ = _simulate(tmp_path / "other", frames=50)
         assert main(["eval", "--est", str(gt2), "--gt", str(gt),
                      "--out-report", str(tmp_path / "r")]) == DATA_ERROR
+
+
+    @pytest.mark.parametrize("cdf_points", [[], ["--cdf-points", "5"]], ids=["all", "cdf-5"])
+    def test_zero_frame_files_are_data_error(self, tmp_path, capsys, cdf_points):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# timestamp tx ty tz qu qv1 qv2 qv3\n# no poses\n")
+        report = tmp_path / "r"
+        assert main(["eval", "--est", str(empty), "--gt", str(empty),
+                     "--out-report", str(report), *cdf_points]) == DATA_ERROR
+        assert "no frames" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestExitCodes:

@@ -77,6 +77,12 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(other, gt)
 
+    def test_zero_frames_rejected(self):
+        empty = Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4)))
+        for cdf_points in (None, 5):
+            with pytest.raises(ValueError, match="no frames"):
+                compare(empty, empty, cdf_points=cdf_points)
+
     def test_rotation_errors_in_degrees(self):
         q90 = quat.qexp(np.array([0.0, 0.0, np.pi / 4]))
         gt = _traj(np.zeros((2, 3)), np.tile(quat.IDENTITY, (2, 1)))

@@ -38,6 +38,9 @@ class TestGenerateTrajectory:
             generate_trajectory("loop", 1, 0.1)
         with pytest.raises(ValueError):
             generate_trajectory("loop", 10, 0.0)
+        for step in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                generate_trajectory("loop", 10, step)
         with pytest.raises(ValueError):
             generate_trajectory("helix", 10, 0.1)
         with pytest.raises(ValueError):
@@ -78,6 +81,13 @@ class TestCorruptAbsolute:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(abs_t_sigma=-1.0)
+
+    @pytest.mark.parametrize("field", ["abs_t_sigma", "abs_r_sigma", "vo_t_sigma",
+                                       "vo_r_sigma", "vo_t_bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{field: value})
 
 
 class TestCorruptVo:
