@@ -61,23 +61,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    if args.frames < 2:
-        print("simulate: --frames must be >= 2", file=sys.stderr)
-        return USAGE_ERROR
-    if not (np.isfinite(args.step) and args.step > 0):
-        print("simulate: --step must be finite and > 0", file=sys.stderr)
-        return USAGE_ERROR
     if args.out_gps is not None and args.gps_every < 1:
         print("simulate: --gps-every must be >= 1", file=sys.stderr)
         return USAGE_ERROR
+    # every option is checked here, before the first file is written
     try:
         nm = sim.NoiseModel(abs_t_sigma=args.abs_t_sigma, abs_r_sigma=args.abs_r_sigma,
                             vo_t_sigma=args.vo_t_sigma, vo_r_sigma=args.vo_r_sigma,
                             vo_t_bias=args.vo_t_bias, seed=args.seed)
+        gt = sim.generate_trajectory(args.shape, args.frames, args.step, seed=args.seed)
     except ValueError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    gt = sim.generate_trajectory(args.shape, args.frames, args.step, seed=args.seed)
     trajio.write_trajectory(gt, args.out_gt)
     trajio.write_trajectory(sim.corrupt_absolute(gt, nm), args.out_abs)
     trajio.write_vo(sim.corrupt_vo(gt, nm), args.out_vo)

@@ -8,14 +8,17 @@ relative one of every consecutive pair, with one scalar weight per kind.
 One kernel, _linearize_block, evaluates a block: each constraint yields a
 weighted residual r = weight * (k - f(z)) and Jacobian blocks
 J = weight * df/d(manifold coords) for the one or two poses it touches.
-Rotation blocks are chained through the quaternion-product derivative and
-the constant derivative of the exponential map at zero, and the update is
-z ⊞ dz: translations add, rotations right-multiply by qexp(dw). Its normal
-matrix J^T J is block-tridiagonal with 6x6 blocks; gauss_newton_solve
-accumulates those blocks and solves each window by block Cholesky, the
-windows of a stack independently, each stopping on its own. linearize
-scatters the same Jacobian blocks into a dense Jacobian for the
-least-squares fallback and for tests.
+The update is z ⊞ dz: translations add, rotations right-multiply by
+qexp(dw). Rotation columns are closed forms in quat's helpers: the vector
+columns of the quaternion-product derivative (dqmul_left, dqmul_right) for
+the rotation kinds, and 2 (R e_k) x f from the rotation matrix (to_matrix)
+for the relative translation. Both rotation kinds compare quaternions in
+the hemisphere quat.canonicalize picks. The normal matrix J^T J is
+block-tridiagonal with 6x6 blocks; gauss_newton_solve accumulates those
+blocks and solves each window by block Cholesky, the windows of a stack
+independently, each stopping on its own. linearize scatters the same
+Jacobian blocks into a dense Jacobian for the least-squares fallback and
+for tests.
 """
 
 from __future__ import annotations
@@ -110,9 +113,11 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = Tr
     The Jacobian blocks are (W, m, d, 6): one for each constraint's pose i,
     and for the relative kinds one for its pose i + 1 (None otherwise, and
     both None when jacobian is False). Their columns are the 6 manifold
-    coordinates of that pose. Rotation columns chain through
-    quat.EXP_DERIV_AT_ZERO = [0; I3], i.e. they keep the last three columns
-    of the 4x4 derivative.
+    coordinates of that pose. A rotation moves as q * exp(e), and to first
+    order exp(e) = (1, e), so a rotation column is the derivative along a
+    vector component: the slice [..., 1:] of the 4x4 product derivative.
+    Rotation observables are compared as quat.canonicalize leaves them;
+    since L(-f) = -L(f), the derivative at the canonical f needs no sign.
     """
     n_win = t.shape[0]
     m, d = b.obs.shape[1:]
@@ -130,21 +135,19 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = Tr
             ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
     elif b.kind is ConstraintKind.REL_TRANSLATION:
         qj = q[:, 1:m + 1]
-        dt = t[:, :m] - t[:, 1:m + 1]
-        f = quat.qrotate(qj, dt)
+        f = quat.qrotate(qj, t[:, :m] - t[:, 1:m + 1])
         if jacobian:
             rot = quat.to_matrix(qj)
             ji[..., :3] = rot
             jj[..., :3] = -rot
-            jj[..., 3:] = quat.drotate_dq(qj, dt) @ quat.dqmul_left(qj)[..., 1:]
+            # R(qj * exp e) dt = f + 2 R(qj) (e x dt): column k is 2 (R e_k) x f
+            jj[..., 3:] = 2.0 * np.cross(rot, f[..., None, :], axisa=-2, axisc=-2)
     else:  # REL_ROTATION
-        f_raw = quat.qmul(quat.qinv(q[:, 1:m + 1]), q[:, :m])
-        sign = np.where(f_raw[..., :1] < 0.0, -1.0, 1.0)
-        f = sign * f_raw
+        f = quat.canonicalize(quat.qmul(quat.qinv(q[:, 1:m + 1]), q[:, :m]))
         if jacobian:
-            ji[..., 3:] = sign[..., None] * quat.dqmul_left(f_raw)[..., 1:]
+            ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
             # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
-            jj[..., 3:] = -sign[..., None] * quat.dqmul_right(f_raw)[..., 1:]
+            jj[..., 3:] = -quat.dqmul_right(f)[..., 1:]
     r = b.weight * (b.obs - f)
     if not jacobian:
         return r, None, None
@@ -158,11 +161,11 @@ def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray,
     Rows run block by block, constraint by constraint; a window's objective
     E(z) is the squared norm of its residual row, r[w] @ r[w]. The
     first-order change of the residual along dz is -J dz. Rotation
-    observables are hemisphere-canonicalized (scalar part >= 0) before the
-    comparison, with the sign folded into the Jacobian. The dense Jacobian
-    is scattered from the per-pose blocks of _linearize_block; the solver
-    builds it only for its least-squares fallback. With jacobian=False only
-    the residuals are computed, and None stands in for the Jacobians.
+    observables are canonicalized (quat.canonicalize) before the
+    comparison. The dense Jacobian is scattered from the per-pose blocks of
+    _linearize_block; the solver builds it only for its least-squares
+    fallback. With jacobian=False only the residuals are computed, and None
+    stands in for the Jacobians.
     """
     n_win, T = t.shape[:2]
     residuals, jacobians = [], []
@@ -306,13 +309,10 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
         for w, r_w, jac_w in zip(bad, r, jac):
             dz[w], _, rank, _ = np.linalg.lstsq(jac_w, r_w, rcond=None)
             if rank < 6 * T:
-                import scipy.linalg  # here, not at module level: its import dominates CLI start-up
-
-                _, rmat, piv = scipy.linalg.qr(jac_w, mode="economic", pivoting=True)
-                diag_r = np.abs(np.diag(rmat))
-                cols = sorted(int(piv[k]) for k in range(len(diag_r))
-                              if diag_r[k] <= diag_r[0] * 1e-12)
-                raise RankDeficientError(cols or list(piv[rank:]))
+                # the columns the null space reaches: the nonzero diagonal
+                # of its projector
+                null = np.linalg.svd(jac_w)[2][rank:]
+                raise RankDeficientError(np.flatnonzero((null ** 2).sum(0) > 1e-12).tolist())
     return dz
 
 
@@ -390,8 +390,6 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
         # reachable at the widest spacing that still yields 2 grid poses.
         k = n - 1
     grid = np.arange(0, n, k)
-    if len(grid) < 2:
-        raise ValueError("trajectory too short for any window")
     T = min(cfg.window_T, len(grid))
 
     # Smooth-but-drifty trajectory from integrating the VO chain; grid-step
@@ -417,7 +415,7 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     # The first window emits all of its poses, every later one its newest.
     out_t, out_q = np.empty((n, 3)), np.empty((n, 4))
     out_t[grid] = np.concatenate((t[0, :-1], t[:, -1]))
-    out_q[grid] = quat.canonicalize(np.concatenate((q[0, :-1], q[:, -1])))
+    out_q[grid] = np.concatenate((q[0, :-1], q[:, -1]))
 
     # Carry non-grid frames through the VO chain from the nearest grid pose.
     off = np.setdiff1d(np.arange(n), grid)

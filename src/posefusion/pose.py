@@ -164,18 +164,18 @@ def integrate(t0, q0, vo: VoChain) -> tuple[np.ndarray, np.ndarray]:
     t_{r+1} = t_r - R(q_{r+1})^-1 d_r.
     """
     # Only the rotations form a sequential chain. It runs on Python floats,
-    # with the arithmetic of quat.qmul and quat.canonicalize on one row.
-    u, x, y, z = quat.canonicalize(q0).tolist()
+    # with the arithmetic of quat.qmul on one row. Negating a factor negates
+    # the product exactly, so canonicalizing once at the end gives the rows
+    # that canonicalizing every step would.
+    u, x, y, z = np.asarray(q0, dtype=float).tolist()
     rows = [(u, x, y, z)]
     for bu, bx, by, bz in quat.qinv(quat.qexp(vo.w)).tolist():
         u, x, y, z = (u * bu - x * bx - y * by - z * bz,
                       u * bx + bu * x + y * bz - z * by,
                       u * by + bu * y + z * bx - x * bz,
                       u * bz + bu * z + x * by - y * bx)
-        if (u or x or y or z) < 0.0:
-            u, x, y, z = -u, -x, -y, -z
         rows.append((u, x, y, z))
-    q = np.array(rows)
+    q = quat.canonicalize(np.array(rows))
     # Translations subtract the rotated steps one after another, in the
     # order of the chain; a cumsum would re-associate the sum.
     steps = quat.qrotate(quat.qinv(q[1:]), vo.t)

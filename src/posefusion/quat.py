@@ -9,9 +9,12 @@ log/exp maps use the half-angle form
 
     log q = (v / |v|) * acos(u),      exp w = (cos |w|, (w / |w|) sin |w|)
 
-so exp(w) rotates by an angle of 2*|w| about w. All analytic derivatives
-here are plain Jacobians of these expressions and are checked against
-central finite differences in the test suite.
+so exp(w) rotates by an angle of 2*|w| about w. Each job has one helper:
+row_norm is the Euclidean norm, canonicalize the hemisphere rule, and
+to_matrix, dqmul_left and dqmul_right are what the pose-graph solver builds
+its rotation Jacobians from. The derivatives are plain Jacobians of these
+expressions and are checked against central finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -27,15 +30,6 @@ UNIT_TOL = 1e-6
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
-# Derivative of the exponential map at w = 0: the scalar part is stationary,
-# the vector part is the identity.
-EXP_DERIV_AT_ZERO = np.array([
-    [0.0, 0.0, 0.0],
-    [1.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0],
-    [0.0, 0.0, 1.0],
-])
-
 
 def _split(x: np.ndarray) -> list[np.ndarray]:
     """The components of x along its last axis, one array each."""
@@ -49,29 +43,21 @@ def _join(parts, depth: int = 1) -> np.ndarray:
     return np.ascontiguousarray(out.transpose((*range(depth, out.ndim), *range(depth))))
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    # Componentwise, so a row gives the same bits alone as inside a stack
-    # (np.linalg.norm rounds differently with and without an axis).
-    return np.sqrt(sum([c * c for c in _split(v)]))
-
-
 def row_norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis.
 
-    Each row is rounded as np.linalg.norm rounds that row alone (a BLAS
-    dot product per row), which np.linalg.norm(x, axis=-1) does not do;
-    _norm rounds differently again.
+    Componentwise, so a row gives the same bits alone as inside a stack
+    (np.linalg.norm rounds differently with and without an axis).
     """
-    x = np.asarray(x, dtype=float)
-    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+    return np.sqrt(sum([c * c for c in _split(x)]))
 
 
 def check_unit(q: np.ndarray) -> None:
     """Raise ValueError unless every quaternion is unit-norm within UNIT_TOL."""
-    n = _norm(q)
+    n = row_norm(q)
     ok = np.abs(n - 1.0) <= UNIT_TOL  # False for NaN as well
     if not ok.all():
-        worst = np.ravel(n)[np.argmin(np.ravel(ok))]
+        worst = float(np.ravel(n)[np.argmin(np.ravel(ok))])
         raise ValueError(f"quaternion norm {worst!r} deviates from 1 by more than {UNIT_TOL}")
 
 
@@ -97,7 +83,7 @@ def qlog(q: np.ndarray) -> np.ndarray:
     check_unit(q)
     q = canonicalize(q)
     u, v = q[..., 0], q[..., 1:]
-    vn = _norm(v)
+    vn = row_norm(v)
     small = vn < SMALL_ANGLE
     # acos(u)/|v| = 1 + |v|^2/6 + O(|v|^4) for u = sqrt(1 - |v|^2); u >= 0 here
     scale = np.where(small, 1.0 + vn * vn / 6.0,
@@ -108,7 +94,7 @@ def qlog(q: np.ndarray) -> np.ndarray:
 def qexp(w: np.ndarray) -> np.ndarray:
     """Exponential map: 3-vector to unit quaternion (inverse of qlog)."""
     w = np.asarray(w, dtype=float)
-    n = _norm(w)
+    n = row_norm(w)
     small = n < SMALL_ANGLE
     n2 = n * n
     # cos n = 1 - n^2/2, sin(n)/n = 1 - n^2/6 to second order
@@ -181,24 +167,3 @@ def dqmul_right(b: np.ndarray) -> np.ndarray:
         [y, -z, u, x],
         [z, y, -x, u],
     ], depth=2)
-
-
-def drotate_dq(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d(qrotate(q, t))/dq as a 3x4 matrix over the raw components of q.
-
-    Differentiates the conjugation q * (0, t) * conj(q), which for free
-    components (u, v) is (u^2 - v.v) t + 2 (v.t) v + 2u v x t: the columns
-    are 2(u t + v x t) and 2((v.t) I + v t^T - t v^T - u [t]x).
-    """
-    u, x, y, z = _split(q)
-    t0, t1, t2 = _split(t)
-    vt = x * t0 + y * t1 + z * t2
-    return _join([
-        [2 * (u * t0 + y * t2 - z * t1), 2 * vt, 2 * (x * t1 - t0 * y + u * t2),
-         2 * (x * t2 - t0 * z - u * t1)],
-        [2 * (u * t1 + z * t0 - x * t2), 2 * (y * t0 - t1 * x - u * t2), 2 * vt,
-         2 * (y * t2 - t1 * z + u * t0)],
-        [2 * (u * t2 + x * t1 - y * t0), 2 * (z * t0 - t2 * x + u * t1),
-         2 * (z * t1 - t2 * y - u * t0), 2 * vt],
-    ], depth=2)
-

@@ -33,6 +33,8 @@ class NoiseModel:
                 raise ValueError(f"{name} must be finite and >= 0")
         if not np.isfinite(self.vo_t_bias):
             raise ValueError("vo_t_bias must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,17 @@ class TestSimulate:
                      "--out-abs", str(tmp_path / "a"),
                      "--out-vo", str(tmp_path / "v")]) == USAGE_ERROR
 
+    @pytest.mark.parametrize("bad, message", [
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--shape", "figure-eight", "--frames", "5"], "figure-eight needs n >= 7"),
+    ])
+    def test_bad_option_is_usage_error_before_any_write(self, tmp_path, capsys, bad, message):
+        out = [tmp_path / "g", tmp_path / "a", tmp_path / "v", tmp_path / "p"]
+        assert main(["simulate", *bad, "--out-gt", str(out[0]), "--out-abs", str(out[1]),
+                     "--out-vo", str(out[2]), "--out-gps", str(out[3])]) == USAGE_ERROR
+        assert message in capsys.readouterr().err
+        assert not any(p.exists() for p in out)
+
 
 class TestFuse:
     def test_pipeline_smoke(self, tmp_path, capsys):
@@ -249,8 +260,8 @@ class TestExitCodes:
 
 
 def test_cli_import_loads_no_scipy():
-    # SciPy is only needed by the rank-deficient fallback, and importing it
-    # takes most of the CLI's start-up time.
+    # SciPy is a test-only dependency, and importing it would take most of
+    # the CLI's start-up time.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, posefusion.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -202,6 +204,40 @@ class TestGaussNewton:
         with pytest.raises(RankDeficientError) as err:
             gauss_newton_solve(blocks, t[None] + 0.1, q[None], cfg)
         assert len(err.value.columns) > 0
+
+    @staticmethod
+    def _straight_chain_columns(kinds):
+        """Columns RankDeficientError names for the blocks of kinds on a T=4
+        chain along x with identity rotations."""
+        T = 4
+        t = np.zeros((T, 3))
+        t[:, 0] = np.arange(T)
+        q = np.tile(quat.IDENTITY, (T, 1))
+        cfg = PgoConfig(window_T=T)
+        blocks = [b for b in window_graph(t, q, *chain_vo(t, q), cfg) if b.kind in kinds]
+        with pytest.raises(RankDeficientError) as err:
+            gauss_newton_solve(blocks, t[None] + 0.1, q[None], cfg)
+        return err.value
+
+    @pytest.mark.parametrize("kinds, columns", [
+        # no rotation observed: every rotation column
+        ((ConstraintKind.ABS_TRANSLATION,), [3, 4, 5, 9, 10, 11, 15, 16, 17, 21, 22, 23]),
+        # rel-t turns along x: it sees pitch and yaw of its observer poses 1-3, never roll
+        ((ConstraintKind.ABS_TRANSLATION, ConstraintKind.REL_TRANSLATION),
+         [3, 4, 5, 9, 15, 21]),
+        # no absolute constraint: the gauge moves every column
+        ((ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION), list(range(24))),
+    ])
+    def test_rank_deficiency_names_every_unobserved_column(self, kinds, columns):
+        err = self._straight_chain_columns(kinds)
+        assert err.columns == columns
+        assert all(type(c) is int for c in err.columns)
+        assert str(columns) in str(err)
+
+    def test_rank_deficiency_needs_no_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        err = self._straight_chain_columns((ConstraintKind.ABS_TRANSLATION,))
+        assert err.columns == [3, 4, 5, 9, 10, 11, 15, 16, 17, 21, 22, 23]
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_step_raises(self, rng):
