@@ -44,11 +44,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--abs", required=True, dest="abs_path")
     p_fuse.add_argument("--vo", required=True)
     p_fuse.add_argument("--out", required=True)
-    p_fuse.add_argument("--window", type=int, default=7)
-    p_fuse.add_argument("--spacing", type=int, default=150)
-    p_fuse.add_argument("--sigma-rot", type=float, default=10.0)
-    p_fuse.add_argument("--max-iters", type=int, default=50)
-    p_fuse.add_argument("--tol", type=float, default=1e-8)
+    p_fuse.add_argument("--window", type=int, default=pgo.PgoConfig.window_T)
+    p_fuse.add_argument("--spacing", type=int, default=pgo.PgoConfig.spacing_k)
+    p_fuse.add_argument("--sigma-rot", type=float, default=pgo.PgoConfig.sigma_rot)
+    p_fuse.add_argument("--max-iters", type=int, default=pgo.PgoConfig.max_iters)
+    p_fuse.add_argument("--tol", type=float, default=pgo.PgoConfig.step_tol)
     p_fuse.add_argument("--median-window", type=int, nargs="?", const=51, default=None)
 
     p_eval = sub.add_parser("eval", help="compare an estimate against ground truth")

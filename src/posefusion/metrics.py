@@ -2,7 +2,7 @@
 
 Translation error is the Euclidean distance per frame; rotation error is
 the quaternion angle in degrees. Reports carry medians, means, per-frame
-errors and the cumulative distribution of translation errors.
+errors (n, 2) and the translation-error CDF (m, 2) as float arrays.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ from .pose import Trajectory, rotation_error_deg
 
 @dataclass
 class ErrorReport:
+    """Summary errors and two float arrays of per-frame and CDF rows."""
+
     median_t: float
     median_r: float
     mean_t: float
     mean_r: float
-    per_frame: list[tuple[float, float]]
-    cdf: list[tuple[float, float]]
+    per_frame: np.ndarray  # (n, 2): translation error in m, rotation error in deg
+    cdf: np.ndarray  # (m, 2): threshold in m, fraction of frames at or below it
 
 
 def compare(est: Trajectory, gt: Trajectory, cdf_points: int | None = None) -> ErrorReport:
@@ -38,54 +40,51 @@ def compare(est: Trajectory, gt: Trajectory, cdf_points: int | None = None) -> E
     n = len(t_err)
     srt = np.sort(t_err)
     if cdf_points is None:
-        cdf = [(float(srt[i]), (i + 1) / n) for i in range(n)]
+        cdf = np.column_stack((srt, np.arange(1, n + 1) / n))
     else:
-        thresholds = np.linspace(0.0, float(srt[-1]), cdf_points)
-        cdf = [(float(thr), float(np.searchsorted(srt, thr, side="right")) / n)
-               for thr in thresholds]
+        thresholds = np.linspace(0.0, srt[-1], cdf_points)
+        cdf = np.column_stack((thresholds, np.searchsorted(srt, thresholds, side="right") / n))
     return ErrorReport(
         median_t=float(np.median(t_err)),
         median_r=float(np.median(r_err)),
         mean_t=float(np.mean(t_err)),
         mean_r=float(np.mean(r_err)),
-        per_frame=list(zip(t_err.tolist(), r_err.tolist())),
+        per_frame=np.column_stack((t_err, r_err)),
         cdf=cdf,
     )
 
 
 def render_report(report: ErrorReport) -> str:
     """Key-value text document; see README for the schema."""
-    lines = [
-        "# trajectory error report",
-        f"median_t_m {report.median_t:.17g}",
-        f"median_r_deg {report.median_r:.17g}",
-        f"mean_t_m {report.mean_t:.17g}",
-        f"mean_r_deg {report.mean_r:.17g}",
-        f"frames {len(report.per_frame)}",
-    ]
-    for idx, (te, re_) in enumerate(report.per_frame):
-        lines.append(f"frame {idx} {te:.17g} {re_:.17g}")
-    for thr, frac in report.cdf:
-        lines.append(f"cdf_t {thr:.17g} {frac:.17g}")
-    return "\n".join(lines) + "\n"
+    n, m = len(report.per_frame), len(report.cdf)
+    frames = np.column_stack((np.arange(n), report.per_frame))
+    return (
+        "# trajectory error report\n"
+        f"median_t_m {report.median_t:.17g}\n"
+        f"median_r_deg {report.median_r:.17g}\n"
+        f"mean_t_m {report.mean_t:.17g}\n"
+        f"mean_r_deg {report.mean_r:.17g}\n"
+        f"frames {n}\n"
+        + ("frame %d %.17g %.17g\n" * n) % tuple(frames.ravel().tolist())
+        + ("cdf_t %.17g %.17g\n" * m) % tuple(np.ravel(report.cdf).tolist()))
 
 
 def parse_report(text: str) -> ErrorReport:
-    """Inverse of render_report."""
+    """Inverse of render_report; KeyError, IndexError or ValueError if malformed."""
     scalars: dict[str, float] = {}
-    per_frame: list[tuple[float, float]] = []
-    cdf: list[tuple[float, float]] = []
+    fields = {"frame": 4, "cdf_t": 3}
+    rows: dict[str, list[list[str]]] = {key: [] for key in fields}
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         parts = line.split()
-        if parts[0] == "frame":
-            per_frame.append((float(parts[2]), float(parts[3])))
-        elif parts[0] == "cdf_t":
-            cdf.append((float(parts[1]), float(parts[2])))
+        if not parts or parts[0].startswith("#"):
+            continue
+        if parts[0] in rows:
+            if len(parts) != fields[parts[0]]:
+                raise ValueError(f"{parts[0]} line needs {fields[parts[0]]} fields: {line!r}")
+            rows[parts[0]].append(parts[-2:])
         else:
             scalars[parts[0]] = float(parts[1])
+    per_frame, cdf = (np.array(rows[key], dtype=float).reshape(-1, 2) for key in fields)
     return ErrorReport(
         median_t=scalars["median_t_m"], median_r=scalars["median_r_deg"],
         mean_t=scalars["mean_t_m"], mean_r=scalars["mean_r_deg"],

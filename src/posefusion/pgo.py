@@ -445,7 +445,7 @@ def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
     n = len(traj)
     out_t, out_q = np.empty((n, 3)), np.empty((n, 4))
     # Frames closer than half to an end: truncated windows, one at a time.
-    for i in [i for i in range(n) if i < half or i >= n - half]:
+    for i in [*range(min(half, n)), *range(max(half, n - half), n)]:
         lo, hi = max(0, i - half), min(n, i + half + 1)
         out_t[i] = np.median(traj.t[lo:hi], axis=0)
         out_q[i] = traj.q[lo + np.argmin(np.sum(_pairwise_angles(traj.q[lo:hi]), axis=-1))]

@@ -198,19 +198,17 @@ def pose_distance(t, q, t_star, q_star, cfg: LossConfig) -> np.ndarray:
     return _weighted_l1(np.subtract(t, t_star), quat.qlog(q) - quat.qlog(q_star), cfg)
 
 
-def sample_pairs(n: int, s: int, k: int) -> list[tuple[int, int]]:
-    """Index pairs from tuples (i, i+k, ..., i+k(s-1)) for every valid start.
+def sample_pairs(n: int, s: int, k: int) -> np.ndarray:
+    """Index pairs (P, 2) from tuples (i, i+k, ..., i+k(s-1)) for every valid start.
 
     Neighboring elements of each tuple form a pair; tuples start at every
-    index (stride 1), so overlapping tuples repeat pairs. Indices are
-    0-based.
+    index (stride 1), so overlapping tuples repeat pairs. Rows run over the
+    starts, and within a start over its tuple's pairs in order. Indices are
+    0-based; with n <= k(s-1) there is no tuple and the array is (0, 2).
     """
-    span = k * (s - 1)
-    pairs = []
-    for i in range(n - span):
-        for m in range(s - 1):
-            pairs.append((i + k * m, i + k * (m + 1)))
-    return pairs
+    starts = np.arange(max(n - k * (s - 1), 0))
+    first = starts[:, None] + k * np.arange(s - 1)  # (starts, s - 1)
+    return np.stack((first, first + k), axis=-1).reshape(-1, 2)
 
 
 def mapnet_loss(pred_t, pred_q, gt_t, gt_q, cfg: LossConfig) -> float:
@@ -228,7 +226,7 @@ def mapnet_loss(pred_t, pred_q, gt_t, gt_q, cfg: LossConfig) -> float:
         raise ValueError(f"need at least {needed} poses to form one tuple, got {n}")
     pred_t, gt_t = np.asarray(pred_t, dtype=float), np.asarray(gt_t, dtype=float)
     pred_w, gt_w = quat.qlog(pred_q), quat.qlog(gt_q)
-    i, j = np.array(sample_pairs(n, cfg.s, cfg.k)).T
+    i, j = sample_pairs(n, cfg.s, cfg.k).T
     rel = _weighted_l1((pred_t[i] - pred_t[j]) - (gt_t[i] - gt_t[j]),
                        (pred_w[i] - pred_w[j]) - (gt_w[i] - gt_w[j]), cfg)
     return float(np.sum(_weighted_l1(pred_t - gt_t, pred_w - gt_w, cfg)) + cfg.alpha * np.sum(rel))
@@ -239,8 +237,7 @@ def rotation_error_deg(q_a: np.ndarray, q_b: np.ndarray):
 
     Equal to 2*acos(|<q_a, q_b>|) but computed through the relative
     quaternion with atan2, which stays accurate near zero. Takes leading
-    batch axes; one pair of rows gives a float.
+    batch axes; one pair of rows gives an np.float64, which is a float.
     """
     r = quat.qmul(quat.qinv(q_a), q_b)
-    angle = np.degrees(2.0 * np.arctan2(quat.row_norm(r[..., 1:]), np.abs(r[..., 0])))
-    return angle if np.ndim(angle) else float(angle)
+    return np.degrees(2.0 * np.arctan2(quat.row_norm(r[..., 1:]), np.abs(r[..., 0])))

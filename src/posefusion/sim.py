@@ -31,6 +31,9 @@ class NoiseModel:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0")
+            # Wider noise is already uniform; quat.row_norm overflows from ~1e155 deg.
+            if name.endswith("r_sigma") and value > 1e6:
+                raise ValueError(f"{name} must be <= 1e6 degrees")
         if not np.isfinite(self.vo_t_bias):
             raise ValueError("vo_t_bias must be finite")
         if self.seed < 0:

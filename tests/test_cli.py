@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from posefusion import trajio
-from posefusion.cli import DATA_ERROR, NUMERICAL_ERROR, USAGE_ERROR, main
+from posefusion.cli import DATA_ERROR, NUMERICAL_ERROR, USAGE_ERROR, _build_parser, main
 from posefusion.metrics import parse_report
 
 
@@ -74,6 +74,11 @@ class TestSimulate:
     @pytest.mark.parametrize("bad, message", [
         (["--seed", "-1"], "seed must be >= 0"),
         (["--shape", "figure-eight", "--frames", "5"], "figure-eight needs n >= 7"),
+        # wider rotation noise overflowed the quaternion norm after gt was written
+        (["--abs-r-sigma", "1e300"], "abs_r_sigma must be <= 1e6 degrees"),
+        (["--abs-r-sigma", "1.7976931348623157e308"], "abs_r_sigma must be <= 1e6 degrees"),
+        (["--vo-r-sigma", "1e300"], "vo_r_sigma must be <= 1e6 degrees"),
+        (["--vo-r-sigma", "1.7976931348623157e308"], "vo_r_sigma must be <= 1e6 degrees"),
     ])
     def test_bad_option_is_usage_error_before_any_write(self, tmp_path, capsys, bad, message):
         out = [tmp_path / "g", tmp_path / "a", tmp_path / "v", tmp_path / "p"]
@@ -84,6 +89,11 @@ class TestSimulate:
 
 
 class TestFuse:
+    def test_defaults_come_from_pgo_config(self):
+        args = _build_parser().parse_args(["fuse", "--abs", "a", "--vo", "v", "--out", "o"])
+        assert (args.window, args.spacing, args.sigma_rot, args.max_iters, args.tol) == (
+            7, 150, 10.0, 50, 1e-8)
+
     def test_pipeline_smoke(self, tmp_path, capsys):
         noise = ["--abs-t-sigma", "0.3", "--abs-r-sigma", "3",
                  "--vo-t-sigma", "0.005", "--vo-r-sigma", "0.05",

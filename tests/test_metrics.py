@@ -99,8 +99,8 @@ class TestReportFormat:
         back = parse_report(render_report(rep))
         assert back.median_t == rep.median_t and back.median_r == rep.median_r
         assert back.mean_t == rep.mean_t and back.mean_r == rep.mean_r
-        assert back.per_frame == rep.per_frame
-        assert back.cdf == rep.cdf
+        assert np.array_equal(back.per_frame, rep.per_frame)
+        assert np.array_equal(back.cdf, rep.cdf)
 
     def test_rendered_schema(self, rng):
         gt = _random_traj(rng, 3)
@@ -111,3 +111,48 @@ class TestReportFormat:
         assert keys[:5] == ["median_t_m", "median_r_deg", "mean_t_m", "mean_r_deg",
                             "frames"]
         assert keys.count("frame") == 3 and keys.count("cdf_t") == 3
+
+
+def _edit_line(text, prefix, new):
+    """text with its first line starting with prefix replaced by new, or dropped if None."""
+    lines = text.splitlines()
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    lines[idx:idx + 1] = [] if new is None else [new]
+    return "\n".join(lines) + "\n"
+
+
+class TestParseMalformed:
+    """Each malformed document raises a class perfbench/validate.py catches."""
+
+    @pytest.fixture
+    def text(self, rng):
+        gt = _random_traj(rng, 4)
+        return render_report(compare(_random_traj(rng, 4), gt, cdf_points=3))
+
+    @pytest.mark.parametrize("prefix, new, error", [
+        ("frame 2 ", "frame 2 0.5", ValueError),            # short frame line
+        ("frame 2 ", "frame 2 0.5 1.0 2.0", ValueError),    # long frame line
+        ("cdf_t ", "cdf_t 0.5", ValueError),                # short cdf_t line
+        ("frame 1 ", "frame 1 abc 1.0", ValueError),        # non-numeric per-frame value
+        ("cdf_t ", "cdf_t 0.5 half", ValueError),           # non-numeric cdf value
+        ("mean_t_m", "mean_t_m abc", ValueError),           # non-numeric scalar
+        ("median_r_deg", None, KeyError),                   # missing scalar key
+        ("mean_r_deg", "mean_r_deg", IndexError),           # scalar key without value
+    ])
+    def test_raises(self, text, prefix, new, error):
+        with pytest.raises(error):
+            parse_report(_edit_line(text, prefix, new))
+
+    def test_uniformly_short_rows_are_not_reshaped(self, text):
+        # every frame line loses its rotation error: 4 x 1 values must not
+        # come back as a (2, 2) array
+        short = "".join(" ".join(ln.split()[:3]) + "\n" if ln.startswith("frame ") else ln + "\n"
+                        for ln in text.splitlines())
+        with pytest.raises(ValueError):
+            parse_report(short)
+
+    def test_tables_may_be_empty(self, text):
+        kept = "".join(ln + "\n" for ln in text.splitlines()
+                       if not ln.startswith(("frame ", "cdf_t ")))
+        back = parse_report(kept)
+        assert back.per_frame.shape == (0, 2) and back.cdf.shape == (0, 2)

@@ -2,18 +2,21 @@
 
 The references are the per-pose loops the array code replaced: the
 `advance` chain of VO integration, the relative_pose + compose carry of
-off-grid frames, the per-window median filter and the step-by-step
-random-walk positions. They run one row at a time on the same array
-functions, canonicalizing as the per-pose code did, and the array code
-keeps their arithmetic, so every comparison here is exact.
+off-grid frames, the per-window median filter, the step-by-step
+random-walk positions, the per-line error report with its list-built CDF
+and the nested loop of loss pairs. They run one row at a time on the same
+array functions, canonicalizing as the per-pose code did, and the array
+code keeps their arithmetic, so every comparison here is exact.
 """
 
 import numpy as np
 import pytest
 
 from posefusion import quat
+from posefusion.metrics import compare, parse_report, render_report
 from posefusion.pgo import PgoConfig, fuse_trajectory, temporal_median_filter
-from posefusion.pose import Trajectory, compose, integrate, relative_pose
+from posefusion.pose import (Trajectory, compose, integrate, relative_pose,
+                             rotation_error_deg, sample_pairs)
 from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
 
@@ -70,6 +73,43 @@ def random_walk_reference(n, step, seed):
     return positions
 
 
+def cdf_reference(t_err, cdf_points):
+    """The CDF rows as a list: every sorted error, or cdf_points thresholds."""
+    n = len(t_err)
+    srt = np.sort(t_err)
+    if cdf_points is None:
+        return [(float(srt[i]), (i + 1) / n) for i in range(n)]
+    thresholds = np.linspace(0.0, float(srt[-1]), cdf_points)
+    return [(float(thr), float(np.searchsorted(srt, thr, side="right")) / n)
+            for thr in thresholds]
+
+
+def render_reference(report, per_frame, cdf):
+    """The report document, one f-string line at a time."""
+    lines = [
+        "# trajectory error report",
+        f"median_t_m {report.median_t:.17g}",
+        f"median_r_deg {report.median_r:.17g}",
+        f"mean_t_m {report.mean_t:.17g}",
+        f"mean_r_deg {report.mean_r:.17g}",
+        f"frames {len(per_frame)}",
+    ]
+    for idx, (te, re_) in enumerate(per_frame):
+        lines.append(f"frame {idx} {te:.17g} {re_:.17g}")
+    for thr, frac in cdf:
+        lines.append(f"cdf_t {thr:.17g} {frac:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def sample_pairs_reference(n, s, k):
+    span = k * (s - 1)
+    pairs = []
+    for i in range(n - span):
+        for m in range(s - 1):
+            pairs.append((i + k * m, i + k * (m + 1)))
+    return pairs
+
+
 def _noisy_loop(n, seed, abs_r_sigma=5.0):
     # A closed loop turns through every heading, so yaw crosses 180 degrees
     # and the canonical quaternion's scalar part passes through zero.
@@ -111,6 +151,7 @@ def test_off_grid_carry_matches_relative_pose_compose(n, k, T):
 
 @pytest.mark.parametrize("n, window", [
     (1, 51), (2, 3), (20, 51),  # n smaller than the window: only truncated windows
+    (30, 51),                   # truncated windows from both ends overlap
     (51, 51),                   # n equal to the window: one full window
     (52, 51), (300, 51),        # full windows in several chunks
     (700, 5), (64 + 10, 11),
@@ -133,3 +174,46 @@ def test_median_window_of_one_is_identity():
 def test_random_walk_matches_step_loop(n, seed):
     traj = generate_trajectory("random-walk", n, 0.1, seed=seed)
     assert np.array_equal(traj.t, random_walk_reference(n, 0.1, seed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 16000])
+def test_report_matches_per_line_rendering(n):
+    rng = np.random.default_rng(n)
+    gt = generate_trajectory("loop", max(n, 2), 0.1)
+    gt = Trajectory(gt.timestamps[:n], gt.t[:n], gt.q[:n])
+    # offsets on a 0.1 m grid, so many frames tie on their translation error
+    est = Trajectory(gt.timestamps, gt.t + np.round(rng.normal(0.0, 0.2, (n, 3)), 1),
+                     corrupt_absolute(gt, NoiseModel(abs_r_sigma=5.0, seed=n)).q)
+    t_err = np.array([quat.row_norm(a - b) for a, b in zip(est.t, gt.t)])
+    per_frame = [(float(te), float(rotation_error_deg(a, b)))
+                 for te, a, b in zip(t_err, est.q, gt.q)]
+    for cdf_points in (None, 2, 11):
+        rep = compare(est, gt, cdf_points=cdf_points)
+        cdf = cdf_reference(t_err, cdf_points)
+        assert rep.per_frame.shape == (n, 2) and rep.cdf.shape == (len(cdf), 2)
+        assert np.array_equal(rep.per_frame, per_frame) and np.array_equal(rep.cdf, cdf)
+        text = render_report(rep)
+        assert text == render_reference(rep, per_frame, cdf)
+        back = parse_report(text)
+        assert (back.median_t, back.median_r, back.mean_t, back.mean_r) == (
+            rep.median_t, rep.median_r, rep.mean_t, rep.mean_r)
+        assert back.per_frame.dtype == back.cdf.dtype == np.float64
+        assert np.array_equal(back.per_frame, rep.per_frame)
+        assert np.array_equal(back.cdf, rep.cdf)
+
+
+@pytest.mark.parametrize("n, s, k", [
+    (21, 3, 10),   # a single tuple
+    (20, 3, 10),   # n == k(s - 1): no tuple
+    (5, 4, 3),     # n < k(s - 1): no tuple
+    (0, 2, 1),
+    (1, 2, 1),
+    (100, 2, 1),
+    (300, 5, 7),
+])
+def test_sample_pairs_matches_nested_loop(n, s, k):
+    pairs = sample_pairs(n, s, k)
+    expected = sample_pairs_reference(n, s, k)
+    assert pairs.shape == (len(expected), 2)
+    assert np.issubdtype(pairs.dtype, np.integer)
+    assert np.array_equal(pairs, np.array(expected, dtype=int).reshape(-1, 2))

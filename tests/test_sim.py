@@ -89,6 +89,15 @@ class TestCorruptAbsolute:
         with pytest.raises(ValueError, match=field):
             NoiseModel(**{field: value})
 
+    @pytest.mark.parametrize("field", ["abs_r_sigma", "vo_r_sigma"])
+    def test_rotation_sigma_above_1e6_degrees_rejected(self, field):
+        NoiseModel(**{field: 1e6})
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{field: np.nextafter(1e6, np.inf)})
+
+    def test_translation_sigma_has_no_upper_bound(self):
+        NoiseModel(abs_t_sigma=1e300, vo_t_sigma=1e300)
+
 
 class TestCorruptVo:
     def test_noiseless_integration_reproduces_truth(self):
