@@ -148,9 +148,10 @@ def corrupt_vo(traj: Trajectory, nm: NoiseModel) -> VoChain:
     """Per-step relative poses with noise and a constant translation bias.
 
     The bias points along the observer-frame x axis, so integrating the
-    output drifts when vo_t_bias > 0.
+    output drifts when vo_t_bias > 0. Its noise comes from a stream of its
+    own, so it is independent of corrupt_absolute's with the same seed.
     """
-    rng = np.random.default_rng(nm.seed)
+    rng = np.random.default_rng([nm.seed, 1])
     rel_t, rel_w = relative_pose(traj.t[:-1], traj.q[:-1], traj.t[1:], traj.q[1:])
     dt, rot = _draws(rng, len(rel_t), nm.vo_t_sigma, nm.vo_r_sigma)
     t = rel_t + np.array([nm.vo_t_bias, 0.0, 0.0])

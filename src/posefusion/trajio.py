@@ -11,15 +11,20 @@ Values are written with 17 significant digits so a write/read round trip
 reproduces the numbers exactly. Readers reject NaN and inf, and timestamps
 that do not strictly increase.
 
-A file is read once and parsed in bulk. Only when that fails are its lines
-parsed again one by one, to name the first offending line; the error is the
-one a line-by-line reader stopping at the first bad line would raise.
+A file is read once. Its data lines go to numpy's C reader (`np.loadtxt`)
+in one call. When that call fails, returns another shape, or gives a value
+that is not finite, the lines are parsed again one by one with `str.split`
+and `float`. That line-by-line path decides what the file holds: it accepts
+spellings `float` accepts and the C reader does not (such as `1_0`), and it
+names the first offending line with the error a reader stopping there would
+raise. Writers stack and format WRITE_ROWS rows at a time, so no table,
+tuple or string of the whole file is ever built.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 
@@ -28,6 +33,11 @@ from .pose import LOG_NORM_ERROR, MAX_LOG_NORM, Trajectory, VoChain
 from .sim import GpsTrack
 
 QUAT_NORM_TOL = 1e-3
+
+# Rows _write_table stacks and formats per write call. A block's array,
+# tuple of floats and text take under 1 MB at 8 columns. Writing a 16,000-row trajectory as
+# one block instead raised the peak RSS of `fuse` from 44.2 to 49.9 MB.
+WRITE_ROWS = 2048
 
 
 class TrajectoryFormatError(ValueError):
@@ -61,20 +71,22 @@ def _parse(path, count: int) -> tuple[np.ndarray, np.ndarray, TrajectoryFormatEr
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     data = [bool(s) and s[0] != "#" for s in map(str.lstrip, lines)]
-    fields = list(map(str.split, compress(lines, data)))
+    data_lines = list(compress(lines, data))
     linenos = np.flatnonzero(data) + 1
-    if all(len(f) == count for f in fields):
+    # comments=None: with loadtxt's default, "... # note" after the fields
+    # would parse. An empty list is never passed: loadtxt warns on it.
+    if data_lines:
         try:
-            table = np.array(list(map(float, chain.from_iterable(fields))))
+            table = np.loadtxt(data_lines, dtype=float, comments=None, ndmin=2)
         except ValueError:
             pass
         else:
-            if np.isfinite(table).all():
-                return table.reshape(len(fields), count), linenos, None
+            if table.shape == (len(data_lines), count) and np.isfinite(table).all():
+                return table, linenos, None
     rows = []
-    for lineno, parts in zip(linenos.tolist(), fields):
+    for lineno, line in zip(linenos.tolist(), data_lines):
         try:
-            rows.append(_parse_floats(path, lineno, parts, count))
+            rows.append(_parse_floats(path, lineno, line.split(), count))
         except TrajectoryFormatError as exc:
             return np.array(rows).reshape(-1, count), linenos, exc
     return np.array(rows).reshape(-1, count), linenos, None
@@ -108,10 +120,12 @@ def _read_table(path, count: int, row_checks=()) -> tuple[np.ndarray, np.ndarray
 
 
 def _write_table(path, header: str, columns: list[np.ndarray]) -> None:
-    table = np.column_stack(columns)
-    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {header}\n" + (row * len(table)) % tuple(table.ravel().tolist()))
+        fh.write(f"# {header}\n")
+        for lo in range(0, len(columns[0]), WRITE_ROWS):
+            block = np.column_stack([c[lo:lo + WRITE_ROWS] for c in columns])
+            row = " ".join(["%.17g"] * block.shape[1]) + "\n"
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_trajectory(path) -> Trajectory:

@@ -1,9 +1,13 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from posefusion.pose import Trajectory, VoChain
 from posefusion.sim import GpsTrack
 from posefusion.trajio import (
+    WRITE_ROWS,
     TrajectoryFormatError,
     read_gps,
     read_trajectory,
@@ -195,12 +199,30 @@ class TestBulkReadMatchesLineByLine:
            7: ["{ts} 1 2 3 0 0", "{ts} 1 2 3 0 0 zero", "{ts} inf 2 3 0 0 0",
                "-1 0 0 0 0 0 0", "{ts} 0 0 0 4 0 0"]}
 
-    @pytest.mark.parametrize("count", [8, 7])
-    def test_random_files(self, tmp_path, count):
+    @staticmethod
+    def _check(path, count, text):
+        """path holding text reads as _reference_read reads it, or raises its error."""
+        path.write_bytes(text.encode("utf-8"))
         reader = read_trajectory if count == 8 else read_vo
         row_error = _trajectory_row_error if count == 8 else _vo_row_error
+        try:
+            expected = _reference_read(path, count, row_error)
+        except TrajectoryFormatError as exc:
+            with pytest.raises(TrajectoryFormatError) as got:
+                reader(path)
+            assert str(got.value) == str(exc)
+            return
+        back = reader(path)
+        assert np.array_equal(back.timestamps, expected[:, 0])
+        assert np.array_equal(back.t, expected[:, 1:4])
+        assert np.array_equal(np.signbit(back.t), np.signbit(expected[:, 1:4]))
+
+    def _lines(self, count, rows=3):
+        return [self.GOOD[count].format(ts=i) for i in range(rows)]
+
+    @pytest.mark.parametrize("count", [8, 7])
+    def test_random_files(self, tmp_path, count):
         rng = np.random.default_rng(count)
-        path = tmp_path / "f.txt"
         for trial in range(60):
             lines = ["# header"]
             for i in range(int(rng.integers(1, 12))):
@@ -211,17 +233,90 @@ class TestBulkReadMatchesLineByLine:
                     lines.append(self.GOOD[count].format(ts=i))
                 else:
                     lines.append(rng.choice(self.BAD[count]).format(ts=i))
-            path.write_text("\n".join(lines) + "\n")
+            self._check(tmp_path / "f.txt", count, "\n".join(lines) + "\n")
+
+    # Spellings where numpy's C reader and float() disagree (1_0 and the
+    # full-width digit parse only with float()), and ones both accept.
+    @pytest.mark.parametrize("count", [8, 7])
+    @pytest.mark.parametrize("field", ["1_0", "\uff11", "1\u200b", "+.5", "5.", "1E5", "-0",
+                                       "1e400"])
+    def test_field_spellings(self, tmp_path, count, field):
+        lines = self._lines(count)
+        parts = lines[1].split()
+        parts[1] = field
+        lines[1] = " ".join(parts)
+        self._check(tmp_path / "f.txt", count, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("count", [8, 7])
+    @pytest.mark.parametrize("sep", ["\t", "\x0c", "\x1f", "\u2003", "\u200b"])
+    def test_separators(self, tmp_path, count, sep):
+        lines = self._lines(count)
+        lines[1] = sep.join(lines[1].split())
+        self._check(tmp_path / "f.txt", count, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("count", [8, 7])
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_line_ends(self, tmp_path, count, end):
+        self._check(tmp_path / "f.txt", count, end.join(["# header", *self._lines(count)]) + end)
+
+    @pytest.mark.parametrize("count", [8, 7])
+    def test_trailing_comment_rejected(self, tmp_path, count):
+        lines = self._lines(count)
+        lines[1] += " # note"
+        self._check(tmp_path / "f.txt", count, "\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError, match=f":2: expected {count} fields"):
+            (read_trajectory if count == 8 else read_vo)(tmp_path / "f.txt")
+
+    # numpy's loadtxt warns on input without data; the readers must never
+    # hand it an empty file, and a one-row file must not warn either.
+    @pytest.mark.parametrize("count", [8, 7])
+    @pytest.mark.parametrize("rows", [1, 0])
+    def test_one_row_and_comment_only_files_do_not_warn(self, tmp_path, count, rows):
+        text = "\n".join(["# header", *self._lines(count, rows), "  # note"]) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._check(tmp_path / "f.txt", count, text)
+
+
+def _one_shot_text(header, columns):
+    """The whole file formatted in one % operation."""
+    table = np.column_stack(columns)
+    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
+    return f"# {header}\n" + (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _trajectory(rng, n):
+    q = rng.normal(size=(n, 4))
+    return Trajectory(np.arange(n, dtype=float) + rng.random(), 100.0 * rng.normal(size=(n, 3)),
+                      q / np.linalg.norm(q, axis=1, keepdims=True))
+
+
+class TestBlockWrites:
+    """Writers format WRITE_ROWS rows at a time into the one-shot file."""
+
+    @pytest.mark.parametrize("n", [0, 1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1,
+                                   2 * WRITE_ROWS + 1])
+    def test_bytes_match_one_shot_format(self, tmp_path, rng, n):
+        traj = _trajectory(rng, n)
+        write_trajectory(traj, tmp_path / "traj.txt")
+        assert (tmp_path / "traj.txt").read_text() == _one_shot_text(
+            "timestamp tx ty tz qu qv1 qv2 qv3", [traj.timestamps, traj.t, traj.q])
+        vo = VoChain(traj.timestamps, traj.t, 0.3 * traj.q[:, 1:])
+        write_vo(vo, tmp_path / "vo.txt")
+        assert (tmp_path / "vo.txt").read_text() == _one_shot_text(
+            "timestamp tx ty tz w1 w2 w3", [vo.timestamps, vo.t, vo.w])
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, rng):
+        peaks = []
+        for n in (8000, 64000):
+            traj = _trajectory(rng, n)
+            tracemalloc.start()
             try:
-                expected = _reference_read(path, count, row_error)
-            except TrajectoryFormatError as exc:
-                with pytest.raises(TrajectoryFormatError) as got:
-                    reader(path)
-                assert str(got.value) == str(exc)
-                continue
-            back = reader(path)
-            assert np.array_equal(back.timestamps, expected[:, 0])
-            assert np.array_equal(back.t, expected[:, 1:4])
+                write_trajectory(traj, tmp_path / "traj.txt")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestGpsFormat:

@@ -143,6 +143,18 @@ class TestCorruptVo:
         windows = errs.reshape(10, 50).mean(axis=1)
         assert np.all(np.diff(windows) > 0)
 
+    def test_noise_independent_of_absolute_noise(self):
+        # one seed drives both sensors; their translation noises must not
+        # be scaled copies of each other
+        traj = generate_trajectory("loop", 2001, 0.1)
+        nm = NoiseModel(abs_t_sigma=0.5, vo_t_sigma=0.01, seed=3)
+        abs_noise = corrupt_absolute(traj, nm).t - traj.t
+        rel_t, _ = relative_pose(traj.t[:-1], traj.q[:-1], traj.t[1:], traj.q[1:])
+        vo_noise = corrupt_vo(traj, nm).t - rel_t
+        for axis in range(3):
+            rho = np.corrcoef(abs_noise[:-1, axis], vo_noise[:, axis])[0, 1]
+            assert abs(rho) < 0.1
+
     def test_deterministic(self):
         traj = generate_trajectory("loop", 30, 0.1)
         nm = NoiseModel(vo_t_sigma=0.05, vo_r_sigma=0.5, vo_t_bias=0.01, seed=8)
