@@ -6,11 +6,10 @@ measurements via moving-window on-manifold pose-graph optimization.
 
 from .pose import LossConfig, Trajectory, VoChain
 from .pgo import ConstraintKind, PgoConfig, fuse_trajectory
-from .sim import GpsTrack, NoiseModel
+from .sim import NoiseModel
 
 __all__ = [
     "ConstraintKind",
-    "GpsTrack",
     "LossConfig",
     "NoiseModel",
     "PgoConfig",

@@ -8,8 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import metrics, pgo, sim, trajio
 
 USAGE_ERROR = 2
@@ -37,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-gt", required=True)
     p_sim.add_argument("--out-abs", required=True)
     p_sim.add_argument("--out-vo", required=True)
-    p_sim.add_argument("--out-gps")
-    p_sim.add_argument("--gps-every", type=int, default=10)
 
     p_fuse = sub.add_parser("fuse", help="refine an absolute trajectory with VO")
     p_fuse.add_argument("--abs", required=True, dest="abs_path")
@@ -61,25 +57,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    if args.out_gps is not None and args.gps_every < 1:
-        print("simulate: --gps-every must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
-    # every option is checked here, before the first file is written
+    # every option is checked, and every output built, before the first file is written
     try:
         nm = sim.NoiseModel(abs_t_sigma=args.abs_t_sigma, abs_r_sigma=args.abs_r_sigma,
                             vo_t_sigma=args.vo_t_sigma, vo_r_sigma=args.vo_r_sigma,
                             vo_t_bias=args.vo_t_bias, seed=args.seed)
         gt = sim.generate_trajectory(args.shape, args.frames, args.step, seed=args.seed)
+        abs_traj, vo = sim.corrupt_absolute(gt, nm), sim.corrupt_vo(gt, nm)
     except ValueError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return USAGE_ERROR
     trajio.write_trajectory(gt, args.out_gt)
-    trajio.write_trajectory(sim.corrupt_absolute(gt, nm), args.out_abs)
-    trajio.write_vo(sim.corrupt_vo(gt, nm), args.out_vo)
-    if args.out_gps is not None:
-        idx = np.arange(0, len(gt), args.gps_every)
-        track = sim.GpsTrack(gt.timestamps[idx], gt.t[idx, :2])
-        trajio.write_gps(track, args.out_gps)
+    trajio.write_trajectory(abs_traj, args.out_abs)
+    trajio.write_vo(vo, args.out_vo)
     return 0
 
 

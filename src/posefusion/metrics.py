@@ -29,6 +29,8 @@ class ErrorReport:
 
 def compare(est: Trajectory, gt: Trajectory, cdf_points: int | None = None) -> ErrorReport:
     """Per-frame errors between two trajectories on identical timestamps."""
+    if cdf_points is not None and cdf_points < 2:
+        raise ValueError("cdf_points must be >= 2")  # the CDF spans 0 to the largest error
     if len(est) != len(gt):
         raise ValueError(f"length mismatch: {len(est)} vs {len(gt)}")
     if not np.array_equal(est.timestamps, gt.timestamps):

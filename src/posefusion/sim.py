@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .pose import Trajectory, VoChain, _check_finite, _check_increasing, _freeze, relative_pose
+from .pose import Trajectory, VoChain, relative_pose
 
 
 @dataclass
@@ -38,31 +38,6 @@ class NoiseModel:
             raise ValueError("vo_t_bias must be finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-@dataclass(frozen=True)
-class GpsTrack:
-    """Sparse 2-d position samples with strictly increasing timestamps.
-
-    Construction checks finite values and the timestamp order, and keeps
-    read-only copies, as Trajectory does.
-    """
-
-    timestamps: np.ndarray
-    positions: np.ndarray  # shape (n, 2), meters
-
-    def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        xy = np.asarray(self.positions, dtype=float)
-        if ts.ndim != 1 or xy.shape != (len(ts), 2):
-            raise ValueError("track needs matching timestamps and (n, 2) positions")
-        _check_finite(timestamps=ts, positions=xy)
-        _check_increasing(ts)
-        object.__setattr__(self, "timestamps", _freeze(ts))
-        object.__setattr__(self, "positions", _freeze(xy))
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
 
 
 def _headings_from_positions(positions: np.ndarray) -> np.ndarray:
@@ -139,8 +114,9 @@ def _draws(rng: np.random.Generator, steps: int, t_sigma: float, r_sigma: float)
 def corrupt_absolute(traj: Trajectory, nm: NoiseModel) -> Trajectory:
     """Per-pose independent noise: noisy but drift-free by construction."""
     rng = np.random.default_rng(nm.seed)
-    dt, rot = _draws(rng, len(traj), nm.abs_t_sigma, nm.abs_r_sigma)
-    t = traj.t if dt is None else traj.t + dt
+    with np.errstate(over="ignore"):  # a translation that overflows is inf; Trajectory rejects it
+        dt, rot = _draws(rng, len(traj), nm.abs_t_sigma, nm.abs_r_sigma)
+        t = traj.t if dt is None else traj.t + dt
     return Trajectory(traj.timestamps, t, quat.qmul(traj.q, rot))
 
 
@@ -153,18 +129,10 @@ def corrupt_vo(traj: Trajectory, nm: NoiseModel) -> VoChain:
     """
     rng = np.random.default_rng([nm.seed, 1])
     rel_t, rel_w = relative_pose(traj.t[:-1], traj.q[:-1], traj.t[1:], traj.q[1:])
-    dt, rot = _draws(rng, len(rel_t), nm.vo_t_sigma, nm.vo_r_sigma)
-    t = rel_t + np.array([nm.vo_t_bias, 0.0, 0.0])
-    if dt is not None:
-        t = t + dt
+    with np.errstate(over="ignore"):  # a translation that overflows is inf; VoChain rejects it
+        dt, rot = _draws(rng, len(rel_t), nm.vo_t_sigma, nm.vo_r_sigma)
+        t = rel_t + np.array([nm.vo_t_bias, 0.0, 0.0])
+        if dt is not None:
+            t = t + dt
     return VoChain(traj.timestamps[1:], t, quat.qlog(quat.qmul(quat.qexp(rel_w), rot)))
 
-
-def interpolate_gps(track: GpsTrack, timestamps) -> np.ndarray:
-    """Piecewise-linear 2-d interpolation, clamped to the track endpoints."""
-    if len(track) == 0:
-        raise ValueError("empty GPS track")
-    ts = np.asarray(timestamps, dtype=float)
-    x = np.interp(ts, track.timestamps, track.positions[:, 0])
-    y = np.interp(ts, track.timestamps, track.positions[:, 1])
-    return np.column_stack([x, y])

@@ -1,11 +1,10 @@
-"""Plain-text file formats for trajectories, VO chains and GPS tracks.
+"""Plain-text file formats for trajectories and VO chains.
 
-All three are whitespace-separated UTF-8 with LF line endings and `#`
+Both are whitespace-separated UTF-8 with LF line endings and `#`
 comment lines:
 
 * trajectory: ``timestamp tx ty tz qu qv1 qv2 qv3`` (scalar-first quaternion)
 * VO:         ``timestamp tx ty tz w1 w2 w3`` (log-quaternion rotation)
-* GPS:        ``timestamp x y``
 
 Values are written with 17 significant digits so a write/read round trip
 reproduces the numbers exactly. Readers reject NaN and inf, and timestamps
@@ -30,7 +29,6 @@ import numpy as np
 
 from . import quat
 from .pose import LOG_NORM_ERROR, MAX_LOG_NORM, Trajectory, VoChain
-from .sim import GpsTrack
 
 QUAT_NORM_TOL = 1e-3
 
@@ -96,7 +94,7 @@ def _not_increasing(table: np.ndarray) -> np.ndarray:
     return np.concatenate(([False], table[1:, 0] <= table[:-1, 0]))
 
 
-def _read_table(path, count: int, row_checks=()) -> tuple[np.ndarray, np.ndarray]:
+def _read_table(path, count: int, row_checks) -> tuple[np.ndarray, np.ndarray]:
     """The data lines of path as an (n, count) array, checked row by row.
 
     Column 0 is a timestamp, which must be strictly increasing. row_checks
@@ -167,11 +165,3 @@ def read_vo(path, *, timestamps=None) -> VoChain:
 def write_vo(vo: VoChain, path) -> None:
     _write_table(path, "timestamp tx ty tz w1 w2 w3", [vo.timestamps, vo.t, vo.w])
 
-
-def read_gps(path) -> GpsTrack:
-    table, _ = _read_table(path, 3)
-    return GpsTrack(table[:, 0], table[:, 1:])
-
-
-def write_gps(track: GpsTrack, path) -> None:
-    _write_table(path, "timestamp x y", [track.timestamps, track.positions])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -37,23 +38,11 @@ class TestSimulate:
         for fa, fb in zip(a, b):
             assert fa.read_bytes() == fb.read_bytes()
 
-    def test_gps_output(self, tmp_path):
-        gt = tmp_path / "gt.txt"
-        args = ["simulate", "--frames", "40",
-                "--out-gt", str(gt), "--out-abs", str(tmp_path / "a.txt"),
-                "--out-vo", str(tmp_path / "v.txt"),
-                "--out-gps", str(tmp_path / "g.txt"), "--gps-every", "10"]
-        assert main(args) == 0
-        track = trajio.read_gps(tmp_path / "g.txt")
-        assert len(track) == 4
-
     def test_usage_errors(self, tmp_path):
         base = ["--out-gt", str(tmp_path / "g"), "--out-abs", str(tmp_path / "a"),
                 "--out-vo", str(tmp_path / "v")]
         assert main(["simulate", "--frames", "1", *base]) == USAGE_ERROR
         assert main(["simulate", "--step", "0", *base]) == USAGE_ERROR
-        assert main(["simulate", "--out-gps", str(tmp_path / "p"),
-                     "--gps-every", "0", *base]) == USAGE_ERROR
 
     @pytest.mark.parametrize("flag", ["--step", "--abs-t-sigma", "--abs-r-sigma",
                                       "--vo-t-sigma", "--vo-r-sigma", "--vo-t-bias"])
@@ -79,11 +68,16 @@ class TestSimulate:
         (["--abs-r-sigma", "1.7976931348623157e308"], "abs_r_sigma must be <= 1e6 degrees"),
         (["--vo-r-sigma", "1e300"], "vo_r_sigma must be <= 1e6 degrees"),
         (["--vo-r-sigma", "1.7976931348623157e308"], "vo_r_sigma must be <= 1e6 degrees"),
+        # translation noise this wide overflows to inf; gt (and abs) were written first
+        (["--frames", "50", "--abs-t-sigma", "1e308"], "non-finite value (NaN or inf) in t"),
+        (["--frames", "50", "--vo-t-sigma", "1e308"], "non-finite value (NaN or inf) in t"),
     ])
     def test_bad_option_is_usage_error_before_any_write(self, tmp_path, capsys, bad, message):
-        out = [tmp_path / "g", tmp_path / "a", tmp_path / "v", tmp_path / "p"]
-        assert main(["simulate", *bad, "--out-gt", str(out[0]), "--out-abs", str(out[1]),
-                     "--out-vo", str(out[2]), "--out-gps", str(out[3])]) == USAGE_ERROR
+        out = [tmp_path / "g", tmp_path / "a", tmp_path / "v"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may reach stderr
+            assert main(["simulate", *bad, "--out-gt", str(out[0]), "--out-abs", str(out[1]),
+                         "--out-vo", str(out[2])]) == USAGE_ERROR
         assert message in capsys.readouterr().err
         assert not any(p.exists() for p in out)
 

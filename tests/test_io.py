@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from posefusion.pose import Trajectory, VoChain
-from posefusion.sim import GpsTrack
 from posefusion.trajio import (
     WRITE_ROWS,
     TrajectoryFormatError,
-    read_gps,
     read_trajectory,
     read_vo,
-    write_gps,
     write_trajectory,
     write_vo,
 )
@@ -76,7 +73,6 @@ class TestTrajectoryFormat:
         (read_trajectory, "1 0 0 0 1 0 0 {}"),
         (read_trajectory, "{} 0 0 0 1 0 0 0"),
         (read_vo, "1 0 {} 0 0 0 0"),
-        (read_gps, "1 {} 0"),
     ])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_field_rejected(self, tmp_path, reader, line, value):
@@ -318,33 +314,3 @@ class TestBlockWrites:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
-
-class TestGpsFormat:
-    def test_round_trip(self, tmp_path, rng):
-        track = GpsTrack(np.sort(rng.uniform(0, 100, size=20)),
-                         rng.normal(size=(20, 2)) * 50)
-        path = tmp_path / "gps.txt"
-        write_gps(track, path)
-        back = read_gps(path)
-        assert np.max(np.abs(back.timestamps - track.timestamps)) < 1e-12
-        assert np.max(np.abs(back.positions - track.positions)) < 1e-12
-
-    def test_two_line_file(self, tmp_path):
-        path = tmp_path / "gps.txt"
-        path.write_text("0 1 2\n1 3 4\n")
-        track = read_gps(path)
-        assert len(track) == 2
-        assert np.array_equal(track.positions, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_field_count_error(self, tmp_path):
-        path = tmp_path / "gps.txt"
-        path.write_text("0 1 2 3\n")
-        with pytest.raises(TrajectoryFormatError):
-            read_gps(path)
-
-    def test_decreasing_timestamp_rejected_at_its_line(self, tmp_path):
-        path = tmp_path / "gps.txt"
-        path.write_text("# header\n0 1 2\n2 3 4\n1 5 6\n")
-        with pytest.raises(TrajectoryFormatError) as exc:
-            read_gps(path)
-        assert str(exc.value) == f"{path}:4: timestamps must be strictly increasing"

@@ -62,6 +62,12 @@ class TestCompare:
             assert all(b >= a for a, b in zip(fracs, fracs[1:]))
             assert fracs[-1] == 1.0
 
+    @pytest.mark.parametrize("points", [1, 0])
+    def test_fewer_than_two_cdf_points_rejected(self, rng, points):
+        gt = _random_traj(rng, 5)
+        with pytest.raises(ValueError, match="cdf_points must be >= 2"):
+            compare(_random_traj(rng, 5), gt, cdf_points=points)
+
     def test_quaternion_sign_flip_invariance(self, rng):
         gt = _random_traj(rng, 8)
         est = _random_traj(rng, 8)

@@ -72,6 +72,15 @@ class TestVoChainType:
             with pytest.raises(ValueError):
                 VoChain(*args)
 
+    def test_keeps_read_only_copies(self, rng):
+        ts, t, w = np.arange(4.0), rng.normal(size=(4, 3)), 0.1 * rng.normal(size=(4, 3))
+        vo = VoChain(ts, t, w)
+        ts[0], t[0, 0], w[0, 0] = -1.0, 99.0, 0.5  # the chain keeps its own copies
+        assert vo.timestamps[0] == 0.0 and vo.t[0, 0] != 99.0 and vo.w[0, 0] != 0.5
+        for a in (vo.timestamps, vo.t, vo.w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
 
 class TestRelativePose:
     def test_identity_case(self, rng):

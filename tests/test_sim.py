@@ -4,12 +4,10 @@ import pytest
 from posefusion import quat
 from posefusion.pose import Trajectory, integrate, relative_pose
 from posefusion.sim import (
-    GpsTrack,
     NoiseModel,
     corrupt_absolute,
     corrupt_vo,
     generate_trajectory,
-    interpolate_gps,
 )
 
 
@@ -162,66 +160,3 @@ class TestCorruptVo:
         b = corrupt_vo(traj, nm)
         assert np.array_equal(a.t, b.t) and np.array_equal(a.w, b.w)
 
-
-class TestInterpolateGps:
-    def test_exact_at_samples(self):
-        track = GpsTrack(np.array([0.0, 1.0, 3.0]),
-                         np.array([[0.0, 0.0], [2.0, -1.0], [4.0, 5.0]]))
-        out = interpolate_gps(track, track.timestamps)
-        assert np.array_equal(out, track.positions)
-
-    def test_midpoint_is_mean(self):
-        track = GpsTrack(np.array([0.0, 2.0]), np.array([[0.0, 0.0], [4.0, 6.0]]))
-        assert np.allclose(interpolate_gps(track, [1.0]), [[2.0, 3.0]])
-
-    def test_clamps_outside_range(self):
-        track = GpsTrack(np.array([1.0, 2.0]), np.array([[1.0, 1.0], [2.0, 2.0]]))
-        out = interpolate_gps(track, [-5.0, 10.0])
-        assert np.array_equal(out, [[1.0, 1.0], [2.0, 2.0]])
-
-    def test_matches_manual_interpolation_oracle(self, rng):
-        ts = np.sort(rng.uniform(0, 10, size=8))
-        ts += np.arange(8) * 1e-3  # guarantee strict increase
-        track = GpsTrack(ts, rng.normal(size=(8, 2)))
-        queries = rng.uniform(ts[0], ts[-1], size=20)
-        out = interpolate_gps(track, queries)
-        for t, xy in zip(queries, out):
-            j = np.searchsorted(ts, t)
-            j = min(max(j, 1), 7)
-            lam = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-            expected = (1 - lam) * track.positions[j - 1] + lam * track.positions[j]
-            assert np.max(np.abs(xy - expected)) < 1e-12
-
-    def test_within_bracketing_hull(self, rng):
-        ts = np.arange(6, dtype=float)
-        track = GpsTrack(ts, rng.normal(size=(6, 2)))
-        for t in rng.uniform(0, 5, size=30):
-            j = min(max(int(np.ceil(t)), 1), 5)
-            lo = np.minimum(track.positions[j - 1], track.positions[j])
-            hi = np.maximum(track.positions[j - 1], track.positions[j])
-            xy = interpolate_gps(track, [t])[0]
-            assert np.all(xy >= lo - 1e-12) and np.all(xy <= hi + 1e-12)
-
-    def test_empty_track_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate_gps(GpsTrack(np.array([]), np.zeros((0, 2))), [0.0])
-
-    def test_track_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            GpsTrack(np.array([1.0, 1.0]), np.zeros((2, 2)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_track_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            GpsTrack(np.array([0.0, 1.0]), np.array([[bad, 0.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError, match="non-finite"):
-            GpsTrack(np.array([0.0, bad]), np.zeros((2, 2)))
-
-    def test_track_keeps_read_only_copies(self):
-        positions = np.zeros((2, 2))
-        track = GpsTrack(np.array([0.0, 1.0]), positions)
-        positions[0, 0] = 5.0
-        assert track.positions[0, 0] == 0.0
-        for a in (track.timestamps, track.positions):
-            with pytest.raises(ValueError):
-                a[0] = 1.0
