@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quat
-from .pose import Trajectory, VoChain, compose, integrate, relative_pose
+from .pose import BLOCK_ROWS, Trajectory, VoChain, compose, integrate, relative_pose
 
 
 class ConstraintKind(Enum):
@@ -43,9 +43,9 @@ class ConstraintKind(Enum):
 
 # Windows that fuse_trajectory linearizes and solves together. Per-stack
 # temporaries grow with it: on a 4000-frame k=10 fuse (394 windows), peak
-# CLI RSS was 37.1 MB solving one window at a time, 37.2 MB in stacks of 128
-# and 40.6 MB in one stack of all windows: +9%, close to the benchmark's
-# 10% bound on fuse peak RSS.
+# CLI RSS was 33.5 MB solving one window at a time, 34.8 MB in stacks of 128
+# and 39.5 MB in one stack of all windows: +13%, past the benchmark's 10%
+# bound on fuse peak RSS.
 FUSE_BATCH = 128
 
 # Smallest accepted ratio of the smallest to the largest pivot (diagonal
@@ -417,11 +417,14 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     out_t[grid] = np.concatenate((t[0, :-1], t[:, -1]))
     out_q[grid] = np.concatenate((q[0, :-1], q[:, -1]))
 
-    # Carry non-grid frames through the VO chain from the nearest grid pose.
-    off = np.setdiff1d(np.arange(n), grid)
-    near = grid[_nearest_grid_index(off, k, len(grid))]
-    rel_t, rel_w = relative_pose(vo_t[off], vo_q[off], vo_t[near], vo_q[near])
-    out_t[off], out_q[off] = compose(out_t[near], out_q[near], rel_t, rel_w)
+    # Carry non-grid frames through the VO chain from the nearest grid pose,
+    # BLOCK_ROWS frames at a time.
+    for lo in range(0, n, BLOCK_ROWS):
+        frames = np.arange(lo, min(lo + BLOCK_ROWS, n))
+        off = frames[frames % k != 0]
+        near = grid[_nearest_grid_index(off, k, len(grid))]
+        rel_t, rel_w = relative_pose(vo_t[off], vo_q[off], vo_t[near], vo_q[near])
+        out_t[off], out_q[off] = compose(out_t[near], out_q[near], rel_t, rel_w)
     return Trajectory(abs_traj.timestamps, out_t, out_q)
 
 

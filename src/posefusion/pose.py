@@ -22,6 +22,11 @@ import numpy as np
 
 from . import quat
 
+# Rows that each per-frame stage takes at a time: file reads and writes, VO
+# integration and the off-grid carry. A block's temporaries, Python floats
+# and text take under 1 MB, so those stages add no whole-sequence copies.
+BLOCK_ROWS = 2048
+
 # Largest accepted norm of a log quaternion: the half angle of a full turn,
 # with room for rounding.
 MAX_LOG_NORM = np.pi + 1e-9
@@ -164,22 +169,28 @@ def integrate(t0, q0, vo: VoChain) -> tuple[np.ndarray, np.ndarray]:
     t_{r+1} = t_r - R(q_{r+1})^-1 d_r.
     """
     # Only the rotations form a sequential chain. It runs on Python floats,
-    # with the arithmetic of quat.qmul on one row. Negating a factor negates
-    # the product exactly, so canonicalizing once at the end gives the rows
-    # that canonicalizing every step would.
+    # with the arithmetic of quat.qmul on one row, BLOCK_ROWS rows at a time
+    # into the preallocated output. Negating a factor negates the product
+    # exactly, so canonicalizing each block as it is stored gives the rows
+    # that canonicalizing every step would. Translations subtract the rotated
+    # steps one after another, in the order of the chain, carried from block
+    # to block; a cumsum would re-associate the sum.
+    m = len(vo)
+    t, q = np.empty((m + 1, 3)), np.empty((m + 1, 4))
+    t[0], q[0] = t0, quat.canonicalize(q0)
     u, x, y, z = np.asarray(q0, dtype=float).tolist()
-    rows = [(u, x, y, z)]
-    for bu, bx, by, bz in quat.qinv(quat.qexp(vo.w)).tolist():
-        u, x, y, z = (u * bu - x * bx - y * by - z * bz,
-                      u * bx + bu * x + y * bz - z * by,
-                      u * by + bu * y + z * bx - x * bz,
-                      u * bz + bu * z + x * by - y * bx)
-        rows.append((u, x, y, z))
-    q = quat.canonicalize(np.array(rows))
-    # Translations subtract the rotated steps one after another, in the
-    # order of the chain; a cumsum would re-associate the sum.
-    steps = quat.qrotate(quat.qinv(q[1:]), vo.t)
-    t = np.subtract.accumulate(np.concatenate((np.asarray(t0, dtype=float)[None], steps)), axis=0)
+    for lo in range(0, m, BLOCK_ROWS):
+        rows = []
+        for bu, bx, by, bz in quat.qinv(quat.qexp(vo.w[lo:lo + BLOCK_ROWS])).tolist():
+            u, x, y, z = (u * bu - x * bx - y * by - z * bz,
+                          u * bx + bu * x + y * bz - z * by,
+                          u * by + bu * y + z * bx - x * bz,
+                          u * bz + bu * z + x * by - y * bx)
+            rows.append((u, x, y, z))
+        block = slice(lo + 1, lo + 1 + len(rows))
+        q[block] = quat.canonicalize(np.array(rows))
+        steps = quat.qrotate(quat.qinv(q[block]), vo.t[lo:lo + BLOCK_ROWS])
+        t[block] = np.subtract.accumulate(np.concatenate((t[lo:lo + 1], steps)), axis=0)[1:]
     return t, q
 
 

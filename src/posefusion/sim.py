@@ -46,6 +46,9 @@ def _headings_from_positions(positions: np.ndarray) -> np.ndarray:
     return np.append(yaws, yaws[-1])
 
 
+# a step near the float maximum overflows the positions to inf and NaN, which
+# Trajectory rejects; numpy's RuntimeWarning would only repeat that on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def generate_trajectory(shape: str, n: int, step: float, seed: int = 0) -> Trajectory:
     """Planar trajectory with heading along the path; steps all equal `step`.
 

@@ -10,32 +10,29 @@ Values are written with 17 significant digits so a write/read round trip
 reproduces the numbers exactly. Readers reject NaN and inf, and timestamps
 that do not strictly increase.
 
-A file is read once. Its data lines go to numpy's C reader (`np.loadtxt`)
-in one call. When that call fails, returns another shape, or gives a value
-that is not finite, the lines are parsed again one by one with `str.split`
-and `float`. That line-by-line path decides what the file holds: it accepts
-spellings `float` accepts and the C reader does not (such as `1_0`), and it
-names the first offending line with the error a reader stopping there would
-raise. Writers stack and format WRITE_ROWS rows at a time, so no table,
-tuple or string of the whole file is ever built.
+A file is read BLOCK_ROWS lines at a time. Each block's data lines go to
+numpy's C reader (`np.loadtxt`) in one call. When that call fails, returns
+another shape, or gives a value that is not finite, that block's lines are
+parsed again one by one with `str.split` and `float`. That line-by-line
+path decides what the file holds: it accepts spellings `float` accepts and
+the C reader does not (such as `1_0`), and it names the first offending
+line, numbered over the whole file, with the error a reader stopping there
+would raise. Reading stops after that block. Writers stack and format
+BLOCK_ROWS rows at a time. So neither holds the whole file's text, lines
+or Python floats at once: only the table of values.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 
 from . import quat
-from .pose import LOG_NORM_ERROR, MAX_LOG_NORM, Trajectory, VoChain
+from .pose import BLOCK_ROWS, LOG_NORM_ERROR, MAX_LOG_NORM, Trajectory, VoChain
 
 QUAT_NORM_TOL = 1e-3
-
-# Rows _write_table stacks and formats per write call. A block's array,
-# tuple of floats and text take under 1 MB at 8 columns. Writing a 16,000-row trajectory as
-# one block instead raised the peak RSS of `fuse` from 44.2 to 49.9 MB.
-WRITE_ROWS = 2048
 
 
 class TrajectoryFormatError(ValueError):
@@ -59,35 +56,52 @@ def _parse_floats(path, lineno: int, parts: list[str], count: int) -> list[float
     return vals
 
 
-def _parse(path, count: int) -> tuple[np.ndarray, np.ndarray, TrajectoryFormatError | None]:
-    """The data lines of path as an (n, count) array of finite values.
+def _parse_lines(path, lines: list[str], linenos: np.ndarray,
+                 count: int) -> tuple[np.ndarray, TrajectoryFormatError | None]:
+    """Data lines (at linenos in path) as a (len(lines), count) array of finite values.
 
     Returns the rows before the first line that is not `count` finite
-    numbers, the line numbers of all data lines, and that line's error;
-    (all rows, line numbers, None) for a valid file.
+    numbers and that line's error; (all rows, None) when every line is.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    data = [bool(s) and s[0] != "#" for s in map(str.lstrip, lines)]
-    data_lines = list(compress(lines, data))
-    linenos = np.flatnonzero(data) + 1
     # comments=None: with loadtxt's default, "... # note" after the fields
-    # would parse. An empty list is never passed: loadtxt warns on it.
-    if data_lines:
-        try:
-            table = np.loadtxt(data_lines, dtype=float, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if table.shape == (len(data_lines), count) and np.isfinite(table).all():
-                return table, linenos, None
+    # would parse.
+    try:
+        table = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if table.shape == (len(lines), count) and np.isfinite(table).all():
+            return table, None
     rows = []
-    for lineno, line in zip(linenos.tolist(), data_lines):
+    for lineno, line in zip(linenos.tolist(), lines):
         try:
             rows.append(_parse_floats(path, lineno, line.split(), count))
         except TrajectoryFormatError as exc:
-            return np.array(rows).reshape(-1, count), linenos, exc
-    return np.array(rows).reshape(-1, count), linenos, None
+            return np.array(rows).reshape(-1, count), exc
+    return np.array(rows).reshape(-1, count), None
+
+
+def _parse(path, count: int) -> tuple[np.ndarray, np.ndarray, TrajectoryFormatError | None]:
+    """The data lines of path as an (n, count) array of finite values.
+
+    Reads BLOCK_ROWS lines at a time, and stops after the block holding
+    the first line that is not `count` finite numbers. Returns the rows
+    before that line, the line numbers of the data lines read, and that
+    line's error; (all rows, line numbers, None) for a valid file.
+    """
+    # the empty first entries stand for a file without data lines
+    tables, linenos = [np.empty((0, count))], [np.empty(0, dtype=int)]
+    error, first = None, 1  # first: the line number of the block's first line
+    with open(path, "r", encoding="utf-8") as fh:
+        while error is None and (lines := list(islice(fh, BLOCK_ROWS))):
+            data = [bool(s) and s[0] != "#" for s in map(str.lstrip, lines)]
+            linenos.append(np.flatnonzero(data) + first)
+            first += len(lines)
+            # a block without data is skipped: loadtxt warns on an empty list
+            if linenos[-1].size:
+                table, error = _parse_lines(path, list(compress(lines, data)), linenos[-1], count)
+                tables.append(table)
+    return np.concatenate(tables), np.concatenate(linenos), error
 
 
 def _not_increasing(table: np.ndarray) -> np.ndarray:
@@ -120,8 +134,8 @@ def _read_table(path, count: int, row_checks) -> tuple[np.ndarray, np.ndarray]:
 def _write_table(path, header: str, columns: list[np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {header}\n")
-        for lo in range(0, len(columns[0]), WRITE_ROWS):
-            block = np.column_stack([c[lo:lo + WRITE_ROWS] for c in columns])
+        for lo in range(0, len(columns[0]), BLOCK_ROWS):
+            block = np.column_stack([c[lo:lo + BLOCK_ROWS] for c in columns])
             row = " ".join(["%.17g"] * block.shape[1]) + "\n"
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 

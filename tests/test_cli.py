@@ -71,6 +71,12 @@ class TestSimulate:
         # translation noise this wide overflows to inf; gt (and abs) were written first
         (["--frames", "50", "--abs-t-sigma", "1e308"], "non-finite value (NaN or inf) in t"),
         (["--frames", "50", "--vo-t-sigma", "1e308"], "non-finite value (NaN or inf) in t"),
+        # a step this long overflows the positions of every shape
+        (["--shape", "loop", "--frames", "50", "--step", "1e308"], "non-finite value (NaN or inf) in t"),
+        (["--shape", "figure-eight", "--frames", "50", "--step", "1e308"],
+         "non-finite value (NaN or inf) in t"),
+        (["--shape", "random-walk", "--frames", "50", "--step", "1e308"],
+         "non-finite value (NaN or inf) in t"),
     ])
     def test_bad_option_is_usage_error_before_any_write(self, tmp_path, capsys, bad, message):
         out = [tmp_path / "g", tmp_path / "a", tmp_path / "v"]

@@ -6,7 +6,7 @@ import pytest
 
 from posefusion.pose import Trajectory, VoChain
 from posefusion.trajio import (
-    WRITE_ROWS,
+    BLOCK_ROWS,
     TrajectoryFormatError,
     read_trajectory,
     read_vo,
@@ -273,6 +273,45 @@ class TestBulkReadMatchesLineByLine:
             warnings.simplefilter("error")
             self._check(tmp_path / "f.txt", count, text)
 
+    # Readers take BLOCK_ROWS lines of the file at a time: lines 1..B form
+    # the first block, B+1..2B the second, and so on.
+    @pytest.mark.parametrize("count", [8, 7])
+    @pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                      2 * BLOCK_ROWS + 1])
+    def test_rows_around_block_size(self, tmp_path, count, rows):
+        self._check(tmp_path / "f.txt", count, "\n".join(self._lines(count, rows)) + "\n")
+        assert len((read_trajectory if count == 8 else read_vo)(tmp_path / "f.txt")) == rows
+
+    @pytest.mark.parametrize("count", [8, 7])
+    @pytest.mark.parametrize("last", ["good", "bad"])
+    def test_comment_and_blank_lines_across_blocks(self, tmp_path, count, last):
+        B = BLOCK_ROWS
+        lines = self._lines(count, 2 * B + 1)
+        lines[B - 2:B - 2] = ["", "  # note", "\t", "#"]  # lines B-1 .. B+2
+        lines[2 * B:2 * B] = ["# note"] * B  # the whole third block
+        if last == "bad":  # its line number counts every line before it
+            lines[-1] = self.BAD[count][1].format(ts=2 * B)
+        self._check(tmp_path / "f.txt", count, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("count", [8, 7])
+    @pytest.mark.parametrize("index", [BLOCK_ROWS, 2 * BLOCK_ROWS - 1])  # second block's edges
+    @pytest.mark.parametrize("bad", range(5))
+    def test_bad_line_at_block_edge(self, tmp_path, count, index, bad):
+        lines = self._lines(count, 2 * BLOCK_ROWS + 1)
+        lines[index] = self.BAD[count][bad].format(ts=index)
+        self._check(tmp_path / "f.txt", count, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("count", [8, 7])
+    @pytest.mark.parametrize("back", [0, 1])
+    def test_non_increasing_timestamp_across_blocks(self, tmp_path, count, back):
+        lines = self._lines(count, 2 * BLOCK_ROWS + 1)
+        # the first line of the second block repeats or precedes the last of the first
+        lines[BLOCK_ROWS] = self.GOOD[count].format(ts=BLOCK_ROWS - 1 - back)
+        self._check(tmp_path / "f.txt", count, "\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError,
+                           match=f":{BLOCK_ROWS + 1}: timestamps must be strictly increasing"):
+            (read_trajectory if count == 8 else read_vo)(tmp_path / "f.txt")
+
 
 def _one_shot_text(header, columns):
     """The whole file formatted in one % operation."""
@@ -288,10 +327,10 @@ def _trajectory(rng, n):
 
 
 class TestBlockWrites:
-    """Writers format WRITE_ROWS rows at a time into the one-shot file."""
+    """Writers format BLOCK_ROWS rows at a time into the one-shot file."""
 
-    @pytest.mark.parametrize("n", [0, 1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1,
-                                   2 * WRITE_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 1])
     def test_bytes_match_one_shot_format(self, tmp_path, rng, n):
         traj = _trajectory(rng, n)
         write_trajectory(traj, tmp_path / "traj.txt")

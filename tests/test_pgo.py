@@ -5,7 +5,8 @@ import pytest
 import scipy.optimize
 
 from posefusion import pgo, quat
-from posefusion.pose import Trajectory, VoChain, integrate, relative_pose, rotation_error_deg
+from posefusion.pose import (BLOCK_ROWS, Trajectory, VoChain, compose, integrate, relative_pose,
+                             rotation_error_deg)
 from posefusion.pgo import (
     ConstraintKind,
     FusionStats,
@@ -462,6 +463,22 @@ class TestFuseTrajectory:
             assert iterations == ref_iterations
             assert np.max(np.abs(fused.t - ref.t)) < 1e-12
             assert np.max(np.abs(fused.q - ref.q)) < 1e-12
+
+    @pytest.mark.parametrize("k", [10, 150])
+    def test_blocked_carry_matches_one_shot(self, k):
+        n = 2 * BLOCK_ROWS + 101
+        abs_traj, vo = self._noisy_loop(n)
+        fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=k))
+        # every off-grid frame in one relative_pose and one compose call; the
+        # grid poses are the fused ones, and compose is exact under q -> -q
+        vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
+        grid = np.arange(0, n, k)
+        off = np.setdiff1d(np.arange(n), grid)
+        near = grid[np.minimum((off + (k - 1) // 2) // k, len(grid) - 1)]
+        rel_t, rel_w = relative_pose(vo_t[off], vo_q[off], vo_t[near], vo_q[near])
+        t, q = compose(fused.t[near], fused.q[near], rel_t, rel_w)
+        for got, ref in ((fused.t[off], t), (fused.q[off], quat.canonicalize(q))):
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
     @pytest.mark.parametrize("frame", [0, 10, 15])  # grid frame, off-grid frame
     def test_non_finite_pose_rejected_before_fuse(self, frame):
