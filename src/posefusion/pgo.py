@@ -15,8 +15,8 @@ the rotation kinds, and 2 (R e_k) x f from the rotation matrix (to_matrix)
 for the relative translation. Both rotation kinds compare quaternions in
 the hemisphere quat.canonicalize picks. The normal matrix J^T J is
 block-tridiagonal with 6x6 blocks; gauss_newton_solve accumulates those
-blocks and solves each window by block Cholesky, the windows of a stack
-independently, each stopping on its own. linearize scatters the same
+blocks and solves each window by block Cholesky, up to FUSE_BATCH windows
+at a time, each stopping on its own. linearize scatters the same
 Jacobian blocks into a dense Jacobian for the least-squares fallback and
 for tests.
 """
@@ -41,17 +41,19 @@ class ConstraintKind(Enum):
     REL_ROTATION = "rel-r"
 
 
-# Windows that fuse_trajectory linearizes and solves together. Per-stack
-# temporaries grow with it: on a 4000-frame k=10 fuse (394 windows), peak
-# CLI RSS was 33.5 MB solving one window at a time, 34.8 MB in stacks of 128
-# and 39.5 MB in one stack of all windows: +13%, past the benchmark's 10%
-# bound on fuse peak RSS.
+# Most windows that gauss_newton_solve linearizes and solves together.
+# Per-stack temporaries grow with it: on a 4000-frame k=10 fuse (394
+# windows), peak CLI RSS was 33.5 MB solving one window at a time, 34.8 MB
+# in stacks of 128 and 39.5 MB in one stack of all windows: +13%, past the
+# benchmark's 10% bound on fuse peak RSS.
 FUSE_BATCH = 128
 
 # Smallest accepted ratio of the smallest to the largest pivot (diagonal
 # entry of the Cholesky factor) of a window's normal matrix. A window below
-# it, or whose normal matrix is not positive-definite, is solved by lstsq,
-# whose SVD rank check decides whether the window is rank-deficient.
+# it is solved by lstsq, whose SVD rank check decides whether the window is
+# rank-deficient; so is every window of a stack with a normal matrix that is
+# not positive-definite, which fuse_trajectory's windows never have: each
+# pose is observed absolutely, so J^T J >= blockdiag(I_3, sigma_rot I_3, ...).
 MIN_PIVOT_RATIO = 1e-6
 
 # Full windows whose rotation medoids temporal_median_filter picks together.
@@ -214,25 +216,6 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(-1, -2))
 
 
-def _cholesky_where_pd(s: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a stack of blocks (W, 6, 6).
-
-    A block that is not positive-definite gets the identity instead, and
-    clears its window's flag in ok.
-    """
-    try:
-        return np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        # some window is not positive-definite; find it one window at a time
-        low = np.broadcast_to(np.eye(s.shape[-1]), s.shape).copy()
-        for w in range(len(s)):
-            try:
-                low[w] = np.linalg.cholesky(s[w])
-            except np.linalg.LinAlgError:
-                ok[w] = False
-        return low
-
-
 def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
     """Solve H dz = g for a stack of block-tridiagonal normal matrices.
 
@@ -243,18 +226,20 @@ def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
     through the inverse factors. The L_k are the diagonal blocks of H's
     dense Cholesky factor, so their diagonals are its pivots. Returns dz
     (W, T, 6), the pivots (W, T, 6) and which windows to trust: those whose
-    factorization succeeded with a smallest pivot at least
-    MIN_PIVOT_RATIO times the largest.
+    smallest pivot is at least MIN_PIVOT_RATIO times the largest, and none
+    (with NaN dz and pivots) if any window is not positive-definite.
     """
     n_win, T = g.shape[:2]
-    ok = np.ones(n_win, dtype=bool)
     inv_low = np.empty_like(diag)  # L_k^-1
     cross = np.empty_like(upper)   # C_{k+1} = L_k^-1 U_k
     y = np.empty_like(g)           # forward-substituted right-hand side
     piv = np.empty_like(g)
     s, rhs = diag[:, 0], g[:, 0]
     for k in range(T):
-        low = _cholesky_where_pd(s, ok)
+        try:
+            low = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return np.full_like(g, np.nan), np.full_like(g, np.nan), np.zeros(n_win, dtype=bool)
         piv[:, k] = np.diagonal(low, axis1=-2, axis2=-1)
         inv_low[:, k] = np.linalg.inv(low)
         y[:, k] = (inv_low[:, k] @ rhs[..., None])[..., 0]
@@ -263,7 +248,7 @@ def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
             cross_t = _transpose(cross[:, k])
             s = diag[:, k + 1] - cross_t @ cross[:, k]
             rhs = g[:, k + 1] - (cross_t @ y[:, k, :, None])[..., 0]
-    ok &= piv.min(axis=(1, 2)) >= MIN_PIVOT_RATIO * piv.max(axis=(1, 2))
+    ok = piv.min(axis=(1, 2)) >= MIN_PIVOT_RATIO * piv.max(axis=(1, 2))
     dz = np.empty_like(g)
     for k in reversed(range(T)):
         if k < T - 1:
@@ -278,9 +263,9 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
     Each window solves its normal equations J^T J dz = J^T r. A window is a
     chain, so J^T J is block-tridiagonal: the blocks and the gradient are
     accumulated kind by kind from _linearize_block and solved by
-    _block_cholesky_solve. A window whose factorization is not trusted is
-    solved by least squares on its dense J instead, and raises
-    RankDeficientError when J has lost full column rank.
+    _block_cholesky_solve. Untrusted windows (all of the stack if one is not
+    positive-definite) are solved by least squares on their dense J, and
+    raise RankDeficientError when J has lost full column rank.
     """
     n_win, T = t.shape[:2]
     diag = np.zeros((n_win, T, 6, 6))
@@ -322,11 +307,11 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
     Each iteration solves min ||J dz - r||^2 per window through the normal
     equations (see _gn_step), then applies the manifold update. Every
     window iterates until its own step norm drops below step_tol or it has
-    taken max_iters steps; windows still iterating are linearized together.
-    Returns the final t and q, and per window the number of steps taken
-    and the norm of the last one. Raises RankDeficientError when a window's
-    Jacobian loses full column rank and numpy.linalg.LinAlgError when a
-    step is not finite.
+    taken max_iters steps; windows still iterating are linearized together,
+    FUSE_BATCH at a time. Returns the final t and q, and per window the
+    number of steps taken and the norm of the last one. Raises
+    RankDeficientError when a window's Jacobian loses full column rank and
+    numpy.linalg.LinAlgError when a step is not finite.
     """
     t, q = t.copy(), q.copy()
     n_win, T = t.shape[:2]
@@ -334,13 +319,14 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
     step_norm = np.full(n_win, np.inf)
     active = np.arange(n_win)
     for _ in range(cfg.max_iters):
-        sub = [b.windows(active) for b in blocks]
-        dz = _gn_step(sub, t[active], q[active])
-        step = dz.reshape(len(active), T, 6)
-        t[active] += step[..., :3]
-        q[active] = quat.qmul(q[active], quat.qexp(step[..., 3:]))
+        for lo in range(0, len(active), FUSE_BATCH):
+            stack = active[lo:lo + FUSE_BATCH]
+            dz = _gn_step([b.windows(stack) for b in blocks], t[stack], q[stack])
+            step = dz.reshape(len(stack), T, 6)
+            t[stack] += step[..., :3]
+            q[stack] = quat.qmul(q[stack], quat.qexp(step[..., 3:]))
+            step_norm[stack] = np.linalg.norm(dz, axis=-1)
         iterations[active] += 1
-        step_norm[active] = np.linalg.norm(dz, axis=-1)
         active = active[step_norm[active] >= cfg.step_tol]
         if not active.size:
             break
@@ -372,7 +358,7 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     overlapping windows of window_T poses (stride 1, newest pose emitted;
     the first window emits all of its poses). Each window's optimum depends
     only on its own observations, so every window starts from its absolute
-    poses and the windows are solved independently, FUSE_BATCH at a time.
+    poses, and one gauss_newton_solve call solves all windows independently.
     Grid-step VO observations come from the integrated VO trajectory, and
     frames off the grid are carried through by composing the nearest
     refined grid pose with the intermediate VO.
@@ -403,12 +389,7 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     abs_q = abs_traj.q[grid][windows]
     blocks = build_window_graph(abs_t, abs_q, step_t[windows[:, :-1]],
                                 quat.qexp(step_w)[windows[:, :-1]], cfg)
-    t, q = abs_t.copy(), abs_q.copy()
-    iterations = np.zeros(len(windows), dtype=int)
-    for lo in range(0, len(windows), FUSE_BATCH):
-        batch = slice(lo, lo + FUSE_BATCH)
-        t[batch], q[batch], iterations[batch], _ = gauss_newton_solve(
-            [b.windows(batch) for b in blocks], t[batch], q[batch], cfg)
+    t, q, iterations, _ = gauss_newton_solve(blocks, abs_t, abs_q, cfg)
     if stats is not None:
         stats.window_iterations.extend(iterations.tolist())
 
@@ -449,10 +430,18 @@ def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
     out_t, out_q = np.empty((n, 3)), np.empty((n, 4))
     # Frames closer than half to an end: truncated windows, one at a time.
     # Their sizes can be even, and np.median then averages the middle two.
-    for i in [*range(min(half, n)), *range(max(half, n - half), n)]:
-        lo, hi = max(0, i - half), min(n, i + half + 1)
-        out_t[i] = np.median(traj.t[lo:hi], axis=0)
-        out_q[i] = traj.q[lo + np.argmin(np.sum(_pairwise_angles(traj.q[lo:hi]), axis=-1))]
+    # Each end's windows are nested (all start at frame 0, or all stop at
+    # n), so their angles are sub-blocks of one matrix per end.
+    for ends in (range(min(half, n)), range(max(half, n - half), n)):
+        if not ends:
+            continue
+        first = max(0, ends[0] - half)
+        angles = _pairwise_angles(traj.q[first:min(n, ends[-1] + half + 1)])
+        for i in ends:
+            lo, hi = max(0, i - half), min(n, i + half + 1)
+            out_t[i] = np.median(traj.t[lo:hi], axis=0)
+            block = angles[lo - first:hi - first, lo - first:hi - first]
+            out_q[i] = traj.q[lo + np.argmin(np.sum(block, axis=-1))]
     # Full windows, MEDIAN_CHUNK at a time: window c is centred on frame
     # half + c. The windows of a chunk share their frames, so each angle
     # between those frames is computed once, and window c's angles are the

@@ -81,7 +81,9 @@ class Trajectory:
         _check_increasing(ts)
         object.__setattr__(self, "timestamps", _freeze(ts))
         object.__setattr__(self, "t", _freeze(t))
-        object.__setattr__(self, "q", _freeze(quat.canonicalize(q)))
+        q = quat.canonicalize(q)  # a new array: read-only without a copy
+        q.flags.writeable = False
+        object.__setattr__(self, "q", q)
 
     def __len__(self) -> int:
         return len(self.timestamps)

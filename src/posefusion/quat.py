@@ -70,7 +70,8 @@ def canonicalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     u, x, y, z = _split(q)
     first = np.where(u != 0.0, u, np.where(x != 0.0, x, np.where(y != 0.0, y, z)))
-    return np.where(first[..., None] < 0.0, -q, q)
+    # a sign column spares a (..., 4) -q; x * -1.0 is -x bit for bit
+    return q * np.where(first[..., None] < 0.0, -1.0, 1.0)
 
 
 def qlog(q: np.ndarray) -> np.ndarray:

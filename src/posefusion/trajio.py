@@ -114,9 +114,10 @@ def _read_table(path, count: int, row_checks) -> tuple[np.ndarray, np.ndarray]:
     Column 0 is a timestamp, which must be strictly increasing. row_checks
     are further (message, predicate) pairs, applied in order after that
     one; a predicate maps the array to a boolean mask of the rows it
-    rejects. Raises TrajectoryFormatError at the first line that fails to
-    parse or that a check rejects. Also returns n + 1 line numbers: those
-    of the n rows, then the line after the last row.
+    rejects, and a message is a string or a function of the array and the
+    row that returns one. Raises TrajectoryFormatError at the first line
+    that fails to parse or that a check rejects. Also returns n + 1 line
+    numbers: those of the n rows, then the line after the last row.
     """
     table, linenos, error = _parse(path, count)
     row_checks = [("timestamps must be strictly increasing", _not_increasing), *row_checks]
@@ -125,6 +126,8 @@ def _read_table(path, count: int, row_checks) -> tuple[np.ndarray, np.ndarray]:
         if bad.any():
             row = int(np.argmax(bad.any(axis=1)))
             message = row_checks[int(np.argmax(bad[row]))][0]
+            if callable(message):
+                message = message(table, row)
             raise TrajectoryFormatError(path, int(linenos[row]), message)
     if error is not None:
         raise error
@@ -156,23 +159,25 @@ def read_vo(path, *, timestamps=None) -> VoChain:
     """Read a VO file; with timestamps given, its rows must carry exactly those.
 
     A fused trajectory's VO carries the trajectory's timestamps after the
-    first. A mismatch raises TrajectoryFormatError at the first differing
-    line, or at the line after the last row of a file that is too short.
+    first. TrajectoryFormatError names the first offending line, a differing
+    timestamp like any other fault; or, when every row is valid, the first
+    extra row, or the line after the last row of a file that is too short.
     """
-    table, linenos = _read_table(path, 7, [
-        (LOG_NORM_ERROR, lambda r: quat.row_norm(r[:, 4:]) > MAX_LOG_NORM)])
+    row_checks = [(LOG_NORM_ERROR, lambda r: quat.row_norm(r[:, 4:]) > MAX_LOG_NORM)]
     if timestamps is not None:
         expected = np.asarray(timestamps, dtype=float)
-        common = min(len(expected), len(table))
-        differ = np.flatnonzero(table[:common, 0] != expected[:common])
-        if differ.size:
-            row = int(differ[0])
-            raise TrajectoryFormatError(path, int(linenos[row]),
-                                        f"timestamp {float(table[row, 0])!r} differs from the "
-                                        f"trajectory's {float(expected[row])!r}")
-        if len(table) != len(expected):
-            raise TrajectoryFormatError(path, int(linenos[common]),
-                                        f"{len(table)} relative poses, expected {len(expected)}")
+
+        def differs(r):
+            mask = np.zeros(len(r), dtype=bool)
+            mask[:len(expected)] = r[:len(expected), 0] != expected[:len(r)]
+            return mask
+
+        row_checks.append((lambda r, row: f"timestamp {float(r[row, 0])!r} differs from the "
+                                          f"trajectory's {float(expected[row])!r}", differs))
+    table, linenos = _read_table(path, 7, row_checks)
+    if timestamps is not None and len(table) != len(expected):
+        raise TrajectoryFormatError(path, int(linenos[min(len(expected), len(table))]),
+                                    f"{len(table)} relative poses, expected {len(expected)}")
     return VoChain(table[:, 0], table[:, 1:4], table[:, 4:])
 
 

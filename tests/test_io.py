@@ -128,6 +128,19 @@ class TestVoFormat:
             read_vo(path, timestamps=expected)
         assert str(exc.value) == f"{path}:{lineno}: {message}"
 
+    @pytest.mark.parametrize("line_nine", ["9 0 0 0 0 0", "9 0 0 0 4 0 0", "9 0 0 0 x 0 0",
+                                           "9 nan 0 0 0 0 0", "7 0 0 0 0 0 0"])
+    def test_differing_timestamp_reported_before_later_faults(self, tmp_path, line_nine):
+        # line 4 carries 4.5 where the trajectory has 4, still increasing;
+        # whatever is wrong with line 9 comes later
+        rows = ["%d 0 0 0 0 0 0" % s for s in range(1, 9)]
+        rows[3] = "4.5 0 0 0 0 0 0"
+        path = tmp_path / "vo.txt"
+        path.write_text("\n".join([*rows, line_nine, "10 0 0 0 0 0 0"]) + "\n")
+        with pytest.raises(TrajectoryFormatError) as exc:
+            read_vo(path, timestamps=np.arange(1.0, 11.0))
+        assert str(exc.value) == f"{path}:4: timestamp 4.5 differs from the trajectory's 4.0"
+
     def test_decreasing_timestamp_rejected_at_its_line(self, tmp_path):
         path = tmp_path / "vo.txt"
         path.write_text("1 0 0 0 0 0 0\n\n3 0 0 0 0 0 0\n2 0 0 0 0 0 0\n")

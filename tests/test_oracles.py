@@ -155,6 +155,8 @@ def test_off_grid_carry_matches_relative_pose_compose(n, k, T):
     (51, 51),                   # n equal to the window: one full window
     (52, 51), (300, 51),        # full windows in several chunks
     (700, 5), (64 + 10, 11),
+    (40, 101), (300, 1001),     # n <= half: every window holds all n frames
+    (400, 601),                 # half < n: nested windows of distinct sizes at both ends
 ])
 def test_median_filter_matches_per_window_loop(n, window):
     _, abs_traj, _ = _noisy_loop(max(n, 2), seed=window, abs_r_sigma=60.0)

@@ -331,16 +331,48 @@ class TestBlockCholesky:
         for w in range(2):
             assert np.array_equal(dz[w], np.linalg.lstsq(jac[w], r[w], rcond=None)[0])
 
-    def test_not_positive_definite_window_is_flagged_alone(self, rng):
+    def test_not_positive_definite_window_untrusts_its_stack(self, rng, monkeypatch):
         blocks, t, q = noisy_window_stack(rng, 3, n_win=2)
+        solve = pgo._block_cholesky_solve
+
+        def not_positive_definite(diag, upper, g):
+            diag = diag.copy()
+            diag[0, 1, 0, 0] = -1.0  # window 0, pose 1
+            return solve(diag, upper, g)
+
         h, g = dense_normal_equations(blocks, t, q)
         _, diag, upper = pose_blocks(h)
-        diag = diag.copy()
-        diag[0, 1, 0, 0] = -1.0  # window 0, pose 1
-        dz, _, ok = pgo._block_cholesky_solve(diag, upper, g.reshape(2, 3, 6))
-        assert ok.tolist() == [False, True]
-        expected = np.linalg.solve(h[1], g[1])
-        assert np.linalg.norm(dz[1].ravel() - expected) < 1e-10 * np.linalg.norm(expected)
+        _, _, ok = not_positive_definite(diag, upper, g.reshape(2, 3, 6))
+        assert not ok.any()
+        monkeypatch.setattr(pgo, "_block_cholesky_solve", not_positive_definite)
+        dz = pgo._gn_step(blocks, t, q)
+        r, jac = linearize(blocks, t, q)
+        for w in range(2):
+            assert np.array_equal(dz[w], np.linalg.lstsq(jac[w], r[w], rcond=None)[0])
+
+
+class TestSolverStacks:
+    def test_stacks_hold_at_most_fuse_batch_windows(self, rng, monkeypatch):
+        monkeypatch.setattr(pgo, "FUSE_BATCH", 3)
+        n_win = 2 * pgo.FUSE_BATCH + 1
+        blocks, t0, q0 = noisy_window_stack(rng, 4, n_win=n_win)
+        cfg = PgoConfig(window_T=4)
+        single = [gauss_newton_solve([b.windows([w]) for b in blocks], t0[[w]], q0[[w]], cfg)
+                  for w in range(n_win)]
+        stacks = []
+        gn_step = pgo._gn_step
+
+        def recorded(blocks, t, q):
+            stacks.append(len(t))
+            return gn_step(blocks, t, q)
+
+        monkeypatch.setattr(pgo, "_gn_step", recorded)
+        t, q, iterations, step_norm = gauss_newton_solve(blocks, t0, q0, cfg)
+        assert max(stacks) == pgo.FUSE_BATCH
+        assert sum(stacks) == iterations.sum()
+        for w, (t_w, q_w, iterations_w, step_norm_w) in enumerate(single):
+            assert np.array_equal(t[w], t_w[0]) and np.array_equal(q[w], q_w[0])
+            assert iterations[w] == iterations_w[0] and step_norm[w] == step_norm_w[0]
 
 
 def mean_translation_error(t, gt_t):
