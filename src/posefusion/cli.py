@@ -85,6 +85,10 @@ def _cmd_fuse(args) -> int:
         print(f"fuse: {exc}", file=sys.stderr)
         return USAGE_ERROR
     abs_traj = trajio.read_trajectory(args.abs_path)
+    if len(abs_traj) < 2:  # before the VO file is read against its timestamps
+        print(f"fuse: {args.abs_path}: {len(abs_traj)} poses, need at least 2 to fuse",
+              file=sys.stderr)
+        return DATA_ERROR
     vo = trajio.read_vo(args.vo, timestamps=abs_traj.timestamps[1:])
     fused = pgo.fuse_trajectory(abs_traj, vo, cfg)
     if args.median_window is not None:

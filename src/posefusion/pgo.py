@@ -12,13 +12,16 @@ The update is z ⊞ dz: translations add, rotations right-multiply by
 qexp(dw). Rotation columns are closed forms in quat's helpers: the vector
 columns of the quaternion-product derivative (dqmul_left, dqmul_right) for
 the rotation kinds, and 2 (R e_k) x f from the rotation matrix (to_matrix)
-for the relative translation. Both rotation kinds compare quaternions in
-the hemisphere quat.canonicalize picks. The normal matrix J^T J is
+for the relative translation. q and -q are the same rotation, so both
+rotation kinds compare the observation with whichever of f and -f lies in
+its hemisphere (<f, obs> >= 0): the residual is then the same for either
+sign of a pose or an observation, and it stays small across the 180-degree
+heading where quaternions change sign. The normal matrix J^T J is
 block-tridiagonal with 6x6 blocks; gauss_newton_solve accumulates those
 blocks and solves each window by block Cholesky, up to FUSE_BATCH windows
-at a time, each stopping on its own. linearize scatters the same
-Jacobian blocks into a dense Jacobian for the least-squares fallback and
-for tests.
+at a time, each stopping on its own and reporting whether it converged.
+linearize scatters the same Jacobian blocks into a dense Jacobian for the
+least-squares fallback and for tests.
 """
 
 from __future__ import annotations
@@ -109,6 +112,12 @@ class Block(NamedTuple):
         return self._replace(obs=self.obs[sel])
 
 
+def _toward(f: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """The rotations f, each negated where it points away from its
+    observation (<f, obs> < 0), so that each lies in obs's hemisphere."""
+    return f * np.where(np.sum(f * obs, axis=-1, keepdims=True) < 0.0, -1.0, 1.0)
+
+
 def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = True):
     """Weighted residuals (W, m, d) of one block and its Jacobian blocks.
 
@@ -118,8 +127,9 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = Tr
     coordinates of that pose. A rotation moves as q * exp(e), and to first
     order exp(e) = (1, e), so a rotation column is the derivative along a
     vector component: the slice [..., 1:] of the 4x4 product derivative.
-    Rotation observables are compared as quat.canonicalize leaves them;
-    since L(-f) = -L(f), the derivative at the canonical f needs no sign.
+    A rotation observable f is flipped to -f where <f, obs> < 0 (see
+    _toward); since L(-f) = -L(f), the derivative at the flipped f needs no
+    other sign.
     """
     n_win = t.shape[0]
     m, d = b.obs.shape[1:]
@@ -132,7 +142,7 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = Tr
         if jacobian:
             ji[..., :3] = np.eye(3)
     elif b.kind is ConstraintKind.ABS_ROTATION:
-        f = quat.canonicalize(q[:, :m])
+        f = _toward(q[:, :m], b.obs)
         if jacobian:
             ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
     elif b.kind is ConstraintKind.REL_TRANSLATION:
@@ -145,7 +155,7 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = Tr
             # R(qj * exp e) dt = f + 2 R(qj) (e x dt): column k is 2 (R e_k) x f
             jj[..., 3:] = 2.0 * np.cross(rot, f[..., None, :], axisa=-2, axisc=-2)
     else:  # REL_ROTATION
-        f = quat.canonicalize(quat.qmul(quat.qinv(q[:, 1:m + 1]), q[:, :m]))
+        f = _toward(quat.qmul(quat.qinv(q[:, 1:m + 1]), q[:, :m]), b.obs)
         if jacobian:
             ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
             # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
@@ -162,9 +172,10 @@ def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray,
 
     Rows run block by block, constraint by constraint; a window's objective
     E(z) is the squared norm of its residual row, r[w] @ r[w]. The
-    first-order change of the residual along dz is -J dz. Rotation
-    observables are canonicalized (quat.canonicalize) before the
-    comparison. The dense Jacobian is scattered from the per-pose blocks of
+    first-order change of the residual along dz is -J dz. Each rotation
+    observable is compared with its observation in the observation's
+    hemisphere, so negating a pose's or an observation's quaternion leaves
+    E unchanged. The dense Jacobian is scattered from the per-pose blocks of
     _linearize_block; the solver builds it only for its least-squares
     fallback. With jacobian=False only the residuals are computed, and None
     stands in for the Jacobians.
@@ -192,7 +203,8 @@ def build_window_graph(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
 
     abs_t (W, T, 3) and abs_q (W, T, 4) are each window's absolute
     observations; vo_t (W, T-1, 3) and vo_q (W, T-1, 4) its relative ones,
-    pose i as seen from pose i + 1. Rotation observations are canonicalized.
+    pose i as seen from pose i + 1. Rotation observations are kept with the
+    sign they come with: the residual takes each one's hemisphere.
     Translations have weight 1 and rotations sqrt(sigma_rot), so sigma_rot
     scales the squared norm of every rotation residual. One block per kind,
     in ConstraintKind order: 2T + 2(T-1) constraints per window.
@@ -204,9 +216,9 @@ def build_window_graph(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
     w_rot = float(np.sqrt(cfg.sigma_rot))
     return [
         Block(ConstraintKind.ABS_TRANSLATION, abs_t, 1.0),
-        Block(ConstraintKind.ABS_ROTATION, quat.canonicalize(abs_q), w_rot),
+        Block(ConstraintKind.ABS_ROTATION, abs_q, w_rot),
         Block(ConstraintKind.REL_TRANSLATION, vo_t, 1.0),
-        Block(ConstraintKind.REL_ROTATION, quat.canonicalize(vo_q), w_rot),
+        Block(ConstraintKind.REL_ROTATION, vo_q, w_rot),
     ]
 
 
@@ -216,6 +228,22 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(-1, -2))
 
 
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """L^-1 of a stack of lower-triangular matrices low (..., n, n).
+
+    Forward substitution over the rows of L X = I. X is lower-triangular
+    too: X[i, i] = 1 / L[i, i] and X[i, :i] = -L[i, :i] X[:i, :i] / L[i, i],
+    one stacked matmul per row. On a stack of 128 6x6 factors this takes
+    less than half the time of np.linalg.inv.
+    """
+    inv = np.zeros_like(low)
+    for i in range(low.shape[-1]):
+        pivot = low[..., i, i, None]
+        inv[..., i, i] = 1.0 / pivot[..., 0]
+        inv[..., i, :i] = -(low[..., i, None, :i] @ inv[..., :i, :i])[..., 0, :] / pivot
+    return inv
+
+
 def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
     """Solve H dz = g for a stack of block-tridiagonal normal matrices.
 
@@ -223,11 +251,12 @@ def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
     blocks upper (W, T-1, 6, 6). Block Cholesky: pose k's factor L_k is the
     Cholesky factor of the Schur complement S_k = D_k - C_k^T C_k, with
     C_k = L_{k-1}^-1 U_{k-1}, followed by forward and back substitution
-    through the inverse factors. The L_k are the diagonal blocks of H's
-    dense Cholesky factor, so their diagonals are its pivots. Returns dz
-    (W, T, 6), the pivots (W, T, 6) and which windows to trust: those whose
-    smallest pivot is at least MIN_PIVOT_RATIO times the largest, and none
-    (with NaN dz and pivots) if any window is not positive-definite.
+    through the inverse factors (_lower_inverse). The L_k are the diagonal
+    blocks of H's dense Cholesky factor, so their diagonals are its pivots.
+    Returns dz (W, T, 6), the pivots (W, T, 6) and which windows to trust:
+    those whose smallest pivot is at least MIN_PIVOT_RATIO times the
+    largest, and none (with NaN dz and pivots) if any window is not
+    positive-definite.
     """
     n_win, T = g.shape[:2]
     inv_low = np.empty_like(diag)  # L_k^-1
@@ -241,7 +270,7 @@ def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
         except np.linalg.LinAlgError:
             return np.full_like(g, np.nan), np.full_like(g, np.nan), np.zeros(n_win, dtype=bool)
         piv[:, k] = np.diagonal(low, axis1=-2, axis2=-1)
-        inv_low[:, k] = np.linalg.inv(low)
+        inv_low[:, k] = _lower_inverse(low)
         y[:, k] = (inv_low[:, k] @ rhs[..., None])[..., 0]
         if k < T - 1:
             cross[:, k] = inv_low[:, k] @ upper[:, k]
@@ -309,7 +338,8 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
     window iterates until its own step norm drops below step_tol or it has
     taken max_iters steps; windows still iterating are linearized together,
     FUSE_BATCH at a time. Returns the final t and q, and per window the
-    number of steps taken and the norm of the last one. Raises
+    number of steps taken, the norm of the last one and whether the window
+    converged: whether that norm fell below step_tol. Raises
     RankDeficientError when a window's Jacobian loses full column rank and
     numpy.linalg.LinAlgError when a step is not finite.
     """
@@ -330,14 +360,17 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
         active = active[step_norm[active] >= cfg.step_tol]
         if not active.size:
             break
-    return t, q, iterations, step_norm
+    return t, q, iterations, step_norm, step_norm < cfg.step_tol
 
 
 @dataclass
 class FusionStats:
-    """Per-window diagnostics collected by fuse_trajectory when requested."""
+    """Per-window diagnostics collected by fuse_trajectory when requested:
+    Gauss-Newton steps taken, and whether the window converged (its last
+    step was shorter than step_tol) rather than stopping at max_iters."""
 
     window_iterations: list[int] = field(default_factory=list)
+    window_converged: list[bool] = field(default_factory=list)
 
 
 def _nearest_grid_index(frame, k: int, n_grid: int):
@@ -389,9 +422,10 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     abs_q = abs_traj.q[grid][windows]
     blocks = build_window_graph(abs_t, abs_q, step_t[windows[:, :-1]],
                                 quat.qexp(step_w)[windows[:, :-1]], cfg)
-    t, q, iterations, _ = gauss_newton_solve(blocks, abs_t, abs_q, cfg)
+    t, q, iterations, _, converged = gauss_newton_solve(blocks, abs_t, abs_q, cfg)
     if stats is not None:
         stats.window_iterations.extend(iterations.tolist())
+        stats.window_converged.extend(converged.tolist())
 
     # The first window emits all of its poses, every later one its newest.
     out_t, out_q = np.empty((n, 3)), np.empty((n, 4))
@@ -430,18 +464,22 @@ def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
     out_t, out_q = np.empty((n, 3)), np.empty((n, 4))
     # Frames closer than half to an end: truncated windows, one at a time.
     # Their sizes can be even, and np.median then averages the middle two.
-    # Each end's windows are nested (all start at frame 0, or all stop at
-    # n), so their angles are sub-blocks of one matrix per end.
-    for ends in (range(min(half, n)), range(max(half, n - half), n)):
+    # Each end's windows are nested: the leading ones all start at frame 0
+    # and the trailing ones all stop at n. So a window's summed angles are
+    # running row sums of one matrix per end, taken left to right up to
+    # the window's last frame, or right to left down to its first.
+    for ends, trailing in ((range(min(half, n)), False), (range(max(half, n - half), n), True)):
         if not ends:
             continue
         first = max(0, ends[0] - half)
         angles = _pairwise_angles(traj.q[first:min(n, ends[-1] + half + 1)])
+        sums = (np.cumsum(angles[:, ::-1], axis=1)[:, ::-1] if trailing
+                else np.cumsum(angles, axis=1))
         for i in ends:
             lo, hi = max(0, i - half), min(n, i + half + 1)
             out_t[i] = np.median(traj.t[lo:hi], axis=0)
-            block = angles[lo - first:hi - first, lo - first:hi - first]
-            out_q[i] = traj.q[lo + np.argmin(np.sum(block, axis=-1))]
+            column = lo - first if trailing else hi - 1 - first
+            out_q[i] = traj.q[lo + np.argmin(sums[lo - first:hi - first, column])]
     # Full windows, MEDIAN_CHUNK at a time: window c is centred on frame
     # half + c. The windows of a chunk share their frames, so each angle
     # between those frames is computed once, and window c's angles are the

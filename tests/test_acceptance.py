@@ -105,7 +105,7 @@ def test_solver_matches_derivative_free_minimizer():
                            quat.qmul(q, quat.qexp(0.2 * rng.normal(size=3))))
                           for t, q in zip(gt_t, gt_q)])
     t0, q0 = t0[None], quat.canonicalize(q0)[None]
-    t, q, _, _ = gauss_newton_solve(blocks, t0, q0, cfg)
+    t, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
 
     def energy(x):
         z = x.reshape(1, 3, 6)
@@ -131,7 +131,7 @@ def test_solver_pure_translation_closed_form():
     blocks = window_graph(np.array(abs_obs), identities,
                           np.zeros((n - 1, 3)), np.zeros((n - 1, 3)), cfg)
     t0 = np.array([abs_obs[i] + 0.2 * rng.normal(size=3) for i in range(n)])
-    t, _, _, _ = gauss_newton_solve(blocks, t0[None], identities[None], cfg)
+    t, *_ = gauss_newton_solve(blocks, t0[None], identities[None], cfg)
 
     rows_a, rows_b = [], []
     for i in range(n):
@@ -190,6 +190,28 @@ def test_fusion_beats_both_inputs_over_five_seeds():
     assert elapsed < 10.0
     _passed(f"fused error beats noisy-absolute and drifty-VO inputs on 5 seeds "
             f"(error ratios {min(ratios):.2f}-{max(ratios):.2f}) in {elapsed:.1f} s")
+
+
+def test_every_window_converges_over_five_seeds():
+    # the loop turns through 180 degrees of heading, where quaternion signs
+    # flip; no window may stop at max_iters there
+    start = time.perf_counter()
+    cfg = PgoConfig(window_T=7, spacing_k=10)
+    windows, worst = 0, 0
+    for n in (1000, 16000):
+        gt = generate_trajectory("loop", n, 0.1)
+        for seed in range(5):
+            nm = NoiseModel(abs_t_sigma=0.5, abs_r_sigma=5.0,
+                            vo_t_sigma=0.01, vo_r_sigma=0.1, vo_t_bias=0.01, seed=seed)
+            stats = FusionStats()
+            fuse_trajectory(corrupt_absolute(gt, nm), corrupt_vo(gt, nm), cfg, stats)
+            assert len(stats.window_converged) == len(stats.window_iterations)
+            assert all(stats.window_converged), (n, seed, stats.window_converged.count(False))
+            windows += len(stats.window_converged)
+            worst = max(worst, max(stats.window_iterations))
+    elapsed = time.perf_counter() - start
+    _passed(f"every one of {windows} windows converged at k=10 (n=1000 and 16000, "
+            f"5 seeds each), at most {worst} iterations, in {elapsed:.1f} s")
 
 
 def test_loss_identities():

@@ -166,6 +166,21 @@ class TestFuse:
         assert main(["fuse", "--abs", str(bad), "--vo", str(vo),
                      "--out", str(tmp_path / "o")]) == DATA_ERROR
 
+    @pytest.mark.parametrize("poses", [0, 1])
+    def test_too_short_abs_file_is_named(self, tmp_path, capsys, poses):
+        gt, abs_path, vo = _simulate(tmp_path, frames=60)
+        # the first poses without the header comment (no bytes at all for 0
+        # poses); the VO file is untouched
+        lines = abs_path.read_text().splitlines()[1:1 + poses]
+        abs_path.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "o"
+        assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
+                     "--out", str(out), "--spacing", "10"]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"{abs_path}: {poses} poses, need at least 2 to fuse" in err
+        assert str(vo) not in err
+        assert not out.exists()
+
     def test_vo_frame_mismatch_is_data_error(self, tmp_path):
         gt, abs_path, vo = _simulate(tmp_path, frames=60)
         short = tmp_path / "short_vo.txt"

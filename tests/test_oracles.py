@@ -166,6 +166,18 @@ def test_median_filter_matches_per_window_loop(n, window):
     assert np.array_equal(out.timestamps, traj.timestamps)
 
 
+@pytest.mark.parametrize("n, window", [(10, 7), (12, 5)])
+def test_median_filter_ties_go_to_the_earliest_frame(n, window):
+    # Four half-turn quaternions, cycled: every pair of distinct frames is
+    # exactly 90 degrees apart, so a window holding each rotation equally
+    # often ties exactly, in any summation order, and the first frame wins.
+    q = np.eye(4)[np.arange(n) % 4]
+    traj = Trajectory(np.arange(float(n)), np.zeros((n, 3)), q)
+    out = temporal_median_filter(traj, window)
+    _assert_rows_equal(out.t, out.q, median_reference(traj, window))
+    assert np.array_equal(out.q[0], q[0]) and np.array_equal(out.q[-1], q[n - window // 2 - 1])
+
+
 def test_median_window_of_one_is_identity():
     _, abs_traj, _ = _noisy_loop(30, seed=4)
     assert temporal_median_filter(abs_traj, 1) is abs_traj

@@ -111,6 +111,69 @@ class TestResidualAndJacobian:
             assert np.max(np.abs(jac[0] - fd)) / scale < 1e-5
 
 
+def half_turn_window(rng):
+    """One window of 7 poses whose rotation observables are all near 180
+    degrees, its blocks, and a state 0.05 rad from its observations.
+
+    Window 0 of noisy_window_stack heads near 180 degrees; turning every
+    other pose by a further 180 degrees puts the relative rotations near
+    180 degrees too. There the scalar parts are about 0, so some observables
+    and their observations lie in opposite canonical hemispheres.
+    """
+    _, t, q = noisy_window_stack(rng, 7)
+    t, q = t[:1], q[:1].copy()
+    q[:, 1::2] = quat.qmul(q[:, 1::2], quat.qexp(np.array([0.0, 0.0, np.pi / 2])))
+    vo_t, vo_w = relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:])
+    blocks = build_window_graph(t, q, vo_t, quat.qexp(vo_w), PgoConfig(window_T=7))
+    return blocks, t, quat.qmul(q, quat.qexp(0.05 * rng.normal(size=(1, 7, 3))))
+
+
+def rotation_observables(kind, q):
+    """The rotations a block of kind compares with its observations, raw."""
+    if kind is ConstraintKind.ABS_ROTATION:
+        return q
+    return quat.qmul(quat.qinv(q[:, 1:]), q[:, :-1])
+
+
+class TestRotationSign:
+    ROTATION_KINDS = [ConstraintKind.ABS_ROTATION, ConstraintKind.REL_ROTATION]
+
+    @pytest.mark.parametrize("kind", ROTATION_KINDS)
+    def test_residual_takes_the_observations_hemisphere(self, rng, kind):
+        blocks, t, q = half_turn_window(rng)
+        b = blocks[list(ConstraintKind).index(kind)]
+        f = rotation_observables(kind, q)
+        # the premise: canonicalization would compare opposite hemispheres
+        assert np.any(np.sum(quat.canonicalize(f) * quat.canonicalize(b.obs), axis=-1) < 0)
+        r, _ = linearize([b], t, q, jacobian=False)
+        nearest = np.minimum(np.linalg.norm(b.obs - f, axis=-1),
+                             np.linalg.norm(b.obs + f, axis=-1))
+        assert np.allclose(np.linalg.norm(r.reshape(nearest.shape + (4,)), axis=-1),
+                           b.weight * nearest, rtol=1e-12, atol=0)
+        assert np.max(nearest) < 0.2
+
+    @pytest.mark.parametrize("kind", ROTATION_KINDS)
+    def test_jacobian_matches_finite_differences_across_hemispheres(self, rng, kind):
+        blocks, t, q = half_turn_window(rng)
+        b = blocks[list(ConstraintKind).index(kind)]
+        _, jac = linearize([b], t, q)
+        fd = fd_jacobian([b], t, q)
+        assert np.max(np.abs(jac[0] - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-5
+
+    @pytest.mark.parametrize("kind", ROTATION_KINDS)
+    def test_residual_is_the_same_for_q_and_minus_q(self, rng, kind):
+        blocks, t, q = noisy_window_stack(rng, 5)
+        b = blocks[list(ConstraintKind).index(kind)]
+        r, _ = linearize([b], t, q, jacobian=False)
+        signs = rng.choice([-1.0, 1.0], size=q.shape[:-1] + (1,))
+        r_flipped, _ = linearize([b], t, signs * q, jacobian=False)
+        assert np.array_equal(r_flipped, r)
+        assert np.array_equal(r_flipped, linearize([b], t, -q, jacobian=False)[0])
+        # a negated observation negates the residual, so E is unchanged
+        r_obs, _ = linearize([b._replace(obs=-b.obs)], t, q, jacobian=False)
+        assert np.array_equal(r_obs, -r)
+
+
 def energy_over_chart(blocks, x):
     """E(z) with z parameterized by 6 free numbers per pose (t and log q)."""
     z = x.reshape(1, -1, 6)
@@ -132,14 +195,15 @@ class TestGaussNewton:
         cfg = PgoConfig(window_T=3)
         blocks = window_graph(t0, q0, *chain_vo(t0, q0), cfg)
         t0, q0 = t0[None], q0[None]
-        t, _, iterations, step_norm = gauss_newton_solve(blocks, t0, q0, cfg)
+        t, _, iterations, step_norm, converged = gauss_newton_solve(blocks, t0, q0, cfg)
         assert iterations[0] == 1
         assert step_norm[0] < 1e-12
+        assert converged[0]
         assert np.max(np.abs(t - t0)) < 1e-12
 
     def test_matches_derivative_free_minimizer(self, rng):
         blocks, (t0, q0), cfg = self._toy_problem(rng)
-        t, q, _, _ = gauss_newton_solve(blocks, t0, q0, cfg)
+        t, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
 
         x0 = np.concatenate([t0, quat.qlog(q0)], axis=-1).ravel()
         res = scipy.optimize.minimize(
@@ -151,7 +215,7 @@ class TestGaussNewton:
     def test_objective_never_increases_over_corpus(self, rng):
         for _ in range(20):
             blocks, (t0, q0), cfg = self._toy_problem(rng, noise=0.1)
-            t, q, _, _ = gauss_newton_solve(blocks, t0, q0, cfg)
+            t, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
             assert objective(blocks, t, q) <= objective(blocks, t0, q0) + 1e-12
 
     def test_pure_translation_closed_form(self, rng):
@@ -167,7 +231,7 @@ class TestGaussNewton:
                               np.zeros((n - 1, 3)), np.zeros((n - 1, 3)), cfg)
 
         t0 = np.array([abs_obs[i] + 0.2 * rng.normal(size=3) for i in range(n)])
-        t, q, _, _ = gauss_newton_solve(blocks, t0[None], identities[None], cfg)
+        t, q, *_ = gauss_newton_solve(blocks, t0[None], identities[None], cfg)
 
         rows_a, rows_b = [], []
         for i in range(n):
@@ -188,11 +252,19 @@ class TestGaussNewton:
         for qi in q[0]:
             assert rotation_error_deg(qi, quat.IDENTITY) < 1e-9
 
+    def test_capped_window_is_not_converged(self, rng):
+        blocks, t0, q0 = noisy_window_stack(rng, 4)
+        _, _, iterations, _, converged = gauss_newton_solve(
+            blocks, t0, q0, PgoConfig(window_T=4, max_iters=1))
+        assert np.all(iterations == 1) and not converged.any()
+        *_, converged = gauss_newton_solve(blocks, t0, q0, PgoConfig(window_T=4))
+        assert converged.all()
+
     def test_quaternions_stay_unit_without_renormalization(self, rng):
         blocks, (t0, q0), cfg = self._toy_problem(rng, noise=0.3)
         cfg.max_iters = 200
         cfg.step_tol = 0.0  # force every iteration to run
-        _, q, _, _ = gauss_newton_solve(blocks, t0, q0, cfg)
+        _, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
         for qi in q[0]:
             assert abs(np.linalg.norm(qi) - 1.0) < 1e-9
 
@@ -351,6 +423,36 @@ class TestBlockCholesky:
             assert np.array_equal(dz[w], np.linalg.lstsq(jac[w], r[w], rcond=None)[0])
 
 
+class TestLowerInverse:
+    def test_matches_numpy_inverse(self, rng):
+        a = rng.normal(size=(50, 6, 6))
+        low = np.linalg.cholesky(a @ a.swapaxes(-1, -2) + 0.1 * np.eye(6))
+        inv = pgo._lower_inverse(low)
+        assert np.array_equal(np.triu(inv, 1), np.zeros_like(inv))
+        assert np.max(np.abs(inv - np.linalg.inv(low))) / np.max(np.abs(inv)) < 1e-13
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_pivot_ratio_near_the_trust_bound(self, rng, ratio):
+        # S M S with M well conditioned and S scaling the poses' coordinates
+        # from 1 down to ratio * MIN_PIVOT_RATIO: factors whose pivot ratio
+        # lies within a few times the bound, on either side of it
+        a = rng.normal(size=(20, 6, 6))
+        m = a @ a.swapaxes(-1, -2) / 6 + np.eye(6)
+        s = np.array([rng.permutation(np.geomspace(1.0, ratio * pgo.MIN_PIVOT_RATIO, 6))
+                      for _ in range(20)])
+        low = np.linalg.cholesky(s[:, :, None] * m * s[:, None, :])
+        k = np.arange(6)
+        piv_ratio = low[:, k, k].min(axis=1) / low[:, k, k].max(axis=1) / pgo.MIN_PIVOT_RATIO
+        assert np.all((piv_ratio > ratio / 4) & (piv_ratio < ratio * 4))
+        inv = pgo._lower_inverse(low)
+        ref = np.linalg.inv(low)
+        assert np.array_equal(inv[:, k, k], 1.0 / low[:, k, k])
+        # relative to each column of L^-1, which scales with 1 / its pivot
+        column = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.max(np.abs(inv - ref) / column) < 1e-12
+        assert np.max(np.abs(inv @ low - np.eye(6))) < 1e-12
+
+
 class TestSolverStacks:
     def test_stacks_hold_at_most_fuse_batch_windows(self, rng, monkeypatch):
         monkeypatch.setattr(pgo, "FUSE_BATCH", 3)
@@ -367,12 +469,13 @@ class TestSolverStacks:
             return gn_step(blocks, t, q)
 
         monkeypatch.setattr(pgo, "_gn_step", recorded)
-        t, q, iterations, step_norm = gauss_newton_solve(blocks, t0, q0, cfg)
+        t, q, iterations, step_norm, converged = gauss_newton_solve(blocks, t0, q0, cfg)
         assert max(stacks) == pgo.FUSE_BATCH
         assert sum(stacks) == iterations.sum()
-        for w, (t_w, q_w, iterations_w, step_norm_w) in enumerate(single):
+        for w, (t_w, q_w, iterations_w, step_norm_w, converged_w) in enumerate(single):
             assert np.array_equal(t[w], t_w[0]) and np.array_equal(q[w], q_w[0])
             assert iterations[w] == iterations_w[0] and step_norm[w] == step_norm_w[0]
+            assert converged[w] == converged_w[0]
 
 
 def mean_translation_error(t, gt_t):
@@ -474,7 +577,7 @@ class TestFuseTrajectory:
             frames = grid[w:w + T]
             abs_t, abs_q = abs_traj.t[frames], abs_traj.q[frames]
             blocks = window_graph(abs_t, abs_q, grid_t[w:w + T - 1], grid_w[w:w + T - 1], cfg)
-            t, q, its, _ = gauss_newton_solve(blocks, abs_t[None], abs_q[None], cfg)
+            t, q, its, *_ = gauss_newton_solve(blocks, abs_t[None], abs_q[None], cfg)
             iterations.append(int(its[0]))
             for offset in (range(T) if w == 0 else [T - 1]):
                 frame = grid[w + offset]
