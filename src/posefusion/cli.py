@@ -117,15 +117,12 @@ def main(argv=None) -> int:
     handler = {"simulate": _cmd_simulate, "fuse": _cmd_fuse, "eval": _cmd_eval}[args.command]
     try:
         return handler(args)
-    except (trajio.TrajectoryFormatError, FileNotFoundError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # TrajectoryFormatError among them
         print(f"{args.command}: {exc}", file=sys.stderr)
         return DATA_ERROR
     except pgo.RankDeficientError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return DATA_ERROR
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ q (..., 4); a relative pose is an observer-frame translation t (..., 3)
 and a log-quaternion rotation w (..., 3). Every function here takes such
 arrays with leading batch axes. A Trajectory holds n timestamped poses as
 t (n, 3) and q (n, 4), a VoChain m timestamped relative poses as t (m, 3)
-and w (m, 3); both validate their arrays once, in bulk, and keep
-read-only copies. Two flavours of relative pose coexist:
+and w (m, 3); one validator checks both in bulk and keeps read-only
+copies. Rules trajio's readers share are stated once here: a mask function
+and a message each. Two flavours of relative pose coexist:
 
 * ``relative_pose`` -- the observer-frame form used by the VO comparison
   and the pose-graph constraints: t = R(q_j)(t_i - t_j), q = q_j^-1 * q_i.
@@ -31,6 +32,17 @@ BLOCK_ROWS = 2048
 # with room for rounding.
 MAX_LOG_NORM = np.pi + 1e-9
 LOG_NORM_ERROR = "log-quaternion norm exceeds pi"
+NOT_INCREASING_ERROR = "timestamps must be strictly increasing"
+
+
+def log_norm_too_large(w: np.ndarray) -> np.ndarray:
+    """Mask of the log rotations w (m, 3) whose norm exceeds MAX_LOG_NORM."""
+    return quat.row_norm(w) > MAX_LOG_NORM
+
+
+def not_increasing(timestamps: np.ndarray) -> np.ndarray:
+    """Mask of the timestamps (n,) that do not exceed the one before."""
+    return np.concatenate(([False], timestamps[1:] <= timestamps[:-1]))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -46,14 +58,21 @@ def _check_finite(**arrays: np.ndarray) -> None:
             raise ValueError(f"non-finite value (NaN or inf) in {name}")
 
 
-def _check_log_norm(w: np.ndarray) -> None:
-    if np.any(quat.row_norm(w) > MAX_LOG_NORM):
-        raise ValueError(LOG_NORM_ERROR)
+def _validate(seq, rot: str, width: int, size: str) -> np.ndarray:
+    """Check seq's shapes, finite timestamps and t, and increasing timestamps.
 
-
-def _check_increasing(timestamps: np.ndarray) -> None:
-    if not np.all(np.diff(timestamps) > 0):
-        raise ValueError("timestamps must be strictly increasing")
+    Stores read-only timestamps and t on seq; returns its field rot as floats.
+    """
+    ts, t, r = (np.asarray(getattr(seq, f), dtype=float) for f in ("timestamps", "t", rot))
+    if ts.ndim != 1 or t.shape != (len(ts), 3) or r.shape != (len(ts), width):
+        raise ValueError(f"need timestamps ({size},), t ({size}, 3) and {rot} ({size}, {width}); "
+                         f"got {ts.shape}, {t.shape}, {r.shape}")
+    _check_finite(timestamps=ts, t=t)
+    if not_increasing(ts).any():
+        raise ValueError(NOT_INCREASING_ERROR)
+    object.__setattr__(seq, "timestamps", _freeze(ts))
+    object.__setattr__(seq, "t", _freeze(t))
+    return r
 
 
 @dataclass(frozen=True)
@@ -70,17 +89,8 @@ class Trajectory:
     q: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        t = np.asarray(self.t, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        if ts.ndim != 1 or t.shape != (len(ts), 3) or q.shape != (len(ts), 4):
-            raise ValueError(f"need timestamps (n,), t (n, 3) and q (n, 4); "
-                             f"got {ts.shape}, {t.shape}, {q.shape}")
-        _check_finite(timestamps=ts, t=t)
+        q = _validate(self, "q", 4, "n")
         quat.check_unit(q)
-        _check_increasing(ts)
-        object.__setattr__(self, "timestamps", _freeze(ts))
-        object.__setattr__(self, "t", _freeze(t))
         q = quat.canonicalize(q)  # a new array: read-only without a copy
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
@@ -106,17 +116,10 @@ class VoChain:
     w: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        t = np.asarray(self.t, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        if ts.ndim != 1 or t.shape != (len(ts), 3) or w.shape != (len(ts), 3):
-            raise ValueError(f"need timestamps (m,), t (m, 3) and w (m, 3); "
-                             f"got {ts.shape}, {t.shape}, {w.shape}")
-        _check_finite(timestamps=ts, t=t, w=w)
-        _check_log_norm(w)
-        _check_increasing(ts)
-        object.__setattr__(self, "timestamps", _freeze(ts))
-        object.__setattr__(self, "t", _freeze(t))
+        w = _validate(self, "w", 3, "m")
+        _check_finite(w=w)
+        if log_norm_too_large(w).any():
+            raise ValueError(LOG_NORM_ERROR)
         object.__setattr__(self, "w", _freeze(w))
 
     def __len__(self) -> int:

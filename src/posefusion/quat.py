@@ -10,11 +10,11 @@ log/exp maps use the half-angle form
     log q = (v / |v|) * acos(u),      exp w = (cos |w|, (w / |w|) sin |w|)
 
 so exp(w) rotates by an angle of 2*|w| about w. Each job has one helper:
-row_norm is the Euclidean norm, canonicalize the hemisphere rule, and
-to_matrix, dqmul_left and dqmul_right are what the pose-graph solver builds
-its rotation Jacobians from. The derivatives are plain Jacobians of these
-expressions and are checked against central finite differences in the
-test suite.
+row_norm is the Euclidean norm, canonicalize the sign convention of stored
+rows (scalar part >= 0), and to_matrix, dqmul_left and dqmul_right are what
+the pose-graph solver builds its rotation Jacobians from. The derivatives
+are plain Jacobians of these expressions and are checked against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ comment lines:
 * VO:         ``timestamp tx ty tz w1 w2 w3`` (log-quaternion rotation)
 
 Values are written with 17 significant digits so a write/read round trip
-reproduces the numbers exactly. Readers reject NaN and inf, and timestamps
-that do not strictly increase.
+reproduces the numbers exactly. Readers reject NaN and inf and apply pose's
+timestamp and log-norm rules, with its messages; trajectory quaternions must
+be unit-norm within QUAT_NORM_TOL, a file policy, and are renormalized.
 
 A file is read BLOCK_ROWS lines at a time. Each block's data lines go to
 numpy's C reader (`np.loadtxt`) in one call. When that call fails, returns
@@ -30,7 +31,8 @@ from itertools import compress, islice
 import numpy as np
 
 from . import quat
-from .pose import BLOCK_ROWS, LOG_NORM_ERROR, MAX_LOG_NORM, Trajectory, VoChain
+from .pose import (BLOCK_ROWS, LOG_NORM_ERROR, NOT_INCREASING_ERROR, Trajectory, VoChain,
+                   log_norm_too_large, not_increasing)
 
 QUAT_NORM_TOL = 1e-3
 
@@ -104,10 +106,6 @@ def _parse(path, count: int) -> tuple[np.ndarray, np.ndarray, TrajectoryFormatEr
     return np.concatenate(tables), np.concatenate(linenos), error
 
 
-def _not_increasing(table: np.ndarray) -> np.ndarray:
-    return np.concatenate(([False], table[1:, 0] <= table[:-1, 0]))
-
-
 def _read_table(path, count: int, row_checks) -> tuple[np.ndarray, np.ndarray]:
     """The data lines of path as an (n, count) array, checked row by row.
 
@@ -120,7 +118,7 @@ def _read_table(path, count: int, row_checks) -> tuple[np.ndarray, np.ndarray]:
     numbers: those of the n rows, then the line after the last row.
     """
     table, linenos, error = _parse(path, count)
-    row_checks = [("timestamps must be strictly increasing", _not_increasing), *row_checks]
+    row_checks = [(NOT_INCREASING_ERROR, lambda r: not_increasing(r[:, 0])), *row_checks]
     if len(table):
         bad = np.column_stack([check(table) for _, check in row_checks])
         if bad.any():
@@ -163,7 +161,7 @@ def read_vo(path, *, timestamps=None) -> VoChain:
     timestamp like any other fault; or, when every row is valid, the first
     extra row, or the line after the last row of a file that is too short.
     """
-    row_checks = [(LOG_NORM_ERROR, lambda r: quat.row_norm(r[:, 4:]) > MAX_LOG_NORM)]
+    row_checks = [(LOG_NORM_ERROR, lambda r: log_norm_too_large(r[:, 4:]))]
     if timestamps is not None:
         expected = np.asarray(timestamps, dtype=float)
 

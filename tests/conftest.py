@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posefusion import quat
-from posefusion.pgo import Block, build_window_graph, linearize
+from posefusion.pgo import Block, ConstraintKind, build_window_graph, linearize
 from posefusion.pose import relative_pose
 
 
@@ -60,6 +60,21 @@ def window_graph(t, q, vo_t, vo_w, cfg):
 def single_block(kind, observation, weight):
     """One constraint of kind on pose 0 (seen from pose 1 if relative) of one window."""
     return Block(kind, np.asarray(observation, dtype=float)[None, None], weight)
+
+
+def rotation_observables(kind, q):
+    """The rotations a block of kind compares with its observations, raw."""
+    if kind is ConstraintKind.ABS_ROTATION:
+        return q
+    return quat.qmul(quat.qinv(q[:, 1:]), q[:, :-1])
+
+
+def near_sign_flip(b, q, margin=1e-2):
+    """Whether b is a rotation block whose first constraint lies within
+    margin of the sign rule's flip boundary <f, obs> = 0 at the state q."""
+    if b.kind not in (ConstraintKind.ABS_ROTATION, ConstraintKind.REL_ROTATION):
+        return False
+    return abs(rotation_observables(b.kind, q)[0, 0] @ b.obs[0, 0]) < margin
 
 
 def perturb_state(t, q, dz):

@@ -156,6 +156,36 @@ class TestVoFormat:
         assert exc.value.lineno == 1
 
 
+POSE = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]  # t and an identity q
+STEP = [0.1, 0.0, 0.0, 0.0, 0.0, 0.1]       # t and a small w
+
+
+class TestReadersApplyTheTypesRules:
+    """A reader rejects the row that the type rejects, at its line, with the
+    type's message: both apply the rule pose states once."""
+
+    @pytest.mark.parametrize("reader, rows, lineno", [
+        (read_trajectory, [[0.0, *POSE], [1.0, *POSE], [1.0, *POSE]], 4),
+        (read_trajectory, [[0.0, *POSE], [2.0, *POSE], [1.0, *POSE]], 4),
+        (read_vo, [[1.0, *STEP], [2.0, *STEP], [2.0, *STEP]], 4),
+        (read_vo, [[1.0, *STEP], [3.0, *STEP], [2.0, *STEP]], 4),
+        (read_vo, [[1.0, *STEP], [2.0, 0.1, 0.0, 0.0, 3.2, 0.0, 0.0], [3.0, *STEP]], 3),
+    ], ids=["trajectory-repeated", "trajectory-decreasing", "vo-repeated", "vo-decreasing",
+            "vo-log-norm"])
+    def test_reader_error_ends_with_the_types_message(self, tmp_path, reader, rows, lineno):
+        path = tmp_path / "rows.txt"
+        path.write_text("# header\n" + "".join(" ".join(map(repr, r)) + "\n" for r in rows))
+        table = np.array(rows)
+        seq_type = Trajectory if reader is read_trajectory else VoChain
+        with pytest.raises(ValueError) as type_exc:
+            seq_type(table[:, 0], table[:, 1:4], table[:, 4:])
+        assert type(type_exc.value) is ValueError
+        with pytest.raises(TrajectoryFormatError) as read_exc:
+            reader(path)
+        assert read_exc.value.lineno == lineno
+        assert str(read_exc.value) == f"{path}:{lineno}: {type_exc.value}"
+
+
 def _reference_read(path, count, row_error):
     """Line-by-line reader: the first line that is not count finite numbers,
     or for which row_error(previous row, row) returns a message, raises."""

@@ -21,8 +21,9 @@ from posefusion.pgo import (
 )
 from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
-from conftest import (chain_vo, objective, perturb_state, random_poses, random_unit_quat,
-                      safe_random_poses, single_block, stack_poses, window_graph)
+from conftest import (chain_vo, near_sign_flip, objective, perturb_state, random_poses,
+                      random_unit_quat, rotation_observables, safe_random_poses, single_block,
+                      stack_poses, window_graph)
 
 
 def fd_jacobian(blocks, t, q, h=1e-6):
@@ -99,12 +100,11 @@ class TestResidualAndJacobian:
         for _ in range(200):
             t, q = safe_random_poses(rng, 2)
             b = random_block(kind, rng)
-            if kind is ConstraintKind.REL_ROTATION:
-                # keep the linearization off the hemisphere flip boundary
-                f_raw = quat.qmul(quat.qinv(q[1]), q[0])
-                if abs(f_raw[0]) < 1e-2:
-                    continue
             t, q = t[None], q[None]
+            # keep the linearization off the sign rule's flip boundary,
+            # far wider than the difference step
+            if near_sign_flip(b, q):
+                continue
             _, jac = linearize([b], t, q)
             fd = fd_jacobian([b], t, q)
             scale = max(1.0, np.max(np.abs(fd)))
@@ -126,13 +126,6 @@ def half_turn_window(rng):
     vo_t, vo_w = relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:])
     blocks = build_window_graph(t, q, vo_t, quat.qexp(vo_w), PgoConfig(window_T=7))
     return blocks, t, quat.qmul(q, quat.qexp(0.05 * rng.normal(size=(1, 7, 3))))
-
-
-def rotation_observables(kind, q):
-    """The rotations a block of kind compares with its observations, raw."""
-    if kind is ConstraintKind.ABS_ROTATION:
-        return q
-    return quat.qmul(quat.qinv(q[:, 1:]), q[:, :-1])
 
 
 class TestRotationSign:
