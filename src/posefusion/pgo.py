@@ -1,4 +1,4 @@
-"""On-manifold Gauss-Newton pose-graph optimization and window fusion.
+"""On-manifold pose-graph optimization and window fusion.
 
 The state is a stack of windows of poses, t (W, T, 3) and q (W, T, 4); each
 pose contributes 6 manifold coordinates (3 translation + 3 rotation) while
@@ -16,12 +16,16 @@ for the relative translation. q and -q are the same rotation, so both
 rotation kinds compare the observation with whichever of f and -f lies in
 its hemisphere (<f, obs> >= 0): the residual is then the same for either
 sign of a pose or an observation, and it stays small across the 180-degree
-heading where quaternions change sign. The normal matrix J^T J is
-block-tridiagonal with 6x6 blocks; gauss_newton_solve accumulates those
-blocks and solves each window by block Cholesky, up to FUSE_BATCH windows
-at a time, each stopping on its own and reporting whether it converged.
-linearize scatters the same Jacobian blocks into a dense Jacobian for the
-least-squares fallback and for tests.
+heading where quaternions change sign.
+
+gauss_newton_solve takes one Gauss-Newton step per window, with the normal
+matrix J^T J, then steps with the exact Hessian of the window objective:
+J^T J plus each curved kind's residual-curvature term (_add_curvature),
+also in closed form. Both matrices are block-tridiagonal with 6x6 blocks;
+the solver accumulates those blocks and solves each window by block
+Cholesky, up to FUSE_BATCH windows at a time, each stopping on its own and
+reporting whether it converged. linearize scatters the same Jacobian
+blocks into a dense Jacobian for the least-squares fallback and for tests.
 """
 
 from __future__ import annotations
@@ -52,11 +56,13 @@ class ConstraintKind(Enum):
 FUSE_BATCH = 128
 
 # Smallest accepted ratio of the smallest to the largest pivot (diagonal
-# entry of the Cholesky factor) of a window's normal matrix. A window below
-# it is solved by lstsq, whose SVD rank check decides whether the window is
-# rank-deficient; so is every window of a stack with a normal matrix that is
-# not positive-definite, which fuse_trajectory's windows never have: each
-# pose is observed absolutely, so J^T J >= blockdiag(I_3, sigma_rot I_3, ...).
+# entry of the Cholesky factor) of a window's step matrix. A window below it
+# takes the Gauss-Newton step by lstsq, whose SVD rank check decides whether
+# the window is rank-deficient; so does a window whose matrix is not
+# positive-definite. fuse_trajectory observes each pose absolutely, so its
+# J^T J >= blockdiag(I_3, sigma_rot I_3, ...); the exact Hessian adds the
+# residual curvature to that, and large residuals (an absolute outlier of
+# tens of metres) can make it indefinite.
 MIN_PIVOT_RATIO = 1e-6
 
 # Full windows whose rotation medoids temporal_median_filter picks together.
@@ -119,7 +125,8 @@ def _toward(f: np.ndarray, obs: np.ndarray) -> np.ndarray:
 
 
 def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = True):
-    """Weighted residuals (W, m, d) of one block and its Jacobian blocks.
+    """Weighted residuals (W, m, d) of one block, its Jacobian blocks and
+    its observables f (W, m, d).
 
     The Jacobian blocks are (W, m, d, 6): one for each constraint's pose i,
     and for the relative kinds one for its pose i + 1 (None otherwise, and
@@ -162,8 +169,8 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = Tr
             jj[..., 3:] = -quat.dqmul_right(f)[..., 1:]
     r = b.weight * (b.obs - f)
     if not jacobian:
-        return r, None, None
-    return r, b.weight * ji, (b.weight * jj if relative else None)
+        return r, None, None, f
+    return r, b.weight * ji, (b.weight * jj if relative else None), f
 
 
 def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray,
@@ -183,7 +190,7 @@ def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray,
     n_win, T = t.shape[:2]
     residuals, jacobians = [], []
     for b in blocks:
-        r, ji, jj = _linearize_block(b, t, q, jacobian)
+        r, ji, jj, _ = _linearize_block(b, t, q, jacobian)
         residuals.append(r.reshape(n_win, -1))
         if jacobian:
             m, d = r.shape[1:]
@@ -244,8 +251,25 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _cholesky(s: np.ndarray):
+    """Cholesky factors of a stack of matrices s (W, n, n), and which of them
+    are positive-definite. One that is not gets the identity as its factor;
+    the others get the same bits as when factored alone."""
+    try:
+        return np.linalg.cholesky(s), np.ones(len(s), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    low, pd = np.empty_like(s), np.ones(len(s), dtype=bool)
+    for w in range(len(s)):
+        try:
+            low[w] = np.linalg.cholesky(s[w])
+        except np.linalg.LinAlgError:
+            low[w], pd[w] = np.eye(s.shape[-1]), False
+    return low, pd
+
+
 def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
-    """Solve H dz = g for a stack of block-tridiagonal normal matrices.
+    """Solve H dz = g for a stack of block-tridiagonal symmetric matrices.
 
     H has the diagonal blocks diag (W, T, 6, 6) and the super-diagonal
     blocks upper (W, T-1, 6, 6). Block Cholesky: pose k's factor L_k is the
@@ -254,21 +278,21 @@ def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
     through the inverse factors (_lower_inverse). The L_k are the diagonal
     blocks of H's dense Cholesky factor, so their diagonals are its pivots.
     Returns dz (W, T, 6), the pivots (W, T, 6) and which windows to trust:
-    those whose smallest pivot is at least MIN_PIVOT_RATIO times the
-    largest, and none (with NaN dz and pivots) if any window is not
-    positive-definite.
+    those that are positive-definite and whose smallest pivot is at least
+    MIN_PIVOT_RATIO times the largest. A window that is not
+    positive-definite gets NaN dz and pivots; every other window gets the
+    same bits as when solved alone.
     """
     n_win, T = g.shape[:2]
     inv_low = np.empty_like(diag)  # L_k^-1
     cross = np.empty_like(upper)   # C_{k+1} = L_k^-1 U_k
     y = np.empty_like(g)           # forward-substituted right-hand side
     piv = np.empty_like(g)
+    pd = np.ones(n_win, dtype=bool)
     s, rhs = diag[:, 0], g[:, 0]
     for k in range(T):
-        try:
-            low = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            return np.full_like(g, np.nan), np.full_like(g, np.nan), np.zeros(n_win, dtype=bool)
+        low, pd_k = _cholesky(s)
+        pd &= pd_k
         piv[:, k] = np.diagonal(low, axis1=-2, axis2=-1)
         inv_low[:, k] = _lower_inverse(low)
         y[:, k] = (inv_low[:, k] @ rhs[..., None])[..., 0]
@@ -277,24 +301,77 @@ def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
             cross_t = _transpose(cross[:, k])
             s = diag[:, k + 1] - cross_t @ cross[:, k]
             rhs = g[:, k + 1] - (cross_t @ y[:, k, :, None])[..., 0]
-    ok = piv.min(axis=(1, 2)) >= MIN_PIVOT_RATIO * piv.max(axis=(1, 2))
     dz = np.empty_like(g)
     for k in reversed(range(T)):
         if k < T - 1:
             y[:, k] -= (cross[:, k] @ dz[:, k + 1, :, None])[..., 0]
         dz[:, k] = (inv_low[:, k].swapaxes(-1, -2) @ y[:, k, :, None])[..., 0]
+    dz[~pd] = piv[~pd] = np.nan
+    ok = pd & (piv.min(axis=(1, 2)) >= MIN_PIVOT_RATIO * piv.max(axis=(1, 2)))
     return dz, piv, ok
 
 
-def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One Gauss-Newton step dz (W, 6T) for every window of the stack.
+_ROT = np.arange(3, 6)  # a pose's rotation coordinates, for the diagonal of its rotation block
 
-    Each window solves its normal equations J^T J dz = J^T r. A window is a
-    chain, so J^T J is block-tridiagonal: the blocks and the gradient are
-    accumulated kind by kind from _linearize_block and solved by
-    _block_cholesky_solve. Untrusted windows (all of the stack if one is not
-    positive-definite) are solved by least squares on their dense J, and
-    raise RankDeficientError when J has lost full column rank.
+
+def _add_curvature(b: Block, t: np.ndarray, q: np.ndarray, r: np.ndarray, f: np.ndarray,
+                   diag: np.ndarray, upper: np.ndarray) -> None:
+    """Add block b's residual-curvature term S = -sum_m r_m d2(w f_m) to the
+    normal-matrix blocks diag (W, T, 6, 6) and upper (W, T-1, 6, 6), in place.
+
+    With S, J^T J becomes the exact Hessian of the objective 1/2 |r|^2 over
+    the chart t + dt, q * qexp(e). r and f are the block's weighted
+    residuals and (hemisphere-flipped) observables. To second order
+    qexp(e) = (1 - |e|^2 / 2, e) and R(qexp(e)) = I + 2 [e]x + 2 [e]x^2:
+    - ABS_ROTATION, f * qexp(e): w <r, f> I_3 in pose i's rotation block.
+    - REL_ROTATION, qexp(-e_j) * f * qexp(e_i): the same in both poses'
+      rotation blocks, and w <r, e_l * f * e_k> at row k, column l of their
+      (rotation i, rotation j) block.
+    - REL_TRANSLATION, R_j R(qexp(e_j)) (d + dt_i - dt_j) with d = t_i - t_j:
+      with u = w R_j^T r, -2 (d u^T + u d^T - 2 <u, d> I_3) in pose j's
+      rotation block, 2 [u]x in its (translation, rotation) block and the
+      transpose in its (rotation, translation) block, and -2 [u]x in the
+      (translation i, rotation j) block.
+    - ABS_TRANSLATION is linear in the state and adds nothing.
+    """
+    m, w = r.shape[1], b.weight
+    if b.kind is ConstraintKind.ABS_ROTATION:
+        diag[:, :m, _ROT, _ROT] += w * np.sum(r * f, axis=-1, keepdims=True)
+    elif b.kind is ConstraintKind.REL_ROTATION:
+        along = w * np.sum(r * f, axis=-1, keepdims=True)
+        diag[:, :m, _ROT, _ROT] += along
+        diag[:, 1:m + 1, _ROT, _ROT] += along
+        # <r, e_l * f * e_k> = -<e_l * r, f * e_k>: e_l's left product is
+        # orthogonal and conj(e_l) = -e_l
+        upper[:, :m, 3:, 3:] -= w * (_transpose(quat.dqmul_left(f)[..., 1:])
+                                     @ quat.dqmul_right(r)[..., 1:])
+    elif b.kind is ConstraintKind.REL_TRANSLATION:
+        u = w * quat.qrotate(quat.qinv(q[:, 1:m + 1]), r)
+        d = t[:, :m] - t[:, 1:m + 1]
+        ud = u[..., :, None] * d[..., None, :]
+        skew = np.cross(np.eye(3), u[..., None, :])  # [u]x: row k is e_k x u
+        diag[:, 1:m + 1, 3:, 3:] -= 2.0 * (ud + _transpose(ud))
+        diag[:, 1:m + 1, _ROT, _ROT] += 4.0 * np.sum(u * d, axis=-1, keepdims=True)
+        diag[:, 1:m + 1, :3, 3:] += 2.0 * skew
+        diag[:, 1:m + 1, 3:, :3] -= 2.0 * skew
+        upper[:, :m, :3, 3:] -= 2.0 * skew
+
+
+def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray, exact: bool = False) -> np.ndarray:
+    """One solver step dz (W, 6T) for every window of the stack.
+
+    A Gauss-Newton step solves the normal equations J^T J dz = J^T r; with
+    exact=True the step solves H dz = J^T r instead, where H = J^T J + S is
+    the exact Hessian of the window objective (see _add_curvature). Where
+    residuals stay large at the optimum, as biased VO against noisy
+    absolute poses leaves them, Gauss-Newton converges only linearly and
+    the exact step quadratically. A window is a chain, so both matrices are
+    block-tridiagonal: the blocks and the gradient are accumulated kind by
+    kind from _linearize_block and solved by _block_cholesky_solve.
+    Untrusted windows (a low pivot ratio, or a matrix that is not
+    positive-definite, which H can be far from the optimum) take the
+    Gauss-Newton step, by least squares on their dense J, and raise
+    RankDeficientError when J has lost full column rank.
     """
     n_win, T = t.shape[:2]
     diag = np.zeros((n_win, T, 6, 6))
@@ -302,7 +379,7 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
     g = np.zeros((n_win, T, 6))
     for b in blocks:
         # constraint c couples pose c and, for a relative kind, pose c + 1
-        r, ji, jj = _linearize_block(b, t, q)
+        r, ji, jj, f = _linearize_block(b, t, q)
         m = r.shape[1]
         ji_t = _transpose(ji)
         diag[:, :m] += ji_t @ ji
@@ -312,8 +389,10 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
             diag[:, 1:m + 1] += jj_t @ jj
             g[:, 1:m + 1] += (jj_t @ r[..., None])[..., 0]
             upper[:, :m] += ji_t @ jj
+        if exact:
+            _add_curvature(b, t, q, r, f, diag, upper)
     if not (np.isfinite(diag).all() and np.isfinite(upper).all() and np.isfinite(g).all()):
-        raise np.linalg.LinAlgError("Gauss-Newton step is not finite: NaN or inf in the "
+        raise np.linalg.LinAlgError("solver step is not finite: NaN or inf in the "
                                     "observations or the starting poses")
     dz, _, ok = _block_cholesky_solve(diag, upper, g)
     dz = dz.reshape(n_win, 6 * T)
@@ -331,10 +410,15 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: PgoConfig):
-    """Gauss-Newton over a stack of windows from the state (t, q).
+    """Solve a stack of windows from the state (t, q): a Gauss-Newton step,
+    then exact-Hessian steps.
 
-    Each iteration solves min ||J dz - r||^2 per window through the normal
-    equations (see _gn_step), then applies the manifold update. Every
+    Each iteration takes one _gn_step per window, then applies the manifold
+    update. A window's first step, from its starting state, is a
+    Gauss-Newton step; every later one uses the exact Hessian, which
+    converges quadratically near the optimum. (Exact steps from the
+    absolute poses can leave the Gauss-Newton basin: on one window of a
+    k=150 loop they ended 145 degrees from its Gauss-Newton result.) Every
     window iterates until its own step norm drops below step_tol or it has
     taken max_iters steps; windows still iterating are linearized together,
     FUSE_BATCH at a time. Returns the final t and q, and per window the
@@ -348,10 +432,10 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
     iterations = np.zeros(n_win, dtype=int)
     step_norm = np.full(n_win, np.inf)
     active = np.arange(n_win)
-    for _ in range(cfg.max_iters):
+    for i in range(cfg.max_iters):
         for lo in range(0, len(active), FUSE_BATCH):
             stack = active[lo:lo + FUSE_BATCH]
-            dz = _gn_step([b.windows(stack) for b in blocks], t[stack], q[stack])
+            dz = _gn_step([b.windows(stack) for b in blocks], t[stack], q[stack], exact=i > 0)
             step = dz.reshape(len(stack), T, 6)
             t[stack] += step[..., :3]
             q[stack] = quat.qmul(q[stack], quat.qexp(step[..., 3:]))
@@ -366,8 +450,9 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
 @dataclass
 class FusionStats:
     """Per-window diagnostics collected by fuse_trajectory when requested:
-    Gauss-Newton steps taken, and whether the window converged (its last
-    step was shorter than step_tol) rather than stopping at max_iters."""
+    solver steps taken (one Gauss-Newton step, then exact-Hessian steps),
+    and whether the window converged (its last step was shorter than
+    step_tol) rather than stopping at max_iters."""
 
     window_iterations: list[int] = field(default_factory=list)
     window_converged: list[bool] = field(default_factory=list)

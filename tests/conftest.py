@@ -78,8 +78,9 @@ def near_sign_flip(b, q, margin=1e-2):
 
 
 def perturb_state(t, q, dz):
-    """Manifold step of a one-window state (t, q) by dz (6T,), for finite differences."""
-    step = dz.reshape(1, -1, 6)
+    """Manifold step of a window stack (t, q) by dz (W, 6T), or of one window
+    by dz (6T,)."""
+    step = dz.reshape(t.shape[:2] + (6,))
     return t + step[..., :3], quat.qmul(q, quat.qexp(step[..., 3:]))
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import scipy.optimize
 
-from posefusion import quat, trajio
+from posefusion import pgo, quat, trajio
 from posefusion.pose import (
     LossConfig,
     Trajectory,
@@ -207,11 +207,56 @@ def test_every_window_converges_over_five_seeds():
             fuse_trajectory(corrupt_absolute(gt, nm), corrupt_vo(gt, nm), cfg, stats)
             assert len(stats.window_converged) == len(stats.window_iterations)
             assert all(stats.window_converged), (n, seed, stats.window_converged.count(False))
+            # one Gauss-Newton step, then exact-Hessian steps that converge
+            # quadratically
+            assert max(stats.window_iterations) <= 6, (n, seed, max(stats.window_iterations))
             windows += len(stats.window_converged)
             worst = max(worst, max(stats.window_iterations))
     elapsed = time.perf_counter() - start
     _passed(f"every one of {windows} windows converged at k=10 (n=1000 and 16000, "
             f"5 seeds each), at most {worst} iterations, in {elapsed:.1f} s")
+
+
+def _gauss_newton_to_the_optimum(blocks, t, q, cfg):
+    """Gauss-Newton steps alone, run far past the solver's stopping rule:
+    until every window's step is below 1e-14, or 200 steps."""
+    t, q = t.copy(), q.copy()
+    active = np.arange(len(t))
+    for _ in range(200):
+        dz = pgo._gn_step([b.windows(active) for b in blocks], t[active], q[active])
+        step = dz.reshape(len(active), -1, 6)
+        t[active] += step[..., :3]
+        q[active] = quat.qmul(q[active], quat.qexp(step[..., 3:]))
+        active = active[np.linalg.norm(dz, axis=-1) >= 1e-14]
+        if not active.size:
+            break
+    return t, q, None, None, None
+
+
+def test_solver_reaches_the_optimum(monkeypatch):
+    # each window's optimum, as Gauss-Newton approaches it linearly; the
+    # solver's exact steps must land there, not stop short at step_tol
+    start = time.perf_counter()
+    worst_t = worst_r = 0.0
+    gt = generate_trajectory("loop", 1000, 0.1)
+    for k in (10, 150):
+        cfg = PgoConfig(window_T=7, spacing_k=k)
+        for seed in range(3):
+            nm = NoiseModel(abs_t_sigma=0.5, abs_r_sigma=5.0,
+                            vo_t_sigma=0.01, vo_r_sigma=0.1, vo_t_bias=0.01, seed=seed)
+            abs_traj, vo = corrupt_absolute(gt, nm), corrupt_vo(gt, nm)
+            fused = fuse_trajectory(abs_traj, vo, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(pgo, "gauss_newton_solve", _gauss_newton_to_the_optimum)
+                optimum = fuse_trajectory(abs_traj, vo, cfg)
+            grid = np.arange(0, len(gt), k)
+            worst_t = max(worst_t, float(np.max(np.abs(fused.t[grid] - optimum.t[grid]))))
+            worst_r = max(worst_r, float(np.max(rotation_error_deg(fused.q[grid],
+                                                                   optimum.q[grid]))))
+    elapsed = time.perf_counter() - start
+    assert worst_t < 1e-11 and worst_r < 1e-9
+    _passed(f"fused grid poses within {worst_t:.1e} m / {worst_r:.1e} deg of the optimum "
+            f"(n=1000, k=10 and 150, 3 seeds) in {elapsed:.1f} s")
 
 
 def test_loss_identities():

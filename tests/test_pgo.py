@@ -357,6 +357,78 @@ def pose_blocks(h):
     return blocks, blocks[:, k, k], blocks[:, k[:-1], k[1:]]
 
 
+def fd_hessian(blocks, t, q, h=3e-4):
+    """Hessians (W, 6T, 6T) of 1/2 |r|^2 of a window stack over the chart
+    t + dt, q * qexp(e), by central second differences of the objective.
+
+    Every perturbed state of every window is one window of a single stacked
+    linearize call."""
+    n_win, T = t.shape[:2]
+    n = 6 * T
+    a, b = np.triu_indices(n)
+    pair = np.arange(len(a))
+    dz = np.zeros((4, len(a), n))
+    for s, (sa, sb) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+        dz[s, pair, a] += sa * h
+        dz[s, pair, b] += sb * h
+    per = dz.size // n  # perturbed states per window
+    stacked = [blk._replace(obs=np.repeat(blk.obs, per, axis=0)) for blk in blocks]
+    moved = perturb_state(np.repeat(t, per, axis=0), np.repeat(q, per, axis=0),
+                          np.tile(dz.reshape(-1, n), (n_win, 1)))
+    r, _ = linearize(stacked, *moved, jacobian=False)
+    e = 0.5 * np.sum(r * r, axis=-1).reshape(n_win, 4, len(a))
+    hess = np.zeros((n_win, n, n))
+    hess[:, a, b] = hess[:, b, a] = (e[:, 0] - e[:, 1] - e[:, 2] + e[:, 3]) / (4 * h * h)
+    return hess
+
+
+def first_step_state(rng, T, outlier=False):
+    """noisy_window_stack's blocks and its state after one Gauss-Newton step,
+    where a solver's second step starts. With outlier, window 1's absolute
+    translation of its middle pose is 30 m off."""
+    blocks, t, q = noisy_window_stack(rng, T)
+    if outlier:
+        obs = blocks[0].obs.copy()
+        obs[1, T // 2] += 30.0
+        blocks[0] = blocks[0]._replace(obs=obs)
+    return (blocks, *perturb_state(t, q, pgo._gn_step(blocks, t, q)))
+
+
+def solved_blocks(blocks, t, q, exact, monkeypatch):
+    """The blocks diag and upper _gn_step hands _block_cholesky_solve."""
+    got = []
+
+    def record(diag, upper, g):
+        got.append((diag, upper))
+        # trust every window: a lone block can be rank-deficient
+        return np.zeros_like(g), np.ones_like(g), np.ones(len(g), dtype=bool)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pgo, "_block_cholesky_solve", record)
+        pgo._gn_step(blocks, t, q, exact=exact)
+    return got[0]
+
+
+class TestExactHessian:
+    @pytest.mark.parametrize("kind", list(ConstraintKind))
+    @pytest.mark.parametrize("T, outlier", [(2, False), (3, False), (7, False), (7, True)])
+    def test_blocks_match_finite_difference_hessian(self, rng, monkeypatch, kind, T, outlier):
+        blocks, t, q = first_step_state(rng, T, outlier)
+        b = [blocks[list(ConstraintKind).index(kind)]]
+        diag, upper = solved_blocks(b, t, q, True, monkeypatch)
+        _, fd_diag, fd_upper = pose_blocks(fd_hessian(b, t, q))
+        scale = np.max(np.abs(fd_diag))
+        assert np.max(np.abs(diag - fd_diag)) / scale < 1e-5
+        assert np.max(np.abs(upper - fd_upper)) / scale < 1e-5
+        gn_diag, gn_upper = solved_blocks(b, t, q, False, monkeypatch)
+        if kind is ConstraintKind.ABS_TRANSLATION:
+            # linear in the state: the exact Hessian is J^T J
+            assert np.array_equal(diag, gn_diag) and np.array_equal(upper, gn_upper)
+        else:
+            # the premise: the state's residual curvature is well above the tolerance
+            assert np.max(np.abs(gn_diag - fd_diag)) / scale > 1e-4
+
+
 class TestBlockCholesky:
     @pytest.mark.parametrize("T", [2, 3, 7])
     def test_step_matches_dense_solve(self, rng, T):
@@ -366,6 +438,13 @@ class TestBlockCholesky:
         dz = pgo._gn_step(blocks, t, q)
         err = np.linalg.norm(dz - expected, axis=-1) / np.linalg.norm(expected, axis=-1)
         assert np.max(err) < 1e-10
+        # an exact step solves the finite-difference Hessian's system
+        t, q = perturb_state(t, q, dz)
+        _, g = dense_normal_equations(blocks, t, q)
+        expected = np.linalg.solve(fd_hessian(blocks, t, q), g[..., None])[..., 0]
+        dz = pgo._gn_step(blocks, t, q, exact=True)
+        err = np.linalg.norm(dz - expected, axis=-1) / np.linalg.norm(expected, axis=-1)
+        assert np.max(err) < 1e-6
 
     @pytest.mark.parametrize("T", [2, 3, 7])
     def test_pivots_are_dense_cholesky_diagonal(self, rng, T):
@@ -396,8 +475,8 @@ class TestBlockCholesky:
         for w in range(2):
             assert np.array_equal(dz[w], np.linalg.lstsq(jac[w], r[w], rcond=None)[0])
 
-    def test_not_positive_definite_window_untrusts_its_stack(self, rng, monkeypatch):
-        blocks, t, q = noisy_window_stack(rng, 3, n_win=2)
+    def test_not_positive_definite_window_is_untrusted_alone(self, rng, monkeypatch):
+        blocks, t, q = noisy_window_stack(rng, 3, n_win=3)
         solve = pgo._block_cholesky_solve
 
         def not_positive_definite(diag, upper, g):
@@ -407,13 +486,21 @@ class TestBlockCholesky:
 
         h, g = dense_normal_equations(blocks, t, q)
         _, diag, upper = pose_blocks(h)
-        _, _, ok = not_positive_definite(diag, upper, g.reshape(2, 3, 6))
-        assert not ok.any()
+        g = g.reshape(3, 3, 6)
+        dz, piv, ok = not_positive_definite(diag, upper, g)
+        assert ok.tolist() == [False, True, True]
+        assert np.isnan(dz[0]).all() and np.isnan(piv[0]).all()
+        # the other windows get the bits they get without window 0
+        dz_rest, piv_rest, ok_rest = solve(diag[1:], upper[1:], g[1:])
+        assert ok_rest.all()
+        assert np.array_equal(dz[1:], dz_rest) and np.array_equal(piv[1:], piv_rest)
+
+        rest = pgo._gn_step([b.windows([1, 2]) for b in blocks], t[1:], q[1:])
         monkeypatch.setattr(pgo, "_block_cholesky_solve", not_positive_definite)
         dz = pgo._gn_step(blocks, t, q)
         r, jac = linearize(blocks, t, q)
-        for w in range(2):
-            assert np.array_equal(dz[w], np.linalg.lstsq(jac[w], r[w], rcond=None)[0])
+        assert np.array_equal(dz[0], np.linalg.lstsq(jac[0], r[0], rcond=None)[0])
+        assert np.array_equal(dz[1:], rest)
 
 
 class TestLowerInverse:
@@ -457,9 +544,9 @@ class TestSolverStacks:
         stacks = []
         gn_step = pgo._gn_step
 
-        def recorded(blocks, t, q):
+        def recorded(blocks, t, q, exact=False):
             stacks.append(len(t))
-            return gn_step(blocks, t, q)
+            return gn_step(blocks, t, q, exact)
 
         monkeypatch.setattr(pgo, "_gn_step", recorded)
         t, q, iterations, step_norm, converged = gauss_newton_solve(blocks, t0, q0, cfg)
