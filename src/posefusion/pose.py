@@ -1,4 +1,4 @@
-"""Pose geometry on arrays, the two sequence types, and the geometric loss.
+"""Pose geometry on arrays and the two sequence types.
 
 A pose is a translation t (..., 3) in meters and a unit quaternion
 q (..., 4); a relative pose is an observer-frame translation t (..., 3)
@@ -7,12 +7,7 @@ arrays with leading batch axes. A Trajectory holds n timestamped poses as
 t (n, 3) and q (n, 4), a VoChain m timestamped relative poses as t (m, 3)
 and w (m, 3); one validator checks both in bulk and keeps read-only
 copies. Rules trajio's readers share are stated once here: a mask function
-and a message each. Two flavours of relative pose coexist:
-
-* ``relative_pose`` -- the observer-frame form used by the VO comparison
-  and the pose-graph constraints: t = R(q_j)(t_i - t_j), q = q_j^-1 * q_i.
-* the elementwise-subtraction form (t_i - t_j, w_i - w_j), used inside the
-  pairwise training loss ``mapnet_loss``.
+and a message each.
 """
 
 from __future__ import annotations
@@ -126,25 +121,6 @@ class VoChain:
         return len(self.timestamps)
 
 
-@dataclass
-class LossConfig:
-    """Weights and pair-sampling parameters for the training-style loss."""
-
-    beta: float = 0.0
-    gamma: float = -3.0
-    alpha: float = 1.0
-    s: int = 3
-    k: int = 10
-
-    def __post_init__(self):
-        if self.s < 2:
-            raise ValueError("tuple size s must be >= 2")
-        if self.k < 1:
-            raise ValueError("frame spacing k must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-
-
 def relative_pose(t_i, q_i, t_j, q_j) -> tuple[np.ndarray, np.ndarray]:
     """Relative pose (t, w) of poses i as seen from observer poses j.
 
@@ -197,55 +173,6 @@ def integrate(t0, q0, vo: VoChain) -> tuple[np.ndarray, np.ndarray]:
         steps = quat.qrotate(quat.qinv(q[block]), vo.t[lo:lo + BLOCK_ROWS])
         t[block] = np.subtract.accumulate(np.concatenate((t[lo:lo + 1], steps)), axis=0)[1:]
     return t, q
-
-
-def _weighted_l1(dt: np.ndarray, dw: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    """Per row: |dt|_1 e^-beta + beta + |dw|_1 e^-gamma + gamma."""
-    return (np.sum(np.abs(dt), axis=-1) * np.exp(-cfg.beta) + cfg.beta
-            + np.sum(np.abs(dw), axis=-1) * np.exp(-cfg.gamma) + cfg.gamma)
-
-
-def pose_distance(t, q, t_star, q_star, cfg: LossConfig) -> np.ndarray:
-    """Weighted L1 distance of each pose row to its reference row.
-
-    |t-t*|_1 e^-beta + beta + |w-w*|_1 e^-gamma + gamma, with rotations
-    compared in log form w = qlog(q); leading batch axes.
-    """
-    return _weighted_l1(np.subtract(t, t_star), quat.qlog(q) - quat.qlog(q_star), cfg)
-
-
-def sample_pairs(n: int, s: int, k: int) -> np.ndarray:
-    """Index pairs (P, 2) from tuples (i, i+k, ..., i+k(s-1)) for every valid start.
-
-    Neighboring elements of each tuple form a pair; tuples start at every
-    index (stride 1), so overlapping tuples repeat pairs. Rows run over the
-    starts, and within a start over its tuple's pairs in order. Indices are
-    0-based; with n <= k(s-1) there is no tuple and the array is (0, 2).
-    """
-    starts = np.arange(max(n - k * (s - 1), 0))
-    first = starts[:, None] + k * np.arange(s - 1)  # (starts, s - 1)
-    return np.stack((first, first + k), axis=-1).reshape(-1, 2)
-
-
-def mapnet_loss(pred_t, pred_q, gt_t, gt_q, cfg: LossConfig) -> float:
-    """Absolute-pose loss plus alpha-weighted pairwise relative-pose loss.
-
-    Takes predicted and ground-truth poses as t (n, 3) and q (n, 4).
-    Relative terms use the subtraction form (t_i - t_j, w_i - w_j) over the
-    pairs of sample_pairs: k-spaced tuples of size s.
-    """
-    if not len(pred_t) == len(pred_q) == len(gt_t) == len(gt_q):
-        raise ValueError("pred and gt must have equal length")
-    n = len(pred_t)
-    needed = cfg.k * (cfg.s - 1) + 1  # shortest sequence holding one tuple
-    if n < needed:
-        raise ValueError(f"need at least {needed} poses to form one tuple, got {n}")
-    pred_t, gt_t = np.asarray(pred_t, dtype=float), np.asarray(gt_t, dtype=float)
-    pred_w, gt_w = quat.qlog(pred_q), quat.qlog(gt_q)
-    i, j = sample_pairs(n, cfg.s, cfg.k).T
-    rel = _weighted_l1((pred_t[i] - pred_t[j]) - (gt_t[i] - gt_t[j]),
-                       (pred_w[i] - pred_w[j]) - (gt_w[i] - gt_w[j]), cfg)
-    return float(np.sum(_weighted_l1(pred_t - gt_t, pred_w - gt_w, cfg)) + cfg.alpha * np.sum(rel))
 
 
 def rotation_error_deg(q_a: np.ndarray, q_b: np.ndarray):

@@ -11,12 +11,9 @@ import scipy.optimize
 
 from posefusion import pgo, quat, trajio
 from posefusion.pose import (
-    LossConfig,
     Trajectory,
     VoChain,
     integrate,
-    mapnet_loss,
-    pose_distance,
     rotation_error_deg,
 )
 from posefusion.pgo import (
@@ -257,20 +254,6 @@ def test_solver_reaches_the_optimum(monkeypatch):
     assert worst_t < 1e-11 and worst_r < 1e-9
     _passed(f"fused grid poses within {worst_t:.1e} m / {worst_r:.1e} deg of the optimum "
             f"(n=1000, k=10 and 150, 3 seeds) in {elapsed:.1f} s")
-
-
-def test_loss_identities():
-    rng = np.random.default_rng(33)
-    for _ in range(10):
-        beta, gamma = rng.normal(), rng.normal()
-        cfg = LossConfig(beta=beta, gamma=gamma)
-        t, q = random_poses(rng, 100)
-        assert np.all(pose_distance(t, q, t, q, cfg) == beta + gamma)
-    (pred_t, pred_q), gt = random_poses(rng, 25), random_poses(rng, 25)
-    cfg = LossConfig(s=3, k=10)
-    assert mapnet_loss(pred_t, pred_q, *gt, cfg) == mapnet_loss(pred_t, -pred_q, *gt, cfg)
-    _passed("loss identities: self-distance is beta+gamma exactly; "
-            "loss is hemisphere-exact")
 
 
 def test_quaternion_sign_robustness_through_fuse():

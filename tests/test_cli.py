@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import posefusion
 from posefusion import trajio
 from posefusion.cli import DATA_ERROR, NUMERICAL_ERROR, USAGE_ERROR, _build_parser, main
 from posefusion.metrics import parse_report
@@ -291,3 +292,9 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, posefusion.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_package_exports():
+    assert sorted(posefusion.__all__) == ["ConstraintKind", "NoiseModel", "PgoConfig",
+                                          "Trajectory", "VoChain", "fuse_trajectory"]
+    assert all(hasattr(posefusion, name) for name in posefusion.__all__)

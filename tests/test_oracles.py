@@ -3,10 +3,10 @@
 The references are the per-pose loops the array code replaced: the
 `advance` chain of VO integration, the relative_pose + compose carry of
 off-grid frames, the per-window median filter, the step-by-step
-random-walk positions, the per-line error report with its list-built CDF
-and the nested loop of loss pairs. They run one row at a time on the same
-array functions, canonicalizing as the per-pose code did, and the array
-code keeps their arithmetic, so every comparison here is exact.
+random-walk positions and the per-line error report with its list-built
+CDF. They run one row at a time on the same array functions,
+canonicalizing as the per-pose code did, and the array code keeps their
+arithmetic, so every comparison here is exact.
 """
 
 import numpy as np
@@ -15,8 +15,7 @@ import pytest
 from posefusion import quat
 from posefusion.metrics import compare, parse_report, render_report
 from posefusion.pgo import PgoConfig, fuse_trajectory, temporal_median_filter
-from posefusion.pose import (Trajectory, compose, integrate, relative_pose,
-                             rotation_error_deg, sample_pairs)
+from posefusion.pose import Trajectory, compose, integrate, relative_pose, rotation_error_deg
 from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
 
@@ -99,15 +98,6 @@ def render_reference(report, per_frame, cdf):
     for thr, frac in cdf:
         lines.append(f"cdf_t {thr:.17g} {frac:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def sample_pairs_reference(n, s, k):
-    span = k * (s - 1)
-    pairs = []
-    for i in range(n - span):
-        for m in range(s - 1):
-            pairs.append((i + k * m, i + k * (m + 1)))
-    return pairs
 
 
 def _noisy_loop(n, seed, abs_r_sigma=5.0):
@@ -214,20 +204,3 @@ def test_report_matches_per_line_rendering(n):
         assert back.per_frame.dtype == back.cdf.dtype == np.float64
         assert np.array_equal(back.per_frame, rep.per_frame)
         assert np.array_equal(back.cdf, rep.cdf)
-
-
-@pytest.mark.parametrize("n, s, k", [
-    (21, 3, 10),   # a single tuple
-    (20, 3, 10),   # n == k(s - 1): no tuple
-    (5, 4, 3),     # n < k(s - 1): no tuple
-    (0, 2, 1),
-    (1, 2, 1),
-    (100, 2, 1),
-    (300, 5, 7),
-])
-def test_sample_pairs_matches_nested_loop(n, s, k):
-    pairs = sample_pairs(n, s, k)
-    expected = sample_pairs_reference(n, s, k)
-    assert pairs.shape == (len(expected), 2)
-    assert np.issubdtype(pairs.dtype, np.integer)
-    assert np.array_equal(pairs, np.array(expected, dtype=int).reshape(-1, 2))

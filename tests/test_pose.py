@@ -4,19 +4,15 @@ import pytest
 from posefusion import quat
 from posefusion.pose import (
     BLOCK_ROWS,
-    LossConfig,
     Trajectory,
     VoChain,
     compose,
     integrate,
-    mapnet_loss,
-    pose_distance,
     relative_pose,
     rotation_error_deg,
-    sample_pairs,
 )
 
-from conftest import random_pose, random_poses, random_unit_quat
+from conftest import random_pose, random_unit_quat
 
 
 def _arrays(rng, n):
@@ -136,83 +132,6 @@ class TestRelativePose:
             back_t, back_q = compose(t_j, q_j, *relative_pose(t_i, q_i, t_j, q_j))
             assert np.max(np.abs(back_t - t_i)) < 1e-10
             assert rotation_error_deg(back_q, q_i) < 1e-10
-
-
-class TestPoseDistance:
-    def test_equal_poses_leave_constants(self, rng):
-        cfg = LossConfig(beta=0.0, gamma=-3.0)
-        for _ in range(20):
-            t, q = random_pose(rng)
-            assert pose_distance(t, q, t, q, cfg) == -3.0
-        t, q = random_poses(rng, 20)
-        assert np.all(pose_distance(t, q, t, q, cfg) == -3.0)
-
-    def test_unit_translation_offset(self):
-        cfg = LossConfig(beta=0.0, gamma=-3.0)
-        d = pose_distance(np.array([1.0, 0, 0]), quat.IDENTITY, np.zeros(3), quat.IDENTITY, cfg)
-        assert d == pytest.approx(-2.0, abs=1e-14)
-
-    def test_matches_direct_formula(self, rng):
-        for _ in range(50):
-            (a_t, a_q), (b_t, b_q) = random_pose(rng), random_pose(rng)
-            beta, gamma = rng.normal(), rng.normal()
-            cfg = LossConfig(beta=beta, gamma=gamma)
-            expected = (np.sum(np.abs(a_t - b_t)) * np.exp(-beta) + beta
-                        + np.sum(np.abs(quat.qlog(a_q) - quat.qlog(b_q))) * np.exp(-gamma)
-                        + gamma)
-            assert pose_distance(a_t, a_q, b_t, b_q, cfg) == pytest.approx(expected, abs=1e-12)
-
-    def test_rows_match_single_poses(self, rng):
-        (a_t, a_q), (b_t, b_q) = random_poses(rng, 30), random_poses(rng, 30)
-        cfg = LossConfig(beta=0.3, gamma=-1.0)
-        rows = pose_distance(a_t, a_q, b_t, b_q, cfg)
-        assert rows.shape == (30,)
-        assert np.array_equal(rows, [pose_distance(*p, cfg) for p in zip(a_t, a_q, b_t, b_q)])
-
-
-def _subtraction_form(t, q, i, j):
-    """The relative pose of rows i and j in subtraction form: (t_i - t_j, w_i - w_j)."""
-    return t[i] - t[j], quat.qlog(q[i]) - quat.qlog(q[j])
-
-
-class TestMapnetLoss:
-    def test_zero_residual_pair_count(self, rng):
-        # 21 frames, tuples of 3 spaced 10 apart: a single tuple with 2 pairs
-        t, q = random_poses(rng, 21)
-        cfg = LossConfig(beta=0.0, gamma=-3.0, alpha=1.0, s=3, k=10)
-        n_pairs = len(sample_pairs(21, 3, 10))
-        assert n_pairs == 2
-        assert mapnet_loss(t, q, t, q, cfg) == pytest.approx((21 + n_pairs) * -3.0)
-
-    def test_alpha_zero_reduces_to_absolute(self, rng):
-        pred, gt = random_poses(rng, 21), random_poses(rng, 21)
-        cfg0 = LossConfig(alpha=0.0, s=3, k=10)
-        expected = sum(pose_distance(*p, cfg0) for p in zip(*pred, *gt))
-        assert mapnet_loss(*pred, *gt, cfg0) == pytest.approx(expected, abs=1e-12)
-
-    def test_brute_force_enumeration(self, rng):
-        # independent oracle: enumerate tuples/pairs by hand for N=5, s=2, k=1
-        pred, gt = random_poses(rng, 5), random_poses(rng, 5)
-        cfg = LossConfig(beta=0.1, gamma=-1.0, alpha=0.7, s=2, k=1)
-        expected = sum(pose_distance(*p, cfg) for p in zip(*pred, *gt))
-        for i in range(4):  # tuples (i, i+1), one pair each
-            v_t, v_w = _subtraction_form(*pred, i, i + 1)
-            v_star_t, v_star_w = _subtraction_form(*gt, i, i + 1)
-            expected += 0.7 * (np.sum(np.abs(v_t - v_star_t)) * np.exp(-cfg.beta) + cfg.beta
-                               + np.sum(np.abs(v_w - v_star_w)) * np.exp(-cfg.gamma) + cfg.gamma)
-        assert mapnet_loss(*pred, *gt, cfg) == pytest.approx(expected, abs=1e-12)
-
-    def test_hemisphere_invariance_exact(self, rng):
-        (pred_t, pred_q), gt = random_poses(rng, 6), random_poses(rng, 6)
-        cfg = LossConfig(s=2, k=1)
-        assert mapnet_loss(pred_t, pred_q, *gt, cfg) == mapnet_loss(pred_t, -pred_q, *gt, cfg)
-
-    def test_too_short_rejected(self, rng):
-        t, q = random_poses(rng, 5)
-        with pytest.raises(ValueError):
-            mapnet_loss(t, q, t, q, LossConfig(s=3, k=10))
-        with pytest.raises(ValueError):
-            mapnet_loss(t, q, t[:-1], q[:-1], LossConfig(s=2, k=1))
 
 
 class TestRotationError:

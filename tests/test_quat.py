@@ -72,6 +72,7 @@ class TestLogExp:
     def test_hemisphere_insensitivity(self, q):
         assert np.array_equal(quat.qlog(quat.canonicalize(q)),
                               quat.qlog(quat.canonicalize(-q)))
+        assert np.array_equal(quat.qlog(q), quat.qlog(-q))
 
 
 class TestProduct:
