@@ -37,7 +37,9 @@ def log_norm_too_large(w: np.ndarray) -> np.ndarray:
 
 def not_increasing(timestamps: np.ndarray) -> np.ndarray:
     """Mask of the timestamps (n,) that do not exceed the one before."""
-    return np.concatenate(([False], timestamps[1:] <= timestamps[:-1]))
+    mask = np.zeros(len(timestamps), dtype=bool)
+    mask[1:] = timestamps[1:] <= timestamps[:-1]
+    return mask
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -4,15 +4,18 @@ import pytest
 from posefusion import quat
 from posefusion.pose import (
     BLOCK_ROWS,
+    MAX_LOG_NORM,
     Trajectory,
     VoChain,
     compose,
     integrate,
+    log_norm_too_large,
+    not_increasing,
     relative_pose,
     rotation_error_deg,
 )
 
-from conftest import random_pose, random_unit_quat
+from conftest import random_pose, random_poses, random_unit_quat
 
 
 def _arrays(rng, n):
@@ -70,6 +73,24 @@ class TestVoChainType:
             with pytest.raises(ValueError):
                 VoChain(*args)
 
+    @pytest.mark.parametrize("norm, too_large", [
+        (np.pi, False),                              # a full turn's half angle
+        (MAX_LOG_NORM, False),                       # the bound itself
+        (np.nextafter(MAX_LOG_NORM, np.inf), True),  # the next float above it
+        (4.0, True),
+    ])
+    def test_log_norm_bound(self, norm, too_large):
+        # w along one axis, so its row norm is exactly norm
+        w = np.zeros((3, 3))
+        w[1, 2] = -norm
+        assert np.array_equal(log_norm_too_large(w), [False, too_large, False])
+        args = (np.arange(3.0), np.zeros((3, 3)), w)
+        if too_large:
+            with pytest.raises(ValueError, match="norm exceeds pi"):
+                VoChain(*args)
+        else:
+            assert np.array_equal(VoChain(*args).w, w)
+
     def test_keeps_read_only_copies(self, rng):
         ts, t, w = np.arange(4.0), rng.normal(size=(4, 3)), 0.1 * rng.normal(size=(4, 3))
         vo = VoChain(ts, t, w)
@@ -78,6 +99,25 @@ class TestVoChainType:
         for a in (vo.timestamps, vo.t, vo.w):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+@pytest.mark.parametrize("timestamps, mask", [
+    ([], []),
+    ([1.0], [False]),
+    ([0.0, 1.0, 2.5], [False, False, False]),
+    ([0.0, 1.0, 1.0, 2.0], [False, False, True, False]),  # a repeat marks the second row
+    ([0.0, 2.0, 1.0, 3.0], [False, False, True, False]),  # a step back marks its row only
+    ([3.0, 2.0, 1.0], [False, True, True]),
+])
+def test_not_increasing_marks_each_offending_row(rng, timestamps, mask):
+    ts = np.array(timestamps, dtype=float)
+    assert np.array_equal(not_increasing(ts), np.array(mask, dtype=bool))
+    _, t, q = _arrays(rng, len(ts))
+    if any(mask):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(ts, t, q)
+    else:
+        assert np.array_equal(Trajectory(ts, t, q).timestamps, ts)
 
 
 def _integrate_one_list(t0, q0, vo):
@@ -133,6 +173,20 @@ class TestRelativePose:
             assert np.max(np.abs(back_t - t_i)) < 1e-10
             assert rotation_error_deg(back_q, q_i) < 1e-10
 
+    def test_batch_axes_match_single_rows(self, rng):
+        (t_i, q_i), (t_j, q_j) = (random_poses(rng, 12) for _ in range(2))
+        rel_t, rel_w = relative_pose(*(a.reshape(3, 4, -1) for a in (t_i, q_i, t_j, q_j)))
+        back_t, back_q = compose(t_j.reshape(3, 4, 3), q_j.reshape(3, 4, 4), rel_t, rel_w)
+        assert rel_t.shape == rel_w.shape == back_t.shape == (3, 4, 3)
+        assert back_q.shape == (3, 4, 4)
+        for r, row in enumerate(zip(t_i, q_i, t_j, q_j)):
+            one_t, one_w = relative_pose(*row)
+            assert np.array_equal(rel_t[r // 4, r % 4], one_t)
+            assert np.array_equal(rel_w[r // 4, r % 4], one_w)
+            one_back = compose(t_j[r], q_j[r], one_t, one_w)
+            assert np.array_equal(back_t[r // 4, r % 4], one_back[0])
+            assert np.array_equal(back_q[r // 4, r % 4], one_back[1])
+
 
 class TestRotationError:
     def test_zero_for_equal(self, rng):
@@ -148,6 +202,22 @@ class TestRotationError:
         axis /= np.linalg.norm(axis)
         q = quat.qexp(axis * np.pi / 4)
         assert rotation_error_deg(q, quat.IDENTITY) == pytest.approx(90.0, abs=1e-9)
+
+    @pytest.mark.parametrize("deg", [1e-8, 1e-4, 0.5, 90.0, 179.5])
+    def test_angle_about_a_random_axis(self, rng, deg):
+        # 2 * acos(|u|) reads 0 below about 1e-6 degrees; the atan2 form does not
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        q = quat.qexp(axis * np.radians(deg) / 2)
+        assert rotation_error_deg(quat.IDENTITY, q) == pytest.approx(deg, rel=1e-9)
+
+    def test_rows_and_one_pair(self, rng):
+        (_, a), (_, b) = random_poses(rng, 20), random_poses(rng, 20)
+        rows = rotation_error_deg(a, b)
+        assert rows.shape == (20,)
+        for row, qa, qb in zip(rows, a, b):
+            one = rotation_error_deg(qa, qb)
+            assert isinstance(one, float) and one == row
 
     def test_symmetry_and_triangle_inequality(self, rng):
         for _ in range(100):
