@@ -44,14 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--spacing", type=int, default=pgo.PgoConfig.spacing_k)
     p_fuse.add_argument("--sigma-rot", type=float, default=pgo.PgoConfig.sigma_rot)
     p_fuse.add_argument("--max-iters", type=int, default=pgo.PgoConfig.max_iters)
-    p_fuse.add_argument("--tol", type=float, default=pgo.PgoConfig.step_tol)
     p_fuse.add_argument("--median-window", type=int, nargs="?", const=51, default=None)
 
     p_eval = sub.add_parser("eval", help="compare an estimate against ground truth")
     p_eval.add_argument("--est", required=True)
     p_eval.add_argument("--gt", required=True)
     p_eval.add_argument("--out-report", required=True)
-    p_eval.add_argument("--cdf-points", type=int, default=None)
 
     return parser
 
@@ -79,8 +77,7 @@ def _cmd_fuse(args) -> int:
         return USAGE_ERROR
     try:
         cfg = pgo.PgoConfig(window_T=args.window, spacing_k=args.spacing,
-                            sigma_rot=args.sigma_rot, max_iters=args.max_iters,
-                            step_tol=args.tol)
+                            sigma_rot=args.sigma_rot, max_iters=args.max_iters)
     except ValueError as exc:
         print(f"fuse: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -98,12 +95,9 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.cdf_points is not None and args.cdf_points < 2:
-        print("eval: --cdf-points must be >= 2", file=sys.stderr)
-        return USAGE_ERROR
     est = trajio.read_trajectory(args.est)
     gt = trajio.read_trajectory(args.gt)
-    report = metrics.compare(est, gt, cdf_points=args.cdf_points)
+    report = metrics.compare(est, gt)
     with open(args.out_report, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(metrics.render_report(report))
     print(f"median {report.median_t:.4f} m / {report.median_r:.4f} deg, "

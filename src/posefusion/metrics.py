@@ -2,7 +2,7 @@
 
 Translation error is the Euclidean distance per frame; rotation error is
 the quaternion angle in degrees. Reports carry medians, means, per-frame
-errors (n, 2) and the translation-error CDF (m, 2) as float arrays.
+errors (n, 2) and the translation-error CDF (n, 2) as float arrays.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ class ErrorReport:
     mean_t: float
     mean_r: float
     per_frame: np.ndarray  # (n, 2): translation error in m, rotation error in deg
-    cdf: np.ndarray  # (m, 2): threshold in m, fraction of frames at or below it
+    cdf: np.ndarray  # (n, 2): sorted translation error in m, fraction of frames
 
 
-def compare(est: Trajectory, gt: Trajectory, cdf_points: int | None = None) -> ErrorReport:
-    """Per-frame errors between two trajectories on identical timestamps."""
-    if cdf_points is not None and cdf_points < 2:
-        raise ValueError("cdf_points must be >= 2")  # the CDF spans 0 to the largest error
+def compare(est: Trajectory, gt: Trajectory) -> ErrorReport:
+    """Per-frame errors between two trajectories on identical timestamps.
+
+    The CDF has one row per frame: each sorted translation error, and the
+    fraction of frames up to and including that row.
+    """
     if len(est) != len(gt):
         raise ValueError(f"length mismatch: {len(est)} vs {len(gt)}")
     if not np.array_equal(est.timestamps, gt.timestamps):
@@ -40,19 +42,13 @@ def compare(est: Trajectory, gt: Trajectory, cdf_points: int | None = None) -> E
     t_err = quat.row_norm(est.t - gt.t)
     r_err = rotation_error_deg(est.q, gt.q)
     n = len(t_err)
-    srt = np.sort(t_err)
-    if cdf_points is None:
-        cdf = np.column_stack((srt, np.arange(1, n + 1) / n))
-    else:
-        thresholds = np.linspace(0.0, srt[-1], cdf_points)
-        cdf = np.column_stack((thresholds, np.searchsorted(srt, thresholds, side="right") / n))
     return ErrorReport(
         median_t=float(np.median(t_err)),
         median_r=float(np.median(r_err)),
         mean_t=float(np.mean(t_err)),
         mean_r=float(np.mean(r_err)),
         per_frame=np.column_stack((t_err, r_err)),
-        cdf=cdf,
+        cdf=np.column_stack((np.sort(t_err), np.arange(1, n + 1) / n)),
     )
 
 

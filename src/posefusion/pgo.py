@@ -70,28 +70,33 @@ MIN_PIVOT_RATIO = 1e-6
 # frames they span: about 0.1 MB at the default window of 51.
 MEDIAN_CHUNK = 64
 
+# Step norm below which a window has converged. The norm spans the metres
+# and radians of all of a window's poses, so no pose then moves by more than
+# 1e-8 m or rad, far below the noise of any observation.
+STEP_TOL = 1e-8
 
-@dataclass
+
+@dataclass(frozen=True)
 class PgoConfig:
-    """Window size, frame spacing, covariance tuning and solver controls."""
+    """Window size, frame spacing, rotation weight and iteration cap; fixed
+    once validated."""
 
     window_T: int = 7
     spacing_k: int = 150
     sigma_rot: float = 10.0
     max_iters: int = 50
-    step_tol: float = 1e-8
 
     def __post_init__(self):
         if self.window_T < 2:
             raise ValueError("window_T must be >= 2")
         if self.spacing_k < 1:
             raise ValueError("spacing_k must be >= 1")
-        if not (np.isfinite(self.sigma_rot) and self.sigma_rot > 0):
-            raise ValueError("sigma_rot must be finite and > 0")
+        # each entry of the normal matrix sums a few sigma_rot-sized terms,
+        # which overflow to inf long before sigma_rot reaches the float maximum
+        if not (np.isfinite(self.sigma_rot) and 0 < self.sigma_rot <= 1e300):
+            raise ValueError("sigma_rot must be finite, > 0 and <= 1e300")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (np.isfinite(self.step_tol) and self.step_tol >= 0):
-            raise ValueError("step_tol must be finite and >= 0")
 
 
 class RankDeficientError(RuntimeError):
@@ -419,11 +424,11 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
     converges quadratically near the optimum. (Exact steps from the
     absolute poses can leave the Gauss-Newton basin: on one window of a
     k=150 loop they ended 145 degrees from its Gauss-Newton result.) Every
-    window iterates until its own step norm drops below step_tol or it has
+    window iterates until its own step norm drops below STEP_TOL or it has
     taken max_iters steps; windows still iterating are linearized together,
     FUSE_BATCH at a time. Returns the final t and q, and per window the
     number of steps taken, the norm of the last one and whether the window
-    converged: whether that norm fell below step_tol. Raises
+    converged: whether that norm fell below STEP_TOL. Raises
     RankDeficientError when a window's Jacobian loses full column rank and
     numpy.linalg.LinAlgError when a step is not finite.
     """
@@ -441,10 +446,10 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
             q[stack] = quat.qmul(q[stack], quat.qexp(step[..., 3:]))
             step_norm[stack] = np.linalg.norm(dz, axis=-1)
         iterations[active] += 1
-        active = active[step_norm[active] >= cfg.step_tol]
+        active = active[step_norm[active] >= STEP_TOL]
         if not active.size:
             break
-    return t, q, iterations, step_norm, step_norm < cfg.step_tol
+    return t, q, iterations, step_norm, step_norm < STEP_TOL
 
 
 @dataclass
@@ -452,7 +457,7 @@ class FusionStats:
     """Per-window diagnostics collected by fuse_trajectory when requested:
     solver steps taken (one Gauss-Newton step, then exact-Hessian steps),
     and whether the window converged (its last step was shorter than
-    step_tol) rather than stopping at max_iters."""
+    STEP_TOL) rather than stopping at max_iters."""
 
     window_iterations: list[int] = field(default_factory=list)
     window_converged: list[bool] = field(default_factory=list)

@@ -15,9 +15,10 @@ from . import quat
 from .pose import Trajectory, VoChain, relative_pose
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
-    """Noise magnitudes for the two sensor regimes; deterministic per seed."""
+    """Noise magnitudes for the two sensor regimes; deterministic per seed,
+    and fixed once validated."""
 
     abs_t_sigma: float = 0.0   # meters, i.i.d. per axis
     abs_r_sigma: float = 0.0   # degrees, axis-angle

@@ -117,13 +117,14 @@ def test_solver_matches_derivative_free_minimizer():
     _passed(f"solver vs derivative-free minimizer: objective gap {gap:.2e}")
 
 
-def test_solver_pure_translation_closed_form():
+def test_solver_pure_translation_closed_form(monkeypatch):
     # identity rotations and zero relative-translation observations make
     # the translation block an exactly linear weighted least-squares problem
+    monkeypatch.setattr(pgo, "STEP_TOL", 1e-14)
     rng = np.random.default_rng(22)
     n = 3
     abs_obs = [rng.normal(size=3) for _ in range(n)]
-    cfg = PgoConfig(window_T=n, sigma_rot=10.0, step_tol=1e-14, max_iters=100)
+    cfg = PgoConfig(window_T=n, sigma_rot=10.0, max_iters=100)
     identities = np.tile(quat.IDENTITY, (n, 1))
     blocks = window_graph(np.array(abs_obs), identities,
                           np.zeros((n - 1, 3)), np.zeros((n - 1, 3)), cfg)
@@ -232,7 +233,7 @@ def _gauss_newton_to_the_optimum(blocks, t, q, cfg):
 
 def test_solver_reaches_the_optimum(monkeypatch):
     # each window's optimum, as Gauss-Newton approaches it linearly; the
-    # solver's exact steps must land there, not stop short at step_tol
+    # solver's exact steps must land there, not stop short at STEP_TOL
     start = time.perf_counter()
     worst_t = worst_r = 0.0
     gt = generate_trajectory("loop", 1000, 0.1)

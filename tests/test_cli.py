@@ -12,6 +12,11 @@ from posefusion.cli import DATA_ERROR, NUMERICAL_ERROR, USAGE_ERROR, _build_pars
 from posefusion.metrics import parse_report
 
 
+# the README's noise model
+README_NOISE = ["--abs-t-sigma", "0.5", "--abs-r-sigma", "5", "--vo-t-sigma", "0.01",
+                "--vo-r-sigma", "0.1", "--vo-t-bias", "0.01"]
+
+
 def _simulate(tmp_path, extra=(), frames=60, seed=0):
     gt = tmp_path / "gt.txt"
     abs_path = tmp_path / "abs.txt"
@@ -92,8 +97,7 @@ class TestSimulate:
 class TestFuse:
     def test_defaults_come_from_pgo_config(self):
         args = _build_parser().parse_args(["fuse", "--abs", "a", "--vo", "v", "--out", "o"])
-        assert (args.window, args.spacing, args.sigma_rot, args.max_iters, args.tol) == (
-            7, 150, 10.0, 50, 1e-8)
+        assert (args.window, args.spacing, args.sigma_rot, args.max_iters) == (7, 150, 10.0, 50)
 
     def test_pipeline_smoke(self, tmp_path, capsys):
         noise = ["--abs-t-sigma", "0.3", "--abs-r-sigma", "3",
@@ -144,8 +148,7 @@ class TestFuse:
         assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
                      "--out", str(tmp_path / "o"), "--window", "1"]) == USAGE_ERROR
 
-    @pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"],
-                                        ["--sigma-rot", "nan"], ["--sigma-rot", "inf"]],
+    @pytest.mark.parametrize("option", [["--sigma-rot", "nan"], ["--sigma-rot", "inf"]],
                              ids="=".join)
     def test_non_finite_solver_option_is_usage_error(self, tmp_path, capsys, option):
         gt, abs_path, vo = _simulate(tmp_path)
@@ -153,6 +156,32 @@ class TestFuse:
         assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
                      "--out", str(out), "--spacing", "10", *option]) == USAGE_ERROR
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sigma_rot_above_its_bound_is_usage_error(self, tmp_path, capsys):
+        # 1e308 overflowed the normal matrix, and the CLI blamed the files
+        gt, abs_path, vo = _simulate(tmp_path, README_NOISE, frames=300)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo), "--out", str(out),
+                         "--spacing", "10", "--sigma-rot", "1e308"]) == USAGE_ERROR
+        assert "sigma_rot must be finite, > 0 and <= 1e300" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma_rot", ["1e40", "1e300"])
+    def test_rank_deficient_window_is_numerical_error(self, tmp_path, capsys, sigma_rot):
+        # rotation weights this large leave the translation columns below
+        # lstsq's rank cutoff
+        gt, abs_path, vo = _simulate(tmp_path, README_NOISE, frames=300)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning, even at the bound
+            assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo), "--out", str(out),
+                         "--spacing", "10", "--sigma-rot", sigma_rot]) == NUMERICAL_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("fuse: rank-deficient system; offending manifold columns "
+                              "[0, 1, 2, 6, ")
         assert not out.exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
@@ -249,18 +278,6 @@ class TestEval:
         assert rep.median_t == 0.0 and rep.mean_t == 0.0
         assert rep.median_r == 0.0 and rep.mean_r == 0.0
 
-    def test_cdf_points_flag(self, tmp_path):
-        gt, abs_path, _ = _simulate(tmp_path, ["--abs-t-sigma", "0.2"])
-        report = tmp_path / "report.txt"
-        assert main(["eval", "--est", str(abs_path), "--gt", str(gt),
-                     "--out-report", str(report), "--cdf-points", "11"]) == 0
-        rep = parse_report(report.read_text())
-        assert len(rep.cdf) == 11
-        fracs = [f for _, f in rep.cdf]
-        assert all(b >= a for a, b in zip(fracs, fracs[1:])) and fracs[-1] == 1.0
-        assert main(["eval", "--est", str(abs_path), "--gt", str(gt),
-                     "--out-report", str(report), "--cdf-points", "1"]) == USAGE_ERROR
-
     def test_mismatched_files_is_data_error(self, tmp_path):
         gt, _, _ = _simulate(tmp_path, frames=60)
         (tmp_path / "other").mkdir()
@@ -269,13 +286,12 @@ class TestEval:
                      "--out-report", str(tmp_path / "r")]) == DATA_ERROR
 
 
-    @pytest.mark.parametrize("cdf_points", [[], ["--cdf-points", "5"]], ids=["all", "cdf-5"])
-    def test_zero_frame_files_are_data_error(self, tmp_path, capsys, cdf_points):
+    def test_zero_frame_files_are_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# timestamp tx ty tz qu qv1 qv2 qv3\n# no poses\n")
         report = tmp_path / "r"
         assert main(["eval", "--est", str(empty), "--gt", str(empty),
-                     "--out-report", str(report), *cdf_points]) == DATA_ERROR
+                     "--out-report", str(report)]) == DATA_ERROR
         assert "no frames" in capsys.readouterr().err
         assert not report.exists()
 
@@ -283,6 +299,17 @@ class TestEval:
 class TestExitCodes:
     def test_numerical_error_code_is_distinct(self):
         assert {0, USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR} == {0, 2, 3, 4}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuse", "--abs", "a", "--vo", "v", "--out", "o", "--tol", "1e-8"],
+    ["eval", "--est", "e", "--gt", "g", "--out-report", "r", "--cdf-points", "11"],
+], ids=["tol", "cdf-points"])
+def test_removed_options_are_unknown(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == USAGE_ERROR
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

@@ -56,17 +56,9 @@ class TestCompare:
     def test_cdf_monotone_and_ends_at_one(self, rng):
         gt = _random_traj(rng, 30)
         est = _random_traj(rng, 30)
-        for points in (None, 7, 33):
-            cdf = compare(est, gt, cdf_points=points).cdf
-            fracs = [f for _, f in cdf]
-            assert all(b >= a for a, b in zip(fracs, fracs[1:]))
-            assert fracs[-1] == 1.0
-
-    @pytest.mark.parametrize("points", [1, 0])
-    def test_fewer_than_two_cdf_points_rejected(self, rng, points):
-        gt = _random_traj(rng, 5)
-        with pytest.raises(ValueError, match="cdf_points must be >= 2"):
-            compare(_random_traj(rng, 5), gt, cdf_points=points)
+        fracs = [f for _, f in compare(est, gt).cdf]
+        assert all(b >= a for a, b in zip(fracs, fracs[1:]))
+        assert fracs[-1] == 1.0
 
     def test_quaternion_sign_flip_invariance(self, rng):
         gt = _random_traj(rng, 8)
@@ -85,9 +77,8 @@ class TestCompare:
 
     def test_zero_frames_rejected(self):
         empty = Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4)))
-        for cdf_points in (None, 5):
-            with pytest.raises(ValueError, match="no frames"):
-                compare(empty, empty, cdf_points=cdf_points)
+        with pytest.raises(ValueError, match="no frames"):
+            compare(empty, empty)
 
     def test_rotation_errors_in_degrees(self):
         q90 = quat.qexp(np.array([0.0, 0.0, np.pi / 4]))
@@ -101,7 +92,7 @@ class TestReportFormat:
     def test_round_trip(self, rng):
         gt = _random_traj(rng, 12)
         est = _random_traj(rng, 12)
-        rep = compare(est, gt, cdf_points=9)
+        rep = compare(est, gt)
         back = parse_report(render_report(rep))
         assert back.median_t == rep.median_t and back.median_r == rep.median_r
         assert back.mean_t == rep.mean_t and back.mean_r == rep.mean_r
@@ -133,7 +124,7 @@ class TestParseMalformed:
     @pytest.fixture
     def text(self, rng):
         gt = _random_traj(rng, 4)
-        return render_report(compare(_random_traj(rng, 4), gt, cdf_points=3))
+        return render_report(compare(_random_traj(rng, 4), gt))
 
     @pytest.mark.parametrize("prefix, new, error", [
         ("frame 2 ", "frame 2 0.5", ValueError),            # short frame line

@@ -72,15 +72,11 @@ def random_walk_reference(n, step, seed):
     return positions
 
 
-def cdf_reference(t_err, cdf_points):
-    """The CDF rows as a list: every sorted error, or cdf_points thresholds."""
+def cdf_reference(t_err):
+    """The CDF rows as a list: every sorted error, and its rank over n."""
     n = len(t_err)
     srt = np.sort(t_err)
-    if cdf_points is None:
-        return [(float(srt[i]), (i + 1) / n) for i in range(n)]
-    thresholds = np.linspace(0.0, float(srt[-1]), cdf_points)
-    return [(float(thr), float(np.searchsorted(srt, thr, side="right")) / n)
-            for thr in thresholds]
+    return [(float(srt[i]), (i + 1) / n) for i in range(n)]
 
 
 def render_reference(report, per_frame, cdf):
@@ -191,16 +187,15 @@ def test_report_matches_per_line_rendering(n):
     t_err = np.array([quat.row_norm(a - b) for a, b in zip(est.t, gt.t)])
     per_frame = [(float(te), float(rotation_error_deg(a, b)))
                  for te, a, b in zip(t_err, est.q, gt.q)]
-    for cdf_points in (None, 2, 11):
-        rep = compare(est, gt, cdf_points=cdf_points)
-        cdf = cdf_reference(t_err, cdf_points)
-        assert rep.per_frame.shape == (n, 2) and rep.cdf.shape == (len(cdf), 2)
-        assert np.array_equal(rep.per_frame, per_frame) and np.array_equal(rep.cdf, cdf)
-        text = render_report(rep)
-        assert text == render_reference(rep, per_frame, cdf)
-        back = parse_report(text)
-        assert (back.median_t, back.median_r, back.mean_t, back.mean_r) == (
-            rep.median_t, rep.median_r, rep.mean_t, rep.mean_r)
-        assert back.per_frame.dtype == back.cdf.dtype == np.float64
-        assert np.array_equal(back.per_frame, rep.per_frame)
-        assert np.array_equal(back.cdf, rep.cdf)
+    rep = compare(est, gt)
+    cdf = cdf_reference(t_err)
+    assert rep.per_frame.shape == (n, 2) and rep.cdf.shape == (len(cdf), 2)
+    assert np.array_equal(rep.per_frame, per_frame) and np.array_equal(rep.cdf, cdf)
+    text = render_report(rep)
+    assert text == render_reference(rep, per_frame, cdf)
+    back = parse_report(text)
+    assert (back.median_t, back.median_r, back.mean_t, back.mean_r) == (
+        rep.median_t, rep.median_r, rep.mean_t, rep.mean_r)
+    assert back.per_frame.dtype == back.cdf.dtype == np.float64
+    assert np.array_equal(back.per_frame, rep.per_frame)
+    assert np.array_equal(back.cdf, rep.cdf)

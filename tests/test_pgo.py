@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -48,14 +49,19 @@ def random_block(kind, rng, weight=2.0):
 class TestPgoConfig:
     @pytest.mark.parametrize("field, value", [
         ("sigma_rot", 0.0), ("sigma_rot", -1.0), ("sigma_rot", np.nan), ("sigma_rot", np.inf),
-        ("step_tol", -1e-8), ("step_tol", np.nan), ("step_tol", np.inf),
+        ("sigma_rot", np.nextafter(1e300, np.inf)), ("sigma_rot", 1e308),
     ])
     def test_rejects_bad_solver_options(self, field, value):
         with pytest.raises(ValueError, match=field):
             PgoConfig(**{field: value})
 
-    def test_accepts_zero_step_tol(self):
-        assert PgoConfig(step_tol=0.0).step_tol == 0.0
+    @pytest.mark.parametrize("field, value", [
+        ("spacing_k", 0), ("sigma_rot", -1.0), ("max_iters", 0)])
+    def test_fields_cannot_change_after_validation(self, field, value):
+        cfg = PgoConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == PgoConfig()
 
 
 class TestBuildWindowGraph:
@@ -211,14 +217,15 @@ class TestGaussNewton:
             t, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
             assert objective(blocks, t, q) <= objective(blocks, t0, q0) + 1e-12
 
-    def test_pure_translation_closed_form(self, rng):
+    def test_pure_translation_closed_form(self, rng, monkeypatch):
         # All rotations identity and zero relative-translation observations:
         # the relative cost |R(q)(t_i - t_j)|^2 is rotation-independent, so
         # the translation subproblem is exactly the linear weighted least
         # squares solved by a hand-built normal-equation oracle.
+        monkeypatch.setattr(pgo, "STEP_TOL", 1e-14)
         n = 3
         abs_obs = [rng.normal(size=3) for _ in range(n)]
-        cfg = PgoConfig(window_T=n, sigma_rot=10.0, step_tol=1e-14, max_iters=100)
+        cfg = PgoConfig(window_T=n, sigma_rot=10.0, max_iters=100)
         identities = np.tile(quat.IDENTITY, (n, 1))
         blocks = window_graph(np.array(abs_obs), identities,
                               np.zeros((n - 1, 3)), np.zeros((n - 1, 3)), cfg)
@@ -253,11 +260,10 @@ class TestGaussNewton:
         *_, converged = gauss_newton_solve(blocks, t0, q0, PgoConfig(window_T=4))
         assert converged.all()
 
-    def test_quaternions_stay_unit_without_renormalization(self, rng):
+    def test_quaternions_stay_unit_without_renormalization(self, rng, monkeypatch):
         blocks, (t0, q0), cfg = self._toy_problem(rng, noise=0.3)
-        cfg.max_iters = 200
-        cfg.step_tol = 0.0  # force every iteration to run
-        _, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
+        monkeypatch.setattr(pgo, "STEP_TOL", 0.0)  # force every iteration to run
+        _, q, *_ = gauss_newton_solve(blocks, t0, q0, dataclasses.replace(cfg, max_iters=200))
         for qi in q[0]:
             assert abs(np.linalg.norm(qi) - 1.0) < 1e-9
 
@@ -501,6 +507,28 @@ class TestBlockCholesky:
         r, jac = linearize(blocks, t, q)
         assert np.array_equal(dz[0], np.linalg.lstsq(jac[0], r[0], rcond=None)[0])
         assert np.array_equal(dz[1:], rest)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_indefinite_exact_hessian_takes_least_squares(self, monkeypatch, seed):
+        blocks, t, q = first_step_state(np.random.default_rng(seed), 7, outlier=True)
+        rest = [pgo._gn_step([b.windows([w]) for b in blocks], t[[w]], q[[w]], exact=True)[0]
+                for w in (0, 2, 3)]
+        solve, solved = pgo._block_cholesky_solve, []
+
+        def recorded(diag, upper, g):
+            solved.append(solve(diag, upper, g))
+            return solved[-1]
+
+        monkeypatch.setattr(pgo, "_block_cholesky_solve", recorded)
+        dz = pgo._gn_step(blocks, t, q, exact=True)
+        # the premise: the 30 m outlier leaves window 1's exact Hessian
+        # indefinite, and only window 1's
+        _, piv, ok = solved[0]
+        assert ok.tolist() == [True, False, True, True]
+        assert np.isnan(piv[1]).all()
+        r, jac = linearize(blocks, t, q)
+        assert np.array_equal(dz[1], np.linalg.lstsq(jac[1], r[1], rcond=None)[0])
+        assert np.array_equal(dz[[0, 2, 3]], rest)
 
 
 class TestLowerInverse:

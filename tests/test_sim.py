@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,13 @@ class TestCorruptAbsolute:
 
     def test_translation_sigma_has_no_upper_bound(self):
         NoiseModel(abs_t_sigma=1e300, vo_t_sigma=1e300)
+
+    @pytest.mark.parametrize("field, value", [("abs_r_sigma", -1.0), ("seed", -1)])
+    def test_fields_cannot_change_after_validation(self, field, value):
+        nm = NoiseModel()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(nm, field, value)
+        assert nm == NoiseModel()
 
 
 class TestCorruptVo:
