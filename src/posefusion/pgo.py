@@ -25,7 +25,8 @@ also in closed form. Both matrices are block-tridiagonal with 6x6 blocks;
 the solver accumulates those blocks and solves each window by block
 Cholesky, up to FUSE_BATCH windows at a time, each stopping on its own and
 reporting whether it converged. linearize scatters the same Jacobian
-blocks into a dense Jacobian for the least-squares fallback and for tests.
+blocks into a dense Jacobian, to name the columns of a rank-deficient
+window and for tests.
 """
 
 from __future__ import annotations
@@ -55,14 +56,14 @@ class ConstraintKind(Enum):
 # benchmark's 10% bound on fuse peak RSS.
 FUSE_BATCH = 128
 
-# Smallest accepted ratio of the smallest to the largest pivot (diagonal
-# entry of the Cholesky factor) of a window's step matrix. A window below it
-# takes the Gauss-Newton step by lstsq, whose SVD rank check decides whether
-# the window is rank-deficient; so does a window whose matrix is not
-# positive-definite. fuse_trajectory observes each pose absolutely, so its
-# J^T J >= blockdiag(I_3, sigma_rot I_3, ...); the exact Hessian adds the
-# residual curvature to that, and large residuals (an absolute outlier of
-# tens of metres) can make it indefinite.
+# Smallest accepted ratio of each pivot (diagonal entry of the Cholesky
+# factor) of a window's step matrix H to the root of its own diagonal entry
+# H_ii. For J^T J that ratio is the sine of the angle between column i of J
+# and the span of the columns before it, so no constraint weight changes
+# it. A window below it, or whose matrix is not positive-definite, is
+# untrusted (see _gn_step). The exact Hessian adds the residual curvature
+# to J^T J, and large residuals (an absolute outlier of tens of metres) can
+# make it indefinite.
 MIN_PIVOT_RATIO = 1e-6
 
 # Full windows whose rotation medoids temporal_median_filter picks together.
@@ -129,16 +130,16 @@ def _toward(f: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return f * np.where(np.sum(f * obs, axis=-1, keepdims=True) < 0.0, -1.0, 1.0)
 
 
-def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = True):
+def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray):
     """Weighted residuals (W, m, d) of one block, its Jacobian blocks and
     its observables f (W, m, d).
 
     The Jacobian blocks are (W, m, d, 6): one for each constraint's pose i,
-    and for the relative kinds one for its pose i + 1 (None otherwise, and
-    both None when jacobian is False). Their columns are the 6 manifold
-    coordinates of that pose. A rotation moves as q * exp(e), and to first
-    order exp(e) = (1, e), so a rotation column is the derivative along a
-    vector component: the slice [..., 1:] of the 4x4 product derivative.
+    and for the relative kinds one for its pose i + 1 (None otherwise).
+    Their columns are the 6 manifold coordinates of that pose. A rotation
+    moves as q * exp(e), and to first order exp(e) = (1, e), so a rotation
+    column is the derivative along a vector component: the slice [..., 1:]
+    of the 4x4 product derivative.
     A rotation observable f is flipped to -f where <f, obs> < 0 (see
     _toward); since L(-f) = -L(f), the derivative at the flipped f needs no
     other sign.
@@ -146,40 +147,32 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray, jacobian: bool = Tr
     n_win = t.shape[0]
     m, d = b.obs.shape[1:]
     relative = b.kind in (ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION)
-    if jacobian:
-        ji = np.zeros((n_win, m, d, 6))
-        jj = np.zeros((n_win, m, d, 6)) if relative else None
+    ji = np.zeros((n_win, m, d, 6))
+    jj = np.zeros((n_win, m, d, 6)) if relative else None
     if b.kind is ConstraintKind.ABS_TRANSLATION:
         f = t[:, :m]
-        if jacobian:
-            ji[..., :3] = np.eye(3)
+        ji[..., :3] = np.eye(3)
     elif b.kind is ConstraintKind.ABS_ROTATION:
         f = _toward(q[:, :m], b.obs)
-        if jacobian:
-            ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
+        ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
     elif b.kind is ConstraintKind.REL_TRANSLATION:
         qj = q[:, 1:m + 1]
         f = quat.qrotate(qj, t[:, :m] - t[:, 1:m + 1])
-        if jacobian:
-            rot = quat.to_matrix(qj)
-            ji[..., :3] = rot
-            jj[..., :3] = -rot
-            # R(qj * exp e) dt = f + 2 R(qj) (e x dt): column k is 2 (R e_k) x f
-            jj[..., 3:] = 2.0 * np.cross(rot, f[..., None, :], axisa=-2, axisc=-2)
+        rot = quat.to_matrix(qj)
+        ji[..., :3] = rot
+        jj[..., :3] = -rot
+        # R(qj * exp e) dt = f + 2 R(qj) (e x dt): column k is 2 (R e_k) x f
+        jj[..., 3:] = 2.0 * np.cross(rot, f[..., None, :], axisa=-2, axisc=-2)
     else:  # REL_ROTATION
         f = _toward(quat.qmul(quat.qinv(q[:, 1:m + 1]), q[:, :m]), b.obs)
-        if jacobian:
-            ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
-            # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
-            jj[..., 3:] = -quat.dqmul_right(f)[..., 1:]
+        ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
+        # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
+        jj[..., 3:] = -quat.dqmul_right(f)[..., 1:]
     r = b.weight * (b.obs - f)
-    if not jacobian:
-        return r, None, None, f
     return r, b.weight * ji, (b.weight * jj if relative else None), f
 
 
-def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray,
-              jacobian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted residuals (W, M) and dense Jacobians (W, M, 6T) of a window stack.
 
     Rows run block by block, constraint by constraint; a window's objective
@@ -188,25 +181,22 @@ def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray,
     observable is compared with its observation in the observation's
     hemisphere, so negating a pose's or an observation's quaternion leaves
     E unchanged. The dense Jacobian is scattered from the per-pose blocks of
-    _linearize_block; the solver builds it only for its least-squares
-    fallback. With jacobian=False only the residuals are computed, and None
-    stands in for the Jacobians.
+    _linearize_block; the solver builds it only to name the columns of a
+    rank-deficient window.
     """
     n_win, T = t.shape[:2]
     residuals, jacobians = [], []
     for b in blocks:
-        r, ji, jj, _ = _linearize_block(b, t, q, jacobian)
+        r, ji, jj, _ = _linearize_block(b, t, q)
         residuals.append(r.reshape(n_win, -1))
-        if jacobian:
-            m, d = r.shape[1:]
-            c = np.arange(m)
-            jac = np.zeros((n_win, m, T, d, 6))
-            jac[:, c, c] = ji
-            if jj is not None:
-                jac[:, c, c + 1] = jj
-            jacobians.append(jac.transpose(0, 1, 3, 2, 4).reshape(n_win, m * d, 6 * T))
-    r = np.concatenate(residuals, axis=1)
-    return r, np.concatenate(jacobians, axis=1) if jacobian else None
+        m, d = r.shape[1:]
+        c = np.arange(m)
+        jac = np.zeros((n_win, m, T, d, 6))
+        jac[:, c, c] = ji
+        if jj is not None:
+            jac[:, c, c + 1] = jj
+        jacobians.append(jac.transpose(0, 1, 3, 2, 4).reshape(n_win, m * d, 6 * T))
+    return np.concatenate(residuals, axis=1), np.concatenate(jacobians, axis=1)
 
 
 def build_window_graph(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
@@ -283,10 +273,10 @@ def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
     through the inverse factors (_lower_inverse). The L_k are the diagonal
     blocks of H's dense Cholesky factor, so their diagonals are its pivots.
     Returns dz (W, T, 6), the pivots (W, T, 6) and which windows to trust:
-    those that are positive-definite and whose smallest pivot is at least
-    MIN_PIVOT_RATIO times the largest. A window that is not
-    positive-definite gets NaN dz and pivots; every other window gets the
-    same bits as when solved alone.
+    those whose every pivot squared is at least MIN_PIVOT_RATIO^2 times its
+    diagonal entry of H. A window that is not positive-definite gets NaN dz
+    and pivots, which fail that test; every other window gets the same bits
+    as when solved alone.
     """
     n_win, T = g.shape[:2]
     inv_low = np.empty_like(diag)  # L_k^-1
@@ -312,7 +302,8 @@ def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
             y[:, k] -= (cross[:, k] @ dz[:, k + 1, :, None])[..., 0]
         dz[:, k] = (inv_low[:, k].swapaxes(-1, -2) @ y[:, k, :, None])[..., 0]
     dz[~pd] = piv[~pd] = np.nan
-    ok = pd & (piv.min(axis=(1, 2)) >= MIN_PIVOT_RATIO * piv.max(axis=(1, 2)))
+    h_ii = np.diagonal(diag, axis1=-2, axis2=-1)
+    ok = np.all(piv * piv >= MIN_PIVOT_RATIO ** 2 * h_ii, axis=(1, 2))
     return dz, piv, ok
 
 
@@ -372,11 +363,12 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray, exact: bool = Fa
     absolute poses leaves them, Gauss-Newton converges only linearly and
     the exact step quadratically. A window is a chain, so both matrices are
     block-tridiagonal: the blocks and the gradient are accumulated kind by
-    kind from _linearize_block and solved by _block_cholesky_solve.
-    Untrusted windows (a low pivot ratio, or a matrix that is not
-    positive-definite, which H can be far from the optimum) take the
-    Gauss-Newton step, by least squares on their dense J, and raise
-    RankDeficientError when J has lost full column rank.
+    kind from _linearize_block and solved by _block_cholesky_solve, the
+    only solver. Windows whose exact step is untrusted (see
+    MIN_PIVOT_RATIO; far from the optimum H can be indefinite) take a
+    Gauss-Newton step instead, solved the same way; an untrusted
+    Gauss-Newton step raises RankDeficientError, naming the columns that
+    the null space of the window's column-normalized J reaches.
     """
     n_win, T = t.shape[:2]
     diag = np.zeros((n_win, T, 6, 6))
@@ -402,15 +394,17 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray, exact: bool = Fa
     dz, _, ok = _block_cholesky_solve(diag, upper, g)
     dz = dz.reshape(n_win, 6 * T)
     bad = np.flatnonzero(~ok)
-    if bad.size:
-        r, jac = linearize([b.windows(bad) for b in blocks], t[bad], q[bad])
-        for w, r_w, jac_w in zip(bad, r, jac):
-            dz[w], _, rank, _ = np.linalg.lstsq(jac_w, r_w, rcond=None)
-            if rank < 6 * T:
-                # the columns the null space reaches: the nonzero diagonal
-                # of its projector
-                null = np.linalg.svd(jac_w)[2][rank:]
-                raise RankDeficientError(np.flatnonzero((null ** 2).sum(0) > 1e-12).tolist())
+    if bad.size and exact:
+        dz[bad] = _gn_step([b.windows(bad) for b in blocks], t[bad], q[bad])
+    elif bad.size:
+        # the columns the null space of the column-normalized J reaches:
+        # the nonzero diagonal of its projector
+        w = bad[:1]
+        jac = linearize([b.windows(w) for b in blocks], t[w], q[w])[1][0]
+        norm = np.linalg.norm(jac, axis=0)
+        _, sv, vt = np.linalg.svd(jac / np.where(norm > 0.0, norm, 1.0))
+        null = vt[np.count_nonzero(sv > MIN_PIVOT_RATIO):]
+        raise RankDeficientError(np.flatnonzero((null ** 2).sum(0) > 1e-12).tolist())
     return dz
 
 

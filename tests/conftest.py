@@ -86,5 +86,5 @@ def perturb_state(t, q, dz):
 
 def objective(blocks, t, q):
     """Whitened squared error E(z) of a one-window state."""
-    r, _ = linearize(blocks, t, q, jacobian=False)
+    r = linearize(blocks, t, q)[0]
     return float(r[0] @ r[0])

@@ -79,8 +79,8 @@ def test_jacobian_finite_difference_oracle():
             for m in range(12):
                 e = np.zeros(12)
                 e[m] = h
-                r_plus, _ = linearize([b], *perturb_state(t, q, e), jacobian=False)
-                r_minus, _ = linearize([b], *perturb_state(t, q, -e), jacobian=False)
+                r_plus = linearize([b], *perturb_state(t, q, e))[0]
+                r_minus = linearize([b], *perturb_state(t, q, -e))[0]
                 cols.append(-(r_plus[0] - r_minus[0]) / (2 * h))
             fd = np.column_stack(cols)
             scale = max(1.0, float(np.max(np.abs(fd))))

@@ -4,12 +4,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import posefusion
 from posefusion import trajio
 from posefusion.cli import DATA_ERROR, NUMERICAL_ERROR, USAGE_ERROR, _build_parser, main
 from posefusion.metrics import parse_report
+from posefusion.pose import rotation_error_deg
 
 
 # the README's noise model
@@ -170,18 +172,36 @@ class TestFuse:
         assert not out.exists()
 
     @pytest.mark.parametrize("sigma_rot", ["1e40", "1e300"])
-    def test_rank_deficient_window_is_numerical_error(self, tmp_path, capsys, sigma_rot):
-        # rotation weights this large leave the translation columns below
-        # lstsq's rank cutoff
+    def test_heavy_rotation_weight_fuses(self, tmp_path, sigma_rot):
+        # up to the bound, a rotation weight only spreads the pivots: the
+        # fused poses are those at 1e20
+        gt, abs_path, vo = _simulate(tmp_path, README_NOISE, frames=300)
+        fused = {}
+        for s in ("1e20", sigma_rot):
+            out = tmp_path / f"o{s}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy RuntimeWarning, even at the bound
+                assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo), "--out", str(out),
+                             "--spacing", "10", "--sigma-rot", s]) == 0
+            fused[s] = trajio.read_trajectory(out)
+        ref, got = fused["1e20"], fused[sigma_rot]
+        assert np.max(np.abs(got.t - ref.t)) < 1e-9
+        assert np.max(rotation_error_deg(got.q, ref.q)) < 1e-7
+
+    def test_rank_deficient_window_is_numerical_error(self, tmp_path, capsys):
+        # sigma_rot = 1e-12: roll, which the relative translations along the
+        # loop do not see, is observed only through rotation weights of 1e-6
         gt, abs_path, vo = _simulate(tmp_path, README_NOISE, frames=300)
         out = tmp_path / "o"
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy RuntimeWarning, even at the bound
+            warnings.simplefilter("error")
             assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo), "--out", str(out),
-                         "--spacing", "10", "--sigma-rot", sigma_rot]) == NUMERICAL_ERROR
+                         "--spacing", "10", "--sigma-rot", "1e-12"]) == NUMERICAL_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("fuse: rank-deficient system; offending manifold columns "
-                              "[0, 1, 2, 6, ")
+        prefix = "fuse: rank-deficient system; offending manifold columns ["
+        assert err.startswith(prefix + "9, 10, 11, 15, ")
+        columns = [int(c) for c in err[len(prefix):err.index("]")].split(",")]
+        assert all(c % 6 >= 3 for c in columns)  # rotation columns only
         assert not out.exists()
 
     def test_missing_file_is_data_error(self, tmp_path):

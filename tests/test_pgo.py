@@ -34,8 +34,8 @@ def fd_jacobian(blocks, t, q, h=1e-6):
     for m in range(n):
         e = np.zeros(n)
         e[m] = h
-        r_plus, _ = linearize(blocks, *perturb_state(t, q, e), jacobian=False)
-        r_minus, _ = linearize(blocks, *perturb_state(t, q, -e), jacobian=False)
+        r_plus = linearize(blocks, *perturb_state(t, q, e))[0]
+        r_minus = linearize(blocks, *perturb_state(t, q, -e))[0]
         cols.append(-(r_plus[0] - r_minus[0]) / (2 * h))
     return np.column_stack(cols)
 
@@ -144,7 +144,7 @@ class TestRotationSign:
         f = rotation_observables(kind, q)
         # the premise: canonicalization would compare opposite hemispheres
         assert np.any(np.sum(quat.canonicalize(f) * quat.canonicalize(b.obs), axis=-1) < 0)
-        r, _ = linearize([b], t, q, jacobian=False)
+        r = linearize([b], t, q)[0]
         nearest = np.minimum(np.linalg.norm(b.obs - f, axis=-1),
                              np.linalg.norm(b.obs + f, axis=-1))
         assert np.allclose(np.linalg.norm(r.reshape(nearest.shape + (4,)), axis=-1),
@@ -163,13 +163,13 @@ class TestRotationSign:
     def test_residual_is_the_same_for_q_and_minus_q(self, rng, kind):
         blocks, t, q = noisy_window_stack(rng, 5)
         b = blocks[list(ConstraintKind).index(kind)]
-        r, _ = linearize([b], t, q, jacobian=False)
+        r = linearize([b], t, q)[0]
         signs = rng.choice([-1.0, 1.0], size=q.shape[:-1] + (1,))
-        r_flipped, _ = linearize([b], t, signs * q, jacobian=False)
+        r_flipped = linearize([b], t, signs * q)[0]
         assert np.array_equal(r_flipped, r)
-        assert np.array_equal(r_flipped, linearize([b], t, -q, jacobian=False)[0])
+        assert np.array_equal(r_flipped, linearize([b], t, -q)[0])
         # a negated observation negates the residual, so E is unchanged
-        r_obs, _ = linearize([b._replace(obs=-b.obs)], t, q, jacobian=False)
+        r_obs = linearize([b._replace(obs=-b.obs)], t, q)[0]
         assert np.array_equal(r_obs, -r)
 
 
@@ -367,8 +367,9 @@ def fd_hessian(blocks, t, q, h=3e-4):
     """Hessians (W, 6T, 6T) of 1/2 |r|^2 of a window stack over the chart
     t + dt, q * qexp(e), by central second differences of the objective.
 
-    Every perturbed state of every window is one window of a single stacked
-    linearize call."""
+    Every perturbed state of every window is one window of a stacked
+    linearize call, 1024 states to a call: linearize also builds their
+    dense Jacobians."""
     n_win, T = t.shape[:2]
     n = 6 * T
     a, b = np.triu_indices(n)
@@ -381,7 +382,9 @@ def fd_hessian(blocks, t, q, h=3e-4):
     stacked = [blk._replace(obs=np.repeat(blk.obs, per, axis=0)) for blk in blocks]
     moved = perturb_state(np.repeat(t, per, axis=0), np.repeat(q, per, axis=0),
                           np.tile(dz.reshape(-1, n), (n_win, 1)))
-    r, _ = linearize(stacked, *moved, jacobian=False)
+    chunks = [slice(lo, lo + 1024) for lo in range(0, n_win * per, 1024)]
+    r = np.concatenate([linearize([blk.windows(c) for blk in stacked], moved[0][c], moved[1][c])[0]
+                        for c in chunks])
     e = 0.5 * np.sum(r * r, axis=-1).reshape(n_win, 4, len(a))
     hess = np.zeros((n_win, n, n))
     hess[:, a, b] = hess[:, b, a] = (e[:, 0] - e[:, 1] - e[:, 2] + e[:, 3]) / (4 * h * h)
@@ -466,20 +469,40 @@ class TestBlockCholesky:
         expected = np.diagonal(np.linalg.cholesky(h), axis1=-2, axis2=-1)
         assert np.max(np.abs(piv.reshape(len(h), -1) - expected) / expected) < 1e-10
 
-    def test_low_pivot_ratio_takes_least_squares(self, rng):
-        # absolute translations weighted 1e-7: the window stays full rank,
-        # but its smallest pivot falls below MIN_PIVOT_RATIO of its largest
+    def test_low_pivot_ratio_is_trusted(self, rng):
+        # rotation rows weighted 1e8 more: the smallest pivot falls far below
+        # MIN_PIVOT_RATIO of the largest, but every pivot stays near the root
+        # of its own diagonal entry, so the window is trusted
+        blocks, t, q = noisy_window_stack(rng, 3, n_win=2)
+        for k in (1, 3):
+            blocks[k] = blocks[k]._replace(weight=1e8 * blocks[k].weight)
+        h, g = dense_normal_equations(blocks, t, q)
+        _, diag, upper = pose_blocks(h)
+        _, piv, ok = pgo._block_cholesky_solve(diag, upper, g.reshape(2, 3, 6))
+        assert np.all(piv.min(axis=(1, 2)) < pgo.MIN_PIVOT_RATIO * piv.max(axis=(1, 2)))
+        assert ok.all()
+        step = pgo._gn_step(blocks, t, q)
+        # the normal equations equilibrated to a unit diagonal: an SVD of J
+        # itself loses about 1e-8 of the step to this spread of weights
+        d = np.sqrt(np.diagonal(h, axis1=-2, axis2=-1))
+        y = np.linalg.solve(h / d[:, :, None] / d[:, None, :], (g / d)[..., None])[..., 0]
+        expected = y / d
+        err = np.linalg.norm(step - expected, axis=-1) / np.linalg.norm(expected, axis=-1)
+        assert np.max(err) < 1e-10
+
+    def test_weakly_observed_gauge_is_rank_deficient(self, rng):
+        # absolute translations weighted 1e-7: the window's translation
+        # gauge is observed only through them, its block step is no longer
+        # accurate, and no pivot ratio of J^T J says otherwise
         blocks, t, q = noisy_window_stack(rng, 3, n_win=2)
         blocks[0] = blocks[0]._replace(weight=1e-7 * blocks[0].weight)
         h, g = dense_normal_equations(blocks, t, q)
         _, diag, upper = pose_blocks(h)
-        _, piv, ok = pgo._block_cholesky_solve(diag, upper, g.reshape(2, 3, 6))
+        _, _, ok = pgo._block_cholesky_solve(diag, upper, g.reshape(2, 3, 6))
         assert not ok.any()
-        assert np.all(piv.min(axis=(1, 2)) < pgo.MIN_PIVOT_RATIO * piv.max(axis=(1, 2)))
-        dz = pgo._gn_step(blocks, t, q)
-        r, jac = linearize(blocks, t, q)
-        for w in range(2):
-            assert np.array_equal(dz[w], np.linalg.lstsq(jac[w], r[w], rcond=None)[0])
+        with pytest.raises(RankDeficientError) as err:
+            pgo._gn_step(blocks, t, q)
+        assert err.value.columns == [0, 1, 2, 6, 7, 8, 12, 13, 14]
 
     def test_not_positive_definite_window_is_untrusted_alone(self, rng, monkeypatch):
         blocks, t, q = noisy_window_stack(rng, 3, n_win=3)
@@ -501,18 +524,33 @@ class TestBlockCholesky:
         assert ok_rest.all()
         assert np.array_equal(dz[1:], dz_rest) and np.array_equal(piv[1:], piv_rest)
 
-        rest = pgo._gn_step([b.windows([1, 2]) for b in blocks], t[1:], q[1:])
-        monkeypatch.setattr(pgo, "_block_cholesky_solve", not_positive_definite)
-        dz = pgo._gn_step(blocks, t, q)
-        r, jac = linearize(blocks, t, q)
-        assert np.array_equal(dz[0], np.linalg.lstsq(jac[0], r[0], rcond=None)[0])
+        gauss_newton = pgo._gn_step([b.windows([0]) for b in blocks], t[:1], q[:1])
+        rest = pgo._gn_step([b.windows([1, 2]) for b in blocks], t[1:], q[1:], exact=True)
+        calls = []
+
+        def exact_not_positive_definite(diag, upper, g):
+            # only the exact step's matrix: the Gauss-Newton re-solve is not
+            # touched
+            calls.append(len(g))
+            return (not_positive_definite if len(calls) == 1 else solve)(diag, upper, g)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pgo, "_block_cholesky_solve", exact_not_positive_definite)
+            dz = pgo._gn_step(blocks, t, q, exact=True)
+        assert calls == [3, 1]
+        assert np.array_equal(dz[0], gauss_newton[0])
         assert np.array_equal(dz[1:], rest)
+        monkeypatch.setattr(pgo, "_block_cholesky_solve", not_positive_definite)
+        with pytest.raises(RankDeficientError):
+            pgo._gn_step(blocks, t, q)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_indefinite_exact_hessian_takes_least_squares(self, monkeypatch, seed):
+    def test_indefinite_exact_hessian_takes_gauss_newton_step(self, monkeypatch, seed):
         blocks, t, q = first_step_state(np.random.default_rng(seed), 7, outlier=True)
         rest = [pgo._gn_step([b.windows([w]) for b in blocks], t[[w]], q[[w]], exact=True)[0]
                 for w in (0, 2, 3)]
+        alone = [b.windows([1]) for b in blocks]
+        gauss_newton = pgo._gn_step(alone, t[[1]], q[[1]])[0]
         solve, solved = pgo._block_cholesky_solve, []
 
         def recorded(diag, upper, g):
@@ -526,8 +564,10 @@ class TestBlockCholesky:
         _, piv, ok = solved[0]
         assert ok.tolist() == [True, False, True, True]
         assert np.isnan(piv[1]).all()
-        r, jac = linearize(blocks, t, q)
-        assert np.array_equal(dz[1], np.linalg.lstsq(jac[1], r[1], rcond=None)[0])
+        assert np.array_equal(dz[1], gauss_newton)
+        r, jac = linearize(alone, t[[1]], q[[1]])
+        expected = np.linalg.lstsq(jac[0], r[0], rcond=None)[0]
+        assert np.linalg.norm(dz[1] - expected) / np.linalg.norm(expected) < 1e-10
         assert np.array_equal(dz[[0, 2, 3]], rest)
 
 
@@ -542,23 +582,32 @@ class TestLowerInverse:
     @pytest.mark.parametrize("ratio", [0.5, 2.0])
     def test_pivot_ratio_near_the_trust_bound(self, rng, ratio):
         # S M S with M well conditioned and S scaling the poses' coordinates
-        # from 1 down to ratio * MIN_PIVOT_RATIO: factors whose pivot ratio
-        # lies within a few times the bound, on either side of it
+        # from 1 down to 1e-150: each pivot stays near the root of its own
+        # diagonal entry, so every window is trusted
         a = rng.normal(size=(20, 6, 6))
         m = a @ a.swapaxes(-1, -2) / 6 + np.eye(6)
-        s = np.array([rng.permutation(np.geomspace(1.0, ratio * pgo.MIN_PIVOT_RATIO, 6))
-                      for _ in range(20)])
-        low = np.linalg.cholesky(s[:, :, None] * m * s[:, None, :])
+        s = np.array([rng.permutation(np.geomspace(1.0, 1e-150, 6)) for _ in range(20)])
+        h = s[:, :, None] * m * s[:, None, :]
+        no_upper, g = np.zeros((20, 0, 6, 6)), np.ones((20, 1, 6))
+        assert pgo._block_cholesky_solve(h[:, None], no_upper, g)[2].all()
+        low = np.linalg.cholesky(h)
         k = np.arange(6)
-        piv_ratio = low[:, k, k].min(axis=1) / low[:, k, k].max(axis=1) / pgo.MIN_PIVOT_RATIO
-        assert np.all((piv_ratio > ratio / 4) & (piv_ratio < ratio * 4))
         inv = pgo._lower_inverse(low)
         ref = np.linalg.inv(low)
         assert np.array_equal(inv[:, k, k], 1.0 / low[:, k, k])
         # relative to each column of L^-1, which scales with 1 / its pivot
         column = np.max(np.abs(ref), axis=1, keepdims=True)
         assert np.max(np.abs(inv - ref) / column) < 1e-12
-        assert np.max(np.abs(inv @ low - np.eye(6))) < 1e-12
+
+        # coordinate columns 0 and 1 of J ratio * MIN_PIVOT_RATIO rad apart:
+        # pivot 1 over the root of its diagonal entry is the sine of that
+        # angle, so the window is trusted only when ratio > 1
+        j = np.linalg.qr(rng.normal(size=(20, 12, 6)))[0]
+        angle = ratio * pgo.MIN_PIVOT_RATIO
+        j[..., 1] = np.cos(angle) * j[..., 0] + np.sin(angle) * j[..., 1]
+        h = j.swapaxes(-1, -2) @ j
+        ok = pgo._block_cholesky_solve(h[:, None], no_upper, g)[2]
+        assert np.all(ok == (ratio > 1.0))
 
 
 class TestSolverStacks:
@@ -630,6 +679,19 @@ class TestFuseTrajectory:
         err_fused = mean_translation_error(fused.t, gt.t)
         assert err_fused < mean_translation_error(abs_traj.t, gt.t)
         assert err_fused < mean_translation_error(vo_integ_t, gt.t)
+
+    def test_heavy_rotation_weight_converges(self):
+        # sigma_rot = 1e20 spreads each window's pivots over ten orders of
+        # magnitude; every window still converges in a few steps
+        gt = generate_trajectory("loop", 1000, 0.1)
+        nm = NoiseModel(abs_t_sigma=0.5, abs_r_sigma=5, vo_t_sigma=0.01,
+                        vo_r_sigma=0.1, vo_t_bias=0.01, seed=0)
+        stats = FusionStats()
+        fuse_trajectory(corrupt_absolute(gt, nm), corrupt_vo(gt, nm),
+                        PgoConfig(spacing_k=10, sigma_rot=1e20), stats)
+        assert len(stats.window_converged) == 94
+        assert all(stats.window_converged)
+        assert max(stats.window_iterations) <= 4
 
     def test_rigid_transform_equivariance(self, rng):
         gt = generate_trajectory("loop", 120, 0.2)
