@@ -101,7 +101,10 @@ class PgoConfig:
 
 
 class RankDeficientError(RuntimeError):
-    """Stacked Jacobian lost full column rank."""
+    """A window's Gauss-Newton matrix J^T J fails the trust rule: some
+    column of J lies within MIN_PIVOT_RATIO rad of the span of the others.
+    J may still have full rank; it is too ill-conditioned for the normal
+    equations, so its step would not be trustworthy."""
 
     def __init__(self, columns):
         self.columns = list(columns)

@@ -579,8 +579,7 @@ class TestLowerInverse:
         assert np.array_equal(np.triu(inv, 1), np.zeros_like(inv))
         assert np.max(np.abs(inv - np.linalg.inv(low))) / np.max(np.abs(inv)) < 1e-13
 
-    @pytest.mark.parametrize("ratio", [0.5, 2.0])
-    def test_pivot_ratio_near_the_trust_bound(self, rng, ratio):
+    def test_widely_scaled_factors_are_trusted(self, rng):
         # S M S with M well conditioned and S scaling the poses' coordinates
         # from 1 down to 1e-150: each pivot stays near the root of its own
         # diagonal entry, so every window is trusted
@@ -598,7 +597,10 @@ class TestLowerInverse:
         # relative to each column of L^-1, which scales with 1 / its pivot
         column = np.max(np.abs(ref), axis=1, keepdims=True)
         assert np.max(np.abs(inv - ref) / column) < 1e-12
+        assert np.max(np.abs(inv @ low - np.eye(6))) < 1e-12
 
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_pivot_ratio_near_the_trust_bound(self, rng, ratio):
         # coordinate columns 0 and 1 of J ratio * MIN_PIVOT_RATIO rad apart:
         # pivot 1 over the root of its diagonal entry is the sine of that
         # angle, so the window is trusted only when ratio > 1
@@ -606,6 +608,7 @@ class TestLowerInverse:
         angle = ratio * pgo.MIN_PIVOT_RATIO
         j[..., 1] = np.cos(angle) * j[..., 0] + np.sin(angle) * j[..., 1]
         h = j.swapaxes(-1, -2) @ j
+        no_upper, g = np.zeros((20, 0, 6, 6)), np.ones((20, 1, 6))
         ok = pgo._block_cholesky_solve(h[:, None], no_upper, g)[2]
         assert np.all(ok == (ratio > 1.0))
 
