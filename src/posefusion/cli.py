@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--window", type=int, default=pgo.PgoConfig.window_T)
     p_fuse.add_argument("--spacing", type=int, default=pgo.PgoConfig.spacing_k)
     p_fuse.add_argument("--sigma-rot", type=float, default=pgo.PgoConfig.sigma_rot)
-    p_fuse.add_argument("--max-iters", type=int, default=pgo.PgoConfig.max_iters)
     p_fuse.add_argument("--median-window", type=int, nargs="?", const=51, default=None)
 
     p_eval = sub.add_parser("eval", help="compare an estimate against ground truth")
@@ -76,8 +75,7 @@ def _cmd_fuse(args) -> int:
         print("fuse: --median-window must be odd and >= 1", file=sys.stderr)
         return USAGE_ERROR
     try:
-        cfg = pgo.PgoConfig(window_T=args.window, spacing_k=args.spacing,
-                            sigma_rot=args.sigma_rot, max_iters=args.max_iters)
+        cfg = pgo.PgoConfig(window_T=args.window, spacing_k=args.spacing, sigma_rot=args.sigma_rot)
     except ValueError as exc:
         print(f"fuse: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -111,7 +109,9 @@ def main(argv=None) -> int:
     handler = {"simulate": _cmd_simulate, "fuse": _cmd_fuse, "eval": _cmd_eval}[args.command]
     try:
         return handler(args)
-    except (FileNotFoundError, ValueError) as exc:  # TrajectoryFormatError among them
+    # OSError: a missing, unreadable or directory path; ValueError:
+    # TrajectoryFormatError among them
+    except (OSError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return DATA_ERROR
     except pgo.RankDeficientError as exc:

@@ -233,37 +233,27 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(-1, -2))
 
 
-def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    """L^-1 of a stack of lower-triangular matrices low (..., n, n).
+def _cholesky_inverse(s: np.ndarray):
+    """L^-1 and the pivots diag(L) (..., n) of the Cholesky factors L of a
+    stack of symmetric matrices s (..., n, n).
 
-    Forward substitution over the rows of L X = I. X is lower-triangular
-    too: X[i, i] = 1 / L[i, i] and X[i, :i] = -L[i, :i] X[:i, :i] / L[i, i],
-    one stacked matmul per row. On a stack of 128 6x6 factors this takes
-    less than half the time of np.linalg.inv.
+    One stacked pass over the rows, each matrix on its own: row i of L is
+    L[:i, :i]^-1 s[:i, i], its pivot L[i, i] the root of s_ii - |L[i, :i]|^2,
+    and row i of X = L^-1 follows by forward substitution over the rows of
+    L X = I: X[i, i] = 1 / L[i, i], X[i, :i] = -L[i, :i] X[:i, :i] / L[i, i].
+    Where s is not positive-definite, that root's argument is not positive
+    at some row, and the pivot is NaN there; NaN then spreads through the
+    rest of that matrix's X and pivots.
     """
-    inv = np.zeros_like(low)
-    for i in range(low.shape[-1]):
-        pivot = low[..., i, i, None]
-        inv[..., i, i] = 1.0 / pivot[..., 0]
-        inv[..., i, :i] = -(low[..., i, None, :i] @ inv[..., :i, :i])[..., 0, :] / pivot
-    return inv
-
-
-def _cholesky(s: np.ndarray):
-    """Cholesky factors of a stack of matrices s (W, n, n), and which of them
-    are positive-definite. One that is not gets the identity as its factor;
-    the others get the same bits as when factored alone."""
-    try:
-        return np.linalg.cholesky(s), np.ones(len(s), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    low, pd = np.empty_like(s), np.ones(len(s), dtype=bool)
-    for w in range(len(s)):
-        try:
-            low[w] = np.linalg.cholesky(s[w])
-        except np.linalg.LinAlgError:
-            low[w], pd[w] = np.eye(s.shape[-1]), False
-    return low, pd
+    inv = np.zeros_like(s)
+    piv = np.empty(s.shape[:-1])
+    for i in range(s.shape[-1]):
+        row = (inv[..., :i, :i] @ s[..., :i, i, None])[..., 0]  # L[i, :i]
+        square = s[..., i, i] - np.sum(row * row, axis=-1)
+        piv[..., i] = np.sqrt(np.where(square > 0.0, square, np.nan))
+        inv[..., i, i] = 1.0 / piv[..., i]
+        inv[..., i, :i] = -(row[..., None, :] @ inv[..., :i, :i])[..., 0, :] / piv[..., i, None]
+    return inv, piv
 
 
 def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
@@ -273,26 +263,24 @@ def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
     blocks upper (W, T-1, 6, 6). Block Cholesky: pose k's factor L_k is the
     Cholesky factor of the Schur complement S_k = D_k - C_k^T C_k, with
     C_k = L_{k-1}^-1 U_{k-1}, followed by forward and back substitution
-    through the inverse factors (_lower_inverse). The L_k are the diagonal
-    blocks of H's dense Cholesky factor, so their diagonals are its pivots.
-    Returns dz (W, T, 6), the pivots (W, T, 6) and which windows to trust:
-    those whose every pivot squared is at least MIN_PIVOT_RATIO^2 times its
-    diagonal entry of H. A window that is not positive-definite gets NaN dz
-    and pivots, which fail that test; every other window gets the same bits
-    as when solved alone.
+    through the inverse factors, which _cholesky_inverse gives with the
+    pivots. The L_k are the diagonal blocks of H's dense Cholesky factor,
+    so their diagonals are its pivots. Returns dz (W, T, 6), the pivots
+    (W, T, 6) and which windows to trust: those whose every pivot squared
+    is at least MIN_PIVOT_RATIO^2 times its diagonal entry of H. A window
+    that is not positive-definite gets NaN pivots from the one where its
+    factorization fails on, and NaN dz, which fail that test. Each window
+    is solved by its own arithmetic, so every other window gets the same
+    bits as when solved alone.
     """
-    n_win, T = g.shape[:2]
+    T = g.shape[1]
     inv_low = np.empty_like(diag)  # L_k^-1
     cross = np.empty_like(upper)   # C_{k+1} = L_k^-1 U_k
     y = np.empty_like(g)           # forward-substituted right-hand side
     piv = np.empty_like(g)
-    pd = np.ones(n_win, dtype=bool)
     s, rhs = diag[:, 0], g[:, 0]
     for k in range(T):
-        low, pd_k = _cholesky(s)
-        pd &= pd_k
-        piv[:, k] = np.diagonal(low, axis1=-2, axis2=-1)
-        inv_low[:, k] = _lower_inverse(low)
+        inv_low[:, k], piv[:, k] = _cholesky_inverse(s)
         y[:, k] = (inv_low[:, k] @ rhs[..., None])[..., 0]
         if k < T - 1:
             cross[:, k] = inv_low[:, k] @ upper[:, k]
@@ -304,7 +292,6 @@ def _block_cholesky_solve(diag: np.ndarray, upper: np.ndarray, g: np.ndarray):
         if k < T - 1:
             y[:, k] -= (cross[:, k] @ dz[:, k + 1, :, None])[..., 0]
         dz[:, k] = (inv_low[:, k].swapaxes(-1, -2) @ y[:, k, :, None])[..., 0]
-    dz[~pd] = piv[~pd] = np.nan
     h_ii = np.diagonal(diag, axis1=-2, axis2=-1)
     ok = np.all(piv * piv >= MIN_PIVOT_RATIO ** 2 * h_ii, axis=(1, 2))
     return dz, piv, ok
@@ -377,23 +364,27 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray, exact: bool = Fa
     diag = np.zeros((n_win, T, 6, 6))
     upper = np.zeros((n_win, T - 1, 6, 6))
     g = np.zeros((n_win, T, 6))
-    for b in blocks:
-        # constraint c couples pose c and, for a relative kind, pose c + 1
-        r, ji, jj, f = _linearize_block(b, t, q)
-        m = r.shape[1]
-        ji_t = _transpose(ji)
-        diag[:, :m] += ji_t @ ji
-        g[:, :m] += (ji_t @ r[..., None])[..., 0]
-        if jj is not None:
-            jj_t = _transpose(jj)
-            diag[:, 1:m + 1] += jj_t @ jj
-            g[:, 1:m + 1] += (jj_t @ r[..., None])[..., 0]
-            upper[:, :m] += ji_t @ jj
-        if exact:
-            _add_curvature(b, t, q, r, f, diag, upper)
+    # an entry that overflows is inf, or NaN once infs cancel: the finite
+    # check below reports both
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in blocks:
+            # constraint c couples pose c and, for a relative kind, pose c + 1
+            r, ji, jj, f = _linearize_block(b, t, q)
+            m = r.shape[1]
+            ji_t = _transpose(ji)
+            diag[:, :m] += ji_t @ ji
+            g[:, :m] += (ji_t @ r[..., None])[..., 0]
+            if jj is not None:
+                jj_t = _transpose(jj)
+                diag[:, 1:m + 1] += jj_t @ jj
+                g[:, 1:m + 1] += (jj_t @ r[..., None])[..., 0]
+                upper[:, :m] += ji_t @ jj
+            if exact:
+                _add_curvature(b, t, q, r, f, diag, upper)
     if not (np.isfinite(diag).all() and np.isfinite(upper).all() and np.isfinite(g).all()):
-        raise np.linalg.LinAlgError("solver step is not finite: NaN or inf in the "
-                                    "observations or the starting poses")
+        raise np.linalg.LinAlgError("solver step is not finite: NaN or inf in the observations or "
+                                    "the starting poses, or values so large that the normal "
+                                    "matrix overflows")
     dz, _, ok = _block_cholesky_solve(diag, upper, g)
     dz = dz.reshape(n_win, 6 * T)
     bad = np.flatnonzero(~ok)

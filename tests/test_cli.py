@@ -99,7 +99,7 @@ class TestSimulate:
 class TestFuse:
     def test_defaults_come_from_pgo_config(self):
         args = _build_parser().parse_args(["fuse", "--abs", "a", "--vo", "v", "--out", "o"])
-        assert (args.window, args.spacing, args.sigma_rot, args.max_iters) == (7, 150, 10.0, 50)
+        assert (args.window, args.spacing, args.sigma_rot) == (7, 150, 10.0)
 
     def test_pipeline_smoke(self, tmp_path, capsys):
         noise = ["--abs-t-sigma", "0.3", "--abs-r-sigma", "3",
@@ -209,6 +209,33 @@ class TestFuse:
                      "--vo", str(tmp_path / "no2.txt"),
                      "--out", str(tmp_path / "o")]) == DATA_ERROR
 
+    def test_directory_input_is_data_error(self, tmp_path, capsys):
+        gt, abs_path, vo = _simulate(tmp_path)
+        assert main(["fuse", "--abs", str(tmp_path), "--vo", str(vo),
+                     "--out", str(tmp_path / "o")]) == DATA_ERROR
+        assert capsys.readouterr().err == f"fuse: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_huge_finite_translation_is_data_error_without_warnings(self, tmp_path):
+        # one abs translation of 1e200 m: the normal matrix overflows, which
+        # the solver reports as a non-finite step, not as a numpy warning
+        gt, abs_path, vo = _simulate(tmp_path, README_NOISE, frames=300)
+        lines = abs_path.read_text().splitlines()
+        fields = lines[101].split()  # line 102: frame 100, on the --spacing 10 grid
+        fields[1] = "1e200"
+        lines[101] = " ".join(fields)
+        abs_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "posefusion.cli",
+                              "fuse", "--abs", str(abs_path), "--vo", str(vo), "--out", str(out),
+                              "--spacing", "10"], env=env, capture_output=True, text=True)
+        assert run.returncode == DATA_ERROR
+        assert run.stderr == ("fuse: solver step is not finite: NaN or inf in the observations or "
+                              "the starting poses, or values so large that the normal matrix "
+                              "overflows\n")
+        assert not out.exists()
+
     def test_malformed_file_is_data_error(self, tmp_path):
         gt, abs_path, vo = _simulate(tmp_path)
         bad = tmp_path / "bad.txt"
@@ -305,6 +332,11 @@ class TestEval:
         assert main(["eval", "--est", str(gt2), "--gt", str(gt),
                      "--out-report", str(tmp_path / "r")]) == DATA_ERROR
 
+    def test_directory_output_is_data_error(self, tmp_path, capsys):
+        gt, _, _ = _simulate(tmp_path)
+        assert main(["eval", "--est", str(gt), "--gt", str(gt),
+                     "--out-report", str(tmp_path)]) == DATA_ERROR
+        assert capsys.readouterr().err == f"eval: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_zero_frame_files_are_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -324,7 +356,8 @@ class TestExitCodes:
 @pytest.mark.parametrize("argv", [
     ["fuse", "--abs", "a", "--vo", "v", "--out", "o", "--tol", "1e-8"],
     ["eval", "--est", "e", "--gt", "g", "--out-report", "r", "--cdf-points", "11"],
-], ids=["tol", "cdf-points"])
+    ["fuse", "--abs", "a", "--vo", "v", "--out", "o", "--max-iters", "50"],
+], ids=["tol", "cdf-points", "max-iters"])
 def test_removed_options_are_unknown(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -311,7 +311,6 @@ class TestGaussNewton:
         err = self._straight_chain_columns((ConstraintKind.ABS_TRANSLATION,))
         assert err.columns == [3, 4, 5, 9, 10, 11, 15, 16, 17, 21, 22, 23]
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_step_raises(self, rng):
         t, q = safe_random_poses(rng, 3)
         cfg = PgoConfig(window_T=3)
@@ -361,6 +360,14 @@ def pose_blocks(h):
     blocks = h.reshape(len(h), T, 6, T, 6).transpose(0, 1, 3, 2, 4)
     k = np.arange(T)
     return blocks, blocks[:, k, k], blocks[:, k[:-1], k[1:]]
+
+
+def assert_nan_from_failing_pivot_on(piv):
+    """The pivots (T, 6) of a window whose factorization fails are finite up
+    to the failing one and NaN from it on, through the remaining poses."""
+    nan = np.isnan(piv.reshape(-1))
+    first = np.argmax(nan)
+    assert nan[first] and nan[first:].all() and np.isfinite(piv.reshape(-1)[:first]).all()
 
 
 def fd_hessian(blocks, t, q, h=3e-4):
@@ -518,7 +525,9 @@ class TestBlockCholesky:
         g = g.reshape(3, 3, 6)
         dz, piv, ok = not_positive_definite(diag, upper, g)
         assert ok.tolist() == [False, True, True]
-        assert np.isnan(dz[0]).all() and np.isnan(piv[0]).all()
+        assert np.isnan(dz[0]).all()
+        assert_nan_from_failing_pivot_on(piv[0])
+        assert np.isfinite(piv[0, 0]).all()  # pose 0 factors before pose 1 fails
         # the other windows get the bits they get without window 0
         dz_rest, piv_rest, ok_rest = solve(diag[1:], upper[1:], g[1:])
         assert ok_rest.all()
@@ -563,21 +572,54 @@ class TestBlockCholesky:
         # indefinite, and only window 1's
         _, piv, ok = solved[0]
         assert ok.tolist() == [True, False, True, True]
-        assert np.isnan(piv[1]).all()
+        assert_nan_from_failing_pivot_on(piv[1])
         assert np.array_equal(dz[1], gauss_newton)
         r, jac = linearize(alone, t[[1]], q[[1]])
         expected = np.linalg.lstsq(jac[0], r[0], rcond=None)[0]
         assert np.linalg.norm(dz[1] - expected) / np.linalg.norm(expected) < 1e-10
         assert np.array_equal(dz[[0, 2, 3]], rest)
 
+    def test_windows_failing_at_different_poses_are_untrusted_alone(self, rng):
+        blocks, t, q = noisy_window_stack(rng, 4, n_win=6)
+        h, g = dense_normal_equations(blocks, t, q)
+        _, diag, upper = pose_blocks(h)
+        g = g.reshape(6, 4, 6)
+        # window: (pose, coordinate) of a diagonal entry made negative
+        failing = {0: (0, 0), 2: (1, 4), 3: (3, 5), 5: (2, 2)}
+        diag = diag.copy()
+        for w, (k, c) in failing.items():
+            diag[w, k, c, c] = -1.0
+        dz, piv, ok = pgo._block_cholesky_solve(diag, upper, g)
+        assert ok.tolist() == [w not in failing for w in range(6)]
+        for w, (k, c) in failing.items():
+            assert np.isnan(dz[w]).all()
+            assert_nan_from_failing_pivot_on(piv[w])
+            # the factorization fails at that entry, not before
+            assert np.argmax(np.isnan(piv[w].reshape(-1))) == 6 * k + c
+        for w in set(range(6)) - set(failing):
+            alone = pgo._block_cholesky_solve(diag[[w]], upper[[w]], g[[w]])
+            assert np.array_equal(dz[w], alone[0][0]) and np.array_equal(piv[w], alone[1][0])
 
-class TestLowerInverse:
+    def test_zero_pivot_is_untrusted(self):
+        # J^T J whose last column is zero: that last pivot is 0, as is its
+        # diagonal entry, so only a pivot that must be positive fails it
+        h = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])[None, None]
+        dz, piv, ok = pgo._block_cholesky_solve(h, np.zeros((1, 0, 6, 6)), np.ones((1, 1, 6)))
+        assert not ok.any()
+        assert np.array_equal(piv[0, 0, :5], np.ones(5)) and np.isnan(piv[0, 0, 5])
+        assert np.isnan(dz).all()
+
+
+class TestCholeskyInverse:
     def test_matches_numpy_inverse(self, rng):
         a = rng.normal(size=(50, 6, 6))
-        low = np.linalg.cholesky(a @ a.swapaxes(-1, -2) + 0.1 * np.eye(6))
-        inv = pgo._lower_inverse(low)
+        s = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(6)
+        inv, piv = pgo._cholesky_inverse(s)
+        low = np.linalg.cholesky(s)
         assert np.array_equal(np.triu(inv, 1), np.zeros_like(inv))
         assert np.max(np.abs(inv - np.linalg.inv(low))) / np.max(np.abs(inv)) < 1e-13
+        k = np.arange(6)
+        assert np.max(np.abs(piv - low[:, k, k]) / low[:, k, k]) < 1e-13
 
     def test_widely_scaled_factors_are_trusted(self, rng):
         # S M S with M well conditioned and S scaling the poses' coordinates
@@ -591,9 +633,10 @@ class TestLowerInverse:
         assert pgo._block_cholesky_solve(h[:, None], no_upper, g)[2].all()
         low = np.linalg.cholesky(h)
         k = np.arange(6)
-        inv = pgo._lower_inverse(low)
+        inv, piv = pgo._cholesky_inverse(h)
         ref = np.linalg.inv(low)
-        assert np.array_equal(inv[:, k, k], 1.0 / low[:, k, k])
+        assert np.array_equal(inv[:, k, k], 1.0 / piv)
+        assert np.max(np.abs(piv - low[:, k, k]) / low[:, k, k]) < 1e-13
         # relative to each column of L^-1, which scales with 1 / its pivot
         column = np.max(np.abs(ref), axis=1, keepdims=True)
         assert np.max(np.abs(inv - ref) / column) < 1e-12
