@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import metrics, pgo, sim, trajio
@@ -53,7 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(*paths: str) -> None:
+    """Raise the OSError open(path, "w") would on a directory or a missing
+    parent; called first, so a bad output path costs no work and no file."""
+    for path in paths:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            open(path, "w")  # fails there, before it could create a file
+
+
 def _cmd_simulate(args) -> int:
+    _check_outputs(args.out_gt, args.out_abs, args.out_vo)
     # every option is checked, and every output built, before the first file is written
     try:
         nm = sim.NoiseModel(abs_t_sigma=args.abs_t_sigma, abs_r_sigma=args.abs_r_sigma,
@@ -71,6 +81,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    _check_outputs(args.out)
     if args.median_window is not None and (args.median_window < 1 or args.median_window % 2 == 0):
         print("fuse: --median-window must be odd and >= 1", file=sys.stderr)
         return USAGE_ERROR
@@ -93,6 +104,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_outputs(args.out_report)
     est = trajio.read_trajectory(args.est)
     gt = trajio.read_trajectory(args.gt)
     report = metrics.compare(est, gt)

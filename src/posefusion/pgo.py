@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -79,13 +79,13 @@ STEP_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PgoConfig:
-    """Window size, frame spacing, rotation weight and iteration cap; fixed
-    once validated."""
+    """Window size, frame spacing and rotation weight, fixed once validated;
+    the iteration cap max_iters is a class constant, not a field."""
 
     window_T: int = 7
     spacing_k: int = 150
     sigma_rot: float = 10.0
-    max_iters: int = 50
+    max_iters: ClassVar[int] = 50
 
     def __post_init__(self):
         if self.window_T < 2:
@@ -96,8 +96,6 @@ class PgoConfig:
         # which overflow to inf long before sigma_rot reaches the float maximum
         if not (np.isfinite(self.sigma_rot) and 0 < self.sigma_rot <= 1e300):
             raise ValueError("sigma_rot must be finite, > 0 and <= 1e300")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 class RankDeficientError(RuntimeError):

@@ -7,7 +7,7 @@ is plain numpy arithmetic over the components x[..., k], so a single pose
 of shape (4,) and a stack of windows (W, T, 4) run the same code. The
 log/exp maps use the half-angle form
 
-    log q = (v / |v|) * acos(u),      exp w = (cos |w|, (w / |w|) sin |w|)
+    log q = (v / |v|) atan2(|v|, u),      exp w = (cos |w|, (w / |w|) sin |w|)
 
 so exp(w) rotates by an angle of 2*|w| about w. Each job has one helper:
 row_norm is the Euclidean norm, canonicalize the sign convention of stored
@@ -20,10 +20,6 @@ finite differences in the test suite.
 from __future__ import annotations
 
 import numpy as np
-
-# Below this norm the closed forms divide by a near-zero value; switch to
-# 2-term Taylor expansions.
-SMALL_ANGLE = 1e-8
 
 # Tolerated deviation from unit norm before an input is rejected.
 UNIT_TOL = 1e-6
@@ -80,28 +76,20 @@ def qlog(q: np.ndarray) -> np.ndarray:
     The input is canonicalized to u >= 0 first, so the result norm is at
     most pi/2.
     """
-    q = np.asarray(q, dtype=float)
     check_unit(q)
     q = canonicalize(q)
     u, v = q[..., 0], q[..., 1:]
     vn = row_norm(v)
-    small = vn < SMALL_ANGLE
-    # acos(u)/|v| = 1 + |v|^2/6 + O(|v|^4) for u = sqrt(1 - |v|^2); u >= 0 here
-    scale = np.where(small, 1.0 + vn * vn / 6.0,
-                     np.arccos(np.where(u < 1.0, u, 1.0)) / np.where(small, 1.0, vn))
+    # the limit 1 where |v| is 0 or its norm underflows (below about 1e-154)
+    scale = np.divide(np.arctan2(vn, u), vn, out=np.ones_like(vn), where=vn > 0.0)
     return v * scale[..., None]
 
 
 def qexp(w: np.ndarray) -> np.ndarray:
     """Exponential map: 3-vector to unit quaternion (inverse of qlog)."""
-    w = np.asarray(w, dtype=float)
     n = row_norm(w)
-    small = n < SMALL_ANGLE
-    n2 = n * n
-    # cos n = 1 - n^2/2, sin(n)/n = 1 - n^2/6 to second order
-    u = np.where(small, 1.0 - n2 / 2.0, np.cos(n))
-    sinc = np.where(small, 1.0 - n2 / 6.0, np.sin(n) / np.where(small, 1.0, n))
-    return _join([u, *(c * sinc for c in _split(w))])
+    sinc = np.divide(np.sin(n), n, out=np.ones_like(n), where=n > 0.0)
+    return _join([np.cos(n), *(c * sinc for c in _split(w))])
 
 
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import posefusion
-from posefusion import trajio
+from posefusion import pgo, trajio
 from posefusion.cli import DATA_ERROR, NUMERICAL_ERROR, USAGE_ERROR, _build_parser, main
 from posefusion.metrics import parse_report
 from posefusion.pose import rotation_error_deg
@@ -94,6 +94,18 @@ class TestSimulate:
                          "--out-vo", str(out[2])]) == USAGE_ERROR
         assert message in capsys.readouterr().err
         assert not any(p.exists() for p in out)
+
+    @pytest.mark.parametrize("bad, error", [
+        ("dir", "[Errno 21] Is a directory"),
+        ("missing/vo.txt", "[Errno 2] No such file or directory"),
+    ], ids=["directory", "missing-parent"])
+    def test_bad_output_path_is_data_error_before_any_write(self, tmp_path, capsys, bad, error):
+        (tmp_path / "dir").mkdir()
+        out = [tmp_path / "g", tmp_path / "a", tmp_path / bad]
+        assert main(["simulate", "--frames", "50", "--out-gt", str(out[0]),
+                     "--out-abs", str(out[1]), "--out-vo", str(out[2])]) == DATA_ERROR
+        assert capsys.readouterr().err == f"simulate: {error}: '{out[2]}'\n"
+        assert not out[0].exists() and not out[1].exists()
 
 
 class TestFuse:
@@ -213,6 +225,18 @@ class TestFuse:
         gt, abs_path, vo = _simulate(tmp_path)
         assert main(["fuse", "--abs", str(tmp_path), "--vo", str(vo),
                      "--out", str(tmp_path / "o")]) == DATA_ERROR
+        assert capsys.readouterr().err == f"fuse: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_directory_output_is_data_error_before_the_solve(self, tmp_path, capsys,
+                                                             monkeypatch):
+        gt, abs_path, vo = _simulate(tmp_path)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("fuse_trajectory called")
+
+        monkeypatch.setattr(pgo, "fuse_trajectory", no_solve)
+        assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
+                     "--out", str(tmp_path)]) == DATA_ERROR
         assert capsys.readouterr().err == f"fuse: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_huge_finite_translation_is_data_error_without_warnings(self, tmp_path):

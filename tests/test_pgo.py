@@ -55,6 +55,11 @@ class TestPgoConfig:
         with pytest.raises(ValueError, match=field):
             PgoConfig(**{field: value})
 
+    def test_iteration_cap_is_not_a_constructor_field(self):
+        assert PgoConfig.max_iters == PgoConfig().max_iters == 50
+        with pytest.raises(TypeError, match="max_iters"):
+            PgoConfig(max_iters=5)
+
     @pytest.mark.parametrize("field, value", [
         ("spacing_k", 0), ("sigma_rot", -1.0), ("max_iters", 0)])
     def test_fields_cannot_change_after_validation(self, field, value):
@@ -223,9 +228,10 @@ class TestGaussNewton:
         # the translation subproblem is exactly the linear weighted least
         # squares solved by a hand-built normal-equation oracle.
         monkeypatch.setattr(pgo, "STEP_TOL", 1e-14)
+        monkeypatch.setattr(PgoConfig, "max_iters", 100)
         n = 3
         abs_obs = [rng.normal(size=3) for _ in range(n)]
-        cfg = PgoConfig(window_T=n, sigma_rot=10.0, max_iters=100)
+        cfg = PgoConfig(window_T=n, sigma_rot=10.0)
         identities = np.tile(quat.IDENTITY, (n, 1))
         blocks = window_graph(np.array(abs_obs), identities,
                               np.zeros((n - 1, 3)), np.zeros((n - 1, 3)), cfg)
@@ -252,10 +258,12 @@ class TestGaussNewton:
         for qi in q[0]:
             assert rotation_error_deg(qi, quat.IDENTITY) < 1e-9
 
-    def test_capped_window_is_not_converged(self, rng):
+    def test_capped_window_is_not_converged(self, rng, monkeypatch):
         blocks, t0, q0 = noisy_window_stack(rng, 4)
-        _, _, iterations, _, converged = gauss_newton_solve(
-            blocks, t0, q0, PgoConfig(window_T=4, max_iters=1))
+        with monkeypatch.context() as m:
+            m.setattr(PgoConfig, "max_iters", 1)
+            _, _, iterations, _, converged = gauss_newton_solve(
+                blocks, t0, q0, PgoConfig(window_T=4))
         assert np.all(iterations == 1) and not converged.any()
         *_, converged = gauss_newton_solve(blocks, t0, q0, PgoConfig(window_T=4))
         assert converged.all()
@@ -263,7 +271,8 @@ class TestGaussNewton:
     def test_quaternions_stay_unit_without_renormalization(self, rng, monkeypatch):
         blocks, (t0, q0), cfg = self._toy_problem(rng, noise=0.3)
         monkeypatch.setattr(pgo, "STEP_TOL", 0.0)  # force every iteration to run
-        _, q, *_ = gauss_newton_solve(blocks, t0, q0, dataclasses.replace(cfg, max_iters=200))
+        monkeypatch.setattr(PgoConfig, "max_iters", 200)
+        _, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
         for qi in q[0]:
             assert abs(np.linalg.norm(qi) - 1.0) < 1e-9
 

@@ -67,6 +67,23 @@ class TestLogExp:
             w *= rng.uniform(0, np.pi / 2) / np.linalg.norm(w)
             assert np.max(np.abs(quat.qlog(quat.qexp(w)) - w)) < 1e-12
 
+    def test_log_exp_roundtrip_is_accurate_at_every_scale(self, rng):
+        # acos(u) loses the angle as u rounds to 1; atan2(|v|, u) does not.
+        # |w| = pi/2 is a half-turn, where w and -w are one rotation: left out
+        mags = np.geomspace(1e-300, np.pi / 2, 20001, endpoint=False)
+        axes = rng.normal(size=(mags.size, 3))
+        w = axes * (mags / np.linalg.norm(axes, axis=1))[:, None]
+        back = quat.qlog(quat.qexp(w))
+        assert np.max(np.linalg.norm(back - w, axis=1) / mags) < 1e-15
+
+    @pytest.mark.parametrize("mag", [1e-9, 1e-160, 1e-300])
+    def test_tiny_angles_map_exactly(self, mag):
+        # the squares in row_norm underflow: to subnormals at 1e-160, to 0 at 1e-300
+        w = mag * np.array([0.6, -0.8, 0.0])
+        q = quat.qexp(w)
+        assert np.array_equal(q, np.concatenate(([1.0], w)))
+        assert np.array_equal(quat.qlog(q), w)
+
     @given(unit_quats)
     @settings(max_examples=100)
     def test_hemisphere_insensitivity(self, q):
@@ -208,7 +225,7 @@ class TestBatches:
     @settings(max_examples=60, deadline=None)
     def test_exp_map(self, data):
         shape = data.draw(batch_shapes)
-        # include angles under SMALL_ANGLE, where qexp switches to its series
+        # include angles where cos |w| and sin|w| / |w| round to 1
         scale = data.draw(st.sampled_from([1e-12, 1e-9, 1e-3, 1.0]))
         w = scale * data.draw(hnp.arrays(float, shape + (3,), elements=st.floats(-1.5, 1.5)))
         self._rows_match(quat.qexp, shape, w)

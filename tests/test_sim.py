@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from posefusion import quat
-from posefusion.pose import Trajectory, integrate, relative_pose
+from posefusion.pose import Trajectory, integrate, relative_pose, rotation_error_deg
 from posefusion.sim import (
     NoiseModel,
     corrupt_absolute,
@@ -107,11 +107,14 @@ class TestCorruptAbsolute:
 
 
 class TestCorruptVo:
-    def test_noiseless_integration_reproduces_truth(self):
-        traj = generate_trajectory("figure-eight", 41, 0.2)
+    @pytest.mark.parametrize("frames", [41, 2000])
+    @pytest.mark.parametrize("shape", ["loop", "figure-eight", "random-walk"])
+    def test_noiseless_integration_reproduces_truth(self, shape, frames):
+        traj = generate_trajectory(shape, frames, 0.2)
         rels = corrupt_vo(traj, NoiseModel(seed=0))
-        integrated_t, _ = integrate(traj.t[0], traj.q[0], rels)
-        assert np.max(np.abs(integrated_t - traj.t)) < 1e-9
+        integrated_t, integrated_q = integrate(traj.t[0], traj.q[0], rels)
+        assert np.max(np.abs(integrated_t - traj.t)) < 1e-11
+        assert np.max(rotation_error_deg(integrated_q, traj.q)) < 1e-11
 
     def test_true_relatives_match_relative_pose(self):
         traj = generate_trajectory("random-walk", 15, 0.1, seed=4)
