@@ -66,9 +66,13 @@ FUSE_BATCH = 128
 # make it indefinite.
 MIN_PIVOT_RATIO = 1e-6
 
-# Full windows whose rotation medoids temporal_median_filter picks together.
-# Their pairwise angles are one matrix over the MEDIAN_CHUNK + window - 1
-# frames they span: about 0.1 MB at the default window of 51.
+# Windows whose medians temporal_median_filter takes together. It sorts
+# MEDIAN_CHUNK translation windows at once, a copy of MEDIAN_CHUNK x 3 x
+# window values. Its rotation chunks hold max(MEDIAN_CHUNK, window) windows,
+# which share one matrix of pairwise angles over the frames they span:
+# about 0.1 MB at the default window of 51. With at least window - 1 of
+# them, the spans of chunks two apart are disjoint, so each angle is
+# computed in at most two chunks.
 MEDIAN_CHUNK = 64
 
 # Step norm below which a window has converged. The norm spans the metres
@@ -529,7 +533,10 @@ def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
     """Sliding-window median smoothing; edges use truncated windows.
 
     Translations take a per-coordinate median; rotations take the window
-    element minimizing the summed angular distance to all others.
+    element minimizing the summed angular distance to all others. A window
+    truncated at an end can hold an even number of frames; its translation
+    median is then the mean of its middle two values, as np.median's is.
+    A rotation tie goes to the earliest frame.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and >= 1")
@@ -538,41 +545,29 @@ def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
     half = window // 2
     n = len(traj)
     out_t, out_q = np.empty((n, 3)), np.empty((n, 4))
-    # Frames closer than half to an end: truncated windows, one at a time.
-    # Their sizes can be even, and np.median then averages the middle two.
-    # Each end's windows are nested: the leading ones all start at frame 0
-    # and the trailing ones all stop at n. So a window's summed angles are
-    # running row sums of one matrix per end, taken left to right up to
-    # the window's last frame, or right to left down to its first.
-    for ends, trailing in ((range(min(half, n)), False), (range(max(half, n - half), n), True)):
-        if not ends:
-            continue
-        first = max(0, ends[0] - half)
-        angles = _pairwise_angles(traj.q[first:min(n, ends[-1] + half + 1)])
-        sums = (np.cumsum(angles[:, ::-1], axis=1)[:, ::-1] if trailing
-                else np.cumsum(angles, axis=1))
-        for i in ends:
-            lo, hi = max(0, i - half), min(n, i + half + 1)
-            out_t[i] = np.median(traj.t[lo:hi], axis=0)
-            column = lo - first if trailing else hi - 1 - first
-            out_q[i] = traj.q[lo + np.argmin(sums[lo - first:hi - first, column])]
-    # Full windows, MEDIAN_CHUNK at a time: window c is centred on frame
-    # half + c. The windows of a chunk share their frames, so each angle
-    # between those frames is computed once, and window c's angles are the
-    # diagonal block [c, c + window) of the chunk's matrix. A full window
-    # is odd, so its translation median is its middle element after a
-    # partition: np.median's value, without np.median's NaN partition and
-    # mean (trajectories are finite). Partitioning the whole view at once
-    # would copy all n x 3 windows (about 19.5 MB at n = 16000, window 51);
-    # a chunk copies MEDIAN_CHUNK of them.
-    if n >= window:
-        win_t = sliding_window_view(traj.t, window, axis=0)  # (n - 2 half, 3, window)
-        for lo in range(0, len(win_t), MEDIAN_CHUNK):
-            frames = traj.q[lo:lo + MEDIAN_CHUNK + window - 1]
-            blocks = np.diagonal(sliding_window_view(_pairwise_angles(frames), (window, window)),
-                                 axis1=0, axis2=1)  # (window, window, chunk), a view
-            first = np.arange(blocks.shape[-1])
-            centre = slice(half + lo, half + lo + len(first))
-            out_t[centre] = np.partition(win_t[lo:lo + MEDIAN_CHUNK], half, axis=-1)[..., half]
-            out_q[centre] = frames[first + np.argmin(np.sum(blocks, axis=1), axis=0)]
+    # Frame i's window is row i of the translations padded with half NaN
+    # rows at each end. Sorting puts a truncated window's NaNs last, so its
+    # middle values sit at the ranks of its true size.
+    padded = np.full((n + 2 * half, 3), np.nan)
+    padded[half:half + n] = traj.t
+    win_t = sliding_window_view(padded, window, axis=0)  # (n, 3, window)
+    for lo in range(0, n, MEDIAN_CHUNK):
+        centre = np.arange(lo, min(lo + MEDIAN_CHUNK, n))
+        size = np.minimum(centre + half + 1, n) - np.maximum(centre - half, 0)
+        ranked = np.sort(win_t[lo:lo + MEDIAN_CHUNK], axis=-1)
+        rows = centre - lo
+        mid = ranked[rows, :, (size - 1) // 2]
+        even = size % 2 == 0
+        mid[even] = (mid[even] + ranked[rows[even], :, size[even] // 2]) / 2
+        out_t[centre] = mid
+    # A window's summed angles add up the rows of the chunk's angle matrix
+    # that lie inside it. Frames outside it read inf, and argmin takes the
+    # earliest of tied frames.
+    chunk = max(MEDIAN_CHUNK, window)
+    for lo in range(0, n, chunk):
+        centre = np.arange(lo, min(lo + chunk, n))
+        frames = np.arange(max(0, lo - half), min(n, centre[-1] + half + 1))
+        inside = np.abs(frames - centre[:, None]) <= half
+        sums = inside @ _pairwise_angles(traj.q[frames])
+        out_q[centre] = traj.q[frames[np.argmin(np.where(inside, sums, np.inf), axis=1)]]
     return Trajectory(traj.timestamps, out_t, out_q)

@@ -891,9 +891,10 @@ class TestTemporalMedianFilter:
         assert np.array_equal(out.t, np.tile(base_t, (20, 1)))
         assert np.all(rotation_error_deg(out.q, base_q) == 0.0)
 
-    @pytest.mark.parametrize("n, window", [(60, 11), (23, 11), (11, 11), (8, 11)])
+    @pytest.mark.parametrize("n, window", [(60, 11), (60, 5), (23, 11), (11, 11), (8, 11)])
     def test_rotations_match_brute_force_medoid(self, monkeypatch, rng, n, window):
-        # chunks of 7 windows: several full chunks and a partial one
+        # chunks of 7 windows (of max(7, window) for rotations): several full
+        # chunks and a partial one
         monkeypatch.setattr(pgo, "MEDIAN_CHUNK", 7)
         q = quat.canonicalize(quat.qexp(rng.normal(size=(n, 3))))
         out = temporal_median_filter(Trajectory(np.arange(float(n)), rng.normal(size=(n, 3)), q),
