@@ -68,11 +68,10 @@ MIN_PIVOT_RATIO = 1e-6
 
 # Windows whose medians temporal_median_filter takes together. It sorts
 # MEDIAN_CHUNK translation windows at once, a copy of MEDIAN_CHUNK x 3 x
-# window values. Its rotation chunks hold max(MEDIAN_CHUNK, window) windows,
-# which share one matrix of pairwise angles over the frames they span:
-# about 0.1 MB at the default window of 51. With at least window - 1 of
-# them, the spans of chunks two apart are disjoint, so each angle is
-# computed in at most two chunks.
+# window values. Rotation chunks of max(MEDIAN_CHUNK, half // 2 + 1) windows
+# share one matrix of pairwise angles over the frames they span: about 0.1 MB
+# at the default window of 51. Wider chunks would compute each angle in fewer
+# chunks but grow that matrix and the masked sums.
 MEDIAN_CHUNK = 64
 
 # Step norm below which a window has converged. The norm spans the metres
@@ -526,7 +525,8 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
 def _pairwise_angles(q: np.ndarray) -> np.ndarray:
     """Angular distances (m, m) between the unit quaternions q (m, 4), up to
     sign, as arccos |<q_a, q_b>|."""
-    return np.arccos(np.clip(np.abs(q @ q.T), 0.0, 1.0))
+    cos = q @ q.T  # then in place: one (m, m) matrix at a time
+    return np.arccos(np.clip(np.abs(cos, out=cos), 0.0, 1.0, out=cos), out=cos)
 
 
 def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
@@ -540,17 +540,17 @@ def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
     """
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and >= 1")
-    if window == 1:
-        return traj
-    half = window // 2
     n = len(traj)
+    if window == 1 or n < 2:
+        return traj
+    half = min(window // 2, n - 1)  # at n - 1 each window holds all n frames
     out_t, out_q = np.empty((n, 3)), np.empty((n, 4))
     # Frame i's window is row i of the translations padded with half NaN
     # rows at each end. Sorting puts a truncated window's NaNs last, so its
     # middle values sit at the ranks of its true size.
     padded = np.full((n + 2 * half, 3), np.nan)
     padded[half:half + n] = traj.t
-    win_t = sliding_window_view(padded, window, axis=0)  # (n, 3, window)
+    win_t = sliding_window_view(padded, 2 * half + 1, axis=0)  # (n, 3, 2 half + 1)
     for lo in range(0, n, MEDIAN_CHUNK):
         centre = np.arange(lo, min(lo + MEDIAN_CHUNK, n))
         size = np.minimum(centre + half + 1, n) - np.maximum(centre - half, 0)
@@ -562,12 +562,16 @@ def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
         out_t[centre] = mid
     # A window's summed angles add up the rows of the chunk's angle matrix
     # that lie inside it. Frames outside it read inf, and argmin takes the
-    # earliest of tied frames.
-    chunk = max(MEDIAN_CHUNK, window)
+    # earliest of tied frames. first + last grows from window to window, bar
+    # the equal ones cut at both ends, so each distinct window is summed once.
+    chunk = max(MEDIAN_CHUNK, half // 2 + 1)  # two chunks at half = n - 1
     for lo in range(0, n, chunk):
         centre = np.arange(lo, min(lo + chunk, n))
-        frames = np.arange(max(0, lo - half), min(n, centre[-1] + half + 1))
-        inside = np.abs(frames - centre[:, None]) <= half
+        first, last = np.maximum(centre - half, 0), np.minimum(centre + half, n - 1)
+        _, keep, row = np.unique(first + last, return_index=True, return_inverse=True)
+        frames = np.arange(first[0], last[-1] + 1)
+        inside = (frames >= first[keep, None]) & (frames <= last[keep, None])
         sums = inside @ _pairwise_angles(traj.q[frames])
-        out_q[centre] = traj.q[frames[np.argmin(np.where(inside, sums, np.inf), axis=1)]]
+        sums[~inside] = np.inf
+        out_q[centre] = traj.q[frames[np.argmin(sums, axis=1)[row]]]
     return Trajectory(traj.timestamps, out_t, out_q)

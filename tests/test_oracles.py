@@ -142,8 +142,10 @@ def test_off_grid_carry_matches_relative_pose_compose(n, k, T):
     (52, 51), (300, 51),        # full windows in several chunks
     (700, 5), (64 + 10, 11),
     (40, 101), (300, 1001),     # n <= half: every window holds all n frames
+    (30, 100001),               # half far above n: windows clamped to the trajectory
     (400, 601),                 # half < n: nested windows of distinct sizes at both ends
-    (1000, 129), (200, 65),     # full windows wider than MEDIAN_CHUNK: window-row rotation chunks
+    (1000, 129), (200, 65),     # full windows wider than MEDIAN_CHUNK
+    (1000, 301),                # rotation chunks of half // 2 + 1 > MEDIAN_CHUNK rows
 ])
 def test_median_filter_matches_per_window_loop(n, window):
     _, abs_traj, _ = _noisy_loop(max(n, 2), seed=window, abs_r_sigma=60.0)

@@ -883,6 +883,10 @@ class TestTemporalMedianFilter:
         with pytest.raises(ValueError):
             temporal_median_filter(traj, 4)
 
+    def test_empty_trajectory_passes_through(self):
+        traj = Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4)))
+        assert len(temporal_median_filter(traj, 51)) == 0
+
     def test_single_spike_removed(self):
         base_t, base_q = np.array([1.0, 2.0, 3.0]), quat.qexp(np.array([0.2, 0, 0]))
         t, q = np.tile(base_t, (20, 1)), np.tile(base_q, (20, 1))
@@ -891,10 +895,11 @@ class TestTemporalMedianFilter:
         assert np.array_equal(out.t, np.tile(base_t, (20, 1)))
         assert np.all(rotation_error_deg(out.q, base_q) == 0.0)
 
-    @pytest.mark.parametrize("n, window", [(60, 11), (60, 5), (23, 11), (11, 11), (8, 11)])
+    @pytest.mark.parametrize("n, window",
+                             [(60, 11), (60, 5), (60, 33), (23, 11), (11, 11), (8, 11)])
     def test_rotations_match_brute_force_medoid(self, monkeypatch, rng, n, window):
-        # chunks of 7 windows (of max(7, window) for rotations): several full
-        # chunks and a partial one
+        # chunks of 7 windows (of max(7, half // 2 + 1) for rotations, 9 at
+        # window 33): several full chunks and a partial one
         monkeypatch.setattr(pgo, "MEDIAN_CHUNK", 7)
         q = quat.canonicalize(quat.qexp(rng.normal(size=(n, 3))))
         out = temporal_median_filter(Trajectory(np.arange(float(n)), rng.normal(size=(n, 3)), q),
