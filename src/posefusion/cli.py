@@ -97,6 +97,7 @@ def _cmd_fuse(args) -> int:
         return DATA_ERROR
     vo = trajio.read_vo(args.vo, timestamps=abs_traj.timestamps[1:])
     fused = pgo.fuse_trajectory(abs_traj, vo, cfg)
+    del abs_traj, vo  # the median filter and the write read only fused
     if args.median_window is not None:
         fused = pgo.temporal_median_filter(fused, args.median_window)
     trajio.write_trajectory(fused, args.out)

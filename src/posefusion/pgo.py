@@ -51,9 +51,9 @@ class ConstraintKind(Enum):
 
 # Most windows that gauss_newton_solve linearizes and solves together.
 # Per-stack temporaries grow with it: on a 4000-frame k=10 fuse (394
-# windows), peak CLI RSS was 33.5 MB solving one window at a time, 34.8 MB
-# in stacks of 128 and 39.5 MB in one stack of all windows: +13%, past the
-# benchmark's 10% bound on fuse peak RSS.
+# windows), peak CLI RSS was 32.8-33.1 MB solving one window at a time,
+# 33.8-33.9 MB in stacks of 128 and 37.2 MB in one stack of all windows:
+# +10%, at the benchmark's 10% bound on fuse peak RSS.
 FUSE_BATCH = 128
 
 # Smallest accepted ratio of each pivot (diagonal entry of the Cholesky
@@ -172,8 +172,10 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray):
         ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
         # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
         jj[..., 3:] = -quat.dqmul_right(f)[..., 1:]
-    r = b.weight * (b.obs - f)
-    return r, b.weight * ji, (b.weight * jj if relative else None), f
+    ji *= b.weight
+    if relative:
+        jj *= b.weight
+    return b.weight * (b.obs - f), ji, jj, f
 
 
 def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,8 +382,10 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray, exact: bool = Fa
                 diag[:, 1:m + 1] += jj_t @ jj
                 g[:, 1:m + 1] += (jj_t @ r[..., None])[..., 0]
                 upper[:, :m] += ji_t @ jj
+                del jj_t
             if exact:
                 _add_curvature(b, t, q, r, f, diag, upper)
+            del r, ji, jj, f, ji_t  # freed before the next kind is linearized
     if not (np.isfinite(diag).all() and np.isfinite(upper).all() and np.isfinite(g).all()):
         raise np.linalg.LinAlgError("solver step is not finite: NaN or inf in the observations or "
                                     "the starting poses, or values so large that the normal "
@@ -473,7 +477,9 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     poses, and one gauss_newton_solve call solves all windows independently.
     Grid-step VO observations come from the integrated VO trajectory, and
     frames off the grid are carried through by composing the nearest
-    refined grid pose with the intermediate VO.
+    refined grid pose with the intermediate VO. The carry writes over the
+    integrated VO once the window stack is freed, so beside its inputs a
+    fuse holds one per-frame pose array until the output copies it.
     """
     n = len(abs_traj)
     if n < 2:
@@ -507,26 +513,30 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
         stats.window_converged.extend(converged.tolist())
 
     # The first window emits all of its poses, every later one its newest.
-    out_t, out_q = np.empty((n, 3)), np.empty((n, 4))
-    out_t[grid] = np.concatenate((t[0, :-1], t[:, -1]))
-    out_q[grid] = np.concatenate((q[0, :-1], q[:, -1]))
+    fused_t = np.concatenate((t[0, :-1], t[:, -1]))
+    fused_q = np.concatenate((q[0, :-1], q[:, -1]))
+    del blocks, abs_t, abs_q, t, q  # the window stack and the solver state
 
     # Carry non-grid frames through the VO chain from the nearest grid pose,
-    # BLOCK_ROWS frames at a time.
+    # BLOCK_ROWS frames at a time, into the integrated VO: grid frames are
+    # never in off, so theirs stay valid until the fused ones go in last.
     for lo in range(0, n, BLOCK_ROWS):
         frames = np.arange(lo, min(lo + BLOCK_ROWS, n))
         off = frames[frames % k != 0]
-        near = grid[_nearest_grid_index(off, k, len(grid))]
-        rel_t, rel_w = relative_pose(vo_t[off], vo_q[off], vo_t[near], vo_q[near])
-        out_t[off], out_q[off] = compose(out_t[near], out_q[near], rel_t, rel_w)
-    return Trajectory(abs_traj.timestamps, out_t, out_q)
+        near = _nearest_grid_index(off, k, len(grid))
+        rel_t, rel_w = relative_pose(vo_t[off], vo_q[off], vo_t[grid[near]], vo_q[grid[near]])
+        vo_t[off], vo_q[off] = compose(fused_t[near], fused_q[near], rel_t, rel_w)
+    vo_t[grid], vo_q[grid] = fused_t, fused_q
+    return Trajectory(abs_traj.timestamps, vo_t, vo_q)
 
 
 def _pairwise_angles(q: np.ndarray) -> np.ndarray:
     """Angular distances (m, m) between the unit quaternions q (m, 4), up to
-    sign, as arccos |<q_a, q_b>|."""
+    sign, as arccos |<q_a, q_b>|; exactly 0 from a frame to itself."""
     cos = q @ q.T  # then in place: one (m, m) matrix at a time
-    return np.arccos(np.clip(np.abs(cos, out=cos), 0.0, 1.0, out=cos), out=cos)
+    np.arccos(np.clip(np.abs(cos, out=cos), 0.0, 1.0, out=cos), out=cos)
+    np.fill_diagonal(cos, 0.0)  # a self-dot can round below 1
+    return cos
 
 
 def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:

@@ -146,7 +146,8 @@ def read_trajectory(path) -> Trajectory:
         ("quaternion is not unit-norm",
          lambda r: np.abs(quat.row_norm(r[:, 4:]) - 1.0) > QUAT_NORM_TOL)])
     q = table[:, 4:]
-    return Trajectory(table[:, 0], table[:, 1:4], q / quat.row_norm(q)[:, None])
+    q /= quat.row_norm(q)[:, None]  # in place: the table is ours
+    return Trajectory(table[:, 0], table[:, 1:4], q)
 
 
 def write_trajectory(traj: Trajectory, path) -> None:

@@ -152,6 +152,19 @@ class TestFuse:
         # bare flag means window 51
         assert (tmp_path / "m51.txt").read_bytes() == out_med.read_bytes()
 
+    def test_median_window_output_matches_library_calls(self, tmp_path):
+        # more frames than BLOCK_ROWS: the carry and the file I/O run in blocks
+        frames = pgo.BLOCK_ROWS + 500
+        gt, abs_path, vo = _simulate(tmp_path, README_NOISE, frames=frames)
+        out = tmp_path / "fused.txt"
+        assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo), "--out", str(out),
+                     "--median-window", "51"]) == 0
+        fused = pgo.fuse_trajectory(trajio.read_trajectory(abs_path), trajio.read_vo(vo),
+                                    pgo.PgoConfig())
+        trajio.write_trajectory(pgo.temporal_median_filter(fused, 51), tmp_path / "ref.txt")
+        assert out.read_bytes() == (tmp_path / "ref.txt").read_bytes()
+        assert len(trajio.read_trajectory(out)) == frames
+
     def test_even_median_window_is_usage_error(self, tmp_path):
         gt, abs_path, vo = _simulate(tmp_path)
         assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),

@@ -12,7 +12,7 @@ arithmetic, so every comparison here is exact.
 import numpy as np
 import pytest
 
-from posefusion import quat
+from posefusion import pgo, quat
 from posefusion.metrics import compare, parse_report, render_report
 from posefusion.pgo import PgoConfig, fuse_trajectory, temporal_median_filter
 from posefusion.pose import Trajectory, compose, integrate, relative_pose, rotation_error_deg
@@ -128,6 +128,18 @@ def test_integrate_matches_advance_chain(n, seed):
     (2, 1, 2),
 ])
 def test_off_grid_carry_matches_relative_pose_compose(n, k, T):
+    _assert_carry_matches_reference(n, k, T)
+
+
+@pytest.mark.parametrize("n, k, T", [(300, 7, 5), (301, 10, 7)])
+def test_off_grid_carry_across_blocks_matches_relative_pose_compose(monkeypatch, n, k, T):
+    # k does not divide the 64-row blocks, so frames near a block's edges
+    # carry from grid frames of the blocks before and after it
+    monkeypatch.setattr(pgo, "BLOCK_ROWS", 64)
+    _assert_carry_matches_reference(n, k, T)
+
+
+def _assert_carry_matches_reference(n, k, T):
     _, abs_traj, vo = _noisy_loop(n, seed=n)
     fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=T, spacing_k=k))
     vo_poses = integrate_reference(abs_traj.t[0], abs_traj.q[0], vo)

@@ -895,6 +895,14 @@ class TestTemporalMedianFilter:
         assert np.array_equal(out.t, np.tile(base_t, (20, 1)))
         assert np.all(rotation_error_deg(out.q, base_q) == 0.0)
 
+    def test_angle_of_a_frame_to_itself_is_zero(self, rng):
+        # x * x rounds to 1 - 2^-52 for x, the largest float below 1: a unit
+        # quaternion within rounding whose self-dot is below 1 in any order
+        x = np.nextafter(1.0, 0.0)
+        q = np.concatenate(([[x, 0.0, 0.0, 0.0]], quat.qexp(rng.normal(size=(40, 3)))))
+        assert q[0] @ q[0] < 1.0
+        assert np.all(np.diagonal(pgo._pairwise_angles(q)) == 0.0)
+
     @pytest.mark.parametrize("n, window",
                              [(60, 11), (60, 5), (60, 33), (23, 11), (11, 11), (8, 11)])
     def test_rotations_match_brute_force_medoid(self, monkeypatch, rng, n, window):
