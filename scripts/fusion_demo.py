@@ -30,7 +30,6 @@ def main(argv=None):
     parser.add_argument("--vo-t-bias", type=float, default=0.01)
     parser.add_argument("--window", type=int, default=7)
     parser.add_argument("--spacing", type=int, default=10)
-    parser.add_argument("--sigma-rot", type=float, default=10.0)
     parser.add_argument("--median-window", type=int, default=None)
     args = parser.parse_args(argv)
 
@@ -42,8 +41,7 @@ def main(argv=None):
     vo = corrupt_vo(gt, nm)
     vo_traj = Trajectory(gt.timestamps, *integrate(abs_traj.t[0], abs_traj.q[0], vo))
 
-    cfg = PgoConfig(window_T=args.window, spacing_k=args.spacing,
-                    sigma_rot=args.sigma_rot)
+    cfg = PgoConfig(window_T=args.window, spacing_k=args.spacing)
     start = time.perf_counter()
     fused = fuse_trajectory(abs_traj, vo, cfg)
     elapsed = time.perf_counter() - start

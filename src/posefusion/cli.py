@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--out", required=True)
     p_fuse.add_argument("--window", type=int, default=pgo.PgoConfig.window_T)
     p_fuse.add_argument("--spacing", type=int, default=pgo.PgoConfig.spacing_k)
-    p_fuse.add_argument("--sigma-rot", type=float, default=pgo.PgoConfig.sigma_rot)
     p_fuse.add_argument("--median-window", type=int, nargs="?", const=51, default=None)
 
     p_eval = sub.add_parser("eval", help="compare an estimate against ground truth")
@@ -86,7 +85,7 @@ def _cmd_fuse(args) -> int:
         print("fuse: --median-window must be odd and >= 1", file=sys.stderr)
         return USAGE_ERROR
     try:
-        cfg = pgo.PgoConfig(window_T=args.window, spacing_k=args.spacing, sigma_rot=args.sigma_rot)
+        cfg = pgo.PgoConfig(window_T=args.window, spacing_k=args.spacing)
     except ValueError as exc:
         print(f"fuse: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -96,7 +95,12 @@ def _cmd_fuse(args) -> int:
               file=sys.stderr)
         return DATA_ERROR
     vo = trajio.read_vo(args.vo, timestamps=abs_traj.timestamps[1:])
-    fused = pgo.fuse_trajectory(abs_traj, vo, cfg)
+    stats = pgo.FusionStats()
+    fused = pgo.fuse_trajectory(abs_traj, vo, cfg, stats=stats)
+    capped = stats.window_converged.count(False)
+    if capped:
+        print(f"fuse: {capped} of {len(stats.window_converged)} windows stopped at "
+              f"{cfg.max_iters} steps without converging", file=sys.stderr)
     del abs_traj, vo  # the median filter and the write read only fused
     if args.median_window is not None:
         fused = pgo.temporal_median_filter(fused, args.median_window)

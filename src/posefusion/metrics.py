@@ -68,7 +68,8 @@ def render_report(report: ErrorReport) -> str:
 
 
 def parse_report(text: str) -> ErrorReport:
-    """Inverse of render_report; KeyError, IndexError or ValueError if malformed."""
+    """Inverse of render_report; KeyError, IndexError or ValueError if malformed,
+    ValueError too if the frame or cdf_t lines are not as many as frames says."""
     scalars: dict[str, float] = {}
     fields = {"frame": 4, "cdf_t": 3}
     rows: dict[str, list[list[str]]] = {key: [] for key in fields}
@@ -82,6 +83,9 @@ def parse_report(text: str) -> ErrorReport:
             rows[parts[0]].append(parts[-2:])
         else:
             scalars[parts[0]] = float(parts[1])
+    for key in fields:
+        if len(rows[key]) != scalars["frames"]:
+            raise ValueError(f"{len(rows[key])} {key} lines, but frames is {scalars['frames']:g}")
     per_frame, cdf = (np.array(rows[key], dtype=float).reshape(-1, 2) for key in fields)
     return ErrorReport(
         median_t=scalars["median_t_m"], median_r=scalars["median_r_deg"],

@@ -79,15 +79,18 @@ MEDIAN_CHUNK = 64
 # 1e-8 m or rad, far below the noise of any observation.
 STEP_TOL = 1e-8
 
+# Weight of every rotation residual; translations have weight 1. Its square,
+# 10, is the information of a rotation residual relative to a translation one.
+ROT_WEIGHT = float(np.sqrt(10.0))
+
 
 @dataclass(frozen=True)
 class PgoConfig:
-    """Window size, frame spacing and rotation weight, fixed once validated;
-    the iteration cap max_iters is a class constant, not a field."""
+    """Window size and frame spacing, fixed once validated; the iteration
+    cap max_iters is a class constant, not a field."""
 
     window_T: int = 7
     spacing_k: int = 150
-    sigma_rot: float = 10.0
     max_iters: ClassVar[int] = 50
 
     def __post_init__(self):
@@ -95,10 +98,6 @@ class PgoConfig:
             raise ValueError("window_T must be >= 2")
         if self.spacing_k < 1:
             raise ValueError("spacing_k must be >= 1")
-        # each entry of the normal matrix sums a few sigma_rot-sized terms,
-        # which overflow to inf long before sigma_rot reaches the float maximum
-        if not (np.isfinite(self.sigma_rot) and 0 < self.sigma_rot <= 1e300):
-            raise ValueError("sigma_rot must be finite, > 0 and <= 1e300")
 
 
 class RankDeficientError(RuntimeError):
@@ -206,27 +205,25 @@ def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> tuple[np.nda
 
 
 def build_window_graph(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
-                       vo_q: np.ndarray, cfg: PgoConfig) -> list[Block]:
+                       vo_q: np.ndarray) -> list[Block]:
     """Constraints of a window stack: per-pose absolute + consecutive relative.
 
     abs_t (W, T, 3) and abs_q (W, T, 4) are each window's absolute
     observations; vo_t (W, T-1, 3) and vo_q (W, T-1, 4) its relative ones,
     pose i as seen from pose i + 1. Rotation observations are kept with the
     sign they come with: the residual takes each one's hemisphere.
-    Translations have weight 1 and rotations sqrt(sigma_rot), so sigma_rot
-    scales the squared norm of every rotation residual. One block per kind,
-    in ConstraintKind order: 2T + 2(T-1) constraints per window.
+    Translations have weight 1 and rotations ROT_WEIGHT. One block per
+    kind, in ConstraintKind order: 2T + 2(T-1) constraints per window.
     """
     n_win, T = abs_t.shape[:2]
     if vo_t.shape[:2] != (n_win, T - 1) or vo_q.shape[:2] != (n_win, T - 1):
-        raise ValueError(f"expected {T - 1} relative poses per window of {T} absolute "
-                         f"poses, got {vo_t.shape[1]}")
-    w_rot = float(np.sqrt(cfg.sigma_rot))
+        raise ValueError(f"expected vo_t and vo_q of (W, T - 1) = {(n_win, T - 1)} relative "
+                         f"poses, got vo_t {vo_t.shape[:2]} and vo_q {vo_q.shape[:2]}")
     return [
         Block(ConstraintKind.ABS_TRANSLATION, abs_t, 1.0),
-        Block(ConstraintKind.ABS_ROTATION, abs_q, w_rot),
+        Block(ConstraintKind.ABS_ROTATION, abs_q, ROT_WEIGHT),
         Block(ConstraintKind.REL_TRANSLATION, vo_t, 1.0),
-        Block(ConstraintKind.REL_ROTATION, vo_q, w_rot),
+        Block(ConstraintKind.REL_ROTATION, vo_q, ROT_WEIGHT),
     ]
 
 
@@ -407,7 +404,7 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray, exact: bool = Fa
     return dz
 
 
-def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: PgoConfig):
+def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray):
     """Solve a stack of windows from the state (t, q): a Gauss-Newton step,
     then exact-Hessian steps.
 
@@ -418,10 +415,10 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
     absolute poses can leave the Gauss-Newton basin: on one window of a
     k=150 loop they ended 145 degrees from its Gauss-Newton result.) Every
     window iterates until its own step norm drops below STEP_TOL or it has
-    taken max_iters steps; windows still iterating are linearized together,
-    FUSE_BATCH at a time. Returns the final t and q, and per window the
-    number of steps taken, the norm of the last one and whether the window
-    converged: whether that norm fell below STEP_TOL. Raises
+    taken PgoConfig.max_iters steps; windows still iterating are linearized
+    together, FUSE_BATCH at a time. Returns the final t and q, and per
+    window the number of steps taken, the norm of the last one and whether
+    the window converged: whether that norm fell below STEP_TOL. Raises
     RankDeficientError when a window's Jacobian loses full column rank and
     numpy.linalg.LinAlgError when a step is not finite.
     """
@@ -430,7 +427,7 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray, cfg: P
     iterations = np.zeros(n_win, dtype=int)
     step_norm = np.full(n_win, np.inf)
     active = np.arange(n_win)
-    for i in range(cfg.max_iters):
+    for i in range(PgoConfig.max_iters):
         for lo in range(0, len(active), FUSE_BATCH):
             stack = active[lo:lo + FUSE_BATCH]
             dz = _gn_step([b.windows(stack) for b in blocks], t[stack], q[stack], exact=i > 0)
@@ -506,8 +503,8 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     abs_t = abs_traj.t[grid][windows]
     abs_q = abs_traj.q[grid][windows]
     blocks = build_window_graph(abs_t, abs_q, step_t[windows[:, :-1]],
-                                quat.qexp(step_w)[windows[:, :-1]], cfg)
-    t, q, iterations, _, converged = gauss_newton_solve(blocks, abs_t, abs_q, cfg)
+                                quat.qexp(step_w)[windows[:, :-1]])
+    t, q, iterations, _, converged = gauss_newton_solve(blocks, abs_t, abs_q)
     if stats is not None:
         stats.window_iterations.extend(iterations.tolist())
         stats.window_converged.extend(converged.tolist())

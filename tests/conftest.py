@@ -50,11 +50,11 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def window_graph(t, q, vo_t, vo_w, cfg):
+def window_graph(t, q, vo_t, vo_w):
     """pgo.build_window_graph of one window: poses t (T, 3), q (T, 4) and
     relative poses vo_t (T-1, 3), vo_w (T-1, 3)."""
     return build_window_graph(t[None], q[None], np.reshape(vo_t, (1, -1, 3)),
-                              quat.qexp(np.reshape(vo_w, (1, -1, 3))), cfg)
+                              quat.qexp(np.reshape(vo_w, (1, -1, 3))))
 
 
 def single_block(kind, observation, weight):

@@ -96,13 +96,12 @@ def test_jacobian_finite_difference_oracle():
 def test_solver_matches_derivative_free_minimizer():
     rng = np.random.default_rng(21)
     gt_t, gt_q = safe_random_poses(rng, 3)
-    cfg = PgoConfig(window_T=3, sigma_rot=10.0)
-    blocks = window_graph(gt_t, gt_q, *chain_vo(gt_t, gt_q), cfg)
+    blocks = window_graph(gt_t, gt_q, *chain_vo(gt_t, gt_q))
     t0, q0 = stack_poses([(t + 0.2 * rng.normal(size=3),
                            quat.qmul(q, quat.qexp(0.2 * rng.normal(size=3))))
                           for t, q in zip(gt_t, gt_q)])
     t0, q0 = t0[None], quat.canonicalize(q0)[None]
-    t, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
+    t, q, *_ = gauss_newton_solve(blocks, t0, q0)
 
     def energy(x):
         z = x.reshape(1, 3, 6)
@@ -125,12 +124,11 @@ def test_solver_pure_translation_closed_form(monkeypatch):
     n = 3
     abs_obs = [rng.normal(size=3) for _ in range(n)]
     monkeypatch.setattr(PgoConfig, "max_iters", 100)
-    cfg = PgoConfig(window_T=n, sigma_rot=10.0)
     identities = np.tile(quat.IDENTITY, (n, 1))
     blocks = window_graph(np.array(abs_obs), identities,
-                          np.zeros((n - 1, 3)), np.zeros((n - 1, 3)), cfg)
+                          np.zeros((n - 1, 3)), np.zeros((n - 1, 3)))
     t0 = np.array([abs_obs[i] + 0.2 * rng.normal(size=3) for i in range(n)])
-    t, *_ = gauss_newton_solve(blocks, t0[None], identities[None], cfg)
+    t, *_ = gauss_newton_solve(blocks, t0[None], identities[None])
 
     rows_a, rows_b = [], []
     for i in range(n):
@@ -169,7 +167,7 @@ def test_zero_noise_fuse_is_fixed_point():
 
 def test_fusion_beats_both_inputs_over_five_seeds():
     start = time.perf_counter()
-    cfg = PgoConfig(window_T=7, spacing_k=10, sigma_rot=10.0)
+    cfg = PgoConfig(window_T=7, spacing_k=10)
     ratios = []
     for seed in range(5):
         gt = generate_trajectory("loop", 1000, 0.1)
@@ -216,7 +214,7 @@ def test_every_window_converges_over_five_seeds():
             f"5 seeds each), at most {worst} iterations, in {elapsed:.1f} s")
 
 
-def _gauss_newton_to_the_optimum(blocks, t, q, cfg):
+def _gauss_newton_to_the_optimum(blocks, t, q):
     """Gauss-Newton steps alone, run far past the solver's stopping rule:
     until every window's step is below 1e-14, or 200 steps."""
     t, q = t.copy(), q.copy()

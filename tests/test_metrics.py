@@ -134,6 +134,12 @@ class TestParseMalformed:
         ("cdf_t ", "cdf_t 0.5 half", ValueError),           # non-numeric cdf value
         ("mean_t_m", "mean_t_m abc", ValueError),           # non-numeric scalar
         ("median_r_deg", None, KeyError),                   # missing scalar key
+        ("frames ", None, KeyError),                        # missing frame count
+        ("frame 2 ", None, ValueError),                     # fewer frame lines than frames
+        ("cdf_t ", None, ValueError),                       # fewer cdf_t lines than frames
+        ("frame 2 ", "frame 2 0.5 1.0\nframe 2 0.5 1.0", ValueError),  # more frame lines
+        ("frames ", "frames 5", ValueError),                # frames above the row count
+        ("frames ", "frames 4.5", ValueError),              # frames not a whole number
         ("mean_r_deg", "mean_r_deg", IndexError),           # scalar key without value
     ])
     def test_raises(self, text, prefix, new, error):
@@ -151,5 +157,5 @@ class TestParseMalformed:
     def test_tables_may_be_empty(self, text):
         kept = "".join(ln + "\n" for ln in text.splitlines()
                        if not ln.startswith(("frame ", "cdf_t ")))
-        back = parse_report(kept)
+        back = parse_report(_edit_line(kept, "frames ", "frames 0"))
         assert back.per_frame.shape == (0, 2) and back.cdf.shape == (0, 2)

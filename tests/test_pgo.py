@@ -47,10 +47,7 @@ def random_block(kind, rng, weight=2.0):
 
 
 class TestPgoConfig:
-    @pytest.mark.parametrize("field, value", [
-        ("sigma_rot", 0.0), ("sigma_rot", -1.0), ("sigma_rot", np.nan), ("sigma_rot", np.inf),
-        ("sigma_rot", np.nextafter(1e300, np.inf)), ("sigma_rot", 1e308),
-    ])
+    @pytest.mark.parametrize("field, value", [("window_T", 1), ("spacing_k", 0)])
     def test_rejects_bad_solver_options(self, field, value):
         with pytest.raises(ValueError, match=field):
             PgoConfig(**{field: value})
@@ -60,8 +57,12 @@ class TestPgoConfig:
         with pytest.raises(TypeError, match="max_iters"):
             PgoConfig(max_iters=5)
 
-    @pytest.mark.parametrize("field, value", [
-        ("spacing_k", 0), ("sigma_rot", -1.0), ("max_iters", 0)])
+    def test_rotation_weight_is_not_a_constructor_field(self):
+        assert [f.name for f in dataclasses.fields(PgoConfig)] == ["window_T", "spacing_k"]
+        with pytest.raises(TypeError, match="sigma_rot"):
+            PgoConfig(sigma_rot=10.0)
+
+    @pytest.mark.parametrize("field, value", [("spacing_k", 0), ("max_iters", 0)])
     def test_fields_cannot_change_after_validation(self, field, value):
         cfg = PgoConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -73,29 +74,41 @@ class TestBuildWindowGraph:
     def test_counts(self, rng):
         for T, expected in [(2, 6), (7, 26)]:
             t, q = random_poses(rng, T)
-            blocks = window_graph(t, q, *chain_vo(t, q), PgoConfig(window_T=T))
+            blocks = window_graph(t, q, *chain_vo(t, q))
             assert sum(b.obs.shape[1] for b in blocks) == expected
 
     def test_covariances(self, rng):
         t, q = random_poses(rng, 3)
-        for b in window_graph(t, q, *chain_vo(t, q), PgoConfig(sigma_rot=20.0)):
+        for b in window_graph(t, q, *chain_vo(t, q)):
             # the weight is the square root of the kind's information: 1 for
-            # translations, sigma_rot for rotations
+            # translations, 10 for rotations
             if b.kind in (ConstraintKind.ABS_TRANSLATION, ConstraintKind.REL_TRANSLATION):
                 assert b.weight == 1.0
             else:
-                assert b.weight == np.sqrt(20.0)
+                assert b.weight == pgo.ROT_WEIGHT == np.sqrt(10.0)
 
     def test_length_mismatch(self, rng):
         t, q = random_poses(rng, 3)
-        with pytest.raises(ValueError):
-            window_graph(t, q, [], [], PgoConfig())
+        with pytest.raises(ValueError, match=r"got vo_t \(1, 0\) and vo_q \(1, 0\)"):
+            window_graph(t, q, [], [])
+        t, q = random_poses(rng, 14)
+        t, q = t.reshape(2, 7, 3), q.reshape(2, 7, 4)
+        vo_t, vo_w = relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:])
+        vo_q = quat.qexp(vo_w)
+        build_window_graph(t, q, vo_t, vo_q)
+        expected = r"expected vo_t and vo_q of \(W, T - 1\) = \(2, 6\) relative poses, got "
+        # a vo_q with 5 rows per window
+        with pytest.raises(ValueError, match=expected + r"vo_t \(2, 6\) and vo_q \(2, 5\)$"):
+            build_window_graph(t, q, vo_t, vo_q[:, :5])
+        # a vo_t with 3 windows against 2
+        with pytest.raises(ValueError, match=expected + r"vo_t \(3, 6\) and vo_q \(2, 6\)$"):
+            build_window_graph(t, q, vo_t[[0, 1, 1]], vo_q)
 
 
 class TestResidualAndJacobian:
     def test_zero_residual_at_consistent_state(self, rng):
         t, q = safe_random_poses(rng, 3)
-        r, _ = linearize(window_graph(t, q, *chain_vo(t, q), PgoConfig()), t[None], q[None])
+        r, _ = linearize(window_graph(t, q, *chain_vo(t, q)), t[None], q[None])
         assert np.max(np.abs(r)) < 1e-12
 
     def test_identity_covariance_whitening_noop(self, rng):
@@ -135,7 +148,7 @@ def half_turn_window(rng):
     t, q = t[:1], q[:1].copy()
     q[:, 1::2] = quat.qmul(q[:, 1::2], quat.qexp(np.array([0.0, 0.0, np.pi / 2])))
     vo_t, vo_w = relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:])
-    blocks = build_window_graph(t, q, vo_t, quat.qexp(vo_w), PgoConfig(window_T=7))
+    blocks = build_window_graph(t, q, vo_t, quat.qexp(vo_w))
     return blocks, t, quat.qmul(q, quat.qexp(0.05 * rng.normal(size=(1, 7, 3))))
 
 
@@ -187,27 +200,25 @@ def energy_over_chart(blocks, x):
 class TestGaussNewton:
     def _toy_problem(self, rng, n=3, noise=0.2):
         gt_t, gt_q = safe_random_poses(rng, n)
-        cfg = PgoConfig(window_T=n, sigma_rot=10.0)
-        blocks = window_graph(gt_t, gt_q, *chain_vo(gt_t, gt_q), cfg)
+        blocks = window_graph(gt_t, gt_q, *chain_vo(gt_t, gt_q))
         z0 = stack_poses([(t + noise * rng.normal(size=3),
                            quat.qmul(q, quat.qexp(noise * rng.normal(size=3))))
                           for t, q in zip(gt_t, gt_q)])
-        return blocks, (z0[0][None], quat.canonicalize(z0[1])[None]), cfg
+        return blocks, (z0[0][None], quat.canonicalize(z0[1])[None])
 
     def test_consistent_state_is_fixed_point(self, rng):
         t0, q0 = safe_random_poses(rng, 3)
-        cfg = PgoConfig(window_T=3)
-        blocks = window_graph(t0, q0, *chain_vo(t0, q0), cfg)
+        blocks = window_graph(t0, q0, *chain_vo(t0, q0))
         t0, q0 = t0[None], q0[None]
-        t, _, iterations, step_norm, converged = gauss_newton_solve(blocks, t0, q0, cfg)
+        t, _, iterations, step_norm, converged = gauss_newton_solve(blocks, t0, q0)
         assert iterations[0] == 1
         assert step_norm[0] < 1e-12
         assert converged[0]
         assert np.max(np.abs(t - t0)) < 1e-12
 
     def test_matches_derivative_free_minimizer(self, rng):
-        blocks, (t0, q0), cfg = self._toy_problem(rng)
-        t, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
+        blocks, (t0, q0) = self._toy_problem(rng)
+        t, q, *_ = gauss_newton_solve(blocks, t0, q0)
 
         x0 = np.concatenate([t0, quat.qlog(q0)], axis=-1).ravel()
         res = scipy.optimize.minimize(
@@ -218,8 +229,8 @@ class TestGaussNewton:
 
     def test_objective_never_increases_over_corpus(self, rng):
         for _ in range(20):
-            blocks, (t0, q0), cfg = self._toy_problem(rng, noise=0.1)
-            t, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
+            blocks, (t0, q0) = self._toy_problem(rng, noise=0.1)
+            t, q, *_ = gauss_newton_solve(blocks, t0, q0)
             assert objective(blocks, t, q) <= objective(blocks, t0, q0) + 1e-12
 
     def test_pure_translation_closed_form(self, rng, monkeypatch):
@@ -231,13 +242,12 @@ class TestGaussNewton:
         monkeypatch.setattr(PgoConfig, "max_iters", 100)
         n = 3
         abs_obs = [rng.normal(size=3) for _ in range(n)]
-        cfg = PgoConfig(window_T=n, sigma_rot=10.0)
         identities = np.tile(quat.IDENTITY, (n, 1))
         blocks = window_graph(np.array(abs_obs), identities,
-                              np.zeros((n - 1, 3)), np.zeros((n - 1, 3)), cfg)
+                              np.zeros((n - 1, 3)), np.zeros((n - 1, 3)))
 
         t0 = np.array([abs_obs[i] + 0.2 * rng.normal(size=3) for i in range(n)])
-        t, q, *_ = gauss_newton_solve(blocks, t0[None], identities[None], cfg)
+        t, q, *_ = gauss_newton_solve(blocks, t0[None], identities[None])
 
         rows_a, rows_b = [], []
         for i in range(n):
@@ -262,28 +272,26 @@ class TestGaussNewton:
         blocks, t0, q0 = noisy_window_stack(rng, 4)
         with monkeypatch.context() as m:
             m.setattr(PgoConfig, "max_iters", 1)
-            _, _, iterations, _, converged = gauss_newton_solve(
-                blocks, t0, q0, PgoConfig(window_T=4))
+            _, _, iterations, _, converged = gauss_newton_solve(blocks, t0, q0)
         assert np.all(iterations == 1) and not converged.any()
-        *_, converged = gauss_newton_solve(blocks, t0, q0, PgoConfig(window_T=4))
+        *_, converged = gauss_newton_solve(blocks, t0, q0)
         assert converged.all()
 
     def test_quaternions_stay_unit_without_renormalization(self, rng, monkeypatch):
-        blocks, (t0, q0), cfg = self._toy_problem(rng, noise=0.3)
+        blocks, (t0, q0) = self._toy_problem(rng, noise=0.3)
         monkeypatch.setattr(pgo, "STEP_TOL", 0.0)  # force every iteration to run
         monkeypatch.setattr(PgoConfig, "max_iters", 200)
-        _, q, *_ = gauss_newton_solve(blocks, t0, q0, cfg)
+        _, q, *_ = gauss_newton_solve(blocks, t0, q0)
         for qi in q[0]:
             assert abs(np.linalg.norm(qi) - 1.0) < 1e-9
 
     def test_rank_deficiency_reported(self, rng):
         # relative constraints only: the global gauge is unobservable
         t, q = safe_random_poses(rng, 2)
-        cfg = PgoConfig(window_T=2, sigma_rot=1.0)
-        blocks = [b for b in window_graph(t, q, *chain_vo(t, q), cfg)
+        blocks = [b for b in window_graph(t, q, *chain_vo(t, q))
                   if b.kind in (ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION)]
         with pytest.raises(RankDeficientError) as err:
-            gauss_newton_solve(blocks, t[None] + 0.1, q[None], cfg)
+            gauss_newton_solve(blocks, t[None] + 0.1, q[None])
         assert len(err.value.columns) > 0
 
     @staticmethod
@@ -294,10 +302,9 @@ class TestGaussNewton:
         t = np.zeros((T, 3))
         t[:, 0] = np.arange(T)
         q = np.tile(quat.IDENTITY, (T, 1))
-        cfg = PgoConfig(window_T=T)
-        blocks = [b for b in window_graph(t, q, *chain_vo(t, q), cfg) if b.kind in kinds]
+        blocks = [b for b in window_graph(t, q, *chain_vo(t, q)) if b.kind in kinds]
         with pytest.raises(RankDeficientError) as err:
-            gauss_newton_solve(blocks, t[None] + 0.1, q[None], cfg)
+            gauss_newton_solve(blocks, t[None] + 0.1, q[None])
         return err.value
 
     @pytest.mark.parametrize("kinds, columns", [
@@ -322,14 +329,13 @@ class TestGaussNewton:
 
     def test_non_finite_step_raises(self, rng):
         t, q = safe_random_poses(rng, 3)
-        cfg = PgoConfig(window_T=3)
         for bad in (np.nan, np.inf):
-            blocks = window_graph(t, q, *chain_vo(t, q), cfg)
+            blocks = window_graph(t, q, *chain_vo(t, q))
             obs = blocks[0].obs.copy()  # absolute translation of pose 0
             obs[0, 0] = [bad, 0.0, 0.0]
             blocks[0] = blocks[0]._replace(obs=obs)
             with pytest.raises(np.linalg.LinAlgError):
-                gauss_newton_solve(blocks, t[None], q[None], cfg)
+                gauss_newton_solve(blocks, t[None], q[None])
 
 
 def noisy_window_stack(rng, T, n_win=4):
@@ -350,7 +356,7 @@ def noisy_window_stack(rng, T, n_win=4):
     vo_t, vo_w = relative_pose(gt_t[:, :-1], gt_q[:, :-1], gt_t[:, 1:], gt_q[:, 1:])
     vo_q = quat.qmul(quat.qexp(vo_w), quat.qexp(0.01 * rng.normal(size=vo_w.shape)))
     blocks = build_window_graph(abs_t, abs_q, vo_t + 0.01 * rng.normal(size=vo_t.shape),
-                                vo_q, PgoConfig(window_T=T))
+                                vo_q)
     return blocks, abs_t, abs_q
 
 
@@ -670,8 +676,7 @@ class TestSolverStacks:
         monkeypatch.setattr(pgo, "FUSE_BATCH", 3)
         n_win = 2 * pgo.FUSE_BATCH + 1
         blocks, t0, q0 = noisy_window_stack(rng, 4, n_win=n_win)
-        cfg = PgoConfig(window_T=4)
-        single = [gauss_newton_solve([b.windows([w]) for b in blocks], t0[[w]], q0[[w]], cfg)
+        single = [gauss_newton_solve([b.windows([w]) for b in blocks], t0[[w]], q0[[w]])
                   for w in range(n_win)]
         stacks = []
         gn_step = pgo._gn_step
@@ -681,7 +686,7 @@ class TestSolverStacks:
             return gn_step(blocks, t, q, exact)
 
         monkeypatch.setattr(pgo, "_gn_step", recorded)
-        t, q, iterations, step_norm, converged = gauss_newton_solve(blocks, t0, q0, cfg)
+        t, q, iterations, step_norm, converged = gauss_newton_solve(blocks, t0, q0)
         assert max(stacks) == pgo.FUSE_BATCH
         assert sum(stacks) == iterations.sum()
         for w, (t_w, q_w, iterations_w, step_norm_w, converged_w) in enumerate(single):
@@ -715,7 +720,6 @@ class TestFuseTrajectory:
         cfg = PgoConfig()
         assert cfg.window_T == 7
         assert cfg.spacing_k == 150
-        assert cfg.sigma_rot == 10.0
 
     def test_short_trajectory_single_window(self):
         gt = generate_trajectory("random-walk", 5, 0.5, seed=3)
@@ -735,15 +739,16 @@ class TestFuseTrajectory:
         assert err_fused < mean_translation_error(abs_traj.t, gt.t)
         assert err_fused < mean_translation_error(vo_integ_t, gt.t)
 
-    def test_heavy_rotation_weight_converges(self):
-        # sigma_rot = 1e20 spreads each window's pivots over ten orders of
-        # magnitude; every window still converges in a few steps
+    def test_heavy_rotation_weight_converges(self, monkeypatch):
+        # a rotation weight of 1e10 spreads each window's pivots over ten
+        # orders of magnitude; every window still converges in a few steps
+        monkeypatch.setattr(pgo, "ROT_WEIGHT", 1e10)
         gt = generate_trajectory("loop", 1000, 0.1)
         nm = NoiseModel(abs_t_sigma=0.5, abs_r_sigma=5, vo_t_sigma=0.01,
                         vo_r_sigma=0.1, vo_t_bias=0.01, seed=0)
         stats = FusionStats()
         fuse_trajectory(corrupt_absolute(gt, nm), corrupt_vo(gt, nm),
-                        PgoConfig(spacing_k=10, sigma_rot=1e20), stats)
+                        PgoConfig(spacing_k=10), stats)
         assert len(stats.window_converged) == 94
         assert all(stats.window_converged)
         assert max(stats.window_iterations) <= 4
@@ -801,8 +806,8 @@ class TestFuseTrajectory:
         for w in range(len(grid) - T + 1):
             frames = grid[w:w + T]
             abs_t, abs_q = abs_traj.t[frames], abs_traj.q[frames]
-            blocks = window_graph(abs_t, abs_q, grid_t[w:w + T - 1], grid_w[w:w + T - 1], cfg)
-            t, q, its, *_ = gauss_newton_solve(blocks, abs_t[None], abs_q[None], cfg)
+            blocks = window_graph(abs_t, abs_q, grid_t[w:w + T - 1], grid_w[w:w + T - 1])
+            t, q, its, *_ = gauss_newton_solve(blocks, abs_t[None], abs_q[None])
             iterations.append(int(its[0]))
             for offset in (range(T) if w == 0 else [T - 1]):
                 frame = grid[w + offset]
