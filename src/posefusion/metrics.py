@@ -27,6 +27,16 @@ class ErrorReport:
     cdf: np.ndarray  # (n, 2): sorted translation error in m, fraction of frames
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a non-empty 1-d array, bit for bit: the middle value, or
+    the mean of the middle two. np.median imports numpy.ma on first use."""
+    half = len(a) // 2
+    if len(a) % 2:
+        return float(np.partition(a, half)[half])
+    low, high = np.partition(a, (half - 1, half))[half - 1:half + 1]
+    return float((low + high) / 2)
+
+
 def compare(est: Trajectory, gt: Trajectory) -> ErrorReport:
     """Per-frame errors between two trajectories on identical timestamps.
 
@@ -43,8 +53,8 @@ def compare(est: Trajectory, gt: Trajectory) -> ErrorReport:
     r_err = rotation_error_deg(est.q, gt.q)
     n = len(t_err)
     return ErrorReport(
-        median_t=float(np.median(t_err)),
-        median_r=float(np.median(r_err)),
+        median_t=_median(t_err),
+        median_r=_median(r_err),
         mean_t=float(np.mean(t_err)),
         mean_r=float(np.mean(r_err)),
         per_frame=np.column_stack((t_err, r_err)),

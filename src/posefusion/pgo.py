@@ -50,10 +50,8 @@ class ConstraintKind(Enum):
 
 
 # Most windows that gauss_newton_solve linearizes and solves together.
-# Per-stack temporaries grow with it: on a 4000-frame k=10 fuse (394
-# windows), peak CLI RSS was 32.8-33.1 MB solving one window at a time,
-# 33.8-33.9 MB in stacks of 128 and 37.2 MB in one stack of all windows:
-# +10%, at the benchmark's 10% bound on fuse peak RSS.
+# Per-stack temporaries grow with it, so it bounds the solver's peak memory
+# on long trajectories.
 FUSE_BATCH = 128
 
 # Smallest accepted ratio of each pivot (diagonal entry of the Cholesky
@@ -444,7 +442,8 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray):
 
 @dataclass
 class FusionStats:
-    """Per-window diagnostics collected by fuse_trajectory when requested:
+    """Per-window diagnostics collected by fuse_trajectory when requested,
+    one record per window of its stride, in order of their first grid pose:
     solver steps taken (one Gauss-Newton step, then exact-Hessian steps),
     and whether the window converged (its last step was shorter than
     STEP_TOL) rather than stopping at max_iters."""
@@ -468,10 +467,14 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
 
     vo holds one relative pose per frame after the first, stamped with that
     frame's timestamp. Grid frames spaced spacing_k apart are optimized in
-    overlapping windows of window_T poses (stride 1, newest pose emitted;
-    the first window emits all of its poses). Each window's optimum depends
-    only on its own observations, so every window starts from its absolute
-    poses, and one gauss_newton_solve call solves all windows independently.
+    overlapping windows of T = window_T poses, which start every
+    max(1, T - 4) grid poses, the last at G - T for G grid poses. Each grid
+    pose is taken from the window whose centre is nearest it (a tie goes to
+    the earlier window), so it has at least two poses of context on each
+    side unless it lies within two of an end or T < 5. Each window's optimum
+    depends only on its own observations, so every window starts from its
+    absolute poses, and one gauss_newton_solve call solves all windows
+    independently.
     Grid-step VO observations come from the integrated VO trajectory, and
     frames off the grid are carried through by composing the nearest
     refined grid pose with the intermediate VO. The carry writes over the
@@ -498,8 +501,11 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
     step_t, step_w = relative_pose(vo_t[grid[:-1]], vo_q[grid[:-1]], vo_t[grid[1:]], vo_q[grid[1:]])
 
-    # Window w holds grid poses w .. w + T - 1.
-    windows = np.arange(len(grid) - T + 1)[:, None] + np.arange(T)
+    # A stride of T - 4 leaves each emitted pose two grid poses of context on
+    # each side; a wider one lost accuracy (T = 7 at stride 5). The last
+    # window ends at the last grid pose.
+    starts = np.append(np.arange(0, len(grid) - T, max(1, T - 4)), len(grid) - T)
+    windows = starts[:, None] + np.arange(T)
     abs_t = abs_traj.t[grid][windows]
     abs_q = abs_traj.q[grid][windows]
     blocks = build_window_graph(abs_t, abs_q, step_t[windows[:, :-1]],
@@ -509,9 +515,12 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
         stats.window_iterations.extend(iterations.tolist())
         stats.window_converged.extend(converged.tolist())
 
-    # The first window emits all of its poses, every later one its newest.
-    fused_t = np.concatenate((t[0, :-1], t[:, -1]))
-    fused_q = np.concatenate((q[0, :-1], q[:, -1]))
+    # Each grid pose comes from the window whose centre, start + (T - 1) / 2,
+    # is nearest it; a tie goes to the earlier window. In doubled units the
+    # boundaries are the midpoints between consecutive centres.
+    pose = np.arange(len(grid))
+    win = np.searchsorted(starts[:-1] + starts[1:] + T - 1, 2 * pose)
+    fused_t, fused_q = t[win, pose - starts[win]], q[win, pose - starts[win]]
     del blocks, abs_t, abs_q, t, q  # the window stack and the solver state
 
     # Carry non-grid frames through the VO chain from the nearest grid pose,

@@ -256,6 +256,52 @@ def test_solver_reaches_the_optimum(monkeypatch):
             f"(n=1000, k=10 and 150, 3 seeds) in {elapsed:.1f} s")
 
 
+def _readme_noise_inputs(n, seed):
+    gt = generate_trajectory("loop", n, 0.1)
+    nm = NoiseModel(abs_t_sigma=0.5, abs_r_sigma=5.0,
+                    vo_t_sigma=0.01, vo_r_sigma=0.1, vo_t_bias=0.01, seed=seed)
+    return gt, corrupt_absolute(gt, nm), corrupt_vo(gt, nm)
+
+
+def test_windows_match_the_whole_trajectory_optimum():
+    # the referee of the window stride: one window over all G grid poses,
+    # built and solved directly, holds every observation a grid pose has
+    start = time.perf_counter()
+    worst_t = worst_r = 0.0
+    for n, k in ((1000, 10), (4000, 150)):
+        for seed in range(3):
+            gt, abs_traj, vo = _readme_noise_inputs(n, seed)
+            fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=k))
+            grid = np.arange(0, n, k)
+            vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
+            step_t, step_w = chain_vo(vo_t[grid], vo_q[grid])
+            blocks = window_graph(abs_traj.t[grid], abs_traj.q[grid], step_t, step_w)
+            t, q, _, _, converged = gauss_newton_solve(blocks, abs_traj.t[grid][None],
+                                                       abs_traj.q[grid][None])
+            assert converged[0]
+            mean_t = _mean_t_error(fused.t[grid], t[0])
+            mean_r = float(np.mean(rotation_error_deg(fused.q[grid], q[0])))
+            assert mean_t < 0.1 and mean_r < 1.0, (n, k, seed, mean_t, mean_r)
+            worst_t, worst_r = max(worst_t, mean_t), max(worst_r, mean_r)
+    elapsed = time.perf_counter() - start
+    _passed(f"fused grid poses within a mean of {worst_t:.3f} m / {worst_r:.2f} deg of the "
+            f"whole-trajectory optimum (n=1000, k=10 and n=4000, k=150, 3 seeds) "
+            f"in {elapsed:.1f} s")
+
+
+def test_fused_rotation_beats_abs_over_five_seeds():
+    ratios = []
+    for seed in range(5):
+        gt, abs_traj, vo = _readme_noise_inputs(1000, seed)
+        fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=10))
+        r_fused = float(np.mean(rotation_error_deg(fused.q, gt.q)))
+        r_abs = float(np.mean(rotation_error_deg(abs_traj.q, gt.q)))
+        assert r_fused < r_abs, (seed, r_fused, r_abs)
+        ratios.append(r_fused / r_abs)
+    _passed(f"fused mean rotation error below the abs input's on 5 seeds "
+            f"(ratios {min(ratios):.2f}-{max(ratios):.2f})")
+
+
 def test_quaternion_sign_robustness_through_fuse():
     gt = generate_trajectory("loop", 300, 0.1)
     nm = NoiseModel(abs_t_sigma=0.3, abs_r_sigma=3.0,

@@ -215,7 +215,7 @@ class TestFuse:
         out = tmp_path / "capped.txt"
         assert main([*args, "--out", str(out)]) == 0
         assert capsys.readouterr().err == (
-            "fuse: 24 of 24 windows stopped at 1 steps without converging\n")
+            "fuse: 9 of 9 windows stopped at 1 steps without converging\n")
         assert len(trajio.read_trajectory(out)) == 300
 
     def test_missing_file_is_data_error(self, tmp_path):

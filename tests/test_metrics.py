@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,23 @@ class TestCompare:
         for thr, frac in rep.cdf:
             expected = sum(1 for e in t_err if e <= thr + 1e-15) / 25
             assert frac == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 25, 26, 1001, 1000])
+    def test_medians_are_np_median_bit_for_bit(self, rng, n):
+        gt = _random_traj(rng, n)
+        rep = compare(_random_traj(rng, n), gt)
+        assert rep.median_t == float(np.median(rep.per_frame[:, 0]))
+        assert rep.median_r == float(np.median(rep.per_frame[:, 1]))
+
+    def test_compare_does_not_import_numpy_ma(self):
+        # np.median imports numpy.ma on first use: 14 ms and 1.3 MB per eval.
+        # numpy 1.x imports numpy.ma with numpy itself; then there is nothing to check.
+        code = ("import sys, numpy as np; from posefusion.metrics import compare; "
+                "from posefusion.pose import Trajectory; "
+                "had = 'numpy.ma' in sys.modules; "
+                "a = Trajectory(np.arange(4.0), np.eye(4)[:, :3], np.eye(4)[[0] * 4]); "
+                "compare(a, a); assert had or 'numpy.ma' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_cdf_monotone_and_ends_at_one(self, rng):
         gt = _random_traj(rng, 30)

@@ -749,7 +749,8 @@ class TestFuseTrajectory:
         stats = FusionStats()
         fuse_trajectory(corrupt_absolute(gt, nm), corrupt_vo(gt, nm),
                         PgoConfig(spacing_k=10), stats)
-        assert len(stats.window_converged) == 94
+        # 100 grid poses: windows start at 0, 3, ..., 90 and 93
+        assert len(stats.window_converged) == 32
         assert all(stats.window_converged)
         assert max(stats.window_iterations) <= 4
 
@@ -791,10 +792,11 @@ class TestFuseTrajectory:
         return corrupt_absolute(gt, nm), corrupt_vo(gt, nm)
 
     def test_batches_match_single_window_solver(self, monkeypatch):
-        # 20 grid poses give 16 windows: five batches of 3 and a partial one
-        monkeypatch.setattr(pgo, "FUSE_BATCH", 3)
+        # 20 grid poses give 6 windows at stride T - 4 = 3, starting at 0, 3,
+        # 6, 9, 12 and 13: a batch of 4 and a partial one
+        monkeypatch.setattr(pgo, "FUSE_BATCH", 4)
         abs_traj, vo = self._noisy_loop()
-        cfg = PgoConfig(window_T=5, spacing_k=10)
+        cfg = PgoConfig(window_T=7, spacing_k=10)
         stats = FusionStats()
         fused = fuse_trajectory(abs_traj, vo, cfg, stats)
 
@@ -802,18 +804,67 @@ class TestFuseTrajectory:
         vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
         grid_t, grid_w = chain_vo(vo_t[grid], vo_q[grid])
         T = cfg.window_T
-        iterations = []
-        for w in range(len(grid) - T + 1):
-            frames = grid[w:w + T]
+        starts = [0, 3, 6, 9, 12, 13]
+        solved, iterations = [], []
+        for a in starts:
+            frames = grid[a:a + T]
             abs_t, abs_q = abs_traj.t[frames], abs_traj.q[frames]
-            blocks = window_graph(abs_t, abs_q, grid_t[w:w + T - 1], grid_w[w:w + T - 1])
+            blocks = window_graph(abs_t, abs_q, grid_t[a:a + T - 1], grid_w[a:a + T - 1])
             t, q, its, *_ = gauss_newton_solve(blocks, abs_t[None], abs_q[None])
+            solved.append((t[0], q[0]))
             iterations.append(int(its[0]))
-            for offset in (range(T) if w == 0 else [T - 1]):
-                frame = grid[w + offset]
-                assert np.max(np.abs(fused.t[frame] - t[0, offset])) < 1e-12
-                assert np.max(np.abs(fused.q[frame] - quat.canonicalize(q[0, offset]))) < 1e-12
         assert stats.window_iterations == iterations
+        # each grid pose from the window whose centre a + (T - 1) / 2 is
+        # nearest it; min takes the earlier of two equally near windows
+        for g, frame in enumerate(grid):
+            w = min(range(len(starts)), key=lambda w: abs(starts[w] + (T - 1) / 2 - g))
+            t, q = solved[w]
+            assert np.max(np.abs(fused.t[frame] - t[g - starts[w]])) < 1e-12
+            assert np.max(np.abs(fused.q[frame] - quat.canonicalize(q[g - starts[w]]))) < 1e-12
+
+    @pytest.mark.parametrize("G, T", [
+        (7, 7),                       # G == T: one window
+        (5, 7),                       # fewer grid poses than window_T: one window
+        (8, 7),                       # G = T + 1: windows at 0 and 1
+        (9, 7),                       # windows at 0 and 2: pose 4 ties, goes to 0
+        (27, 7), (100, 7),            # stride 3, last window 1 and 0 after the one before
+        (20, 6), (21, 6),             # even T: stride 2
+        (20, 5), (20, 4), (20, 3), (20, 2), (2, 2),  # T <= 5: stride 1
+    ])
+    def test_window_starts_and_emission(self, monkeypatch, G, T):
+        # grid pose g has abs translation (g, 0, 0), which tells the solver
+        # each window's start; it returns (w, i, 0) as pose i of window w, so
+        # each fused grid pose names the window and the offset it came from
+        starts = []
+
+        def marking_solve(blocks, t, q):
+            starts.extend(t[:, 0, 0].astype(int).tolist())
+            marks = np.zeros(t.shape)
+            marks[..., 0] = np.arange(t.shape[0])[:, None]
+            marks[..., 1] = np.arange(t.shape[1])
+            steps = np.ones(len(t), dtype=int)
+            return marks, q, steps, np.zeros(len(t)), steps == 1
+
+        monkeypatch.setattr(pgo, "gauss_newton_solve", marking_solve)
+        timestamps = np.arange(G, dtype=float)
+        t = np.zeros((G, 3))
+        t[:, 0] = np.arange(G)
+        abs_traj = Trajectory(timestamps, t, np.tile([1.0, 0.0, 0.0, 0.0], (G, 1)))
+        vo = VoChain(timestamps[1:], np.zeros((G - 1, 3)), np.zeros((G - 1, 3)))
+        fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=T, spacing_k=1))
+
+        T = min(T, G)
+        assert starts == list(range(0, G - T, max(1, T - 4))) + [G - T]
+        window, offset = fused.t[:, 0].astype(int), fused.t[:, 1].astype(int)
+        # every grid pose comes from its own place in one window
+        assert np.array_equal(np.asarray(starts)[window] + offset, np.arange(G))
+        assert set(window.tolist()) == set(range(len(starts)))
+        context = min(2, (T - 1) // 2)
+        for g in range(G):
+            # doubled distances to the centres; argmin takes the earlier of a tie
+            assert window[g] == np.argmin(np.abs(2 * np.asarray(starts) + T - 1 - 2 * g))
+            assert offset[g] >= min(context, g)
+            assert T - 1 - offset[g] >= min(context, G - 1 - g)
 
     def test_output_independent_of_batch_size(self, monkeypatch):
         abs_traj, vo = self._noisy_loop()
