@@ -13,13 +13,13 @@ import time
 from posefusion.metrics import compare
 from posefusion.pgo import PgoConfig, fuse_trajectory, temporal_median_filter
 from posefusion.pose import Trajectory, integrate
-from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
+from posefusion.sim import (SHAPES, NoiseModel, corrupt_absolute, corrupt_vo,
+                            generate_trajectory)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shape", choices=["loop", "figure-eight", "random-walk"],
-                        default="loop")
+    parser.add_argument("--shape", choices=SHAPES, default="loop")
     parser.add_argument("--frames", type=int, default=1000)
     parser.add_argument("--step", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=0)

@@ -23,8 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic ground truth and sensor files")
-    p_sim.add_argument("--shape", choices=["loop", "figure-eight", "random-walk"],
-                       default="loop")
+    p_sim.add_argument("--shape", choices=sim.SHAPES, default="loop")
     p_sim.add_argument("--frames", type=int, default=1000)
     p_sim.add_argument("--step", type=float, default=0.1)
     p_sim.add_argument("--seed", type=int, default=0)

@@ -51,7 +51,8 @@ class ConstraintKind(Enum):
 
 # Most windows that gauss_newton_solve linearizes and solves together.
 # Per-stack temporaries grow with it, so it bounds the solver's peak memory
-# on long trajectories.
+# on long trajectories. No one count suits every size: larger stacks raise
+# that peak, and smaller ones slow the solve.
 FUSE_BATCH = 128
 
 # Smallest accepted ratio of each pivot (diagonal entry of the Cholesky
@@ -545,7 +546,7 @@ def _pairwise_angles(q: np.ndarray) -> np.ndarray:
     return cos
 
 
-def temporal_median_filter(traj: Trajectory, window: int = 51) -> Trajectory:
+def temporal_median_filter(traj: Trajectory, window: int) -> Trajectory:
     """Sliding-window median smoothing; edges use truncated windows.
 
     Translations take a per-coordinate median; rotations take the window

@@ -41,6 +41,9 @@ class NoiseModel:
             raise ValueError("seed must be >= 0")
 
 
+SHAPES = ("loop", "random-walk")
+
+
 def _headings_from_positions(positions: np.ndarray) -> np.ndarray:
     diffs = np.diff(positions[:, :2], axis=0)
     yaws = np.arctan2(diffs[:, 1], diffs[:, 0])
@@ -53,9 +56,9 @@ def _headings_from_positions(positions: np.ndarray) -> np.ndarray:
 def generate_trajectory(shape: str, n: int, step: float, seed: int = 0) -> Trajectory:
     """Planar trajectory with heading along the path; steps all equal `step`.
 
-    Shapes: "loop" (closed circle, last sample returns to the first),
-    "figure-eight" (two tangent circles with opposite turning), and
-    "random-walk" (seeded random heading drift).
+    Shapes (SHAPES): "loop" (closed circle, last sample returns to the
+    first; n >= 3, since one chord closes on no circle) and "random-walk"
+    (seeded random heading drift).
     """
     if n < 2:
         raise ValueError("need n >= 2 frames")
@@ -63,25 +66,14 @@ def generate_trajectory(shape: str, n: int, step: float, seed: int = 0) -> Traje
         raise ValueError("step must be finite and > 0")
 
     if shape == "loop":
+        if n < 3:
+            raise ValueError("loop needs n >= 3")
         m = n - 1  # chords around the circle; pose n-1 closes onto pose 0
         radius = step / (2.0 * np.sin(np.pi / m))
         theta = 2.0 * np.pi * np.arange(n) / m
         positions = np.column_stack([radius * np.cos(theta),
                                      radius * np.sin(theta),
                                      np.zeros(n)])
-    elif shape == "figure-eight":
-        if n < 7:
-            raise ValueError("figure-eight needs n >= 7")
-        m1 = (n - 1) // 2
-        m2 = (n - 1) - m1
-        r1 = step / (2.0 * np.sin(np.pi / m1))
-        r2 = step / (2.0 * np.sin(np.pi / m2))
-        th1 = 2.0 * np.pi * np.arange(m1 + 1) / m1
-        loop1 = np.column_stack([r1 - r1 * np.cos(th1), r1 * np.sin(th1)])
-        th2 = 2.0 * np.pi * np.arange(1, m2 + 1) / m2
-        loop2 = np.column_stack([r2 * np.cos(th2) - r2, r2 * np.sin(th2)])
-        xy = np.vstack([loop1, loop2])
-        positions = np.column_stack([xy, np.zeros(n)])
     elif shape == "random-walk":
         rng = np.random.default_rng(seed)
         turns = rng.normal(0.0, 0.15, size=n - 1)

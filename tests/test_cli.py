@@ -1,4 +1,6 @@
+import argparse
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import posefusion
-from posefusion import pgo, trajio
+from posefusion import pgo, sim, trajio
 from posefusion.cli import DATA_ERROR, NUMERICAL_ERROR, USAGE_ERROR, _build_parser, main
 from posefusion.metrics import parse_report
 
@@ -69,7 +71,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad, message", [
         (["--seed", "-1"], "seed must be >= 0"),
-        (["--shape", "figure-eight", "--frames", "5"], "figure-eight needs n >= 7"),
+        (["--frames", "2"], "loop needs n >= 3"),
         # wider rotation noise overflowed the quaternion norm after gt was written
         (["--abs-r-sigma", "1e300"], "abs_r_sigma must be <= 1e6 degrees"),
         (["--abs-r-sigma", "1.7976931348623157e308"], "abs_r_sigma must be <= 1e6 degrees"),
@@ -80,8 +82,6 @@ class TestSimulate:
         (["--frames", "50", "--vo-t-sigma", "1e308"], "non-finite value (NaN or inf) in t"),
         # a step this long overflows the positions of every shape
         (["--shape", "loop", "--frames", "50", "--step", "1e308"], "non-finite value (NaN or inf) in t"),
-        (["--shape", "figure-eight", "--frames", "50", "--step", "1e308"],
-         "non-finite value (NaN or inf) in t"),
         (["--shape", "random-walk", "--frames", "50", "--step", "1e308"],
          "non-finite value (NaN or inf) in t"),
     ])
@@ -92,6 +92,18 @@ class TestSimulate:
             assert main(["simulate", *bad, "--out-gt", str(out[0]), "--out-abs", str(out[1]),
                          "--out-vo", str(out[2])]) == USAGE_ERROR
         assert message in capsys.readouterr().err
+        assert not any(p.exists() for p in out)
+
+    def test_shape_choices_are_sim_shapes(self, tmp_path, capsys):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices["simulate"]
+        assert next(a for a in sub._actions if a.dest == "shape").choices == sim.SHAPES
+        out = [tmp_path / "g", tmp_path / "a", tmp_path / "v"]
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--shape", "figure-eight", "--frames", "50", "--out-gt", str(out[0]),
+                  "--out-abs", str(out[1]), "--out-vo", str(out[2])])
+        assert exc.value.code == USAGE_ERROR
+        assert "invalid choice: 'figure-eight'" in capsys.readouterr().err
         assert not any(p.exists() for p in out)
 
     @pytest.mark.parametrize("bad, error", [
@@ -133,7 +145,7 @@ class TestFuse:
         assert rep.mean_t < base.mean_t
 
     def test_two_pose_file_with_window_two(self, tmp_path):
-        gt, abs_path, vo = _simulate(tmp_path, frames=2)
+        gt, abs_path, vo = _simulate(tmp_path, ["--shape", "random-walk"], frames=2)
         fused = tmp_path / "fused.txt"
         assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
                      "--out", str(fused), "--window", "2", "--spacing", "1"]) == 0
@@ -404,3 +416,14 @@ def test_package_exports():
     assert sorted(posefusion.__all__) == ["ConstraintKind", "NoiseModel", "PgoConfig",
                                           "Trajectory", "VoChain", "fuse_trajectory"]
     assert all(hasattr(posefusion, name) for name in posefusion.__all__)
+
+
+def test_fusion_demo_runs_every_shape_and_rejects_others(capsys):
+    demo = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "fusion_demo.py"))
+    for shape in sim.SHAPES:
+        assert demo["main"](["--shape", shape, "--frames", "60", "--median-window", "5"]) == 0
+        assert capsys.readouterr().out.startswith(f"{shape}, 60 frames")
+    with pytest.raises(SystemExit) as exc:
+        demo["main"](["--shape", "figure-eight"])
+    assert exc.value.code == USAGE_ERROR
+    assert "invalid choice: 'figure-eight'" in capsys.readouterr().err

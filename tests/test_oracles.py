@@ -99,7 +99,9 @@ def render_reference(report, per_frame, cdf):
 def _noisy_loop(n, seed, abs_r_sigma=5.0):
     # A closed loop turns through every heading, so yaw crosses 180 degrees
     # and the canonical quaternion's scalar part passes through zero.
-    gt = generate_trajectory("loop", n, 0.1)
+    # A loop needs n >= 3 frames; below that, the first n of a 3-frame loop.
+    gt = generate_trajectory("loop", max(n, 3), 0.1)
+    gt = Trajectory(gt.timestamps[:n], gt.t[:n], gt.q[:n])
     nm = NoiseModel(abs_t_sigma=0.5, abs_r_sigma=abs_r_sigma, vo_t_sigma=0.01,
                     vo_r_sigma=0.1, vo_t_bias=0.01, seed=seed)
     return gt, corrupt_absolute(gt, nm), corrupt_vo(gt, nm)
@@ -160,8 +162,7 @@ def _assert_carry_matches_reference(n, k, T):
     (1000, 301),                # rotation chunks of half // 2 + 1 > MEDIAN_CHUNK rows
 ])
 def test_median_filter_matches_per_window_loop(n, window):
-    _, abs_traj, _ = _noisy_loop(max(n, 2), seed=window, abs_r_sigma=60.0)
-    traj = Trajectory(abs_traj.timestamps[:n], abs_traj.t[:n], abs_traj.q[:n])
+    _, traj, _ = _noisy_loop(n, seed=window, abs_r_sigma=60.0)
     out = temporal_median_filter(traj, window)
     _assert_rows_equal(out.t, out.q, median_reference(traj, window))
     assert np.array_equal(out.timestamps, traj.timestamps)
@@ -194,7 +195,7 @@ def test_random_walk_matches_step_loop(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 25, 16000])
 def test_report_matches_per_line_rendering(n):
     rng = np.random.default_rng(n)
-    gt = generate_trajectory("loop", max(n, 2), 0.1)
+    gt = generate_trajectory("loop", max(n, 3), 0.1)
     gt = Trajectory(gt.timestamps[:n], gt.t[:n], gt.q[:n])
     # offsets on a 0.1 m grid, so many frames tie on their translation error
     est = Trajectory(gt.timestamps, gt.t + np.round(rng.normal(0.0, 0.2, (n, 3)), 1),

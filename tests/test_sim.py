@@ -6,6 +6,7 @@ import pytest
 from posefusion import quat
 from posefusion.pose import Trajectory, integrate, relative_pose, rotation_error_deg
 from posefusion.sim import (
+    SHAPES,
     NoiseModel,
     corrupt_absolute,
     corrupt_vo,
@@ -20,8 +21,14 @@ class TestGenerateTrajectory:
         assert np.allclose(np.linalg.norm(traj.t[0]), 1.0, atol=1e-9)
         assert np.max(np.abs(traj.t[-1] - traj.t[0])) < 1e-6
 
-    @pytest.mark.parametrize("shape,n", [("loop", 50), ("figure-eight", 61),
-                                         ("random-walk", 40)])
+    def test_three_frame_loop_goes_out_and_back(self):
+        # the smallest loop: two chords along one diameter, 0.05 m from the centre
+        traj = generate_trajectory("loop", 3, 0.1)
+        assert np.allclose(traj.t[:, 0], [0.05, -0.05, 0.05], rtol=0, atol=1e-15)
+        assert np.allclose(traj.t[:, 1:], 0.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [40, 50])
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_equal_steps(self, shape, n):
         traj = generate_trajectory(shape, n, 0.25, seed=3)
         for i in range(n - 1):
@@ -43,8 +50,9 @@ class TestGenerateTrajectory:
                 generate_trajectory("loop", 10, step)
         with pytest.raises(ValueError):
             generate_trajectory("helix", 10, 0.1)
-        with pytest.raises(ValueError):
-            generate_trajectory("figure-eight", 6, 0.1)
+        # one chord: a circle of radius step / (2 sin pi), 4e14 m at step 0.1
+        with pytest.raises(ValueError, match="loop needs n >= 3"):
+            generate_trajectory("loop", 2, 0.1)
 
 
 class TestCorruptAbsolute:
@@ -108,7 +116,7 @@ class TestCorruptAbsolute:
 
 class TestCorruptVo:
     @pytest.mark.parametrize("frames", [41, 2000])
-    @pytest.mark.parametrize("shape", ["loop", "figure-eight", "random-walk"])
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_noiseless_integration_reproduces_truth(self, shape, frames):
         traj = generate_trajectory(shape, frames, 0.2)
         rels = corrupt_vo(traj, NoiseModel(seed=0))
