@@ -24,9 +24,9 @@ J^T J plus each curved kind's residual-curvature term (_add_curvature),
 also in closed form. Both matrices are block-tridiagonal with 6x6 blocks;
 the solver accumulates those blocks and solves each window by block
 Cholesky, up to FUSE_BATCH windows at a time, each stopping on its own and
-reporting whether it converged. linearize scatters the same Jacobian
-blocks into a dense Jacobian, to name the columns of a rank-deficient
-window and for tests.
+reporting whether it converged. Those blocks are the one representation of
+a window: the columns of a rank-deficient window are named from the
+eigenvectors of its J^T J, assembled from them.
 """
 
 from __future__ import annotations
@@ -103,7 +103,10 @@ class RankDeficientError(RuntimeError):
     """A window's Gauss-Newton matrix J^T J fails the trust rule: some
     column of J lies within MIN_PIVOT_RATIO rad of the span of the others.
     J may still have full rank; it is too ill-conditioned for the normal
-    equations, so its step would not be trustworthy."""
+    equations, so its step would not be trustworthy. columns are those the
+    null space of the column-normalized J reaches: the eigenvectors of
+    J^T J, scaled to a unit diagonal, whose eigenvalues are at most
+    MIN_PIVOT_RATIO^2."""
 
     def __init__(self, columns):
         self.columns = list(columns)
@@ -174,33 +177,6 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray):
     if relative:
         jj *= b.weight
     return b.weight * (b.obs - f), ji, jj, f
-
-
-def linearize(blocks: list[Block], t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted residuals (W, M) and dense Jacobians (W, M, 6T) of a window stack.
-
-    Rows run block by block, constraint by constraint; a window's objective
-    E(z) is the squared norm of its residual row, r[w] @ r[w]. The
-    first-order change of the residual along dz is -J dz. Each rotation
-    observable is compared with its observation in the observation's
-    hemisphere, so negating a pose's or an observation's quaternion leaves
-    E unchanged. The dense Jacobian is scattered from the per-pose blocks of
-    _linearize_block; the solver builds it only to name the columns of a
-    rank-deficient window.
-    """
-    n_win, T = t.shape[:2]
-    residuals, jacobians = [], []
-    for b in blocks:
-        r, ji, jj, _ = _linearize_block(b, t, q)
-        residuals.append(r.reshape(n_win, -1))
-        m, d = r.shape[1:]
-        c = np.arange(m)
-        jac = np.zeros((n_win, m, T, d, 6))
-        jac[:, c, c] = ji
-        if jj is not None:
-            jac[:, c, c + 1] = jj
-        jacobians.append(jac.transpose(0, 1, 3, 2, 4).reshape(n_win, m * d, 6 * T))
-    return np.concatenate(residuals, axis=1), np.concatenate(jacobians, axis=1)
 
 
 def build_window_graph(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
@@ -357,7 +333,8 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray, exact: bool = Fa
     MIN_PIVOT_RATIO; far from the optimum H can be indefinite) take a
     Gauss-Newton step instead, solved the same way; an untrusted
     Gauss-Newton step raises RankDeficientError, naming the columns that
-    the null space of the window's column-normalized J reaches.
+    the null space of the window's column-normalized J reaches, from the
+    eigenvectors of its J^T J blocks.
     """
     n_win, T = t.shape[:2]
     diag = np.zeros((n_win, T, 6, 6))
@@ -392,14 +369,21 @@ def _gn_step(blocks: list[Block], t: np.ndarray, q: np.ndarray, exact: bool = Fa
     if bad.size and exact:
         dz[bad] = _gn_step([b.windows(bad) for b in blocks], t[bad], q[bad])
     elif bad.size:
-        # the columns the null space of the column-normalized J reaches:
-        # the nonzero diagonal of its projector
-        w = bad[:1]
-        jac = linearize([b.windows(w) for b in blocks], t[w], q[w])[1][0]
-        norm = np.linalg.norm(jac, axis=0)
-        _, sv, vt = np.linalg.svd(jac / np.where(norm > 0.0, norm, 1.0))
-        null = vt[np.count_nonzero(sv > MIN_PIVOT_RATIO):]
-        raise RankDeficientError(np.flatnonzero((null ** 2).sum(0) > 1e-12).tolist())
+        # the first bad window's J^T J, scaled to a unit diagonal by J's
+        # column norms: its eigenvalues are the squared singular values of
+        # the column-normalized J, and the columns its null space reaches
+        # are the nonzero diagonal of the null space's projector
+        k = np.arange(T)
+        h = np.zeros((T, T, 6, 6))
+        h[k, k] = diag[bad[0]]
+        h[k[:-1], k[1:]] = upper[bad[0]]
+        h[k[1:], k[:-1]] = _transpose(upper[bad[0]])
+        h = h.transpose(0, 2, 1, 3).reshape(6 * T, 6 * T)
+        norm = np.sqrt(np.diagonal(h))
+        norm = np.where(norm > 0.0, norm, 1.0)
+        eigenvalues, vectors = np.linalg.eigh(h / norm[:, None] / norm)
+        null = vectors[:, eigenvalues <= MIN_PIVOT_RATIO ** 2]
+        raise RankDeficientError(np.flatnonzero((null ** 2).sum(1) > 1e-12).tolist())
     return dz
 
 
@@ -451,15 +435,6 @@ class FusionStats:
 
     window_iterations: list[int] = field(default_factory=list)
     window_converged: list[bool] = field(default_factory=list)
-
-
-def _nearest_grid_index(frame, k: int, n_grid: int):
-    """Index into the grid 0, k, 2k, ... of the grid frame nearest to frame.
-
-    Takes one frame or an array of them. Ties go to the lower index; frames
-    past the last grid frame map to it.
-    """
-    return np.minimum((frame + (k - 1) // 2) // k, n_grid - 1)
 
 
 def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
@@ -527,10 +502,12 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     # Carry non-grid frames through the VO chain from the nearest grid pose,
     # BLOCK_ROWS frames at a time, into the integrated VO: grid frames are
     # never in off, so theirs stay valid until the fused ones go in last.
+    # As for the windows above, the nearest is found among the doubled
+    # midpoints between grid frames; a tie goes to the earlier one.
     for lo in range(0, n, BLOCK_ROWS):
         frames = np.arange(lo, min(lo + BLOCK_ROWS, n))
         off = frames[frames % k != 0]
-        near = _nearest_grid_index(off, k, len(grid))
+        near = np.searchsorted(grid[:-1] + grid[1:], 2 * off)
         rel_t, rel_w = relative_pose(vo_t[off], vo_q[off], vo_t[grid[near]], vo_q[grid[near]])
         vo_t[off], vo_q[off] = compose(fused_t[near], fused_q[near], rel_t, rel_w)
     vo_t[grid], vo_q[grid] = fused_t, fused_q
@@ -539,10 +516,17 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
 
 def _pairwise_angles(q: np.ndarray) -> np.ndarray:
     """Angular distances (m, m) between the unit quaternions q (m, 4), up to
-    sign, as arccos |<q_a, q_b>|; exactly 0 from a frame to itself."""
+    sign: arccos |<q_a, q_b>|, half the angle between the rotations. arccos
+    loses small distances, where the dot product rounds towards 1, so those
+    below 1e-4 rad are 2 atan2(|a - b|, |a + b|) with b in a's hemisphere:
+    exact there, and exactly 0 from a frame to itself. Above 1e-4 rad arccos
+    is accurate to about 1e-8 relative."""
     cos = q @ q.T  # then in place: one (m, m) matrix at a time
     np.arccos(np.clip(np.abs(cos, out=cos), 0.0, 1.0, out=cos), out=cos)
-    np.fill_diagonal(cos, 0.0)  # a self-dot can round below 1
+    # np.nonzero of the 2-d mask takes several times longer
+    a, b = np.divmod(np.flatnonzero(cos < 1e-4), len(q))  # the diagonal among them
+    qa, qb = q[a], _toward(q[b], q[a])
+    cos[a, b] = 2.0 * np.arctan2(quat.row_norm(qa - qb), quat.row_norm(qa + qb))
     return cos
 
 

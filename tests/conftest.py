@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posefusion import quat
-from posefusion.pgo import Block, ConstraintKind, build_window_graph, linearize
+from posefusion.pgo import Block, ConstraintKind, _linearize_block, build_window_graph
 from posefusion.pose import relative_pose
 
 
@@ -82,6 +82,43 @@ def perturb_state(t, q, dz):
     by dz (6T,)."""
     step = dz.reshape(t.shape[:2] + (6,))
     return t + step[..., :3], quat.qmul(q, quat.qexp(step[..., 3:]))
+
+
+def linearize(blocks, t, q):
+    """Weighted residuals (W, M) and dense Jacobians (W, M, 6T) of a window
+    stack: the dense referee of pgo._linearize_block.
+
+    Rows run block by block, constraint by constraint; a window's objective
+    E(z) is the squared norm of its residual row, r[w] @ r[w]. The
+    first-order change of the residual along dz is -J dz. The dense
+    Jacobian is scattered from the per-pose blocks of _linearize_block.
+    """
+    n_win, T = t.shape[:2]
+    residuals, jacobians = [], []
+    for b in blocks:
+        r, ji, jj, _ = _linearize_block(b, t, q)
+        residuals.append(r.reshape(n_win, -1))
+        m, d = r.shape[1:]
+        c = np.arange(m)
+        jac = np.zeros((n_win, m, T, d, 6))
+        jac[:, c, c] = ji
+        if jj is not None:
+            jac[:, c, c + 1] = jj
+        jacobians.append(jac.transpose(0, 1, 3, 2, 4).reshape(n_win, m * d, 6 * T))
+    return np.concatenate(residuals, axis=1), np.concatenate(jacobians, axis=1)
+
+
+def fd_jacobian(blocks, t, q, h=1e-6):
+    """-d(residual)/d(manifold coords) of a one-window state by central differences."""
+    n = 6 * t.shape[1]
+    cols = []
+    for m in range(n):
+        e = np.zeros(n)
+        e[m] = h
+        r_plus = linearize(blocks, *perturb_state(t, q, e))[0]
+        r_minus = linearize(blocks, *perturb_state(t, q, -e))[0]
+        cols.append(-(r_plus[0] - r_minus[0]) / (2 * h))
+    return np.column_stack(cols)
 
 
 def objective(blocks, t, q):

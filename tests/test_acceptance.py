@@ -10,24 +10,18 @@ import numpy as np
 import scipy.optimize
 
 from posefusion import pgo, quat, trajio
-from posefusion.pose import (
-    Trajectory,
-    VoChain,
-    integrate,
-    rotation_error_deg,
-)
+from posefusion.pose import Trajectory, integrate, rotation_error_deg
 from posefusion.pgo import (
     ConstraintKind,
     FusionStats,
     PgoConfig,
     fuse_trajectory,
     gauss_newton_solve,
-    linearize,
     temporal_median_filter,
 )
 from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
-from conftest import (chain_vo, near_sign_flip, objective, perturb_state, random_poses,
+from conftest import (chain_vo, fd_jacobian, linearize, near_sign_flip, objective,
                       random_unit_quat, safe_random_poses, single_block, stack_poses,
                       window_graph)
 
@@ -48,7 +42,7 @@ def test_quaternion_round_trips():
         q = random_unit_quat(rng, positive_scalar=True)
         worst = max(worst, float(np.max(np.abs(quat.qexp(quat.qlog(q)) - q))))
     elapsed = time.perf_counter() - start
-    assert worst <= 1e-12
+    assert worst < 1e-12
     assert elapsed < 1.0
     _passed(f"quaternion round trips: max error {worst:.2e} in {elapsed:.2f} s")
 
@@ -56,7 +50,6 @@ def test_quaternion_round_trips():
 def test_jacobian_finite_difference_oracle():
     start = time.perf_counter()
     worst = 0.0
-    h = 1e-6
     for kind in ConstraintKind:
         rng = np.random.default_rng(17)
         checked = 0
@@ -75,19 +68,12 @@ def test_jacobian_finite_difference_oracle():
             if near_sign_flip(b, q):
                 continue
             _, jac = linearize([b], t, q)
-            cols = []
-            for m in range(12):
-                e = np.zeros(12)
-                e[m] = h
-                r_plus = linearize([b], *perturb_state(t, q, e))[0]
-                r_minus = linearize([b], *perturb_state(t, q, -e))[0]
-                cols.append(-(r_plus[0] - r_minus[0]) / (2 * h))
-            fd = np.column_stack(cols)
+            fd = fd_jacobian([b], t, q)
             scale = max(1.0, float(np.max(np.abs(fd))))
             worst = max(worst, float(np.max(np.abs(jac[0] - fd))) / scale)
             checked += 1
     elapsed = time.perf_counter() - start
-    assert worst <= 1e-5
+    assert worst < 1e-5
     assert elapsed < 5.0
     _passed(f"constraint Jacobians vs finite differences: worst rel error "
             f"{worst:.2e} over 4x200 instances in {elapsed:.2f} s")
@@ -128,7 +114,7 @@ def test_solver_pure_translation_closed_form(monkeypatch):
     blocks = window_graph(np.array(abs_obs), identities,
                           np.zeros((n - 1, 3)), np.zeros((n - 1, 3)))
     t0 = np.array([abs_obs[i] + 0.2 * rng.normal(size=3) for i in range(n)])
-    t, *_ = gauss_newton_solve(blocks, t0[None], identities[None])
+    t, q, *_ = gauss_newton_solve(blocks, t0[None], identities[None])
 
     rows_a, rows_b = [], []
     for i in range(n):
@@ -147,6 +133,8 @@ def test_solver_pure_translation_closed_form(monkeypatch):
     expected = np.linalg.solve(a.T @ a, a.T @ b)
     err = float(np.max(np.abs(t.ravel() - expected)))
     assert err < 1e-9
+    # the rotations stay at the identity they start and are observed at
+    assert np.max(rotation_error_deg(q[0], quat.IDENTITY)) < 1e-9
     _passed(f"pure-translation solve vs normal equations: max error {err:.2e}")
 
 
@@ -303,19 +291,25 @@ def test_fused_rotation_beats_abs_over_five_seeds():
 
 
 def test_quaternion_sign_robustness_through_fuse():
-    gt = generate_trajectory("loop", 300, 0.1)
-    nm = NoiseModel(abs_t_sigma=0.3, abs_r_sigma=3.0,
-                    vo_t_sigma=0.005, vo_r_sigma=0.05, vo_t_bias=0.005, seed=4)
-    abs_traj = corrupt_absolute(gt, nm)
-    vo = corrupt_vo(gt, nm)
-    flipped = Trajectory(abs_traj.timestamps, abs_traj.t, -abs_traj.q)
-    cfg = PgoConfig(window_T=7, spacing_k=10)
-    a = fuse_trajectory(abs_traj, vo, cfg)
-    b = fuse_trajectory(flipped, vo, cfg)
-    worst = float(np.max(rotation_error_deg(a.q, b.q)))
-    assert worst <= 1e-9
+    worst = 0.0
+    for n, step, nm, cfg in [
+        (300, 0.1, NoiseModel(abs_t_sigma=0.3, abs_r_sigma=3.0, vo_t_sigma=0.005,
+                              vo_r_sigma=0.05, vo_t_bias=0.005, seed=4),
+         PgoConfig(window_T=7, spacing_k=10)),
+        (120, 0.2, NoiseModel(abs_t_sigma=0.2, abs_r_sigma=3.0, vo_t_sigma=0.01,
+                              vo_r_sigma=0.1, seed=5),  # no VO bias
+         PgoConfig(window_T=5, spacing_k=6)),
+    ]:
+        gt = generate_trajectory("loop", n, step)
+        abs_traj = corrupt_absolute(gt, nm)
+        vo = corrupt_vo(gt, nm)
+        flipped = Trajectory(abs_traj.timestamps, abs_traj.t, -abs_traj.q)
+        a = fuse_trajectory(abs_traj, vo, cfg)
+        b = fuse_trajectory(flipped, vo, cfg)
+        worst = max(worst, float(np.max(rotation_error_deg(a.q, b.q))))
+    assert worst < 1e-9
     _passed(f"sign robustness: negating all input quaternions changes rotations "
-            f"by at most {worst:.2e} deg")
+            f"by at most {worst:.2e} deg on two loops")
 
 
 def test_median_filter_restores_outliers():
@@ -347,22 +341,3 @@ def test_fuse_performance_and_determinism(tmp_path):
     assert (tmp_path / "run1.txt").read_bytes() == (tmp_path / "run2.txt").read_bytes()
     _passed(f"performance: 1000-pose fuse in {elapsed:.3f} s, "
             f"repeat runs byte-identical")
-
-
-def test_file_round_trips(tmp_path):
-    rng = np.random.default_rng(8)
-    t, q = random_poses(rng, 40, scale=100.0)
-    traj = Trajectory(np.sort(rng.uniform(0, 100, size=40)), t, q)
-    trajio.write_trajectory(traj, tmp_path / "t.txt")
-    back = trajio.read_trajectory(tmp_path / "t.txt")
-    worst = max(float(np.max(np.abs(back.timestamps - traj.timestamps))),
-                float(np.max(np.abs(back.t - traj.t))), float(np.max(np.abs(back.q - traj.q))))
-
-    vo = VoChain(np.arange(40, dtype=float), rng.normal(size=(40, 3)),
-                 rng.normal(size=(40, 3)) * 0.3)
-    trajio.write_vo(vo, tmp_path / "v.txt")
-    back_vo = trajio.read_vo(tmp_path / "v.txt")
-    worst = max(worst, float(np.max(np.abs(back_vo.t - vo.t))),
-                float(np.max(np.abs(back_vo.w - vo.w))))
-    assert worst <= 1e-12
-    _passed(f"file round trips for both formats: max error {worst:.2e}")

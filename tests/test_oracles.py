@@ -15,7 +15,8 @@ import pytest
 from posefusion import pgo, quat
 from posefusion.metrics import compare, parse_report, render_report
 from posefusion.pgo import PgoConfig, fuse_trajectory, temporal_median_filter
-from posefusion.pose import Trajectory, compose, integrate, relative_pose, rotation_error_deg
+from posefusion.pose import (BLOCK_ROWS, Trajectory, VoChain, compose, integrate, relative_pose,
+                             rotation_error_deg)
 from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
 
@@ -47,6 +48,9 @@ def carry_reference(fused: Trajectory, vo_poses, k: int):
 
 
 def median_reference(traj: Trajectory, window: int):
+    """Each window's median on its own. Its angles are pgo._pairwise_angles'
+    over the window's frames, which test_pgo.py referees against
+    rotation_error_deg; this loop referees the windows, sums and ties."""
     half = window // 2
     n = len(traj)
     out = []
@@ -54,8 +58,7 @@ def median_reference(traj: Trajectory, window: int):
         lo, hi = max(0, i - half), min(n, i + half + 1)
         t_med = np.median(traj.t[lo:hi], axis=0)
         block = traj.q[lo:hi]
-        dots = np.clip(np.abs(block @ block.T), 0.0, 1.0)
-        cost = np.sum(np.arccos(dots), axis=1)
+        cost = np.sum(pgo._pairwise_angles(block), axis=1)
         out.append((t_med, block[int(np.argmin(cost))]))
     return out
 
@@ -108,8 +111,8 @@ def _noisy_loop(n, seed, abs_r_sigma=5.0):
 
 
 def _assert_rows_equal(traj_t, traj_q, poses):
-    assert np.array_equal(traj_t, [t for t, _ in poses])
-    assert np.array_equal(traj_q, [q for _, q in poses])
+    for got, ref in ((traj_t, [t for t, _ in poses]), (traj_q, [q for _, q in poses])):
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 @pytest.mark.parametrize("n, seed", [(2, 0), (40, 1), (701, 2), (1500, 3)])
@@ -122,12 +125,27 @@ def test_integrate_matches_advance_chain(n, seed):
         assert np.abs(np.diff(yaw)).max() > np.pi
 
 
+@pytest.mark.parametrize("m", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               2 * BLOCK_ROWS + 1])
+def test_integrate_random_steps_match_advance_chain(m):
+    # steps of up to 100 degrees cross the hemisphere boundary often, and
+    # the start has a negative scalar part
+    rng = np.random.default_rng(m)
+    vo = VoChain(np.arange(1.0, m + 1), rng.normal(size=(m, 3)),
+                 rng.uniform(-0.5, 0.5, size=(m, 3)))
+    t0, q0 = rng.normal(size=3), -quat.canonicalize(quat.qexp(rng.normal(size=3)))
+    assert q0[0] < 0.0
+    t, q = integrate(t0, q0, vo)
+    _assert_rows_equal(t, q, integrate_reference(t0, q0, vo))
+
+
 @pytest.mark.parametrize("n, k, T", [
     (200, 7, 5),    # frames 197-199 lie past the last grid frame
     (201, 10, 7),   # the last frame is a grid frame
     (300, 4, 7),    # even k: frames halfway between grid frames go to the lower one
     (9, 150, 7),    # shorter than k: one window over frames 0 and n - 1
     (2, 1, 2),
+    (2 * BLOCK_ROWS + 101, 150, 7),  # three blocks of the carry
 ])
 def test_off_grid_carry_matches_relative_pose_compose(n, k, T):
     _assert_carry_matches_reference(n, k, T)
@@ -166,6 +184,19 @@ def test_median_filter_matches_per_window_loop(n, window):
     out = temporal_median_filter(traj, window)
     _assert_rows_equal(out.t, out.q, median_reference(traj, window))
     assert np.array_equal(out.timestamps, traj.timestamps)
+
+
+@pytest.mark.parametrize("n, window", [(60, 11), (60, 5), (60, 33), (23, 11), (11, 11), (8, 11)])
+def test_median_filter_across_chunks_matches_per_window_loop(monkeypatch, n, window):
+    # chunks of 7 windows (of max(7, half // 2 + 1) for rotations, 9 at
+    # window 33): several full chunks and a partial one, on rotations drawn
+    # from all headings
+    monkeypatch.setattr(pgo, "MEDIAN_CHUNK", 7)
+    rng = np.random.default_rng(n + window)
+    traj = Trajectory(np.arange(float(n)), rng.normal(size=(n, 3)),
+                      quat.qexp(rng.normal(size=(n, 3))))
+    out = temporal_median_filter(traj, window)
+    _assert_rows_equal(out.t, out.q, median_reference(traj, window))
 
 
 @pytest.mark.parametrize("n, window", [(10, 7), (12, 5)])

@@ -3,47 +3,24 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from posefusion import pgo, quat
-from posefusion.pose import (BLOCK_ROWS, Trajectory, VoChain, compose, integrate, relative_pose,
-                             rotation_error_deg)
+from posefusion.pose import Trajectory, VoChain, integrate, relative_pose, rotation_error_deg
 from posefusion.pgo import (
     ConstraintKind,
     FusionStats,
     PgoConfig,
     RankDeficientError,
-    _nearest_grid_index,
     build_window_graph,
     fuse_trajectory,
     gauss_newton_solve,
-    linearize,
     temporal_median_filter,
 )
 from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
-from conftest import (chain_vo, near_sign_flip, objective, perturb_state, random_poses,
+from conftest import (chain_vo, fd_jacobian, linearize, objective, perturb_state, random_poses,
                       random_unit_quat, rotation_observables, safe_random_poses, single_block,
                       stack_poses, window_graph)
-
-
-def fd_jacobian(blocks, t, q, h=1e-6):
-    """-d(residual)/d(manifold coords) of a one-window state by central differences."""
-    n = 6 * t.shape[1]
-    cols = []
-    for m in range(n):
-        e = np.zeros(n)
-        e[m] = h
-        r_plus = linearize(blocks, *perturb_state(t, q, e))[0]
-        r_minus = linearize(blocks, *perturb_state(t, q, -e))[0]
-        cols.append(-(r_plus[0] - r_minus[0]) / (2 * h))
-    return np.column_stack(cols)
-
-
-def random_block(kind, rng, weight=2.0):
-    if kind in (ConstraintKind.ABS_TRANSLATION, ConstraintKind.REL_TRANSLATION):
-        return single_block(kind, rng.normal(size=3), 1.0)
-    return single_block(kind, random_unit_quat(rng, positive_scalar=True), weight)
 
 
 class TestPgoConfig:
@@ -117,24 +94,6 @@ class TestResidualAndJacobian:
         r, _ = linearize([b], t[None], q[None])
         assert np.allclose(r[0], b.obs[0, 0] - t[0])
 
-    @pytest.mark.parametrize("kind", list(ConstraintKind))
-    def test_jacobian_matches_finite_differences(self, kind):
-        # a fixed seed per kind, so every run checks the same instances
-        rng = np.random.default_rng(list(ConstraintKind).index(kind))
-        for _ in range(200):
-            t, q = safe_random_poses(rng, 2)
-            b = random_block(kind, rng)
-            t, q = t[None], q[None]
-            # keep the linearization off the sign rule's flip boundary,
-            # far wider than the difference step
-            if near_sign_flip(b, q):
-                continue
-            _, jac = linearize([b], t, q)
-            fd = fd_jacobian([b], t, q)
-            scale = max(1.0, np.max(np.abs(fd)))
-            assert np.max(np.abs(jac[0] - fd)) / scale < 1e-5
-
-
 def half_turn_window(rng):
     """One window of 7 poses whose rotation observables are all near 180
     degrees, its blocks, and a state 0.05 rad from its observations.
@@ -191,12 +150,6 @@ class TestRotationSign:
         assert np.array_equal(r_obs, -r)
 
 
-def energy_over_chart(blocks, x):
-    """E(z) with z parameterized by 6 free numbers per pose (t and log q)."""
-    z = x.reshape(1, -1, 6)
-    return objective(blocks, z[..., :3], quat.qexp(z[..., 3:]))
-
-
 class TestGaussNewton:
     def _toy_problem(self, rng, n=3, noise=0.2):
         gt_t, gt_q = safe_random_poses(rng, n)
@@ -216,57 +169,11 @@ class TestGaussNewton:
         assert converged[0]
         assert np.max(np.abs(t - t0)) < 1e-12
 
-    def test_matches_derivative_free_minimizer(self, rng):
-        blocks, (t0, q0) = self._toy_problem(rng)
-        t, q, *_ = gauss_newton_solve(blocks, t0, q0)
-
-        x0 = np.concatenate([t0, quat.qlog(q0)], axis=-1).ravel()
-        res = scipy.optimize.minimize(
-            lambda x: energy_over_chart(blocks, x), x0,
-            method="L-BFGS-B",
-            options={"maxiter": 5000, "maxfun": 200000, "ftol": 1e-16, "gtol": 1e-12})
-        assert abs(objective(blocks, t, q) - res.fun) < 1e-6
-
     def test_objective_never_increases_over_corpus(self, rng):
         for _ in range(20):
             blocks, (t0, q0) = self._toy_problem(rng, noise=0.1)
             t, q, *_ = gauss_newton_solve(blocks, t0, q0)
             assert objective(blocks, t, q) <= objective(blocks, t0, q0) + 1e-12
-
-    def test_pure_translation_closed_form(self, rng, monkeypatch):
-        # All rotations identity and zero relative-translation observations:
-        # the relative cost |R(q)(t_i - t_j)|^2 is rotation-independent, so
-        # the translation subproblem is exactly the linear weighted least
-        # squares solved by a hand-built normal-equation oracle.
-        monkeypatch.setattr(pgo, "STEP_TOL", 1e-14)
-        monkeypatch.setattr(PgoConfig, "max_iters", 100)
-        n = 3
-        abs_obs = [rng.normal(size=3) for _ in range(n)]
-        identities = np.tile(quat.IDENTITY, (n, 1))
-        blocks = window_graph(np.array(abs_obs), identities,
-                              np.zeros((n - 1, 3)), np.zeros((n - 1, 3)))
-
-        t0 = np.array([abs_obs[i] + 0.2 * rng.normal(size=3) for i in range(n)])
-        t, q, *_ = gauss_newton_solve(blocks, t0[None], identities[None])
-
-        rows_a, rows_b = [], []
-        for i in range(n):
-            sel = np.zeros((3, 3 * n))
-            sel[:, 3 * i:3 * i + 3] = np.eye(3)
-            rows_a.append(sel)
-            rows_b.append(abs_obs[i])
-        for i in range(n - 1):
-            sel = np.zeros((3, 3 * n))
-            sel[:, 3 * i:3 * i + 3] = np.eye(3)
-            sel[:, 3 * (i + 1):3 * (i + 1) + 3] = -np.eye(3)
-            rows_a.append(sel)
-            rows_b.append(np.zeros(3))
-        a = np.vstack(rows_a)
-        b = np.concatenate(rows_b)
-        expected = np.linalg.solve(a.T @ a, a.T @ b)
-        assert np.max(np.abs(t.ravel() - expected)) < 1e-9
-        for qi in q[0]:
-            assert rotation_error_deg(qi, quat.IDENTITY) < 1e-9
 
     def test_capped_window_is_not_converged(self, rng, monkeypatch):
         blocks, t0, q0 = noisy_window_stack(rng, 4)
@@ -773,18 +680,6 @@ class TestFuseTrajectory:
         assert np.max(np.abs(moved_t - fused2.t)) < 1e-8
         assert np.max(rotation_error_deg(moved_q, fused2.q)) < 1e-8
 
-    def test_quaternion_negation_invariance(self):
-        gt = generate_trajectory("loop", 120, 0.2)
-        nm = NoiseModel(abs_t_sigma=0.2, abs_r_sigma=3, vo_t_sigma=0.01,
-                        vo_r_sigma=0.1, seed=5)
-        abs_traj = corrupt_absolute(gt, nm)
-        vo = corrupt_vo(gt, nm)
-        flipped = Trajectory(abs_traj.timestamps, abs_traj.t, -abs_traj.q)
-        cfg = PgoConfig(window_T=5, spacing_k=6)
-        a = fuse_trajectory(abs_traj, vo, cfg)
-        b = fuse_trajectory(flipped, vo, cfg)
-        assert np.max(rotation_error_deg(a.q, b.q)) < 1e-9
-
     def _noisy_loop(self, n=200, seed=3):
         gt = generate_trajectory("loop", n, 0.1)
         nm = NoiseModel(abs_t_sigma=0.3, abs_r_sigma=3, vo_t_sigma=0.01,
@@ -880,22 +775,6 @@ class TestFuseTrajectory:
             assert np.max(np.abs(fused.t - ref.t)) < 1e-12
             assert np.max(np.abs(fused.q - ref.q)) < 1e-12
 
-    @pytest.mark.parametrize("k", [10, 150])
-    def test_blocked_carry_matches_one_shot(self, k):
-        n = 2 * BLOCK_ROWS + 101
-        abs_traj, vo = self._noisy_loop(n)
-        fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=k))
-        # every off-grid frame in one relative_pose and one compose call; the
-        # grid poses are the fused ones, and compose is exact under q -> -q
-        vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
-        grid = np.arange(0, n, k)
-        off = np.setdiff1d(np.arange(n), grid)
-        near = grid[np.minimum((off + (k - 1) // 2) // k, len(grid) - 1)]
-        rel_t, rel_w = relative_pose(vo_t[off], vo_q[off], vo_t[near], vo_q[near])
-        t, q = compose(fused.t[near], fused.q[near], rel_t, rel_w)
-        for got, ref in ((fused.t[off], t), (fused.q[off], quat.canonicalize(q))):
-            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
-
     @pytest.mark.parametrize("frame", [0, 10, 15])  # grid frame, off-grid frame
     def test_non_finite_pose_rejected_before_fuse(self, frame):
         # a non-finite pose cannot reach fuse_trajectory, grid frame or not:
@@ -912,10 +791,15 @@ class TestFuseTrajectory:
                 VoChain(vo.timestamps, vo.t, w)
 
     def test_too_short_rejected(self):
+        no_vo = VoChain(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
         gt = generate_trajectory("random-walk", 2, 0.5)
-        with pytest.raises(ValueError):
-            fuse_trajectory(gt, VoChain(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3))),
-                            PgoConfig())
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="need at least 2 poses"):
+                fuse_trajectory(Trajectory(gt.timestamps[:n], gt.t[:n], gt.q[:n]), no_vo,
+                                PgoConfig())
+        # two poses need one relative pose
+        with pytest.raises(ValueError, match="expected 1 per-frame relative poses"):
+            fuse_trajectory(gt, no_vo, PgoConfig())
 
     def test_vo_timestamps_must_match(self):
         abs_traj, vo = self._noisy_loop(n=40)
@@ -959,28 +843,16 @@ class TestTemporalMedianFilter:
         assert q[0] @ q[0] < 1.0
         assert np.all(np.diagonal(pgo._pairwise_angles(q)) == 0.0)
 
-    @pytest.mark.parametrize("n, window",
-                             [(60, 11), (60, 5), (60, 33), (23, 11), (11, 11), (8, 11)])
-    def test_rotations_match_brute_force_medoid(self, monkeypatch, rng, n, window):
-        # chunks of 7 windows (of max(7, half // 2 + 1) for rotations, 9 at
-        # window 33): several full chunks and a partial one
-        monkeypatch.setattr(pgo, "MEDIAN_CHUNK", 7)
-        q = quat.canonicalize(quat.qexp(rng.normal(size=(n, 3))))
-        out = temporal_median_filter(Trajectory(np.arange(float(n)), rng.normal(size=(n, 3)), q),
-                                     window)
-        half = window // 2
-        for i in range(n):
-            frames = q[max(0, i - half):i + half + 1]
-            summed = np.arccos(np.clip(np.abs(frames @ frames.T), 0.0, 1.0)).sum(axis=1)
-            chosen = np.flatnonzero((frames == out.q[i]).all(axis=1))
-            assert len(chosen) == 1
-            assert summed[chosen[0]] - summed.min() < 1e-12
-
-
-@pytest.mark.parametrize("n, k", [(100, 10), (101, 10), (96, 4), (95, 7), (13, 12), (7, 2), (2, 1)])
-def test_nearest_grid_index_matches_brute_force(n, k):
-    # even k puts frames halfway between grid frames; the lower index wins
-    grid = list(range(0, n, k))
-    for f in range(n):
-        expected = min(range(len(grid)), key=lambda g: abs(grid[g] - f))
-        assert _nearest_grid_index(f, k, len(grid)) == expected
+    def test_angles_match_rotation_error(self, rng):
+        # half the angle between the rotations, for pairs from 1e-9 rad to
+        # 3 rad apart: arccos |<a, b>| alone reads 1e-9 rad as 0 and is
+        # still 0.05% high at 1e-6 rad. Either sign of b gives the same angle.
+        angles = np.geomspace(1e-9, 3.0, 20)
+        axes = rng.normal(size=(20, 3))
+        a = quat.qexp(rng.normal(size=(20, 3)))
+        b = quat.qmul(a, quat.qexp(axes * (angles / 2 / np.linalg.norm(axes, axis=1))[:, None]))
+        for qa, qb in zip(a, b * rng.choice([-1.0, 1.0], size=(20, 1))):
+            pair = pgo._pairwise_angles(np.stack([qa, qb]))
+            assert pair[0, 1] == pair[1, 0]
+            assert pair[0, 1] == pytest.approx(np.radians(rotation_error_deg(qa, qb)) / 2,
+                                               rel=1e-6)

@@ -3,12 +3,10 @@ import pytest
 
 from posefusion import quat
 from posefusion.pose import (
-    BLOCK_ROWS,
     MAX_LOG_NORM,
     Trajectory,
     VoChain,
     compose,
-    integrate,
     log_norm_too_large,
     not_increasing,
     relative_pose,
@@ -118,39 +116,6 @@ def test_not_increasing_marks_each_offending_row(rng, timestamps, mask):
             Trajectory(ts, t, q)
     else:
         assert np.array_equal(Trajectory(ts, t, q).timestamps, ts)
-
-
-def _integrate_one_list(t0, q0, vo):
-    """integrate with its rotation chain in one list over all rows,
-    canonicalized at the end, and its translations in one accumulate."""
-    u, x, y, z = np.asarray(q0, dtype=float).tolist()
-    rows = [(u, x, y, z)]
-    for bu, bx, by, bz in quat.qinv(quat.qexp(vo.w)).tolist():
-        u, x, y, z = (u * bu - x * bx - y * by - z * bz,
-                      u * bx + bu * x + y * bz - z * by,
-                      u * by + bu * y + z * bx - x * bz,
-                      u * bz + bu * z + x * by - y * bx)
-        rows.append((u, x, y, z))
-    q = quat.canonicalize(np.array(rows))
-    steps = quat.qrotate(quat.qinv(q[1:]), vo.t)
-    t = np.subtract.accumulate(np.concatenate((np.asarray(t0, dtype=float)[None], steps)), axis=0)
-    return t, q
-
-
-class TestIntegrate:
-    @pytest.mark.parametrize("m", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                                   2 * BLOCK_ROWS + 1])
-    def test_blocks_match_one_list_chain(self, rng, m):
-        # steps of up to 100 degrees cross the hemisphere boundary often, and
-        # the start has a negative scalar part
-        vo = VoChain(np.arange(1.0, m + 1), rng.normal(size=(m, 3)),
-                     rng.uniform(-0.5, 0.5, size=(m, 3)))
-        t0, q0 = rng.normal(size=3), -quat.canonicalize(random_unit_quat(rng))
-        t, q = integrate(t0, q0, vo)
-        ref_t, ref_q = _integrate_one_list(t0, q0, vo)
-        for got, ref in ((t, ref_t), (q, ref_q)):
-            assert got.shape == ref.shape
-            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestRelativePose:
