@@ -7,6 +7,7 @@ suite doubles as a checklist when run with ``pytest -s tests/test_acceptance.py`
 import time
 
 import numpy as np
+import pytest
 import scipy.optimize
 
 from posefusion import pgo, quat, trajio
@@ -290,26 +291,25 @@ def test_fused_rotation_beats_abs_over_five_seeds():
             f"(ratios {min(ratios):.2f}-{max(ratios):.2f})")
 
 
-def test_quaternion_sign_robustness_through_fuse():
-    worst = 0.0
-    for n, step, nm, cfg in [
-        (300, 0.1, NoiseModel(abs_t_sigma=0.3, abs_r_sigma=3.0, vo_t_sigma=0.005,
-                              vo_r_sigma=0.05, vo_t_bias=0.005, seed=4),
-         PgoConfig(window_T=7, spacing_k=10)),
-        (120, 0.2, NoiseModel(abs_t_sigma=0.2, abs_r_sigma=3.0, vo_t_sigma=0.01,
-                              vo_r_sigma=0.1, seed=5),  # no VO bias
-         PgoConfig(window_T=5, spacing_k=6)),
-    ]:
-        gt = generate_trajectory("loop", n, step)
-        abs_traj = corrupt_absolute(gt, nm)
-        vo = corrupt_vo(gt, nm)
-        flipped = Trajectory(abs_traj.timestamps, abs_traj.t, -abs_traj.q)
-        a = fuse_trajectory(abs_traj, vo, cfg)
-        b = fuse_trajectory(flipped, vo, cfg)
-        worst = max(worst, float(np.max(rotation_error_deg(a.q, b.q))))
+@pytest.mark.parametrize("n, step, nm, cfg", [
+    (300, 0.1, NoiseModel(abs_t_sigma=0.3, abs_r_sigma=3.0, vo_t_sigma=0.005,
+                          vo_r_sigma=0.05, vo_t_bias=0.005, seed=4),
+     PgoConfig(window_T=7, spacing_k=10)),
+    (120, 0.2, NoiseModel(abs_t_sigma=0.2, abs_r_sigma=3.0, vo_t_sigma=0.01,
+                          vo_r_sigma=0.1, seed=5),  # no VO bias
+     PgoConfig(window_T=5, spacing_k=6)),
+], ids=["n300-k10-vo-bias", "n120-k6"])
+def test_quaternion_sign_robustness_through_fuse(n, step, nm, cfg):
+    gt = generate_trajectory("loop", n, step)
+    abs_traj = corrupt_absolute(gt, nm)
+    vo = corrupt_vo(gt, nm)
+    flipped = Trajectory(abs_traj.timestamps, abs_traj.t, -abs_traj.q)
+    a = fuse_trajectory(abs_traj, vo, cfg)
+    b = fuse_trajectory(flipped, vo, cfg)
+    worst = float(np.max(rotation_error_deg(a.q, b.q)))
     assert worst < 1e-9
     _passed(f"sign robustness: negating all input quaternions changes rotations "
-            f"by at most {worst:.2e} deg on two loops")
+            f"by at most {worst:.2e} deg on a {n}-frame loop")
 
 
 def test_median_filter_restores_outliers():

@@ -18,9 +18,10 @@ from conftest import random_poses
 
 
 class TestTrajectoryFormat:
-    def test_round_trip(self, tmp_path, rng):
-        t, q = random_poses(rng, 50, scale=100.0)
-        traj = Trajectory(np.sort(rng.uniform(0, 1000, size=50)), t, q)
+    @pytest.mark.parametrize("n, span", [(50, 1000.0), (40, 100.0)])
+    def test_round_trip(self, tmp_path, rng, n, span):
+        t, q = random_poses(rng, n, scale=100.0)
+        traj = Trajectory(np.sort(rng.uniform(0, span, size=n)), t, q)
         path = tmp_path / "traj.txt"
         write_trajectory(traj, path)
         back = read_trajectory(path)
@@ -91,13 +92,14 @@ class TestTrajectoryFormat:
 
 
 class TestVoFormat:
-    def test_round_trip(self, tmp_path, rng):
-        vo = VoChain(np.arange(30, dtype=float) + 0.5, rng.normal(size=(30, 3)),
-                     0.9 * rng.normal(size=(30, 3)) / 3)
+    @pytest.mark.parametrize("n, t0", [(30, 0.5), (40, 0.0)])
+    def test_round_trip(self, tmp_path, rng, n, t0):
+        vo = VoChain(np.arange(n, dtype=float) + t0, rng.normal(size=(n, 3)),
+                     0.9 * rng.normal(size=(n, 3)) / 3)
         path = tmp_path / "vo.txt"
         write_vo(vo, path)
         back = read_vo(path)
-        assert len(back) == 30
+        assert len(back) == n
         for name in ("timestamps", "t", "w"):
             assert np.array_equal(getattr(back, name), getattr(vo, name))
 

@@ -146,6 +146,9 @@ def test_integrate_random_steps_match_advance_chain(m):
     (9, 150, 7),    # shorter than k: one window over frames 0 and n - 1
     (2, 1, 2),
     (2 * BLOCK_ROWS + 101, 150, 7),  # three blocks of the carry
+    # the nearest grid frame where (n - 1) % k is 0, k - 1 or in between,
+    # halfway at even k, with two grid frames, and with fewer grid frames than T
+    (100, 10, 7), (101, 10, 7), (96, 4, 7), (95, 7, 5), (13, 12, 7), (7, 2, 7),
 ])
 def test_off_grid_carry_matches_relative_pose_compose(n, k, T):
     _assert_carry_matches_reference(n, k, T)
