@@ -143,8 +143,8 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray):
     and for the relative kinds one for its pose i + 1 (None otherwise).
     Their columns are the 6 manifold coordinates of that pose. A rotation
     moves as q * exp(e), and to first order exp(e) = (1, e), so a rotation
-    column is the derivative along a vector component: the slice [..., 1:]
-    of the 4x4 product derivative.
+    column is the derivative along a vector component: dqmul_left and
+    dqmul_right give those columns of the product derivative.
     A rotation observable f is flipped to -f where <f, obs> < 0 (see
     _toward); since L(-f) = -L(f), the derivative at the flipped f needs no
     other sign.
@@ -159,7 +159,7 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray):
         ji[..., :3] = np.eye(3)
     elif b.kind is ConstraintKind.ABS_ROTATION:
         f = _toward(q[:, :m], b.obs)
-        ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
+        ji[..., 3:] = quat.dqmul_left(f)
     elif b.kind is ConstraintKind.REL_TRANSLATION:
         qj = q[:, 1:m + 1]
         f = quat.qrotate(qj, t[:, :m] - t[:, 1:m + 1])
@@ -170,9 +170,9 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray):
         jj[..., 3:] = 2.0 * np.cross(rot, f[..., None, :], axisa=-2, axisc=-2)
     else:  # REL_ROTATION
         f = _toward(quat.qmul(quat.qinv(q[:, 1:m + 1]), q[:, :m]), b.obs)
-        ji[..., 3:] = quat.dqmul_left(f)[..., 1:]
+        ji[..., 3:] = quat.dqmul_left(f)
         # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
-        jj[..., 3:] = -quat.dqmul_right(f)[..., 1:]
+        jj[..., 3:] = -quat.dqmul_right(f)
     ji *= b.weight
     if relative:
         jj *= b.weight
@@ -304,8 +304,7 @@ def _add_curvature(b: Block, t: np.ndarray, q: np.ndarray, r: np.ndarray, f: np.
         diag[:, 1:m + 1, _ROT, _ROT] += along
         # <r, e_l * f * e_k> = -<e_l * r, f * e_k>: e_l's left product is
         # orthogonal and conj(e_l) = -e_l
-        upper[:, :m, 3:, 3:] -= w * (_transpose(quat.dqmul_left(f)[..., 1:])
-                                     @ quat.dqmul_right(r)[..., 1:])
+        upper[:, :m, 3:, 3:] -= w * (_transpose(quat.dqmul_left(f)) @ quat.dqmul_right(r))
     elif b.kind is ConstraintKind.REL_TRANSLATION:
         u = w * quat.qrotate(quat.qinv(q[:, 1:m + 1]), r)
         d = t[:, :m] - t[:, 1:m + 1]
@@ -464,18 +463,14 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
         raise ValueError(f"expected {n - 1} per-frame relative poses at the trajectory's "
                          f"timestamps after the first, got {len(vo)} at other timestamps")
 
-    k = cfg.spacing_k
-    if (n - 1) // k < 1:
-        # Too short for the requested spacing: single window over all frames
-        # reachable at the widest spacing that still yields 2 grid poses.
-        k = n - 1
+    k = min(cfg.spacing_k, n - 1)
     grid = np.arange(0, n, k)
     T = min(cfg.window_T, len(grid))
 
     # Smooth-but-drifty trajectory from integrating the VO chain; grid-step
     # relative observations are taken between its samples.
     vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
-    step_t, step_w = relative_pose(vo_t[grid[:-1]], vo_q[grid[:-1]], vo_t[grid[1:]], vo_q[grid[1:]])
+    step_t, step_q = relative_pose(vo_t[grid[:-1]], vo_q[grid[:-1]], vo_t[grid[1:]], vo_q[grid[1:]])
 
     # A stride of T - 4 leaves each emitted pose two grid poses of context on
     # each side; a wider one lost accuracy (T = 7 at stride 5). The last
@@ -484,8 +479,7 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
     windows = starts[:, None] + np.arange(T)
     abs_t = abs_traj.t[grid][windows]
     abs_q = abs_traj.q[grid][windows]
-    blocks = build_window_graph(abs_t, abs_q, step_t[windows[:, :-1]],
-                                quat.qexp(step_w)[windows[:, :-1]])
+    blocks = build_window_graph(abs_t, abs_q, step_t[windows[:, :-1]], step_q[windows[:, :-1]])
     t, q, iterations, _, converged = gauss_newton_solve(blocks, abs_t, abs_q)
     if stats is not None:
         stats.window_iterations.extend(iterations.tolist())
@@ -508,8 +502,8 @@ def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
         frames = np.arange(lo, min(lo + BLOCK_ROWS, n))
         off = frames[frames % k != 0]
         near = np.searchsorted(grid[:-1] + grid[1:], 2 * off)
-        rel_t, rel_w = relative_pose(vo_t[off], vo_q[off], vo_t[grid[near]], vo_q[grid[near]])
-        vo_t[off], vo_q[off] = compose(fused_t[near], fused_q[near], rel_t, rel_w)
+        rel_t, rel_q = relative_pose(vo_t[off], vo_q[off], vo_t[grid[near]], vo_q[grid[near]])
+        vo_t[off], vo_q[off] = compose(fused_t[near], fused_q[near], rel_t, rel_q)
     vo_t[grid], vo_q[grid] = fused_t, fused_q
     return Trajectory(abs_traj.timestamps, vo_t, vo_q)
 

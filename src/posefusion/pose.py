@@ -2,12 +2,12 @@
 
 A pose is a translation t (..., 3) in meters and a unit quaternion
 q (..., 4); a relative pose is an observer-frame translation t (..., 3)
-and a log-quaternion rotation w (..., 3). Every function here takes such
+and a unit quaternion q (..., 4) too. Every function here takes such
 arrays with leading batch axes. A Trajectory holds n timestamped poses as
 t (n, 3) and q (n, 4), a VoChain m timestamped relative poses as t (m, 3)
-and w (m, 3); one validator checks both in bulk and keeps read-only
-copies. Rules trajio's readers share are stated once here: a mask function
-and a message each.
+and, as the VO file format stores them, log rotations w (m, 3); one
+validator checks both in bulk and keeps read-only copies. Rules trajio's
+readers share are stated once here: a mask function and a message each.
 """
 
 from __future__ import annotations
@@ -101,11 +101,12 @@ class VoChain:
     """Per-frame visual odometry as arrays: m consecutive relative poses.
 
     Row r is the relative pose of frame r observed from frame r + 1 (see
-    relative_pose): observer-frame translation t (m, 3) in meters and log
-    rotation w (m, 3), stamped with the observer frame's timestamp. Fused
-    with a trajectory of n frames, m = n - 1 and the timestamps are the
-    trajectory's after the first. Construction checks finite values,
-    |w| <= MAX_LOG_NORM and strictly increasing timestamps.
+    relative_pose): observer-frame translation t (m, 3) in meters and the
+    log w (m, 3) of its rotation, as the VO file stores it, stamped with the
+    observer frame's timestamp. Fused with a trajectory of n frames,
+    m = n - 1 and the timestamps are the trajectory's after the first.
+    Construction checks finite values, |w| <= MAX_LOG_NORM and strictly
+    increasing timestamps.
     """
 
     timestamps: np.ndarray
@@ -124,23 +125,21 @@ class VoChain:
 
 
 def relative_pose(t_i, q_i, t_j, q_j) -> tuple[np.ndarray, np.ndarray]:
-    """Relative pose (t, w) of poses i as seen from observer poses j.
+    """Relative pose (t, q) of poses i as seen from observer poses j.
 
-    t = R(q_j)(t_i - t_j), w = log(q_j^-1 * q_i); leading batch axes.
+    t = R(q_j)(t_i - t_j), q = q_j^-1 * q_i; leading batch axes. The
+    quaternions are not canonicalized.
     """
-    t = quat.qrotate(q_j, t_i - t_j)
-    w = quat.qlog(quat.qmul(quat.qinv(q_j), q_i))
-    return t, w
+    return quat.qrotate(q_j, t_i - t_j), quat.qmul(quat.qinv(q_j), q_i)
 
 
-def compose(t_j, q_j, rel_t, rel_w) -> tuple[np.ndarray, np.ndarray]:
-    """Recover (t_i, q_i) from observer poses j and (rel_t, rel_w) = relative_pose(i, j).
+def compose(t_j, q_j, rel_t, rel_q) -> tuple[np.ndarray, np.ndarray]:
+    """Recover (t_i, q_i) from observer poses j and (rel_t, rel_q) = relative_pose(i, j).
 
-    Takes leading batch axes. The quaternions are not canonicalized.
+    q_i = q_j * rel_q; leading batch axes. The quaternions are not
+    canonicalized.
     """
-    q_i = quat.qmul(q_j, quat.qexp(rel_w))
-    t_i = t_j + quat.qrotate(quat.qinv(q_j), rel_t)
-    return t_i, q_i
+    return t_j + quat.qrotate(quat.qinv(q_j), rel_t), quat.qmul(q_j, rel_q)
 
 
 def integrate(t0, q0, vo: VoChain) -> tuple[np.ndarray, np.ndarray]:

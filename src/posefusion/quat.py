@@ -137,22 +137,24 @@ def to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def dqmul_left(a: np.ndarray) -> np.ndarray:
-    """4x4 matrix L(a) with a * b == L(a) @ b, i.e. d(a*b)/db."""
+    """4x3 matrix with a * (0, v) == dqmul_left(a) @ v: d(a*b)/db along the
+    vector part of b."""
     u, x, y, z = _split(a)
     return _join([
-        [u, -x, -y, -z],
-        [x, u, -z, y],
-        [y, z, u, -x],
-        [z, -y, x, u],
+        [-x, -y, -z],
+        [u, -z, y],
+        [z, u, -x],
+        [-y, x, u],
     ], depth=2)
 
 
 def dqmul_right(b: np.ndarray) -> np.ndarray:
-    """4x4 matrix R(b) with a * b == R(b) @ a, i.e. d(a*b)/da."""
+    """4x3 matrix with (0, v) * b == dqmul_right(b) @ v: d(a*b)/da along the
+    vector part of a."""
     u, x, y, z = _split(b)
     return _join([
-        [u, -x, -y, -z],
-        [x, u, z, -y],
-        [y, -z, u, x],
-        [z, y, -x, u],
+        [-x, -y, -z],
+        [u, z, -y],
+        [-z, u, x],
+        [y, -x, u],
     ], depth=2)

@@ -124,11 +124,11 @@ def corrupt_vo(traj: Trajectory, nm: NoiseModel) -> VoChain:
     own, so it is independent of corrupt_absolute's with the same seed.
     """
     rng = np.random.default_rng([nm.seed, 1])
-    rel_t, rel_w = relative_pose(traj.t[:-1], traj.q[:-1], traj.t[1:], traj.q[1:])
+    rel_t, rel_q = relative_pose(traj.t[:-1], traj.q[:-1], traj.t[1:], traj.q[1:])
     with np.errstate(over="ignore"):  # a translation that overflows is inf; VoChain rejects it
         dt, rot = _draws(rng, len(rel_t), nm.vo_t_sigma, nm.vo_r_sigma)
         t = rel_t + np.array([nm.vo_t_bias, 0.0, 0.0])
         if dt is not None:
             t = t + dt
-    return VoChain(traj.timestamps[1:], t, quat.qlog(quat.qmul(quat.qexp(rel_w), rot)))
+    return VoChain(traj.timestamps[1:], t, quat.qlog(quat.qmul(rel_q, rot)))
 

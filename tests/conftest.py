@@ -41,7 +41,7 @@ def safe_random_poses(rng, n):
 
 
 def chain_vo(t, q):
-    """Consecutive relative poses (t, w): pose i as seen from pose i + 1."""
+    """Consecutive relative poses (t, q): pose i as seen from pose i + 1."""
     return relative_pose(t[:-1], q[:-1], t[1:], q[1:])
 
 
@@ -50,11 +50,11 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def window_graph(t, q, vo_t, vo_w):
+def window_graph(t, q, vo_t, vo_q):
     """pgo.build_window_graph of one window: poses t (T, 3), q (T, 4) and
-    relative poses vo_t (T-1, 3), vo_w (T-1, 3)."""
+    relative poses vo_t (T-1, 3), vo_q (T-1, 4)."""
     return build_window_graph(t[None], q[None], np.reshape(vo_t, (1, -1, 3)),
-                              quat.qexp(np.reshape(vo_w, (1, -1, 3))))
+                              np.reshape(vo_q, (1, -1, 4)))
 
 
 def single_block(kind, observation, weight):

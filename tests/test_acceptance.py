@@ -112,8 +112,7 @@ def test_solver_pure_translation_closed_form(monkeypatch):
     abs_obs = [rng.normal(size=3) for _ in range(n)]
     monkeypatch.setattr(PgoConfig, "max_iters", 100)
     identities = np.tile(quat.IDENTITY, (n, 1))
-    blocks = window_graph(np.array(abs_obs), identities,
-                          np.zeros((n - 1, 3)), np.zeros((n - 1, 3)))
+    blocks = window_graph(np.array(abs_obs), identities, np.zeros((n - 1, 3)), identities[1:])
     t0 = np.array([abs_obs[i] + 0.2 * rng.normal(size=3) for i in range(n)])
     t, q, *_ = gauss_newton_solve(blocks, t0[None], identities[None])
 
@@ -263,8 +262,8 @@ def test_windows_match_the_whole_trajectory_optimum():
             fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=k))
             grid = np.arange(0, n, k)
             vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
-            step_t, step_w = chain_vo(vo_t[grid], vo_q[grid])
-            blocks = window_graph(abs_traj.t[grid], abs_traj.q[grid], step_t, step_w)
+            step_t, step_q = chain_vo(vo_t[grid], vo_q[grid])
+            blocks = window_graph(abs_traj.t[grid], abs_traj.q[grid], step_t, step_q)
             t, q, _, _, converged = gauss_newton_solve(blocks, abs_traj.t[grid][None],
                                                        abs_traj.q[grid][None])
             assert converged[0]

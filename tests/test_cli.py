@@ -253,13 +253,15 @@ class TestFuse:
                      "--out", str(tmp_path)]) == DATA_ERROR
         assert capsys.readouterr().err == f"fuse: [Errno 21] Is a directory: '{tmp_path}'\n"
 
-    def test_huge_finite_translation_is_data_error_without_warnings(self, tmp_path):
-        # one abs translation of 1e200 m: the normal matrix overflows, which
-        # the solver reports as a non-finite step, not as a numpy warning
+    @staticmethod
+    def _fuse_with_abs_tx(tmp_path, tx):
+        """The fuse CLI, run with RuntimeWarnings as errors, on the 300-frame
+        README-noise loop whose frame 100, on the --spacing 10 grid, has abs
+        translation x = tx. Returns the finished process and the output path."""
         gt, abs_path, vo = _simulate(tmp_path, README_NOISE, frames=300)
         lines = abs_path.read_text().splitlines()
-        fields = lines[101].split()  # line 102: frame 100, on the --spacing 10 grid
-        fields[1] = "1e200"
+        fields = lines[101].split()  # line 102: frame 100
+        fields[1] = tx
         lines[101] = " ".join(fields)
         abs_path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "o"
@@ -268,10 +270,28 @@ class TestFuse:
         run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "posefusion.cli",
                               "fuse", "--abs", str(abs_path), "--vo", str(vo), "--out", str(out),
                               "--spacing", "10"], env=env, capture_output=True, text=True)
+        return run, out
+
+    def test_huge_finite_translation_is_data_error_without_warnings(self, tmp_path):
+        # one abs translation of 1e200 m: the normal matrix overflows, which
+        # the solver reports as a non-finite step, not as a numpy warning
+        run, out = self._fuse_with_abs_tx(tmp_path, "1e200")
         assert run.returncode == DATA_ERROR
         assert run.stderr == ("fuse: solver step is not finite: NaN or inf in the observations or "
                               "the starting poses, or values so large that the normal matrix "
                               "overflows\n")
+        assert not out.exists()
+
+    def test_far_outlier_is_numerical_error_without_warnings(self, tmp_path):
+        # one abs translation of 1e9 m: the normal matrix stays finite, but
+        # relative translations 1e9 m long dwarf the rotation observations,
+        # and the window's rotation columns fail the pivot rule
+        run, out = self._fuse_with_abs_tx(tmp_path, "1e9")
+        assert run.returncode == NUMERICAL_ERROR
+        prefix = "fuse: rank-deficient system; offending manifold columns ["
+        assert run.stderr.startswith(prefix) and run.stderr.count("\n") == 1
+        columns = [int(c) for c in run.stderr[len(prefix):run.stderr.index("]")].split(",")]
+        assert all(c % 6 >= 3 for c in columns)  # rotation columns only
         assert not out.exists()
 
     def test_malformed_file_is_data_error(self, tmp_path):

@@ -21,7 +21,8 @@ from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_tr
 
 
 def advance(t_i, q_i, rel_t, rel_w):
-    """The observer pose (t_j, q_j) from pose i and (rel_t, rel_w) = relative_pose(i, j)."""
+    """The observer pose (t_j, q_j) from pose i and a VO row (rel_t, rel_w):
+    relative_pose(i, j) with its rotation as a log."""
     q_j = quat.qmul(q_i, quat.qinv(quat.qexp(rel_w)))
     t_j = t_i - quat.qrotate(quat.qinv(q_j), rel_t)
     return t_j, quat.canonicalize(q_j)
@@ -35,12 +36,16 @@ def integrate_reference(t0, q0, vo):
 
 
 def carry_reference(fused: Trajectory, vo_poses, k: int):
-    """Every frame composed from its nearest grid frame of fused (ties lower)."""
+    """Every off-grid frame composed from its nearest grid frame of fused
+    (ties lower); grid frames are fused's own."""
     n = len(fused)
     grid = list(range(0, n, k))
     out = []
     for f in range(n):
         g = min(grid, key=lambda frame: abs(frame - f))
+        if f == g:
+            out.append((fused.t[g], fused.q[g]))
+            continue
         rel = relative_pose(*vo_poses[f], *vo_poses[g])
         t, q = compose(fused.t[g], fused.q[g], *rel)
         out.append((t, quat.canonicalize(q)))
@@ -166,8 +171,7 @@ def _assert_carry_matches_reference(n, k, T):
     _, abs_traj, vo = _noisy_loop(n, seed=n)
     fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=T, spacing_k=k))
     vo_poses = integrate_reference(abs_traj.t[0], abs_traj.q[0], vo)
-    k_used = k if (n - 1) // k >= 1 else n - 1
-    _assert_rows_equal(fused.t, fused.q, carry_reference(fused, vo_poses, k_used))
+    _assert_rows_equal(fused.t, fused.q, carry_reference(fused, vo_poses, min(k, n - 1)))
 
 
 @pytest.mark.parametrize("n, window", [

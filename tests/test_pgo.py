@@ -70,8 +70,7 @@ class TestBuildWindowGraph:
             window_graph(t, q, [], [])
         t, q = random_poses(rng, 14)
         t, q = t.reshape(2, 7, 3), q.reshape(2, 7, 4)
-        vo_t, vo_w = relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:])
-        vo_q = quat.qexp(vo_w)
+        vo_t, vo_q = relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:])
         build_window_graph(t, q, vo_t, vo_q)
         expected = r"expected vo_t and vo_q of \(W, T - 1\) = \(2, 6\) relative poses, got "
         # a vo_q with 5 rows per window
@@ -106,8 +105,7 @@ def half_turn_window(rng):
     _, t, q = noisy_window_stack(rng, 7)
     t, q = t[:1], q[:1].copy()
     q[:, 1::2] = quat.qmul(q[:, 1::2], quat.qexp(np.array([0.0, 0.0, np.pi / 2])))
-    vo_t, vo_w = relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:])
-    blocks = build_window_graph(t, q, vo_t, quat.qexp(vo_w))
+    blocks = build_window_graph(t, q, *relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:]))
     return blocks, t, quat.qmul(q, quat.qexp(0.05 * rng.normal(size=(1, 7, 3))))
 
 
@@ -202,16 +200,23 @@ class TestGaussNewton:
         assert len(err.value.columns) > 0
 
     @staticmethod
-    def _straight_chain_columns(kinds):
-        """Columns RankDeficientError names for the blocks of kinds on a T=4
-        chain along x with identity rotations."""
+    def _straight_chain(kinds, weights=None):
+        """The blocks of kinds on a T=4 chain along x with identity rotations,
+        weights[kind] replacing a kind's weight, and the chain's poses."""
         T = 4
         t = np.zeros((T, 3))
         t[:, 0] = np.arange(T)
         q = np.tile(quat.IDENTITY, (T, 1))
-        blocks = [b for b in window_graph(t, q, *chain_vo(t, q)) if b.kind in kinds]
+        blocks = [b._replace(weight=(weights or {}).get(b.kind, b.weight))
+                  for b in window_graph(t, q, *chain_vo(t, q)) if b.kind in kinds]
+        return blocks, t[None], q[None]
+
+    def _straight_chain_columns(self, kinds):
+        """Columns RankDeficientError names for the blocks of kinds on the
+        straight chain."""
+        blocks, t, q = self._straight_chain(kinds)
         with pytest.raises(RankDeficientError) as err:
-            gauss_newton_solve(blocks, t[None] + 0.1, q[None])
+            gauss_newton_solve(blocks, t + 0.1, q)
         return err.value
 
     @pytest.mark.parametrize("kinds, columns", [
@@ -228,6 +233,17 @@ class TestGaussNewton:
         assert err.columns == columns
         assert all(type(c) is int for c in err.columns)
         assert str(columns) in str(err)
+
+    def test_rank_deficiency_names_columns_up_to_the_squared_pivot_ratio(self):
+        # weak absolute constraints: the column-normalized J^T J has
+        # eigenvalues of about 6e-15 along the translation gauge and 4e-10 to
+        # 7e-10 along the rotation gauge, between MIN_PIVOT_RATIO^2 and
+        # MIN_PIVOT_RATIO, so only the translation columns are named
+        weights = {ConstraintKind.ABS_TRANSLATION: 1e-7, ConstraintKind.ABS_ROTATION: 1e-4}
+        blocks, t, q = self._straight_chain(list(ConstraintKind), weights)
+        with pytest.raises(RankDeficientError) as err:
+            pgo._gn_step(blocks, t + 0.1, q)
+        assert err.value.columns == [0, 1, 2, 6, 7, 8, 12, 13, 14, 18, 19, 20]
 
     def test_rank_deficiency_needs_no_scipy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy", None)
@@ -260,8 +276,8 @@ def noisy_window_stack(rng, T, n_win=4):
     gt_q = quat.qmul(quat.qexp(np.stack([0 * yaw, 0 * yaw, yaw / 2], axis=-1)), quat.qexp(tilt))
     abs_t = gt_t + 0.3 * rng.normal(size=gt_t.shape)
     abs_q = quat.qmul(gt_q, quat.qexp(0.05 * rng.normal(size=gt_t.shape)))
-    vo_t, vo_w = relative_pose(gt_t[:, :-1], gt_q[:, :-1], gt_t[:, 1:], gt_q[:, 1:])
-    vo_q = quat.qmul(quat.qexp(vo_w), quat.qexp(0.01 * rng.normal(size=vo_w.shape)))
+    vo_t, vo_q = relative_pose(gt_t[:, :-1], gt_q[:, :-1], gt_t[:, 1:], gt_q[:, 1:])
+    vo_q = quat.qmul(vo_q, quat.qexp(0.01 * rng.normal(size=vo_t.shape)))
     blocks = build_window_graph(abs_t, abs_q, vo_t + 0.01 * rng.normal(size=vo_t.shape),
                                 vo_q)
     return blocks, abs_t, abs_q
@@ -686,6 +702,17 @@ class TestFuseTrajectory:
                         vo_r_sigma=0.1, vo_t_bias=0.01, seed=seed)
         return corrupt_absolute(gt, nm), corrupt_vo(gt, nm)
 
+    def test_fuse_and_median_take_no_log(self, monkeypatch):
+        # relative poses stay quaternions: only the VO file format and the
+        # solver's chart need log rotations, and neither is a qlog here
+        abs_traj, vo = self._noisy_loop()
+
+        def no_log(q):
+            raise AssertionError("qlog called")
+        monkeypatch.setattr(quat, "qlog", no_log)
+        fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=10))
+        assert len(temporal_median_filter(fused, 11)) == len(abs_traj)
+
     def test_batches_match_single_window_solver(self, monkeypatch):
         # 20 grid poses give 6 windows at stride T - 4 = 3, starting at 0, 3,
         # 6, 9, 12 and 13: a batch of 4 and a partial one
@@ -697,14 +724,14 @@ class TestFuseTrajectory:
 
         grid = list(range(0, len(abs_traj), cfg.spacing_k))
         vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
-        grid_t, grid_w = chain_vo(vo_t[grid], vo_q[grid])
+        grid_t, grid_q = chain_vo(vo_t[grid], vo_q[grid])
         T = cfg.window_T
         starts = [0, 3, 6, 9, 12, 13]
         solved, iterations = [], []
         for a in starts:
             frames = grid[a:a + T]
             abs_t, abs_q = abs_traj.t[frames], abs_traj.q[frames]
-            blocks = window_graph(abs_t, abs_q, grid_t[a:a + T - 1], grid_w[a:a + T - 1])
+            blocks = window_graph(abs_t, abs_q, grid_t[a:a + T - 1], grid_q[a:a + T - 1])
             t, q, its, *_ = gauss_newton_solve(blocks, abs_t[None], abs_q[None])
             solved.append((t[0], q[0]))
             iterations.append(int(its[0]))

@@ -121,15 +121,15 @@ def test_not_increasing_marks_each_offending_row(rng, timestamps, mask):
 class TestRelativePose:
     def test_identity_case(self, rng):
         t, q = random_pose(rng)
-        rel_t, rel_w = relative_pose(t, q, t, q)
+        rel_t, rel_q = relative_pose(t, q, t, q)
         assert np.allclose(rel_t, 0, atol=1e-12)
-        assert np.allclose(rel_w, 0, atol=1e-12)
+        assert np.allclose(rel_q, quat.IDENTITY, atol=1e-12)
 
     def test_observer_identity(self, rng):
         t, q = random_pose(rng)
-        rel_t, rel_w = relative_pose(t, q, np.zeros(3), quat.IDENTITY)
+        rel_t, rel_q = relative_pose(t, q, np.zeros(3), quat.IDENTITY)
         assert np.allclose(rel_t, t)
-        assert np.allclose(rel_w, quat.qlog(q))
+        assert np.allclose(rel_q, q)
 
     def test_compose_roundtrip(self, rng):
         for _ in range(100):
@@ -140,15 +140,15 @@ class TestRelativePose:
 
     def test_batch_axes_match_single_rows(self, rng):
         (t_i, q_i), (t_j, q_j) = (random_poses(rng, 12) for _ in range(2))
-        rel_t, rel_w = relative_pose(*(a.reshape(3, 4, -1) for a in (t_i, q_i, t_j, q_j)))
-        back_t, back_q = compose(t_j.reshape(3, 4, 3), q_j.reshape(3, 4, 4), rel_t, rel_w)
-        assert rel_t.shape == rel_w.shape == back_t.shape == (3, 4, 3)
-        assert back_q.shape == (3, 4, 4)
+        rel_t, rel_q = relative_pose(*(a.reshape(3, 4, -1) for a in (t_i, q_i, t_j, q_j)))
+        back_t, back_q = compose(t_j.reshape(3, 4, 3), q_j.reshape(3, 4, 4), rel_t, rel_q)
+        assert rel_t.shape == back_t.shape == (3, 4, 3)
+        assert rel_q.shape == back_q.shape == (3, 4, 4)
         for r, row in enumerate(zip(t_i, q_i, t_j, q_j)):
-            one_t, one_w = relative_pose(*row)
+            one_t, one_q = relative_pose(*row)
             assert np.array_equal(rel_t[r // 4, r % 4], one_t)
-            assert np.array_equal(rel_w[r // 4, r % 4], one_w)
-            one_back = compose(t_j[r], q_j[r], one_t, one_w)
+            assert np.array_equal(rel_q[r // 4, r % 4], one_q)
+            one_back = compose(t_j[r], q_j[r], one_t, one_q)
             assert np.array_equal(back_t[r // 4, r % 4], one_back[0])
             assert np.array_equal(back_q[r // 4, r % 4], one_back[1])
 

@@ -15,6 +15,11 @@ unit_quats = st.lists(
     lambda q: q / np.linalg.norm(q))
 
 
+def pure(v):
+    """The pure quaternion (0, v) of a 3-vector v."""
+    return np.concatenate(([0.0], v))
+
+
 def finite_difference(fn, x, h=1e-6):
     """Central finite differences of a vector function, column per input."""
     x = np.asarray(x, dtype=float)
@@ -100,10 +105,11 @@ class TestProduct:
         assert np.allclose(quat.qinv(np.array([0.0, 1, 0, 0])), [0.0, -1, 0, 0])
 
     def test_matrix_form_oracle(self, rng):
-        # The Hamilton product equals multiplication by the 4x4 left matrix.
+        # A product with a pure quaternion (0, v) is a 4x3 matrix times v.
         for _ in range(100):
-            a, b = random_unit_quat(rng), random_unit_quat(rng)
-            assert np.max(np.abs(quat.qmul(a, b) - quat.dqmul_left(a) @ b)) < 1e-12
+            a, v = random_unit_quat(rng), rng.normal(size=3)
+            assert np.max(np.abs(quat.qmul(a, pure(v)) - quat.dqmul_left(a) @ v)) < 1e-12
+            assert np.max(np.abs(quat.qmul(pure(v), a) - quat.dqmul_right(a) @ v)) < 1e-12
 
     @given(unit_quats, unit_quats, unit_quats)
     @settings(max_examples=100)
@@ -137,20 +143,22 @@ class TestRotate:
 
 class TestDerivatives:
     def test_dqmul_identity(self):
-        assert np.array_equal(quat.dqmul_left(quat.IDENTITY), np.eye(4))
-        assert np.array_equal(quat.dqmul_right(quat.IDENTITY), np.eye(4))
+        assert np.array_equal(quat.dqmul_left(quat.IDENTITY), np.eye(4)[:, 1:])
+        assert np.array_equal(quat.dqmul_right(quat.IDENTITY), np.eye(4)[:, 1:])
 
     def test_dqmul_linearity_exact(self, rng):
         a, b = random_unit_quat(rng), random_unit_quat(rng)
-        delta = 0.1 * rng.normal(size=4)
-        diff = quat.qmul(a, b + delta) - quat.qmul(a, b)
+        delta = 0.1 * rng.normal(size=3)
+        diff = quat.qmul(a, b + pure(delta)) - quat.qmul(a, b)
         assert np.max(np.abs(diff - quat.dqmul_left(a) @ delta)) < 1e-14
+        diff = quat.qmul(b + pure(delta), a) - quat.qmul(b, a)
+        assert np.max(np.abs(diff - quat.dqmul_right(a) @ delta)) < 1e-14
 
     def test_dqmul_finite_differences(self, rng):
         for _ in range(100):
-            a, b = random_unit_quat(rng), random_unit_quat(rng)
-            fd_left = finite_difference(lambda x: quat.qmul(a, x), b)
-            fd_right = finite_difference(lambda x: quat.qmul(x, b), a)
+            a, b, v = random_unit_quat(rng), random_unit_quat(rng), rng.normal(size=3)
+            fd_left = finite_difference(lambda x: quat.qmul(a, b + pure(x)), v)
+            fd_right = finite_difference(lambda x: quat.qmul(a + pure(x), b), v)
             assert np.max(np.abs(fd_left - quat.dqmul_left(a))) < 1e-7
             assert np.max(np.abs(fd_right - quat.dqmul_right(b))) < 1e-7
 

@@ -129,9 +129,9 @@ class TestCorruptVo:
         rels = corrupt_vo(traj, NoiseModel(seed=0))
         assert np.array_equal(rels.timestamps, traj.timestamps[1:])
         for i, (t, w) in enumerate(zip(rels.t, rels.w)):
-            ref_t, ref_w = relative_pose(traj.t[i], traj.q[i], traj.t[i + 1], traj.q[i + 1])
+            ref_t, ref_q = relative_pose(traj.t[i], traj.q[i], traj.t[i + 1], traj.q[i + 1])
             assert np.max(np.abs(t - ref_t)) < 1e-12
-            assert np.max(np.abs(w - ref_w)) < 1e-12
+            assert np.max(np.abs(w - quat.qlog(ref_q))) < 1e-12
 
     def test_bias_drift_magnitude_straight_line(self):
         # on a straight path 0.01 m bias per step accumulates to exactly 10 m
