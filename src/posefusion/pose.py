@@ -1,9 +1,12 @@
 """Pose geometry on arrays and the two sequence types.
 
 A pose is a translation t (..., 3) in meters and a unit quaternion
-q (..., 4); a relative pose is an observer-frame translation t (..., 3)
-and a unit quaternion q (..., 4) too. Every function here takes such
-arrays with leading batch axes. A Trajectory holds n timestamped poses as
+q (..., 4); a relative pose is a translation t (..., 3) and a unit
+quaternion q (..., 4) too: pose i seen from pose j is
+(R(q_j)(t_i - t_j), q_j^-1 * q_i). The two halves do not read q the same
+way, so relative poses do not chain: composing i-from-j with j-from-k
+misses i-from-k (ROADMAP item 15). Every function here takes such arrays
+with leading batch axes. A Trajectory holds n timestamped poses as
 t (n, 3) and q (n, 4), a VoChain m timestamped relative poses as t (m, 3)
 and, as the VO file format stores them, log rotations w (m, 3); one
 validator checks both in bulk and keeps read-only copies. Rules trajio's
@@ -101,10 +104,11 @@ class VoChain:
     """Per-frame visual odometry as arrays: m consecutive relative poses.
 
     Row r is the relative pose of frame r observed from frame r + 1 (see
-    relative_pose): observer-frame translation t (m, 3) in meters and the
-    log w (m, 3) of its rotation, as the VO file stores it, stamped with the
-    observer frame's timestamp. Fused with a trajectory of n frames,
-    m = n - 1 and the timestamps are the trajectory's after the first.
+    relative_pose): translation t (m, 3) = R(q_{r+1})(t_r - t_{r+1}) in
+    meters and the log w (m, 3) of its rotation q_{r+1}^-1 * q_r, as the VO
+    file stores it, stamped with the observer frame's timestamp. Fused with
+    a trajectory of n frames, m = n - 1 and the timestamps are the
+    trajectory's after the first.
     Construction checks finite values, |w| <= MAX_LOG_NORM and strictly
     increasing timestamps.
     """

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import posefusion
 from posefusion import quat
 from posefusion.pgo import Block, ConstraintKind, _linearize_block, build_window_graph
 from posefusion.pose import relative_pose
@@ -125,3 +129,11 @@ def objective(blocks, t, q):
     """Whitened squared error E(z) of a one-window state."""
     r = linearize(blocks, t, q)[0]
     return float(r[0] @ r[0])
+
+
+def package_env():
+    """os.environ with the directory of the posefusion package this suite
+    imported first on PYTHONPATH, so that a subprocess runs the same code:
+    the checkout's src, or the installed package."""
+    home = str(Path(posefusion.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([home, os.environ.get("PYTHONPATH", "")]))

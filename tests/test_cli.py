@@ -1,5 +1,4 @@
 import argparse
-import os
 import runpy
 import subprocess
 import sys
@@ -13,6 +12,8 @@ import posefusion
 from posefusion import pgo, sim, trajio
 from posefusion.cli import DATA_ERROR, NUMERICAL_ERROR, USAGE_ERROR, _build_parser, main
 from posefusion.metrics import parse_report
+
+from conftest import package_env
 
 
 # the README's noise model
@@ -124,8 +125,9 @@ class TestFuse:
         args = _build_parser().parse_args(["fuse", "--abs", "a", "--vo", "v", "--out", "o"])
         assert (args.window, args.spacing) == (7, 150)
 
-    def test_pipeline_smoke(self, tmp_path, capsys):
-        noise = ["--abs-t-sigma", "0.3", "--abs-r-sigma", "3",
+    @pytest.mark.parametrize("shape", sim.SHAPES)
+    def test_pipeline_smoke(self, tmp_path, capsys, shape):
+        noise = ["--shape", shape, "--abs-t-sigma", "0.3", "--abs-r-sigma", "3",
                  "--vo-t-sigma", "0.005", "--vo-r-sigma", "0.05",
                  "--vo-t-bias", "0.005"]
         gt, abs_path, vo = _simulate(tmp_path, noise, frames=200, seed=1)
@@ -163,16 +165,18 @@ class TestFuse:
         # bare flag means window 51
         assert (tmp_path / "m51.txt").read_bytes() == out_med.read_bytes()
 
-    def test_median_window_output_matches_library_calls(self, tmp_path):
-        # more frames than BLOCK_ROWS: the carry and the file I/O run in blocks
-        frames = pgo.BLOCK_ROWS + 500
+    # blocks: more frames than BLOCK_ROWS, so the carry and the file I/O run
+    # in blocks; wider-than-the-trajectory: each window holds every frame
+    @pytest.mark.parametrize("frames, window", [(pgo.BLOCK_ROWS + 500, 51), (300, 601)],
+                             ids=["blocks", "wider-than-the-trajectory"])
+    def test_median_window_output_matches_library_calls(self, tmp_path, frames, window):
         gt, abs_path, vo = _simulate(tmp_path, README_NOISE, frames=frames)
         out = tmp_path / "fused.txt"
         assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo), "--out", str(out),
-                     "--median-window", "51"]) == 0
+                     "--median-window", str(window)]) == 0
         fused = pgo.fuse_trajectory(trajio.read_trajectory(abs_path), trajio.read_vo(vo),
                                     pgo.PgoConfig())
-        trajio.write_trajectory(pgo.temporal_median_filter(fused, 51), tmp_path / "ref.txt")
+        trajio.write_trajectory(pgo.temporal_median_filter(fused, window), tmp_path / "ref.txt")
         assert out.read_bytes() == (tmp_path / "ref.txt").read_bytes()
         assert len(trajio.read_trajectory(out)) == frames
 
@@ -265,11 +269,9 @@ class TestFuse:
         lines[101] = " ".join(fields)
         abs_path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "o"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "posefusion.cli",
                               "fuse", "--abs", str(abs_path), "--vo", str(vo), "--out", str(out),
-                              "--spacing", "10"], env=env, capture_output=True, text=True)
+                              "--spacing", "10"], env=package_env(), capture_output=True, text=True)
         return run, out
 
     def test_huge_finite_translation_is_data_error_without_warnings(self, tmp_path):
@@ -426,10 +428,8 @@ def test_removed_options_are_unknown(capsys, argv):
 def test_cli_import_loads_no_scipy():
     # SciPy is a test-only dependency, and importing it would take most of
     # the CLI's start-up time.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, posefusion.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=package_env(), check=True)
 
 
 def test_package_exports():

@@ -7,8 +7,9 @@ import pytest
 from posefusion import quat
 from posefusion.metrics import compare, parse_report, render_report
 from posefusion.pose import Trajectory
+from posefusion.trajio import write_trajectory
 
-from conftest import random_poses
+from conftest import package_env, random_poses
 
 
 def _traj(t, q):
@@ -63,15 +64,21 @@ class TestCompare:
         assert rep.median_t == float(np.median(rep.per_frame[:, 0]))
         assert rep.median_r == float(np.median(rep.per_frame[:, 1]))
 
-    def test_compare_does_not_import_numpy_ma(self):
+    def test_compare_does_not_import_numpy_ma(self, rng, tmp_path):
         # np.median imports numpy.ma on first use: 14 ms and 1.3 MB per eval.
         # numpy 1.x imports numpy.ma with numpy itself; then there is nothing to check.
-        code = ("import sys, numpy as np; from posefusion.metrics import compare; "
+        # compare alone, then the whole eval command through cli.main.
+        est, gt = tmp_path / "est.txt", tmp_path / "gt.txt"
+        write_trajectory(_random_traj(rng, 30), est)
+        write_trajectory(_random_traj(rng, 30), gt)
+        argv = ["eval", "--est", str(est), "--gt", str(gt), "--out-report", str(tmp_path / "r")]
+        code = ("import sys, numpy as np; had = 'numpy.ma' in sys.modules; "
+                "from posefusion.cli import main; from posefusion.metrics import compare; "
                 "from posefusion.pose import Trajectory; "
-                "had = 'numpy.ma' in sys.modules; "
                 "a = Trajectory(np.arange(4.0), np.eye(4)[:, :3], np.eye(4)[[0] * 4]); "
-                "compare(a, a); assert had or 'numpy.ma' not in sys.modules")
-        subprocess.run([sys.executable, "-c", code], check=True)
+                "compare(a, a); assert had or 'numpy.ma' not in sys.modules; "
+                f"assert main({argv!r}) == 0; assert had or 'numpy.ma' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], env=package_env(), check=True)
 
     def test_cdf_monotone_and_ends_at_one(self, rng):
         gt = _random_traj(rng, 30)

@@ -138,6 +138,22 @@ class TestRelativePose:
             assert np.max(np.abs(back_t - t_i)) < 1e-10
             assert rotation_error_deg(back_q, q_i) < 1e-10
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+    def test_group_chain_rule(self, rng):
+        # compose(rel(j, k), rel(i, j)) == rel(i, k), for random 3-D poses
+        # i, j, k with half-angles up to 1.5 rad
+        def poses(n):
+            axis = rng.normal(size=(n, 3))
+            axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+            return rng.normal(size=(n, 3)), quat.qexp(axis * rng.uniform(0.0, 1.5, (n, 1)))
+
+        (t_i, q_i), (t_j, q_j), (t_k, q_k) = poses(2000), poses(2000), poses(2000)
+        chain_t, chain_q = compose(*relative_pose(t_j, q_j, t_k, q_k),
+                                   *relative_pose(t_i, q_i, t_j, q_j))
+        direct_t, direct_q = relative_pose(t_i, q_i, t_k, q_k)
+        assert np.max(np.abs(quat.canonicalize(chain_q) - quat.canonicalize(direct_q))) <= 1e-12
+        assert np.max(np.abs(chain_t - direct_t)) <= 1e-12
+
     def test_batch_axes_match_single_rows(self, rng):
         (t_i, q_i), (t_j, q_j) = (random_poses(rng, 12) for _ in range(2))
         rel_t, rel_q = relative_pose(*(a.reshape(3, 4, -1) for a in (t_i, q_i, t_j, q_j)))
