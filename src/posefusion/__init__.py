@@ -4,7 +4,7 @@ Refines noisy drift-free absolute poses with smooth-but-drifty relative
 measurements via moving-window on-manifold pose-graph optimization.
 """
 
-from .pose import Trajectory, VoChain
+from .pose import Trajectory
 from .pgo import ConstraintKind, PgoConfig, fuse_trajectory
 from .sim import NoiseModel
 
@@ -13,6 +13,5 @@ __all__ = [
     "NoiseModel",
     "PgoConfig",
     "Trajectory",
-    "VoChain",
     "fuse_trajectory",
 ]

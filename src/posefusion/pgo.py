@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quat
-from .pose import BLOCK_ROWS, Trajectory, VoChain, compose, integrate, relative_pose
+from .pose import BLOCK_ROWS, Trajectory, compose, integrate, relative_pose
 
 
 class ConstraintKind(Enum):
@@ -436,20 +436,20 @@ class FusionStats:
     window_converged: list[bool] = field(default_factory=list)
 
 
-def fuse_trajectory(abs_traj: Trajectory, vo: VoChain, cfg: PgoConfig,
+def fuse_trajectory(abs_traj: Trajectory, vo: Trajectory, cfg: PgoConfig,
                     stats: FusionStats | None = None) -> Trajectory:
     """Refine absolute poses with per-frame VO via moving-window optimization.
 
-    vo holds one relative pose per frame after the first, stamped with that
-    frame's timestamp. Grid frames spaced spacing_k apart are optimized in
-    overlapping windows of T = window_T poses, which start every
-    max(1, T - 4) grid poses, the last at G - T for G grid poses. Each grid
-    pose is taken from the window whose centre is nearest it (a tie goes to
-    the earlier window), so it has at least two poses of context on each
-    side unless it lies within two of an end or T < 5. Each window's optimum
-    depends only on its own observations, so every window starts from its
-    absolute poses, and one gauss_newton_solve call solves all windows
-    independently.
+    vo is a Trajectory of one relative pose per frame after the first,
+    stamped with that frame's timestamp (see pose.integrate). Grid frames
+    spaced spacing_k apart are optimized in overlapping windows of
+    T = window_T poses, which start every max(1, T - 4) grid poses, the
+    last at G - T for G grid poses. Each grid pose is taken from the window
+    whose centre is nearest it (a tie goes to the earlier window), so it has
+    at least two poses of context on each side unless it lies within two of
+    an end or T < 5. Each window's optimum depends only on its own
+    observations, so every window starts from its absolute poses, and one
+    gauss_newton_solve call solves all windows independently.
     Grid-step VO observations come from the integrated VO trajectory, and
     frames off the grid are carried through by composing the nearest
     refined grid pose with the intermediate VO. The carry writes over the

@@ -1,4 +1,4 @@
-"""Pose geometry on arrays and the two sequence types.
+"""Pose geometry on arrays and the trajectory type.
 
 A pose is a translation t (..., 3) in meters and a unit quaternion
 q (..., 4); a relative pose is a translation t (..., 3) and a unit
@@ -7,10 +7,10 @@ quaternion q (..., 4) too: pose i seen from pose j is
 way, so relative poses do not chain: composing i-from-j with j-from-k
 misses i-from-k (ROADMAP item 15). Every function here takes such arrays
 with leading batch axes. A Trajectory holds n timestamped poses as
-t (n, 3) and q (n, 4), a VoChain m timestamped relative poses as t (m, 3)
-and, as the VO file format stores them, log rotations w (m, 3); one
-validator checks both in bulk and keeps read-only copies. Rules trajio's
-readers share are stated once here: a mask function and a message each.
+t (n, 3) and q (n, 4), checked in bulk and kept as read-only copies.
+Per-frame VO is a Trajectory of relative poses; only its file format, in
+trajio, stores their rotations as logs. The timestamp rule that trajio's
+readers share is stated once here: a mask function and its message.
 """
 
 from __future__ import annotations
@@ -26,16 +26,7 @@ from . import quat
 # and text take under 1 MB, so those stages add no whole-sequence copies.
 BLOCK_ROWS = 2048
 
-# Largest accepted norm of a log quaternion: the half angle of a full turn,
-# with room for rounding.
-MAX_LOG_NORM = np.pi + 1e-9
-LOG_NORM_ERROR = "log-quaternion norm exceeds pi"
 NOT_INCREASING_ERROR = "timestamps must be strictly increasing"
-
-
-def log_norm_too_large(w: np.ndarray) -> np.ndarray:
-    """Mask of the log rotations w (m, 3) whose norm exceeds MAX_LOG_NORM."""
-    return quat.row_norm(w) > MAX_LOG_NORM
 
 
 def not_increasing(timestamps: np.ndarray) -> np.ndarray:
@@ -52,29 +43,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_finite(**arrays: np.ndarray) -> None:
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            raise ValueError(f"non-finite value (NaN or inf) in {name}")
-
-
-def _validate(seq, rot: str, width: int, size: str) -> np.ndarray:
-    """Check seq's shapes, finite timestamps and t, and increasing timestamps.
-
-    Stores read-only timestamps and t on seq; returns its field rot as floats.
-    """
-    ts, t, r = (np.asarray(getattr(seq, f), dtype=float) for f in ("timestamps", "t", rot))
-    if ts.ndim != 1 or t.shape != (len(ts), 3) or r.shape != (len(ts), width):
-        raise ValueError(f"need timestamps ({size},), t ({size}, 3) and {rot} ({size}, {width}); "
-                         f"got {ts.shape}, {t.shape}, {r.shape}")
-    _check_finite(timestamps=ts, t=t)
-    if not_increasing(ts).any():
-        raise ValueError(NOT_INCREASING_ERROR)
-    object.__setattr__(seq, "timestamps", _freeze(ts))
-    object.__setattr__(seq, "t", _freeze(t))
-    return r
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Timestamped poses as arrays: t (n, 3) in meters, unit q (n, 4).
@@ -89,40 +57,22 @@ class Trajectory:
     q: np.ndarray
 
     def __post_init__(self):
-        q = _validate(self, "q", 4, "n")
+        ts, t, q = (np.asarray(a, dtype=float) for a in (self.timestamps, self.t, self.q))
+        if ts.ndim != 1 or t.shape != (len(ts), 3) or q.shape != (len(ts), 4):
+            raise ValueError(f"need timestamps (n,), t (n, 3) and q (n, 4); "
+                             f"got {ts.shape}, {t.shape}, {q.shape}")
+        for name, a in (("timestamps", ts), ("t", t)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"non-finite value (NaN or inf) in {name}")
+        if not_increasing(ts).any():
+            raise ValueError(NOT_INCREASING_ERROR)
         quat.check_unit(q)
+        # q first: its temporaries are freed before the copies of ts and t
         q = quat.canonicalize(q)  # a new array: read-only without a copy
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-
-@dataclass(frozen=True)
-class VoChain:
-    """Per-frame visual odometry as arrays: m consecutive relative poses.
-
-    Row r is the relative pose of frame r observed from frame r + 1 (see
-    relative_pose): translation t (m, 3) = R(q_{r+1})(t_r - t_{r+1}) in
-    meters and the log w (m, 3) of its rotation q_{r+1}^-1 * q_r, as the VO
-    file stores it, stamped with the observer frame's timestamp. Fused with
-    a trajectory of n frames, m = n - 1 and the timestamps are the
-    trajectory's after the first.
-    Construction checks finite values, |w| <= MAX_LOG_NORM and strictly
-    increasing timestamps.
-    """
-
-    timestamps: np.ndarray
-    t: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = _validate(self, "w", 3, "m")
-        _check_finite(w=w)
-        if log_norm_too_large(w).any():
-            raise ValueError(LOG_NORM_ERROR)
-        object.__setattr__(self, "w", _freeze(w))
+        object.__setattr__(self, "timestamps", _freeze(ts))
+        object.__setattr__(self, "t", _freeze(t))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -146,12 +96,12 @@ def compose(t_j, q_j, rel_t, rel_q) -> tuple[np.ndarray, np.ndarray]:
     return t_j + quat.qrotate(quat.qinv(q_j), rel_t), quat.qmul(q_j, rel_q)
 
 
-def integrate(t0, q0, vo: VoChain) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the VO chain forward from the start pose (t0 (3,), q0 (4,)).
+def integrate(t0, q0, vo: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate per-frame VO forward from the start pose (t0 (3,), q0 (4,)).
 
-    Returns t (m + 1, 3) and canonical q (m + 1, 4) for the m relative poses
-    of vo, row 0 being the start. Frame r + 1 is the observer of vo row r
-    (translation d_r, log rotation w_r): q_{r+1} = q_r * exp(w_r)^-1 and
+    vo holds m relative poses, row r being frame r seen from frame r + 1
+    (translation d_r, rotation p_r). Returns t (m + 1, 3) and canonical
+    q (m + 1, 4), row 0 being the start: q_{r+1} = q_r * p_r^-1 and
     t_{r+1} = t_r - R(q_{r+1})^-1 d_r.
     """
     # Only the rotations form a sequential chain. It runs on Python floats,
@@ -167,7 +117,7 @@ def integrate(t0, q0, vo: VoChain) -> tuple[np.ndarray, np.ndarray]:
     u, x, y, z = np.asarray(q0, dtype=float).tolist()
     for lo in range(0, m, BLOCK_ROWS):
         rows = []
-        for bu, bx, by, bz in quat.qinv(quat.qexp(vo.w[lo:lo + BLOCK_ROWS])).tolist():
+        for bu, bx, by, bz in quat.qinv(vo.q[lo:lo + BLOCK_ROWS]).tolist():
             u, x, y, z = (u * bu - x * bx - y * by - z * bz,
                           u * bx + bu * x + y * bz - z * by,
                           u * by + bu * y + z * bx - x * bz,

@@ -2,7 +2,8 @@
 
 Absolute measurements get per-frame independent noise (noisy but
 drift-free); relative measurements get per-step noise plus a constant
-translation bias, so integrating them drifts.
+translation bias, so integrating them drifts. Both come out as a Trajectory
+with quaternion rotations; only the VO file format (trajio) stores logs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .pose import Trajectory, VoChain, relative_pose
+from .pose import Trajectory, relative_pose
 
 
 @dataclass(frozen=True)
@@ -116,20 +117,22 @@ def corrupt_absolute(traj: Trajectory, nm: NoiseModel) -> Trajectory:
     return Trajectory(traj.timestamps, t, quat.qmul(traj.q, rot))
 
 
-def corrupt_vo(traj: Trajectory, nm: NoiseModel) -> VoChain:
+def corrupt_vo(traj: Trajectory, nm: NoiseModel) -> Trajectory:
     """Per-step relative poses with noise and a constant translation bias.
 
-    The bias is added to the x component of each relative translation
-    R(q_{r+1})(t_r - t_{r+1}), so integrating the output drifts when
-    vo_t_bias > 0. Its noise comes from a stream of its own, so it is
+    Row r is frame r seen from frame r + 1 (see relative_pose), its rotation
+    a quaternion, stamped with frame r + 1's timestamp. The bias is added to
+    the x component of each relative translation R(q_{r+1})(t_r - t_{r+1}),
+    so integrating the output drifts when vo_t_bias > 0. Its noise comes from a stream of its own, so it is
     independent of corrupt_absolute's with the same seed.
     """
     rng = np.random.default_rng([nm.seed, 1])
     rel_t, rel_q = relative_pose(traj.t[:-1], traj.q[:-1], traj.t[1:], traj.q[1:])
-    with np.errstate(over="ignore"):  # a translation that overflows is inf; VoChain rejects it
+    # a translation that overflows is inf; Trajectory rejects it
+    with np.errstate(over="ignore"):
         dt, rot = _draws(rng, len(rel_t), nm.vo_t_sigma, nm.vo_r_sigma)
         t = rel_t + np.array([nm.vo_t_bias, 0.0, 0.0])
         if dt is not None:
             t = t + dt
-    return VoChain(traj.timestamps[1:], t, quat.qlog(quat.qmul(rel_q, rot)))
+    return Trajectory(traj.timestamps[1:], t, quat.qmul(rel_q, rot))
 

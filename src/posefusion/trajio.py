@@ -1,4 +1,4 @@
-"""Plain-text file formats for trajectories and VO chains.
+"""Plain-text file formats for trajectories and per-frame VO.
 
 Both are whitespace-separated UTF-8 with LF line endings and `#`
 comment lines:
@@ -6,10 +6,15 @@ comment lines:
 * trajectory: ``timestamp tx ty tz qu qv1 qv2 qv3`` (scalar-first quaternion)
 * VO:         ``timestamp tx ty tz w1 w2 w3`` (log-quaternion rotation)
 
-Values are written with 17 significant digits so a write/read round trip
-reproduces the numbers exactly. Readers reject NaN and inf and apply pose's
-timestamp and log-norm rules, with its messages; trajectory quaternions must
-be unit-norm within QUAT_NORM_TOL, a file policy, and are renormalized.
+Both read into a Trajectory, VO as relative poses (see pose.integrate).
+The VO file is the one place that stores rotations as logs: read_vo
+exponentiates them and write_vo takes the logs, BLOCK_ROWS rows at a time.
+Values are written with 17 significant digits, so a file's numbers read
+back exactly; exp and log each round, so a VO rotation need not. Readers
+reject NaN and inf and apply pose's timestamp rule, with its message. Two
+rules are file policies: trajectory quaternions must be unit-norm within
+QUAT_NORM_TOL, and are renormalized, and VO log rotations must have a norm
+of at most MAX_LOG_NORM.
 
 A file is read BLOCK_ROWS lines at a time. Each block's data lines go to
 numpy's C reader (`np.loadtxt`) in one call. When that call fails, returns
@@ -31,10 +36,12 @@ from itertools import compress, islice
 import numpy as np
 
 from . import quat
-from .pose import (BLOCK_ROWS, LOG_NORM_ERROR, NOT_INCREASING_ERROR, Trajectory, VoChain,
-                   log_norm_too_large, not_increasing)
+from .pose import BLOCK_ROWS, NOT_INCREASING_ERROR, Trajectory, not_increasing
 
 QUAT_NORM_TOL = 1e-3
+# Largest accepted norm of a VO log rotation: the half angle of a full turn,
+# with room for rounding.
+MAX_LOG_NORM = np.pi + 1e-9
 
 
 class TrajectoryFormatError(ValueError):
@@ -132,11 +139,14 @@ def _read_table(path, count: int, row_checks) -> tuple[np.ndarray, np.ndarray]:
     return table, np.append(linenos, linenos[-1] + 1 if len(linenos) else 1)
 
 
-def _write_table(path, header: str, columns: list[np.ndarray]) -> None:
+def _write_table(path, header: str, seq: Trajectory, rotation) -> None:
+    """Write seq under header, BLOCK_ROWS rows at a time; rotation maps a
+    block of its quaternions to the rotation columns the file stores."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {header}\n")
-        for lo in range(0, len(columns[0]), BLOCK_ROWS):
-            block = np.column_stack([c[lo:lo + BLOCK_ROWS] for c in columns])
+        for lo in range(0, len(seq), BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            block = np.column_stack([seq.timestamps[rows], seq.t[rows], rotation(seq.q[rows])])
             row = " ".join(["%.17g"] * block.shape[1]) + "\n"
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
@@ -151,18 +161,21 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    _write_table(path, "timestamp tx ty tz qu qv1 qv2 qv3", [traj.timestamps, traj.t, traj.q])
+    _write_table(path, "timestamp tx ty tz qu qv1 qv2 qv3", traj, lambda q: q)
 
 
-def read_vo(path, *, timestamps=None) -> VoChain:
-    """Read a VO file; with timestamps given, its rows must carry exactly those.
+def read_vo(path, *, timestamps=None) -> Trajectory:
+    """Read a VO file as a Trajectory of relative poses, q = exp(w) for each
+    row's log rotation w; with timestamps given, its rows must carry exactly
+    those.
 
     A fused trajectory's VO carries the trajectory's timestamps after the
     first. TrajectoryFormatError names the first offending line, a differing
     timestamp like any other fault; or, when every row is valid, the first
     extra row, or the line after the last row of a file that is too short.
     """
-    row_checks = [(LOG_NORM_ERROR, lambda r: log_norm_too_large(r[:, 4:]))]
+    row_checks = [("log-quaternion norm exceeds pi",
+                   lambda r: quat.row_norm(r[:, 4:]) > MAX_LOG_NORM)]
     if timestamps is not None:
         expected = np.asarray(timestamps, dtype=float)
 
@@ -177,9 +190,13 @@ def read_vo(path, *, timestamps=None) -> VoChain:
     if timestamps is not None and len(table) != len(expected):
         raise TrajectoryFormatError(path, int(linenos[min(len(expected), len(table))]),
                                     f"{len(table)} relative poses, expected {len(expected)}")
-    return VoChain(table[:, 0], table[:, 1:4], table[:, 4:])
+    del linenos  # before the Trajectory's copies
+    q = np.empty((len(table), 4))
+    for lo in range(0, len(table), BLOCK_ROWS):
+        q[lo:lo + BLOCK_ROWS] = quat.qexp(table[lo:lo + BLOCK_ROWS, 4:])
+    return Trajectory(table[:, 0], table[:, 1:4], q)
 
 
-def write_vo(vo: VoChain, path) -> None:
-    _write_table(path, "timestamp tx ty tz w1 w2 w3", [vo.timestamps, vo.t, vo.w])
+def write_vo(vo: Trajectory, path) -> None:
+    _write_table(path, "timestamp tx ty tz w1 w2 w3", vo, quat.qlog)
 

@@ -434,7 +434,7 @@ def test_cli_import_loads_no_scipy():
 
 def test_package_exports():
     assert sorted(posefusion.__all__) == ["ConstraintKind", "NoiseModel", "PgoConfig",
-                                          "Trajectory", "VoChain", "fuse_trajectory"]
+                                          "Trajectory", "fuse_trajectory"]
     assert all(hasattr(posefusion, name) for name in posefusion.__all__)
 
 
@@ -442,8 +442,20 @@ def test_fusion_demo_runs_every_shape_and_rejects_others(capsys):
     demo = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "fusion_demo.py"))
     for shape in sim.SHAPES:
         assert demo["main"](["--shape", shape, "--frames", "60", "--median-window", "5"]) == 0
-        assert capsys.readouterr().out.startswith(f"{shape}, 60 frames")
-    with pytest.raises(SystemExit) as exc:
-        demo["main"](["--shape", "figure-eight"])
-    assert exc.value.code == USAGE_ERROR
-    assert "invalid choice: 'figure-eight'" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert out.startswith(f"{shape}, 60 frames") and "fused / absolute" in out
+    # noiseless absolute poses give no ratio to print
+    assert demo["main"](["--frames", "60", "--abs-t-sigma", "0", "--abs-r-sigma", "0"]) == 0
+    assert "fused / absolute" not in capsys.readouterr().out
+    # a rank-deficient window, as in TestFuse::test_far_outlier_is_numerical_error_without_warnings
+    assert demo["main"](["--frames", "50", "--abs-t-sigma", "1e9"]) == NUMERICAL_ERROR
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    for argv, message in [(["--shape", "figure-eight"], "invalid choice: 'figure-eight'"),
+                          (["--frames", "60", "--median-window", "4"], "window must be odd"),
+                          (["--frames", "2"], "loop needs n >= 3")]:
+        with pytest.raises(SystemExit) as exc:
+            demo["main"](argv)
+        assert exc.value.code == USAGE_ERROR
+        # argparse's usage, then one error line
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error:" in line] == [err[-1]] and message in err[-1]

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from posefusion.pose import Trajectory, VoChain
+from posefusion import quat
+from posefusion.pose import Trajectory
 from posefusion.trajio import (
     BLOCK_ROWS,
+    MAX_LOG_NORM,
     TrajectoryFormatError,
     read_trajectory,
     read_vo,
@@ -74,6 +76,7 @@ class TestTrajectoryFormat:
         (read_trajectory, "1 0 0 0 1 0 0 {}"),
         (read_trajectory, "{} 0 0 0 1 0 0 0"),
         (read_vo, "1 0 {} 0 0 0 0"),
+        (read_vo, "1 0 0 0 0 {} 0"),
     ])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_field_rejected(self, tmp_path, reader, line, value):
@@ -91,28 +94,33 @@ class TestTrajectoryFormat:
         assert str(exc.value) == f"{path}:2: timestamps must be strictly increasing"
 
 
+VO_HEADER = "timestamp tx ty tz w1 w2 w3"
+
+
 class TestVoFormat:
     @pytest.mark.parametrize("n, t0", [(30, 0.5), (40, 0.0)])
     def test_round_trip(self, tmp_path, rng, n, t0):
-        vo = VoChain(np.arange(n, dtype=float) + t0, rng.normal(size=(n, 3)),
-                     0.9 * rng.normal(size=(n, 3)) / 3)
+        # log rotations of every norm up to pi: past pi/2, exp(w) has a
+        # negative scalar part and the reader canonicalizes it
+        w = rng.normal(size=(n, 3))
+        w *= rng.uniform(0.0, np.pi, size=(n, 1)) / np.linalg.norm(w, axis=1, keepdims=True)
+        ts, t = np.arange(n, dtype=float) + t0, rng.normal(size=(n, 3))
         path = tmp_path / "vo.txt"
-        write_vo(vo, path)
-        back = read_vo(path)
-        assert len(back) == n
-        for name in ("timestamps", "t", "w"):
-            assert np.array_equal(getattr(back, name), getattr(vo, name))
+        path.write_text(_one_shot_text(VO_HEADER, [ts, t, w]))
+        vo = read_vo(path)
+        assert np.array_equal(vo.timestamps, ts) and np.array_equal(vo.t, t)
+        assert np.array_equal(vo.q, quat.canonicalize(quat.qexp(w)))
+        # a write takes the logs again; exp then log need not give w back bit for bit
+        write_vo(vo, tmp_path / "back.txt")
+        assert (tmp_path / "back.txt").read_text() == _one_shot_text(
+            VO_HEADER, [ts, t, quat.qlog(vo.q)])
 
     def test_zero_motion_line(self, tmp_path):
         path = tmp_path / "vo.txt"
         path.write_text("1 0 0 0 0 0 0\n")
         vo = read_vo(path)
         assert np.array_equal(vo.t, np.zeros((1, 3)))
-        assert np.array_equal(vo.w, np.zeros((1, 3)))
-
-    def test_timestamp_count_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            VoChain([0.0, 1.0], np.zeros((1, 3)), np.zeros((1, 3)))
+        assert np.array_equal(vo.q, [quat.IDENTITY])
 
     @pytest.mark.parametrize("expected, lineno, message", [
         ([1.0, 2.0, 3.0], None, None),
@@ -150,12 +158,23 @@ class TestVoFormat:
             read_vo(path)
         assert str(exc.value) == f"{path}:4: timestamps must be strictly increasing"
 
-    def test_oversized_log_rotation_rejected(self, tmp_path):
+    @pytest.mark.parametrize("norm, too_large", [
+        (np.pi, False),                              # a full turn's half angle
+        (MAX_LOG_NORM, False),                       # the bound itself
+        (np.nextafter(MAX_LOG_NORM, np.inf), True),  # the next float above it
+        (4.0, True),
+    ])
+    def test_oversized_log_rotation_rejected(self, tmp_path, norm, too_large):
+        # w along one axis, so its row norm is exactly norm
+        w = [0.0, 0.0, -float(norm)]
         path = tmp_path / "vo.txt"
-        path.write_text("0 0 0 0 4 0 0\n")
-        with pytest.raises(TrajectoryFormatError) as exc:
-            read_vo(path)
-        assert exc.value.lineno == 1
+        path.write_text(f"# header\n1 0 0 0 0 0 0\n2 0 0 0 0 0 {w[2]!r}\n3 0 0 0 0 0 0\n")
+        if too_large:
+            with pytest.raises(TrajectoryFormatError) as exc:
+                read_vo(path)
+            assert str(exc.value) == f"{path}:3: log-quaternion norm exceeds pi"
+        else:
+            assert np.array_equal(read_vo(path).q[1], quat.canonicalize(quat.qexp(w)))
 
 
 POSE = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]  # t and an identity q
@@ -163,24 +182,22 @@ STEP = [0.1, 0.0, 0.0, 0.0, 0.0, 0.1]       # t and a small w
 
 
 class TestReadersApplyTheTypesRules:
-    """A reader rejects the row that the type rejects, at its line, with the
-    type's message: both apply the rule pose states once."""
+    """A reader rejects the row that Trajectory rejects, at its line, with
+    Trajectory's message: both apply the rule pose states once."""
 
     @pytest.mark.parametrize("reader, rows, lineno", [
         (read_trajectory, [[0.0, *POSE], [1.0, *POSE], [1.0, *POSE]], 4),
         (read_trajectory, [[0.0, *POSE], [2.0, *POSE], [1.0, *POSE]], 4),
         (read_vo, [[1.0, *STEP], [2.0, *STEP], [2.0, *STEP]], 4),
         (read_vo, [[1.0, *STEP], [3.0, *STEP], [2.0, *STEP]], 4),
-        (read_vo, [[1.0, *STEP], [2.0, 0.1, 0.0, 0.0, 3.2, 0.0, 0.0], [3.0, *STEP]], 3),
-    ], ids=["trajectory-repeated", "trajectory-decreasing", "vo-repeated", "vo-decreasing",
-            "vo-log-norm"])
+    ], ids=["trajectory-repeated", "trajectory-decreasing", "vo-repeated", "vo-decreasing"])
     def test_reader_error_ends_with_the_types_message(self, tmp_path, reader, rows, lineno):
         path = tmp_path / "rows.txt"
         path.write_text("# header\n" + "".join(" ".join(map(repr, r)) + "\n" for r in rows))
         table = np.array(rows)
-        seq_type = Trajectory if reader is read_trajectory else VoChain
+        q = table[:, 4:] if reader is read_trajectory else quat.qexp(table[:, 4:])
         with pytest.raises(ValueError) as type_exc:
-            seq_type(table[:, 0], table[:, 1:4], table[:, 4:])
+            Trajectory(table[:, 0], table[:, 1:4], q)
         assert type(type_exc.value) is ValueError
         with pytest.raises(TrajectoryFormatError) as read_exc:
             reader(path)
@@ -381,18 +398,19 @@ class TestBlockWrites:
         write_trajectory(traj, tmp_path / "traj.txt")
         assert (tmp_path / "traj.txt").read_text() == _one_shot_text(
             "timestamp tx ty tz qu qv1 qv2 qv3", [traj.timestamps, traj.t, traj.q])
-        vo = VoChain(traj.timestamps, traj.t, 0.3 * traj.q[:, 1:])
-        write_vo(vo, tmp_path / "vo.txt")
+        write_vo(traj, tmp_path / "vo.txt")  # traj's poses as relative ones
         assert (tmp_path / "vo.txt").read_text() == _one_shot_text(
-            "timestamp tx ty tz w1 w2 w3", [vo.timestamps, vo.t, vo.w])
+            VO_HEADER, [traj.timestamps, traj.t, quat.qlog(traj.q)])
 
-    def test_memory_does_not_grow_with_rows(self, tmp_path, rng):
+    # write_vo takes its logs a block at a time as well
+    @pytest.mark.parametrize("write", [write_trajectory, write_vo], ids=["trajectory", "vo"])
+    def test_memory_does_not_grow_with_rows(self, tmp_path, rng, write):
         peaks = []
         for n in (8000, 64000):
             traj = _trajectory(rng, n)
             tracemalloc.start()
             try:
-                write_trajectory(traj, tmp_path / "traj.txt")
+                write(traj, tmp_path / "out.txt")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

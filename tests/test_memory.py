@@ -2,21 +2,25 @@
 
 Each stage takes BLOCK_ROWS rows at a time, so apart from its inputs and
 outputs it holds no whole-sequence temporaries. tracemalloc traces numpy's
-buffers as well as Python objects. Each bound is about 1.2 times what the
-blocked code takes. Reading, integrating and carrying the whole sequence at
+buffers as well as Python objects. Each bound was about 1.2 times what the
+blocked code took when it was set. Reading, integrating and carrying the whole sequence at
 once took 340-420 bytes per frame in every one of these stages. Building a
-Trajectory keeps 64 bytes per frame, one copy of its arrays, and peaks at
-81 with canonicalization's temporaries. The median filter takes its windows
-a chunk at a time and peaks at 163 bytes per frame at window 51. Reading a
-trajectory normalizes its quaternions in the table it parsed: 154 bytes per
-frame, against 185 with a normalized copy.
+Trajectory keeps 64 bytes per frame, one copy of its arrays; it
+canonicalizes q before it copies timestamps and t, so canonicalization's
+temporaries are gone by then and the copies are the peak (81 with them
+last). The median filter takes its windows a chunk at a time and peaks at
+163 bytes per frame at window 51. Reading a trajectory normalizes its
+quaternions in the table it parsed: 144 bytes per frame, against 168 with a
+normalized copy. Reading a VO file exponentiates its log rotations a block
+at a time into one (n, 4) array and frees its line numbers before it builds
+the Trajectory: 152 bytes per frame, against 168 with a whole-table exp.
 
 fuse_trajectory carries the off-grid frames into its integrated VO and frees
-the window stack and solver state before the carry: 141 bytes per frame at
-spacing 150 and 157 at spacing 10, against 204 and 323 with a separate
+the window stack and solver state before the carry: 124 bytes per frame at
+spacing 150 and 140 at spacing 10, against 204 and 323 with a separate
 output and the stack kept to the end. Windows start every T - 4 grid poses;
 with a window at every grid pose, spacing 10 took 213. The CLI fuse frees its inputs before
-the median filter and peaks at 264 bytes per frame, inside fuse_trajectory,
+the median filter and peaks at 255 bytes per frame, inside fuse_trajectory,
 against 353 when it kept them to the write.
 """
 

@@ -15,23 +15,23 @@ import pytest
 from posefusion import pgo, quat
 from posefusion.metrics import compare, parse_report, render_report
 from posefusion.pgo import PgoConfig, fuse_trajectory, temporal_median_filter
-from posefusion.pose import (BLOCK_ROWS, Trajectory, VoChain, compose, integrate, relative_pose,
+from posefusion.pose import (BLOCK_ROWS, Trajectory, compose, integrate, relative_pose,
                              rotation_error_deg)
 from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
 
-def advance(t_i, q_i, rel_t, rel_w):
-    """The observer pose (t_j, q_j) from pose i and a VO row (rel_t, rel_w):
-    relative_pose(i, j) with its rotation as a log."""
-    q_j = quat.qmul(q_i, quat.qinv(quat.qexp(rel_w)))
+def advance(t_i, q_i, rel_t, rel_q):
+    """The observer pose (t_j, q_j) from pose i and a VO row (rel_t, rel_q),
+    relative_pose(i, j)."""
+    q_j = quat.qmul(q_i, quat.qinv(rel_q))
     t_j = t_i - quat.qrotate(quat.qinv(q_j), rel_t)
     return t_j, quat.canonicalize(q_j)
 
 
 def integrate_reference(t0, q0, vo):
     out = [(t0, quat.canonicalize(q0))]
-    for rel_t, rel_w in zip(vo.t, vo.w):
-        out.append(advance(*out[-1], rel_t, rel_w))
+    for rel_t, rel_q in zip(vo.t, vo.q):
+        out.append(advance(*out[-1], rel_t, rel_q))
     return out
 
 
@@ -136,8 +136,8 @@ def test_integrate_random_steps_match_advance_chain(m):
     # steps of up to 100 degrees cross the hemisphere boundary often, and
     # the start has a negative scalar part
     rng = np.random.default_rng(m)
-    vo = VoChain(np.arange(1.0, m + 1), rng.normal(size=(m, 3)),
-                 rng.uniform(-0.5, 0.5, size=(m, 3)))
+    vo = Trajectory(np.arange(1.0, m + 1), rng.normal(size=(m, 3)),
+                    quat.qexp(rng.uniform(-0.5, 0.5, size=(m, 3))))
     t0, q0 = rng.normal(size=3), -quat.canonicalize(quat.qexp(rng.normal(size=3)))
     assert q0[0] < 0.0
     t, q = integrate(t0, q0, vo)

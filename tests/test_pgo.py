@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from posefusion import pgo, quat
-from posefusion.pose import Trajectory, VoChain, integrate, relative_pose, rotation_error_deg
+from posefusion.pose import Trajectory, integrate, relative_pose, rotation_error_deg
 from posefusion.pgo import (
     ConstraintKind,
     FusionStats,
@@ -689,8 +689,8 @@ class TestFuseTrajectory:
         g_t = rng.normal(size=3)
         g_q = random_unit_quat(rng)
         abs2 = Trajectory(abs_traj.timestamps, *transform(abs_traj.t, abs_traj.q, g_t, g_q))
-        # relative translations live in the observer frame; the log rotation's axis turns
-        vo2 = VoChain(vo.timestamps, vo.t, quat.qrotate(g_q, vo.w))
+        # relative translations live in the observer frame; g conjugates the rotations
+        vo2 = Trajectory(vo.timestamps, vo.t, quat.qmul(quat.qmul(g_q, vo.q), quat.qinv(g_q)))
         fused2 = fuse_trajectory(abs2, vo2, cfg)
         moved_t, moved_q = transform(fused.t, fused.q, g_t, g_q)
         assert np.max(np.abs(moved_t - fused2.t)) < 1e-8
@@ -772,7 +772,7 @@ class TestFuseTrajectory:
         t = np.zeros((G, 3))
         t[:, 0] = np.arange(G)
         abs_traj = Trajectory(timestamps, t, np.tile([1.0, 0.0, 0.0, 0.0], (G, 1)))
-        vo = VoChain(timestamps[1:], np.zeros((G - 1, 3)), np.zeros((G - 1, 3)))
+        vo = Trajectory(timestamps[1:], np.zeros((G - 1, 3)), np.tile(quat.IDENTITY, (G - 1, 1)))
         fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=T, spacing_k=1))
 
         T = min(T, G)
@@ -812,10 +812,10 @@ class TestFuseTrajectory:
             t[frame, 0] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 Trajectory(abs_traj.timestamps, t, abs_traj.q)
-            w = vo.w.copy()
-            w[frame, 1] = bad
-            with pytest.raises(ValueError, match="non-finite"):
-                VoChain(vo.timestamps, vo.t, w)
+            q = vo.q.copy()
+            q[frame, 1] = bad
+            with pytest.raises(ValueError, match="quaternion norm"):
+                Trajectory(vo.timestamps, vo.t, q)
 
     @pytest.mark.parametrize("n, message", [
         (0, "need at least 2 poses"),
@@ -826,7 +826,7 @@ class TestFuseTrajectory:
         gt = generate_trajectory("random-walk", 2, 0.5)
         with pytest.raises(ValueError, match=message):
             fuse_trajectory(Trajectory(gt.timestamps[:n], gt.t[:n], gt.q[:n]),
-                            VoChain(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3))),
+                            Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4))),
                             PgoConfig())
 
     def test_vo_timestamps_must_match(self):
@@ -835,9 +835,9 @@ class TestFuseTrajectory:
         fuse_trajectory(abs_traj, vo, cfg)
         for ts in (vo.timestamps + 0.5, np.append(vo.timestamps[:-1], 100.0)):
             with pytest.raises(ValueError, match="timestamps"):
-                fuse_trajectory(abs_traj, VoChain(ts, vo.t, vo.w), cfg)
+                fuse_trajectory(abs_traj, Trajectory(ts, vo.t, vo.q), cfg)
         with pytest.raises(ValueError, match="timestamps"):
-            fuse_trajectory(abs_traj, VoChain(vo.timestamps[:-1], vo.t[:-1], vo.w[:-1]), cfg)
+            fuse_trajectory(abs_traj, Trajectory(vo.timestamps[:-1], vo.t[:-1], vo.q[:-1]), cfg)
 
 
 class TestTemporalMedianFilter:

@@ -3,11 +3,8 @@ import pytest
 
 from posefusion import quat
 from posefusion.pose import (
-    MAX_LOG_NORM,
     Trajectory,
-    VoChain,
     compose,
-    log_norm_too_large,
     not_increasing,
     relative_pose,
     rotation_error_deg,
@@ -28,7 +25,8 @@ class TestTrajectoryType:
     def test_rejects_non_finite(self, rng, field, bad):
         arrays = dict(zip(("timestamps", "t", "q"), _arrays(rng, 6)))
         arrays[field].reshape(6, -1)[3, 0] = bad  # a view of the array
-        with pytest.raises(ValueError):
+        # a non-finite q fails the unit-norm check
+        with pytest.raises(ValueError, match="non-finite" if field != "q" else "quaternion norm"):
             Trajectory(**arrays)
 
     def test_rejects_bad_shapes_order_and_norm(self, rng):
@@ -41,8 +39,9 @@ class TestTrajectoryType:
         ts, t, q = _arrays(rng, 50)
         traj = Trajectory(ts, t, q)
         assert np.array_equal(traj.q, quat.canonicalize(q)) and np.all(traj.q[:, 0] >= 0)
-        t[0] = 99.0  # the trajectory keeps its own copy
-        assert traj.t[0, 0] != 99.0
+        # the trajectory keeps its own copies
+        ts[0], t[0, 0], q[0] = -1.0, 99.0, [0.0, 1.0, 0.0, 0.0]
+        assert traj.timestamps[0] == 0.0 and traj.t[0, 0] != 99.0 and traj.q[0, 1] != 1.0
         for a in (traj.timestamps, traj.t, traj.q):
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -51,52 +50,6 @@ class TestTrajectoryType:
         assert len(Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4)))) == 0
         one = Trajectory([2.0], np.ones((1, 3)), -quat.IDENTITY[None])
         assert np.array_equal(one.q, [quat.IDENTITY])
-
-
-class TestVoChainType:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["timestamps", "t", "w"])
-    def test_rejects_non_finite(self, rng, field, bad):
-        arrays = {"timestamps": np.arange(4.0), "t": rng.normal(size=(4, 3)),
-                  "w": 0.1 * rng.normal(size=(4, 3))}
-        arrays[field].reshape(4, -1)[2, 0] = bad  # a view of the array
-        with pytest.raises(ValueError, match="non-finite"):
-            VoChain(**arrays)
-
-    def test_rejects_long_log_order_and_shapes(self):
-        ts, t, w = np.arange(3.0), np.zeros((3, 3)), np.zeros((3, 3))
-        long_w = w.copy()
-        long_w[1, 0] = 4.0
-        for args in ((ts, t, long_w), (ts[::-1], t, w), (ts, t[:2], w)):
-            with pytest.raises(ValueError):
-                VoChain(*args)
-
-    @pytest.mark.parametrize("norm, too_large", [
-        (np.pi, False),                              # a full turn's half angle
-        (MAX_LOG_NORM, False),                       # the bound itself
-        (np.nextafter(MAX_LOG_NORM, np.inf), True),  # the next float above it
-        (4.0, True),
-    ])
-    def test_log_norm_bound(self, norm, too_large):
-        # w along one axis, so its row norm is exactly norm
-        w = np.zeros((3, 3))
-        w[1, 2] = -norm
-        assert np.array_equal(log_norm_too_large(w), [False, too_large, False])
-        args = (np.arange(3.0), np.zeros((3, 3)), w)
-        if too_large:
-            with pytest.raises(ValueError, match="norm exceeds pi"):
-                VoChain(*args)
-        else:
-            assert np.array_equal(VoChain(*args).w, w)
-
-    def test_keeps_read_only_copies(self, rng):
-        ts, t, w = np.arange(4.0), rng.normal(size=(4, 3)), 0.1 * rng.normal(size=(4, 3))
-        vo = VoChain(ts, t, w)
-        ts[0], t[0, 0], w[0, 0] = -1.0, 99.0, 0.5  # the chain keeps its own copies
-        assert vo.timestamps[0] == 0.0 and vo.t[0, 0] != 99.0 and vo.w[0, 0] != 0.5
-        for a in (vo.timestamps, vo.t, vo.w):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
 
 
 @pytest.mark.parametrize("timestamps, mask", [
