@@ -123,8 +123,9 @@ def corrupt_vo(traj: Trajectory, nm: NoiseModel) -> Trajectory:
     Row r is frame r seen from frame r + 1 (see relative_pose), its rotation
     a quaternion, stamped with frame r + 1's timestamp. The bias is added to
     the x component of each relative translation R(q_{r+1})(t_r - t_{r+1}),
-    so integrating the output drifts when vo_t_bias > 0. Its noise comes from a stream of its own, so it is
-    independent of corrupt_absolute's with the same seed.
+    so integrating the output drifts when vo_t_bias > 0. Its noise comes
+    from a stream of its own, so it is independent of corrupt_absolute's
+    with the same seed.
     """
     rng = np.random.default_rng([nm.seed, 1])
     rel_t, rel_q = relative_pose(traj.t[:-1], traj.q[:-1], traj.t[1:], traj.q[1:])

@@ -77,6 +77,7 @@ class TestTrajectoryFormat:
         (read_trajectory, "{} 0 0 0 1 0 0 0"),
         (read_vo, "1 0 {} 0 0 0 0"),
         (read_vo, "1 0 0 0 0 {} 0"),
+        (read_vo, "{} 0 0 0 0 0 0"),
     ])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_field_rejected(self, tmp_path, reader, line, value):
@@ -98,7 +99,8 @@ VO_HEADER = "timestamp tx ty tz w1 w2 w3"
 
 
 class TestVoFormat:
-    @pytest.mark.parametrize("n, t0", [(30, 0.5), (40, 0.0)])
+    # the last case spans two blocks, which read_vo exponentiates one at a time
+    @pytest.mark.parametrize("n, t0", [(30, 0.5), (40, 0.0), (BLOCK_ROWS + 3, 0.5)])
     def test_round_trip(self, tmp_path, rng, n, t0):
         # log rotations of every norm up to pi: past pi/2, exp(w) has a
         # negative scalar part and the reader canonicalizes it
@@ -114,6 +116,28 @@ class TestVoFormat:
         write_vo(vo, tmp_path / "back.txt")
         assert (tmp_path / "back.txt").read_text() == _one_shot_text(
             VO_HEADER, [ts, t, quat.qlog(vo.q)])
+
+    # A written log has norm at most pi/2. Exp and log each round, so a row
+    # comes back within a few ulp; at a half turn the scalar part rounds to
+    # either side of 0, and the row may come back as -q, the same rotation.
+    @pytest.mark.parametrize("angle", ["near-identity", "random", "near-half-turn", "half-turn"])
+    def test_write_then_read_keeps_each_rotation(self, tmp_path, rng, angle):
+        n = 2000
+        axis = rng.normal(size=(n, 3))
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        half = {"near-identity": rng.uniform(0.0, 1e-6, n),
+                "random": rng.uniform(0.0, np.pi / 2, n),
+                "near-half-turn": np.pi / 2 - rng.uniform(0.0, 1e-6, n),
+                "half-turn": np.full(n, np.pi / 2)}[angle]  # half the rotation angle
+        q = np.column_stack([np.cos(half), np.sin(half)[:, None] * axis])
+        if angle == "half-turn":
+            q[:, 0] = 0.0
+        vo = Trajectory(np.arange(n, dtype=float), rng.normal(size=(n, 3)), q)
+        write_vo(vo, tmp_path / "vo.txt")
+        back = read_vo(tmp_path / "vo.txt")
+        assert np.array_equal(back.timestamps, vo.timestamps) and np.array_equal(back.t, vo.t)
+        moved = np.minimum(np.abs(back.q - vo.q).max(axis=1), np.abs(back.q + vo.q).max(axis=1))
+        assert moved.max() <= 4 * np.finfo(float).eps
 
     def test_zero_motion_line(self, tmp_path):
         path = tmp_path / "vo.txt"
@@ -175,6 +199,18 @@ class TestVoFormat:
             assert str(exc.value) == f"{path}:3: log-quaternion norm exceeds pi"
         else:
             assert np.array_equal(read_vo(path).q[1], quat.canonicalize(quat.qexp(w)))
+
+    # the bound is on the norm of the whole row: each of these components is under pi
+    @pytest.mark.parametrize("component, too_large", [(1.8, False), (1.82, True)])
+    def test_log_norm_is_the_norm_of_the_row(self, tmp_path, component, too_large):
+        path = tmp_path / "vo.txt"
+        path.write_text(f"1 0 0 0 0 0 0\n2 0 0 0 {component} {-component} {component}\n")
+        if too_large:
+            with pytest.raises(TrajectoryFormatError) as exc:
+                read_vo(path)
+            assert str(exc.value) == f"{path}:2: log-quaternion norm exceeds pi"
+        else:
+            assert len(read_vo(path)) == 2
 
 
 POSE = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]  # t and an identity q
@@ -274,6 +310,12 @@ class TestBulkReadMatchesLineByLine:
         assert np.array_equal(back.timestamps, expected[:, 0])
         assert np.array_equal(back.t, expected[:, 1:4])
         assert np.array_equal(np.signbit(back.t), np.signbit(expected[:, 1:4]))
+        rotation = expected[:, 4:]
+        if count == 8:
+            rotation = rotation / quat.row_norm(rotation)[:, None]
+        else:
+            rotation = quat.qexp(rotation)
+        assert np.array_equal(back.q, quat.canonicalize(rotation))
 
     def _lines(self, count, rows=3):
         return [self.GOOD[count].format(ts=i) for i in range(rows)]
