@@ -10,7 +10,9 @@ import argparse
 import sys
 import time
 
-from posefusion.cli import NUMERICAL_ERROR
+import numpy as np
+
+from posefusion.cli import DATA_ERROR, NUMERICAL_ERROR
 from posefusion.metrics import compare
 from posefusion.pgo import PgoConfig, RankDeficientError, fuse_trajectory, temporal_median_filter
 from posefusion.pose import Trajectory, integrate
@@ -33,9 +35,11 @@ def main(argv=None):
     parser.add_argument("--spacing", type=int, default=10)
     parser.add_argument("--median-window", type=int, default=None)
     args = parser.parse_args(argv)
+    if args.median_window is not None and (args.median_window < 1 or args.median_window % 2 == 0):
+        parser.error("--median-window must be odd and >= 1")
 
-    # an option out of range (too few frames, an even median window, ...)
-    # is a usage error
+    # an option out of range (too few frames, a window below 2, ...) is a
+    # usage error
     try:
         gt = generate_trajectory(args.shape, args.frames, args.step, seed=args.seed)
         nm = NoiseModel(abs_t_sigma=args.abs_t_sigma, abs_r_sigma=args.abs_r_sigma,
@@ -56,11 +60,13 @@ def main(argv=None):
         if args.median_window is not None:
             rows.append((f"fused + median {args.median_window}",
                          temporal_median_filter(fused, args.median_window)))
+    # a non-finite solver step (a ValueError) and a rank-deficient window
+    # exit as posefusion fuse does
+    except (np.linalg.LinAlgError, RankDeficientError) as exc:
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR if isinstance(exc, RankDeficientError) else DATA_ERROR
     except ValueError as exc:
         parser.error(str(exc))
-    except RankDeficientError as exc:  # exits as posefusion fuse does
-        print(f"{parser.prog}: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
 
     print(f"{args.shape}, {args.frames} frames, seed {args.seed}; "
           f"fuse took {elapsed:.3f} s (T={args.window}, k={args.spacing})")

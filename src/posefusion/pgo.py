@@ -9,14 +9,14 @@ One kernel, _linearize_block, evaluates a block: each constraint yields a
 weighted residual r = weight * (k - f(z)) and Jacobian blocks
 J = weight * df/d(manifold coords) for the one or two poses it touches.
 The update is z ⊞ dz: translations add, rotations right-multiply by
-qexp(dw). Rotation columns are closed forms in quat's helpers: the vector
-columns of the quaternion-product derivative (dqmul_left, dqmul_right) for
-the rotation kinds, and 2 (R e_k) x f from the rotation matrix (to_matrix)
-for the relative translation. q and -q are the same rotation, so both
-rotation kinds compare the observation with whichever of f and -f lies in
-its hemisphere (<f, obs> >= 0): the residual is then the same for either
-sign of a pose or an observation, and it stays small across the 180-degree
-heading where quaternions change sign.
+qexp(dw). Rotation columns are closed forms in quat's helpers: for the
+rotation kinds the product's derivatives dqmul_left and dqmul_right, which
+quat builds from qmul's own formula, and for the relative translation
+2 (R e_k) x f from the rotation matrix (to_matrix). q and -q are the same
+rotation, so both rotation kinds compare the observation with whichever of
+f and -f lies in its hemisphere (<f, obs> >= 0): the residual is then the
+same for either sign of a pose or an observation, and it stays small across
+the 180-degree heading where quaternions change sign.
 
 gauss_newton_solve takes one Gauss-Newton step per window, with the normal
 matrix J^T J, then steps with the exact Hessian of the window objective:

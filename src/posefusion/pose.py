@@ -104,9 +104,9 @@ def integrate(t0, q0, vo: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     q (m + 1, 4), row 0 being the start: q_{r+1} = q_r * p_r^-1 and
     t_{r+1} = t_r - R(q_{r+1})^-1 d_r.
     """
-    # Only the rotations form a sequential chain. It runs on Python floats,
-    # with the arithmetic of quat.qmul on one row, BLOCK_ROWS rows at a time
-    # into the preallocated output. Negating a factor negates the product
+    # Only the rotations form a sequential chain. It runs on Python floats
+    # through quat._hamilton, qmul's formula on one row, BLOCK_ROWS rows at a
+    # time into the preallocated output. Negating a factor negates the product
     # exactly, so canonicalizing each block as it is stored gives the rows
     # that canonicalizing every step would. Translations subtract the rotated
     # steps one after another, in the order of the chain, carried from block
@@ -114,15 +114,12 @@ def integrate(t0, q0, vo: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     m = len(vo)
     t, q = np.empty((m + 1, 3)), np.empty((m + 1, 4))
     t[0], q[0] = t0, quat.canonicalize(q0)
-    u, x, y, z = np.asarray(q0, dtype=float).tolist()
+    row = np.asarray(q0, dtype=float).tolist()
     for lo in range(0, m, BLOCK_ROWS):
         rows = []
-        for bu, bx, by, bz in quat.qinv(vo.q[lo:lo + BLOCK_ROWS]).tolist():
-            u, x, y, z = (u * bu - x * bx - y * by - z * bz,
-                          u * bx + bu * x + y * bz - z * by,
-                          u * by + bu * y + z * bx - x * bz,
-                          u * bz + bu * z + x * by - y * bx)
-            rows.append((u, x, y, z))
+        for step in quat.qinv(vo.q[lo:lo + BLOCK_ROWS]).tolist():
+            row = quat._hamilton(row, step)
+            rows.append(row)
         block = slice(lo + 1, lo + 1 + len(rows))
         q[block] = quat.canonicalize(np.array(rows))
         steps = quat.qrotate(quat.qinv(q[block]), vo.t[lo:lo + BLOCK_ROWS])

@@ -12,9 +12,9 @@ log/exp maps use the half-angle form
 so exp(w) rotates by an angle of 2*|w| about w. Each job has one helper:
 row_norm is the Euclidean norm, canonicalize the sign convention of stored
 rows (scalar part >= 0), and to_matrix, dqmul_left and dqmul_right are what
-the pose-graph solver builds its rotation Jacobians from. The derivatives
-are plain Jacobians of these expressions and are checked against central
-finite differences in the test suite.
+the pose-graph solver builds its rotation Jacobians from. The Hamilton
+product is written out once, in _hamilton; qmul, pose.integrate and the
+constant coefficients of the linear maps dqmul_left and dqmul_right use it.
 """
 
 from __future__ import annotations
@@ -92,16 +92,20 @@ def qexp(w: np.ndarray) -> np.ndarray:
     return _join([np.cos(n), *(c * sinc for c in _split(w))])
 
 
+def _hamilton(a, b) -> tuple:
+    """Components (u, x, y, z) of the Hamilton product a * b, from the
+    components of a and b: arrays from _split, or one row of Python floats."""
+    au, ax, ay, az = a
+    bu, bx, by, bz = b
+    return (au * bu - ax * bx - ay * by - az * bz,
+            au * bx + bu * ax + ay * bz - az * by,
+            au * by + bu * ay + az * bx - ax * bz,
+            au * bz + bu * az + ax * by - ay * bx)
+
+
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b."""
-    au, ax, ay, az = _split(a)
-    bu, bx, by, bz = _split(b)
-    return _join([
-        au * bu - ax * bx - ay * by - az * bz,
-        au * bx + bu * ax + ay * bz - az * by,
-        au * by + bu * ay + az * bx - ax * bz,
-        au * bz + bu * az + ax * by - ay * bx,
-    ])
+    return _join(_hamilton(_split(a), _split(b)))
 
 
 def qinv(q: np.ndarray) -> np.ndarray:
@@ -136,25 +140,21 @@ def to_matrix(q: np.ndarray) -> np.ndarray:
     ], depth=2)
 
 
+# a * b is linear in each factor: a * (0, e_k) = sum_i a_i (e_i * (0, e_k)).
+# The coefficients, indexed (i, component, k), are _hamilton on the unit
+# quaternions e_i (axis 0) and the pure basis (0, e_k) (axis 1).
+_UNIT, _PURE = _split(np.eye(4)[:, None]), _split(np.eye(4)[None, 1:])
+_DQMUL_LEFT = np.moveaxis(_join(_hamilton(_UNIT, _PURE)), -1, 1)
+_DQMUL_RIGHT = np.moveaxis(_join(_hamilton(_PURE, _UNIT)), -1, 1)
+
+
 def dqmul_left(a: np.ndarray) -> np.ndarray:
     """4x3 matrix with a * (0, v) == dqmul_left(a) @ v: d(a*b)/db along the
-    vector part of b."""
-    u, x, y, z = _split(a)
-    return _join([
-        [-x, -y, -z],
-        [u, -z, y],
-        [z, u, -x],
-        [-y, x, u],
-    ], depth=2)
+    vector part of b. Column k is qmul(a, (0, e_k))."""
+    return np.tensordot(a, _DQMUL_LEFT, axes=1)
 
 
 def dqmul_right(b: np.ndarray) -> np.ndarray:
     """4x3 matrix with (0, v) * b == dqmul_right(b) @ v: d(a*b)/da along the
-    vector part of a."""
-    u, x, y, z = _split(b)
-    return _join([
-        [-x, -y, -z],
-        [u, z, -y],
-        [-z, u, x],
-        [y, -x, u],
-    ], depth=2)
+    vector part of a. Column k is qmul((0, e_k), b)."""
+    return np.tensordot(b, _DQMUL_RIGHT, axes=1)

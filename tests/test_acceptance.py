@@ -138,13 +138,15 @@ def test_solver_pure_translation_closed_form(monkeypatch):
     _passed(f"pure-translation solve vs normal equations: max error {err:.2e}")
 
 
-def test_zero_noise_fuse_is_fixed_point():
-    gt = generate_trajectory("loop", 300, 0.1)
+@pytest.mark.parametrize("n, window_T, spacing_k", [(300, 7, 10), (200, 5, 7)],
+                         ids=["n300-T7-k10", "n200-T5-k7"])
+def test_zero_noise_fuse_is_fixed_point(n, window_T, spacing_k):
+    gt = generate_trajectory("loop", n, 0.1)
     nm = NoiseModel(seed=0)
     abs_traj = corrupt_absolute(gt, nm)
     vo = corrupt_vo(gt, nm)
     stats = FusionStats()
-    fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=10), stats)
+    fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=window_T, spacing_k=spacing_k), stats)
     worst_t = float(np.max(np.abs(fused.t - gt.t)))
     worst_r = float(np.max(rotation_error_deg(fused.q, gt.q)))
     assert worst_t < 1e-9 and worst_r < 1e-9

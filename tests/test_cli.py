@@ -450,8 +450,18 @@ def test_fusion_demo_runs_every_shape_and_rejects_others(capsys):
     # a rank-deficient window, as in TestFuse::test_far_outlier_is_numerical_error_without_warnings
     assert demo["main"](["--frames", "50", "--abs-t-sigma", "1e9"]) == NUMERICAL_ERROR
     assert len(capsys.readouterr().err.splitlines()) == 1
+    # a non-finite solver step, one stderr line and no usage, as in
+    # TestFuse::test_huge_finite_translation_is_data_error_without_warnings
+    assert demo["main"](["--frames", "50", "--abs-t-sigma", "1e200"]) == DATA_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(": solver step is not finite: NaN or inf in the "
+                                             "observations or the starting poses, or values so "
+                                             "large that the normal matrix overflows")
+    # a bad --median-window is named before a 2-frame loop is simulated
+    median_message = "--median-window must be odd and >= 1"
     for argv, message in [(["--shape", "figure-eight"], "invalid choice: 'figure-eight'"),
-                          (["--frames", "60", "--median-window", "4"], "window must be odd"),
+                          (["--frames", "2", "--median-window", "4"], median_message),
+                          (["--frames", "2", "--median-window", "0"], median_message),
                           (["--frames", "2"], "loop needs n >= 3")]:
         with pytest.raises(SystemExit) as exc:
             demo["main"](argv)

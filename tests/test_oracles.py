@@ -218,11 +218,6 @@ def test_median_filter_ties_go_to_the_earliest_frame(n, window):
     assert np.array_equal(out.q[0], q[0]) and np.array_equal(out.q[-1], q[n - window // 2 - 1])
 
 
-def test_median_window_of_one_is_identity():
-    _, abs_traj, _ = _noisy_loop(30, seed=4)
-    assert temporal_median_filter(abs_traj, 1) is abs_traj
-
-
 @pytest.mark.parametrize("n", [2, 3, 1000, 16000])
 @pytest.mark.parametrize("seed", range(5))
 def test_random_walk_matches_step_loop(n, seed):

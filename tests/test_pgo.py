@@ -618,27 +618,12 @@ class TestSolverStacks:
             assert converged[w] == converged_w[0]
 
 
-def mean_translation_error(t, gt_t):
-    return float(np.mean(np.linalg.norm(t - gt_t, axis=1)))
-
-
 def transform(t, q, g_t, g_q):
     """A global rigid transform of poses: t -> R(g_q) t + g_t, q -> q * g_q^-1."""
     return quat.qrotate(g_q, t) + g_t, quat.qmul(q, quat.qinv(g_q))
 
 
 class TestFuseTrajectory:
-    def test_zero_noise_fixed_point(self):
-        gt = generate_trajectory("loop", 200, 0.1)
-        nm = NoiseModel(seed=0)
-        abs_traj = corrupt_absolute(gt, nm)
-        vo = corrupt_vo(gt, nm)
-        stats = FusionStats()
-        fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=5, spacing_k=7), stats)
-        assert np.max(np.abs(fused.t - gt.t)) < 1e-9
-        assert np.max(rotation_error_deg(fused.q, gt.q)) < 1e-9
-        assert max(stats.window_iterations) == 1
-
     def test_default_window_parameters(self):
         cfg = PgoConfig()
         assert cfg.window_T == 7
@@ -649,18 +634,6 @@ class TestFuseTrajectory:
         vo = corrupt_vo(gt, NoiseModel(seed=1))
         fused = fuse_trajectory(gt, vo, PgoConfig(window_T=7, spacing_k=150))
         assert len(fused) == 5
-
-    def test_fusion_beats_both_inputs(self):
-        gt = generate_trajectory("loop", 600, 0.1)
-        nm = NoiseModel(abs_t_sigma=0.4, abs_r_sigma=4, vo_t_sigma=0.01,
-                        vo_r_sigma=0.1, vo_t_bias=0.01, seed=7)
-        abs_traj = corrupt_absolute(gt, nm)
-        vo = corrupt_vo(gt, nm)
-        fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=10))
-        vo_integ_t, _ = integrate(gt.t[0], gt.q[0], vo)
-        err_fused = mean_translation_error(fused.t, gt.t)
-        assert err_fused < mean_translation_error(abs_traj.t, gt.t)
-        assert err_fused < mean_translation_error(vo_integ_t, gt.t)
 
     def test_heavy_rotation_weight_converges(self, monkeypatch):
         # a rotation weight of 1e10 spreads each window's pivots over ten
