@@ -146,20 +146,29 @@ class TestDerivatives:
         assert np.array_equal(quat.dqmul_left(quat.IDENTITY), np.eye(4)[:, 1:])
         assert np.array_equal(quat.dqmul_right(quat.IDENTITY), np.eye(4)[:, 1:])
 
-    def test_dqmul_columns_are_products_with_the_pure_basis(self, rng):
-        # a (W, T) batch holding the identity, a pure quaternion and rows
-        # with zero scalar or vector components
+    @staticmethod
+    def _batch_with_zero_components(rng):
+        """A (W, T) batch holding the identity, a pure quaternion and rows
+        with zero scalar or vector components."""
         q = rng.normal(size=(3, 4, 4))
         q[0, 0], q[0, 1] = quat.IDENTITY, [0.0, 0.0, 1.0, 0.0]
         q[1, :, 0] = 0.0
         q[2, :, 1:3] = 0.0
-        q /= np.linalg.norm(q, axis=-1, keepdims=True)
-        left, right = quat.dqmul_left(q), quat.dqmul_right(q)
-        assert left.shape == right.shape == (3, 4, 4, 3)
+        return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+    def test_dqmul_left_columns_are_products_with_the_pure_basis(self, rng):
+        q = self._batch_with_zero_components(rng)
+        left = quat.dqmul_left(q)
+        assert left.shape == (3, 4, 4, 3)
         for k in range(3):
-            e_k = pure(np.eye(3)[k])
-            assert np.array_equal(left[..., k], quat.qmul(q, e_k))
-            assert np.array_equal(right[..., k], quat.qmul(e_k, q))
+            assert np.array_equal(left[..., k], quat.qmul(q, pure(np.eye(3)[k])))
+
+    def test_dqmul_right_columns_are_products_with_the_pure_basis(self, rng):
+        q = self._batch_with_zero_components(rng)
+        right = quat.dqmul_right(q)
+        assert right.shape == (3, 4, 4, 3)
+        for k in range(3):
+            assert np.array_equal(right[..., k], quat.qmul(pure(np.eye(3)[k]), q))
 
     def test_dqmul_linearity_exact(self, rng):
         a, b = random_unit_quat(rng), random_unit_quat(rng)
