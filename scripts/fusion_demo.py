@@ -38,8 +38,8 @@ def main(argv=None):
     if args.median_window is not None and (args.median_window < 1 or args.median_window % 2 == 0):
         parser.error("--median-window must be odd and >= 1")
 
-    # an option out of range (too few frames, a window below 2, ...) is a
-    # usage error
+    # an option out of range (too few or too many frames, a window below 2,
+    # ...) is a usage error
     try:
         gt = generate_trajectory(args.shape, args.frames, args.step, seed=args.seed)
         nm = NoiseModel(abs_t_sigma=args.abs_t_sigma, abs_r_sigma=args.abs_r_sigma,
@@ -65,7 +65,7 @@ def main(argv=None):
     except (np.linalg.LinAlgError, RankDeficientError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR if isinstance(exc, RankDeficientError) else DATA_ERROR
-    except ValueError as exc:
+    except (MemoryError, ValueError) as exc:  # MemoryError: too many --frames
         parser.error(str(exc))
 
     print(f"{args.shape}, {args.frames} frames, seed {args.seed}; "

@@ -69,7 +69,7 @@ def _cmd_simulate(args) -> int:
                             vo_t_bias=args.vo_t_bias, seed=args.seed)
         gt = sim.generate_trajectory(args.shape, args.frames, args.step, seed=args.seed)
         abs_traj, vo = sim.corrupt_absolute(gt, nm), sim.corrupt_vo(gt, nm)
-    except ValueError as exc:
+    except (MemoryError, ValueError) as exc:  # MemoryError: too many --frames
         print(f"simulate: {exc}", file=sys.stderr)
         return USAGE_ERROR
     trajio.write_trajectory(gt, args.out_gt)

@@ -7,12 +7,13 @@ one Block per constraint kind, an absolute observation of every pose and a
 relative one of every consecutive pair, with one scalar weight per kind.
 One kernel, _linearize_block, evaluates a block: each constraint yields a
 weighted residual r = weight * (k - f(z)) and Jacobian blocks
-J = weight * df/d(manifold coords) for the one or two poses it touches.
+J = weight * df/d(manifold coords) for the one or two poses it touches;
+the relative kinds' f is pose.relative_pose, as for the graph's VO.
 The update is z ⊞ dz: translations add, rotations right-multiply by
 qexp(dw). Rotation columns are closed forms in quat's helpers: for the
 rotation kinds the product's derivatives dqmul_left and dqmul_right, which
 quat builds from qmul's own formula, and for the relative translation
-2 (R e_k) x f from the rotation matrix (to_matrix). q and -q are the same
+2 (R e_k) x f, with R e_k = qrotate(q_j, e_k). q and -q are the same
 rotation, so both rotation kinds compare the observation with whichever of
 f and -f lies in its hemisphere (<f, obs> >= 0): the residual is then the
 same for either sign of a pose or an observation, and it stays small across
@@ -154,6 +155,9 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray):
     relative = b.kind in (ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION)
     ji = np.zeros((n_win, m, d, 6))
     jj = np.zeros((n_win, m, d, 6)) if relative else None
+    if relative:
+        # pose i as seen from pose i + 1: the function the graph's VO observes
+        rel_t, rel_q = relative_pose(t[:, :m], q[:, :m], t[:, 1:m + 1], q[:, 1:m + 1])
     if b.kind is ConstraintKind.ABS_TRANSLATION:
         f = t[:, :m]
         ji[..., :3] = np.eye(3)
@@ -161,15 +165,15 @@ def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray):
         f = _toward(q[:, :m], b.obs)
         ji[..., 3:] = quat.dqmul_left(f)
     elif b.kind is ConstraintKind.REL_TRANSLATION:
-        qj = q[:, 1:m + 1]
-        f = quat.qrotate(qj, t[:, :m] - t[:, 1:m + 1])
-        rot = quat.to_matrix(qj)
+        f = rel_t
+        # column k is R(qj) e_k
+        rot = quat.qrotate(q[:, 1:m + 1, None], np.eye(3)).swapaxes(-1, -2)
         ji[..., :3] = rot
         jj[..., :3] = -rot
         # R(qj * exp e) dt = f + 2 R(qj) (e x dt): column k is 2 (R e_k) x f
         jj[..., 3:] = 2.0 * np.cross(rot, f[..., None, :], axisa=-2, axisc=-2)
     else:  # REL_ROTATION
-        f = _toward(quat.qmul(quat.qinv(q[:, 1:m + 1]), q[:, :m]), b.obs)
+        f = _toward(rel_q, b.obs)
         ji[..., 3:] = quat.dqmul_left(f)
         # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
         jj[..., 3:] = -quat.dqmul_right(f)

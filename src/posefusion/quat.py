@@ -11,8 +11,9 @@ log/exp maps use the half-angle form
 
 so exp(w) rotates by an angle of 2*|w| about w. Each job has one helper:
 row_norm is the Euclidean norm, canonicalize the sign convention of stored
-rows (scalar part >= 0), and to_matrix, dqmul_left and dqmul_right are what
-the pose-graph solver builds its rotation Jacobians from. The Hamilton
+rows (scalar part >= 0) and qrotate the rotation of vectors, also of the
+basis vectors that give the pose-graph solver its rotation matrices; its
+rotation Jacobians are built from dqmul_left and dqmul_right. The Hamilton
 product is written out once, in _hamilton; qmul, pose.integrate and the
 constant coefficients of the linear maps dqmul_left and dqmul_right use it.
 """
@@ -33,10 +34,9 @@ def _split(x: np.ndarray) -> list[np.ndarray]:
     return [x[..., k] for k in range(x.shape[-1])]
 
 
-def _join(parts, depth: int = 1) -> np.ndarray:
-    """Inverse of _split: (nested lists of) components onto the last depth axes."""
-    out = np.array(parts)
-    return np.ascontiguousarray(out.transpose((*range(depth, out.ndim), *range(depth))))
+def _join(parts) -> np.ndarray:
+    """Inverse of _split: a list of components onto the last axis."""
+    return np.ascontiguousarray(np.moveaxis(np.array(parts), 0, -1))
 
 
 def row_norm(x: np.ndarray) -> np.ndarray:
@@ -128,16 +128,6 @@ def qrotate(q: np.ndarray, t: np.ndarray) -> np.ndarray:
         t1 + 2.0 * (z * a0 - x * a2),
         t2 + 2.0 * (x * a1 - y * a0),
     ])
-
-
-def to_matrix(q: np.ndarray) -> np.ndarray:
-    """3x3 rotation matrix R with R @ t == qrotate(q, t)."""
-    u, x, y, z = _split(q)
-    return _join([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - u * z), 2 * (x * z + u * y)],
-        [2 * (x * y + u * z), 1 - 2 * (x * x + z * z), 2 * (y * z - u * x)],
-        [2 * (x * z - u * y), 2 * (y * z + u * x), 1 - 2 * (x * x + y * y)],
-    ], depth=2)
 
 
 # a * b is linear in each factor: a * (0, e_k) = sum_i a_i (e_i * (0, e_k)).

@@ -1,7 +1,9 @@
 """Plain-text file formats for trajectories and per-frame VO.
 
 Both are whitespace-separated UTF-8 with LF line endings and `#`
-comment lines:
+comment lines. Readers skip a leading byte-order mark and read a byte that
+is not UTF-8 as U+FFFD, which fails its data line as a non-numeric field;
+comment lines are not read.
 
 * trajectory: ``timestamp tx ty tz qu qv1 qv2 qv3`` (scalar-first quaternion)
 * VO:         ``timestamp tx ty tz w1 w2 w3`` (log-quaternion rotation)
@@ -101,7 +103,7 @@ def _parse(path, count: int) -> tuple[np.ndarray, np.ndarray, TrajectoryFormatEr
     # the empty first entries stand for a file without data lines
     tables, linenos = [np.empty((0, count))], [np.empty(0, dtype=int)]
     error, first = None, 1  # first: the line number of the block's first line
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         while error is None and (lines := list(islice(fh, BLOCK_ROWS))):
             data = [bool(s) and s[0] != "#" for s in map(str.lstrip, lines)]
             linenos.append(np.flatnonzero(data) + first)

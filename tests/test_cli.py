@@ -95,6 +95,16 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not any(p.exists() for p in out)
 
+    def test_too_many_frames_is_usage_error_before_any_write(self, tmp_path, capsys):
+        # 10^15 frames need 7 PiB, past the address space: numpy fails before
+        # it allocates anything. A count that fits in memory must not be tried.
+        out = [tmp_path / "g", tmp_path / "a", tmp_path / "v"]
+        assert main(["simulate", "--frames", "1000000000000000", "--out-gt", str(out[0]),
+                     "--out-abs", str(out[1]), "--out-vo", str(out[2])]) == USAGE_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("simulate: Unable to allocate")
+        assert not any(p.exists() for p in out)
+
     def test_shape_choices_are_sim_shapes(self, tmp_path, capsys):
         sub = next(a for a in _build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)).choices["simulate"]
@@ -318,6 +328,15 @@ class TestFuse:
         assert str(vo) not in err
         assert not out.exists()
 
+    def test_bad_byte_in_vo_file_is_named(self, tmp_path, capsys):
+        gt, abs_path, vo = _simulate(tmp_path, frames=60)
+        vo.write_bytes(b"\xff" + vo.read_bytes())  # line 1, the header, is now a data line
+        out = tmp_path / "o"
+        assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo),
+                     "--out", str(out), "--spacing", "10"]) == DATA_ERROR
+        assert capsys.readouterr().err.startswith(f"fuse: {vo}:1: ")
+        assert not out.exists()
+
     def test_vo_frame_mismatch_is_data_error(self, tmp_path):
         gt, abs_path, vo = _simulate(tmp_path, frames=60)
         short = tmp_path / "short_vo.txt"
@@ -462,7 +481,10 @@ def test_fusion_demo_runs_every_shape_and_rejects_others(capsys):
     for argv, message in [(["--shape", "figure-eight"], "invalid choice: 'figure-eight'"),
                           (["--frames", "2", "--median-window", "4"], median_message),
                           (["--frames", "2", "--median-window", "0"], median_message),
-                          (["--frames", "2"], "loop needs n >= 3")]:
+                          (["--frames", "2"], "loop needs n >= 3"),
+                          # 7 PiB, past the address space, as in
+                          # TestSimulate::test_too_many_frames_is_usage_error_before_any_write
+                          (["--frames", "1000000000000000"], "Unable to allocate")]:
         with pytest.raises(SystemExit) as exc:
             demo["main"](argv)
         assert exc.value.code == USAGE_ERROR

@@ -241,6 +241,44 @@ class TestReadersApplyTheTypesRules:
         assert str(read_exc.value) == f"{path}:{lineno}: {type_exc.value}"
 
 
+ENCODING_FILES = [
+    (read_trajectory, "# timestamp tx ty tz qu qv1 qv2 qv3\n0 1 2 3 1 0 0 0\n1 1 2 3 0 1 0 0\n"),
+    (read_vo, "# timestamp tx ty tz w1 w2 w3\n1 0.5 0 0 0 0 0.1\n2 0.5 0 0 0.1 0 0\n"),
+]
+
+
+class TestEncoding:
+    """Readers skip a leading byte-order mark and report a byte that is not
+    UTF-8 as a fault of its line."""
+
+    @pytest.mark.parametrize("reader, text", ENCODING_FILES, ids=["trajectory", "vo"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, reader, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        a, b = reader(plain), reader(marked)
+        assert len(b) == 2
+        for name in ("timestamps", "t", "q"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("reader, text", ENCODING_FILES, ids=["trajectory", "vo"])
+    @pytest.mark.parametrize("lineno", [1, 3])
+    def test_bad_byte_is_reported_at_its_line(self, tmp_path, reader, text, lineno):
+        lines = text.encode().splitlines(keepends=True)
+        lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(TrajectoryFormatError) as exc:
+            reader(path)
+        assert exc.value.lineno == lineno and str(exc.value).startswith(f"{path}:{lineno}: ")
+
+    @pytest.mark.parametrize("reader, text", ENCODING_FILES, ids=["trajectory", "vo"])
+    def test_bad_byte_in_a_comment_is_not_read(self, tmp_path, reader, text):
+        path = tmp_path / "comment.txt"
+        path.write_bytes(text.encode().replace(b"# ", b"# \xff", 1))
+        assert len(reader(path)) == 2
+
+
 def _reference_read(path, count, row_error):
     """Line-by-line reader: the first line that is not count finite numbers,
     or for which row_error(previous row, row) returns a message, raises."""

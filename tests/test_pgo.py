@@ -93,6 +93,20 @@ class TestResidualAndJacobian:
         r, _ = linearize([b], t[None], q[None])
         assert np.allclose(r[0], b.obs[0, 0] - t[0])
 
+    def test_relative_observables_are_relative_pose(self, rng):
+        W, T = 4, 6
+        t = rng.normal(size=(W, T, 3))
+        q = rng.normal(size=(W, T, 4))
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        obs_t, obs_q = rng.normal(size=(W, T - 1, 3)), rng.normal(size=(W, T - 1, 4))
+        rel_t, rel_q = relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:])
+        f = pgo._linearize_block(pgo.Block(ConstraintKind.REL_TRANSLATION, obs_t, 1.0), t, q)[3]
+        assert np.array_equal(f, rel_t)
+        f = pgo._linearize_block(pgo.Block(ConstraintKind.REL_ROTATION, obs_q, 1.0), t, q)[3]
+        assert np.array_equal(f, pgo._toward(rel_q, obs_q))
+        assert not np.array_equal(f, rel_q)  # some observables were flipped
+
+
 def half_turn_window(rng):
     """One window of 7 poses whose rotation observables are all near 180
     degrees, its blocks, and a state 0.05 rad from its observations.
