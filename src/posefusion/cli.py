@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -52,16 +53,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_outputs(*paths: str) -> None:
-    """Raise the OSError open(path, "w") would on a directory or a missing
+def _check_outputs(outputs: dict, inputs: dict) -> None:
+    """Raise ArgumentError where an output path names another output's or an
+    input's file (the same file, or where one is missing the same resolved
+    path), and the OSError open(path, "w") would on a directory or a missing
     parent; called first, so a bad output path costs no work and no file."""
-    for path in paths:
+    named = [*outputs.items(), *inputs.items()]
+    for (option, out), (other, path) in itertools.combinations(named, 2):
+        try:
+            same = os.path.samefile(out, path)
+        except OSError:  # one of them does not exist yet
+            same = os.path.realpath(out) == os.path.realpath(path)
+        if same and option in outputs:
+            raise argparse.ArgumentError(None, f"{option} and {other} name the same file: {out}")
+    for path in outputs.values():
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             open(path, "w")  # fails there, before it could create a file
 
 
 def _cmd_simulate(args) -> int:
-    _check_outputs(args.out_gt, args.out_abs, args.out_vo)
+    outputs = {"--out-gt": args.out_gt, "--out-abs": args.out_abs, "--out-vo": args.out_vo}
+    _check_outputs(outputs, {})
     # every option is checked, and every output built, before the first file is written
     try:
         nm = sim.NoiseModel(abs_t_sigma=args.abs_t_sigma, abs_r_sigma=args.abs_r_sigma,
@@ -79,7 +91,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs({"--out": args.out}, {"--abs": args.abs_path, "--vo": args.vo})
     if args.median_window is not None and (args.median_window < 1 or args.median_window % 2 == 0):
         print("fuse: --median-window must be odd and >= 1", file=sys.stderr)
         return USAGE_ERROR
@@ -108,7 +120,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_outputs(args.out_report)
+    _check_outputs({"--out-report": args.out_report}, {"--est": args.est, "--gt": args.gt})
     est = trajio.read_trajectory(args.est)
     gt = trajio.read_trajectory(args.gt)
     report = metrics.compare(est, gt)
@@ -125,6 +137,9 @@ def main(argv=None) -> int:
     handler = {"simulate": _cmd_simulate, "fuse": _cmd_fuse, "eval": _cmd_eval}[args.command]
     try:
         return handler(args)
+    except argparse.ArgumentError as exc:  # paths that one command cannot use together
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     # OSError: a missing, unreadable or directory path; ValueError:
     # TrajectoryFormatError among them
     except (OSError, ValueError) as exc:

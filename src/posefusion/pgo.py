@@ -3,26 +3,26 @@
 The state is a stack of windows of poses, t (W, T, 3) and q (W, T, 4); each
 pose contributes 6 manifold coordinates (3 translation + 3 rotation) while
 being stored as 7 numbers. A window is a chain: build_window_graph gives
-one Block per constraint kind, an absolute observation of every pose and a
-relative one of every consecutive pair, with one scalar weight per kind.
+two Blocks, an absolute observation of every pose and a relative one of
+every consecutive pair, each a pose of 7 rows with a weight per row.
 One kernel, _linearize_block, evaluates a block: each constraint yields a
 weighted residual r = weight * (k - f(z)) and Jacobian blocks
 J = weight * df/d(manifold coords) for the one or two poses it touches;
-the relative kinds' f is pose.relative_pose, as for the graph's VO.
+f is the pose, or for a relative block pose.relative_pose as for the VO.
 The update is z ⊞ dz: translations add, rotations right-multiply by
 qexp(dw). Rotation columns are closed forms in quat's helpers: for the
-rotation kinds the product's derivatives dqmul_left and dqmul_right, which
+rotation rows the product's derivatives dqmul_left and dqmul_right, which
 quat builds from qmul's own formula, and for the relative translation
 2 (R e_k) x f, with R e_k = qrotate(q_j, e_k). q and -q are the same
-rotation, so both rotation kinds compare the observation with whichever of
+rotation, so the rotation rows compare the observation with whichever of
 f and -f lies in its hemisphere (<f, obs> >= 0): the residual is then the
 same for either sign of a pose or an observation, and it stays small across
 the 180-degree heading where quaternions change sign.
 
 gauss_newton_solve takes one Gauss-Newton step per window, with the normal
 matrix J^T J, then steps with the exact Hessian of the window objective:
-J^T J plus each curved kind's residual-curvature term (_add_curvature),
-also in closed form. Both matrices are block-tridiagonal with 6x6 blocks;
+J^T J plus each block's residual-curvature term (_add_curvature), also in
+closed form. Both matrices are block-tridiagonal with 6x6 blocks;
 the solver accumulates those blocks and solves each window by block
 Cholesky, up to FUSE_BATCH windows at a time, each stopping on its own and
 reporting whether it converged. Those blocks are the one representation of
@@ -44,10 +44,8 @@ from .pose import BLOCK_ROWS, Trajectory, compose, integrate, relative_pose
 
 
 class ConstraintKind(Enum):
-    ABS_TRANSLATION = "abs-t"
-    ABS_ROTATION = "abs-r"
-    REL_TRANSLATION = "rel-t"
-    REL_ROTATION = "rel-r"
+    ABSOLUTE = "absolute"
+    RELATIVE = "relative"
 
 
 # Most windows that gauss_newton_solve linearizes and solves together.
@@ -79,8 +77,8 @@ MEDIAN_CHUNK = 64
 # 1e-8 m or rad, far below the noise of any observation.
 STEP_TOL = 1e-8
 
-# Weight of every rotation residual; translations have weight 1. Its square,
-# 10, is the information of a rotation residual relative to a translation one.
+# Weight of every rotation residual row; translation rows have weight 1. Its
+# square, 10, is the information of a rotation residual relative to a translation one.
 ROT_WEIGHT = float(np.sqrt(10.0))
 
 
@@ -118,12 +116,13 @@ class Block(NamedTuple):
     """Every constraint of one kind, in a stack of identically built windows.
 
     Constraint i of an absolute block observes pose i; of a relative block,
-    pose i as seen from pose i + 1. Its residual is weight * (obs - f).
+    pose i as seen from pose i + 1. Its residual is weight * (obs - f), row
+    by row; a row of weight 0, such as a GPS fix's rotation, is not observed.
     """
 
     kind: ConstraintKind
-    obs: np.ndarray  # (W, m, d) observations
-    weight: float
+    obs: np.ndarray     # (W, m, 7) observations: translation, then quaternion
+    weight: np.ndarray  # (7,) weight of each residual row
 
     def windows(self, sel) -> "Block":
         """The same constraints in the windows sel of the stack."""
@@ -137,49 +136,40 @@ def _toward(f: np.ndarray, obs: np.ndarray) -> np.ndarray:
 
 
 def _linearize_block(b: Block, t: np.ndarray, q: np.ndarray):
-    """Weighted residuals (W, m, d) of one block, its Jacobian blocks and
-    its observables f (W, m, d).
+    """Weighted residuals (W, m, 7) of one block, its Jacobian blocks and
+    its observables f (W, m, 7).
 
-    The Jacobian blocks are (W, m, d, 6): one for each constraint's pose i,
-    and for the relative kinds one for its pose i + 1 (None otherwise).
-    Their columns are the 6 manifold coordinates of that pose. A rotation
-    moves as q * exp(e), and to first order exp(e) = (1, e), so a rotation
-    column is the derivative along a vector component: dqmul_left and
-    dqmul_right give those columns of the product derivative.
-    A rotation observable f is flipped to -f where <f, obs> < 0 (see
-    _toward); since L(-f) = -L(f), the derivative at the flipped f needs no
-    other sign.
+    The Jacobian blocks are (W, m, 7, 6): one for each constraint's pose i,
+    and for a relative block one for its pose i + 1 (None otherwise). Their
+    columns are the 6 manifold coordinates of that pose. A rotation moves as
+    q * exp(e), and to first order exp(e) = (1, e), so a rotation column is
+    the derivative along a vector component: dqmul_left and dqmul_right give
+    those columns of the product derivative. The rotation observable is
+    flipped to -f where <f, obs> < 0 (see _toward); since L(-f) = -L(f), the
+    derivative at the flipped f needs no other sign.
     """
-    n_win = t.shape[0]
-    m, d = b.obs.shape[1:]
-    relative = b.kind in (ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION)
-    ji = np.zeros((n_win, m, d, 6))
-    jj = np.zeros((n_win, m, d, 6)) if relative else None
-    if relative:
-        # pose i as seen from pose i + 1: the function the graph's VO observes
-        rel_t, rel_q = relative_pose(t[:, :m], q[:, :m], t[:, 1:m + 1], q[:, 1:m + 1])
-    if b.kind is ConstraintKind.ABS_TRANSLATION:
-        f = t[:, :m]
-        ji[..., :3] = np.eye(3)
-    elif b.kind is ConstraintKind.ABS_ROTATION:
-        f = _toward(q[:, :m], b.obs)
-        ji[..., 3:] = quat.dqmul_left(f)
-    elif b.kind is ConstraintKind.REL_TRANSLATION:
-        f = rel_t
-        # column k is R(qj) e_k
-        rot = quat.qrotate(q[:, 1:m + 1, None], np.eye(3)).swapaxes(-1, -2)
-        ji[..., :3] = rot
-        jj[..., :3] = -rot
+    m = b.obs.shape[1]
+    absolute = b.kind is ConstraintKind.ABSOLUTE
+    # pose i, or pose i as seen from pose i + 1: the function the graph's VO observes
+    f_t, f_q = (t[:, :m], q[:, :m]) if absolute else relative_pose(
+        t[:, :m], q[:, :m], t[:, 1:m + 1], q[:, 1:m + 1])
+    f = np.concatenate([f_t, _toward(f_q, b.obs[..., 3:])], axis=-1)
+    ji = np.zeros((len(t), m, 7, 6))
+    ji[..., 3:, 3:] = quat.dqmul_left(f[..., 3:])
+    jj = None
+    if absolute:
+        ji[..., :3, :3] = np.eye(3)
+    else:
+        rot = quat.qrotate(q[:, 1:m + 1, None], np.eye(3)).swapaxes(-1, -2)  # column k: R(qj) e_k
+        ji[..., :3, :3] = rot
+        jj = np.zeros_like(ji)
+        jj[..., :3, :3] = -rot
         # R(qj * exp e) dt = f + 2 R(qj) (e x dt): column k is 2 (R e_k) x f
-        jj[..., 3:] = 2.0 * np.cross(rot, f[..., None, :], axisa=-2, axisc=-2)
-    else:  # REL_ROTATION
-        f = _toward(rel_q, b.obs)
-        ji[..., 3:] = quat.dqmul_left(f)
+        jj[..., :3, 3:] = 2.0 * np.cross(rot, f_t[..., None, :], axisa=-2, axisc=-2)
         # d(conj(qj * e) * qi)/de: the conjugation negates the vector part
-        jj[..., 3:] = -quat.dqmul_right(f)
-    ji *= b.weight
-    if relative:
-        jj *= b.weight
+        jj[..., 3:, 3:] = -quat.dqmul_right(f[..., 3:])
+        jj *= b.weight[..., None]
+    ji *= b.weight[..., None]
     return b.weight * (b.obs - f), ji, jj, f
 
 
@@ -190,20 +180,17 @@ def build_window_graph(abs_t: np.ndarray, abs_q: np.ndarray, vo_t: np.ndarray,
     abs_t (W, T, 3) and abs_q (W, T, 4) are each window's absolute
     observations; vo_t (W, T-1, 3) and vo_q (W, T-1, 4) its relative ones,
     pose i as seen from pose i + 1. Rotation observations are kept with the
-    sign they come with: the residual takes each one's hemisphere.
-    Translations have weight 1 and rotations ROT_WEIGHT. One block per
-    kind, in ConstraintKind order: 2T + 2(T-1) constraints per window.
+    sign they come with: the residual takes each one's hemisphere. Both
+    blocks, in ConstraintKind order, weight translation rows 1 and rotation
+    rows ROT_WEIGHT, read when the graph is built.
     """
     n_win, T = abs_t.shape[:2]
     if vo_t.shape[:2] != (n_win, T - 1) or vo_q.shape[:2] != (n_win, T - 1):
         raise ValueError(f"expected vo_t and vo_q of (W, T - 1) = {(n_win, T - 1)} relative "
                          f"poses, got vo_t {vo_t.shape[:2]} and vo_q {vo_q.shape[:2]}")
-    return [
-        Block(ConstraintKind.ABS_TRANSLATION, abs_t, 1.0),
-        Block(ConstraintKind.ABS_ROTATION, abs_q, ROT_WEIGHT),
-        Block(ConstraintKind.REL_TRANSLATION, vo_t, 1.0),
-        Block(ConstraintKind.REL_ROTATION, vo_q, ROT_WEIGHT),
-    ]
+    weight = np.repeat([1.0, ROT_WEIGHT], [3, 4])
+    return [Block(ConstraintKind.ABSOLUTE, np.concatenate([abs_t, abs_q], axis=-1), weight),
+            Block(ConstraintKind.RELATIVE, np.concatenate([vo_t, vo_q], axis=-1), weight)]
 
 
 def _transpose(a: np.ndarray) -> np.ndarray:
@@ -281,36 +268,32 @@ _ROT = np.arange(3, 6)  # a pose's rotation coordinates, for the diagonal of its
 
 def _add_curvature(b: Block, t: np.ndarray, q: np.ndarray, r: np.ndarray, f: np.ndarray,
                    diag: np.ndarray, upper: np.ndarray) -> None:
-    """Add block b's residual-curvature term S = -sum_m r_m d2(w f_m) to the
+    """Add block b's residual-curvature term S = -sum_rows r d2(w f) to the
     normal-matrix blocks diag (W, T, 6, 6) and upper (W, T-1, 6, 6), in place.
 
     With S, J^T J becomes the exact Hessian of the objective 1/2 |r|^2 over
     the chart t + dt, q * qexp(e). r and f are the block's weighted
-    residuals and (hemisphere-flipped) observables. To second order
-    qexp(e) = (1 - |e|^2 / 2, e) and R(qexp(e)) = I + 2 [e]x + 2 [e]x^2:
-    - ABS_ROTATION, f * qexp(e): w <r, f> I_3 in pose i's rotation block.
-    - REL_ROTATION, qexp(-e_j) * f * qexp(e_i): the same in both poses'
-      rotation blocks, and w <r, e_l * f * e_k> at row k, column l of their
-      (rotation i, rotation j) block.
-    - REL_TRANSLATION, R_j R(qexp(e_j)) (d + dt_i - dt_j) with d = t_i - t_j:
-      with u = w R_j^T r, -2 (d u^T + u d^T - 2 <u, d> I_3) in pose j's
+    residuals and (hemisphere-flipped) observables, and v = w r. To second
+    order qexp(e) = (1 - |e|^2 / 2, e) and R(qexp(e)) = I + 2 [e]x + 2 [e]x^2:
+    - rotation, f * qexp(e_i): <v, f> I_3 in pose i's rotation block; a
+      relative one, qexp(-e_j) * f * qexp(e_i), adds the same in pose j's and
+      <v, e_l * f * e_k> at row k, column l of their (rotation i, rotation j) block.
+    - relative translation, R_j R(qexp(e_j)) (d + dt_i - dt_j) with d = t_i - t_j:
+      with u = R_j^T v, -2 (d u^T + u d^T - 2 <u, d> I_3) in pose j's
       rotation block, 2 [u]x in its (translation, rotation) block and the
       transpose in its (rotation, translation) block, and -2 [u]x in the
-      (translation i, rotation j) block.
-    - ABS_TRANSLATION is linear in the state and adds nothing.
+      (translation i, rotation j) block. Absolute translation is linear.
     """
-    m, w = r.shape[1], b.weight
-    if b.kind is ConstraintKind.ABS_ROTATION:
-        diag[:, :m, _ROT, _ROT] += w * np.sum(r * f, axis=-1, keepdims=True)
-    elif b.kind is ConstraintKind.REL_ROTATION:
-        along = w * np.sum(r * f, axis=-1, keepdims=True)
-        diag[:, :m, _ROT, _ROT] += along
+    m, v = r.shape[1], b.weight * r
+    along = np.sum(v[..., 3:] * f[..., 3:], axis=-1, keepdims=True)
+    diag[:, :m, _ROT, _ROT] += along
+    if b.kind is ConstraintKind.RELATIVE:
         diag[:, 1:m + 1, _ROT, _ROT] += along
-        # <r, e_l * f * e_k> = -<e_l * r, f * e_k>: e_l's left product is
+        # <v, e_l * f * e_k> = -<e_l * v, f * e_k>: e_l's left product is
         # orthogonal and conj(e_l) = -e_l
-        upper[:, :m, 3:, 3:] -= w * (_transpose(quat.dqmul_left(f)) @ quat.dqmul_right(r))
-    elif b.kind is ConstraintKind.REL_TRANSLATION:
-        u = w * quat.qrotate(quat.qinv(q[:, 1:m + 1]), r)
+        upper[:, :m, 3:, 3:] -= (_transpose(quat.dqmul_left(f[..., 3:]))
+                                 @ quat.dqmul_right(v[..., 3:]))
+        u = quat.qrotate(quat.qinv(q[:, 1:m + 1]), v[..., :3])
         d = t[:, :m] - t[:, 1:m + 1]
         ud = u[..., :, None] * d[..., None, :]
         skew = np.cross(np.eye(3), u[..., None, :])  # [u]x: row k is e_k x u

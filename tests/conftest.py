@@ -61,24 +61,51 @@ def window_graph(t, q, vo_t, vo_q):
                               np.reshape(vo_q, (1, -1, 4)))
 
 
-def single_block(kind, observation, weight):
-    """One constraint of kind on pose 0 (seen from pose 1 if relative) of one window."""
-    return Block(kind, np.asarray(observation, dtype=float)[None, None], weight)
+def single_block(kind, t, q, t_weight, q_weight):
+    """One constraint of kind on pose 0 (seen from pose 1 if relative) of one
+    window: observation (t, q), translation rows weighted t_weight and
+    rotation rows q_weight."""
+    return Block(kind, np.concatenate([t, q]).astype(float)[None, None],
+                 np.repeat([t_weight, q_weight], [3, 4]).astype(float))
+
+
+# the residual rows, and the block, that each part of a pose constraint
+# covers: its translation or its rotation, absolute or relative
+PARTS = {"abs-t": (ConstraintKind.ABSOLUTE, slice(0, 3)),
+         "abs-r": (ConstraintKind.ABSOLUTE, slice(3, 7)),
+         "rel-t": (ConstraintKind.RELATIVE, slice(0, 3)),
+         "rel-r": (ConstraintKind.RELATIVE, slice(3, 7))}
+
+
+def reweighted(blocks, weights):
+    """blocks with the rows of each part in weights weighted weights[part]."""
+    out = []
+    for b in blocks:
+        w = b.weight.copy()
+        for part, value in weights.items():
+            kind, rows = PARTS[part]
+            if b.kind is kind:
+                w[rows] = value
+        out.append(b._replace(weight=w))
+    return out
+
+
+def only_parts(blocks, parts):
+    """blocks with every row outside parts weighted 0."""
+    return reweighted(blocks, {p: 0.0 for p in PARTS if p not in parts})
 
 
 def rotation_observables(kind, q):
     """The rotations a block of kind compares with its observations, raw."""
-    if kind is ConstraintKind.ABS_ROTATION:
+    if kind is ConstraintKind.ABSOLUTE:
         return q
     return quat.qmul(quat.qinv(q[:, 1:]), q[:, :-1])
 
 
 def near_sign_flip(b, q, margin=1e-2):
-    """Whether b is a rotation block whose first constraint lies within
-    margin of the sign rule's flip boundary <f, obs> = 0 at the state q."""
-    if b.kind not in (ConstraintKind.ABS_ROTATION, ConstraintKind.REL_ROTATION):
-        return False
-    return abs(rotation_observables(b.kind, q)[0, 0] @ b.obs[0, 0]) < margin
+    """Whether b's first constraint lies within margin of the sign rule's
+    flip boundary <f, obs> = 0 at the state q."""
+    return abs(rotation_observables(b.kind, q)[0, 0] @ b.obs[0, 0, 3:]) < margin
 
 
 def perturb_state(t, q, dz):

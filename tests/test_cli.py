@@ -427,6 +427,37 @@ class TestEval:
         assert not report.exists()
 
 
+@pytest.mark.parametrize("command, option, other", [
+    ("simulate", "--out-gt", "--out-abs"),
+    ("simulate", "--out-gt", "--out-vo"),
+    ("simulate", "--out-abs", "--out-vo"),
+    ("fuse", "--out", "--abs"),
+    ("fuse", "--out", "--vo"),
+    ("eval", "--out-report", "--est"),
+    ("eval", "--out-report", "--gt"),
+], ids=lambda v: v.lstrip("-"))
+def test_colliding_paths_are_usage_error(tmp_path, capsys, command, option, other):
+    # an output written over another output or over an input lost the
+    # ground truth, or let eval report 0 m against itself
+    (tmp_path / "in").mkdir()
+    gt, abs_path, vo = _simulate(tmp_path / "in", README_NOISE)
+    paths = {
+        "simulate": {"--out-gt": tmp_path / "g", "--out-abs": tmp_path / "a",
+                     "--out-vo": tmp_path / "v"},
+        "fuse": {"--abs": abs_path, "--vo": vo, "--out": tmp_path / "o"},
+        "eval": {"--est": abs_path, "--gt": gt, "--out-report": tmp_path / "r"},
+    }[command]
+    # the same file, spelled another way
+    paths[option] = paths[other].parent / ".." / paths[other].parent.name / paths[other].name
+    inputs = {p: p.read_bytes() for p in (gt, abs_path, vo)}
+    argv = [command, *(str(a) for pair in paths.items() for a in pair)]
+    assert main(argv + (["--frames", "50"] if command == "simulate" else [])) == USAGE_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"{command}: {option} and {other} name the same file: {paths[option]}"]
+    assert {p: p.read_bytes() for p in inputs} == inputs
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
 class TestExitCodes:
     def test_numerical_error_code_is_distinct(self):
         assert {0, USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR} == {0, 2, 3, 4}

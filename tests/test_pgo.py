@@ -18,9 +18,10 @@ from posefusion.pgo import (
 )
 from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
 
-from conftest import (chain_vo, fd_jacobian, linearize, objective, perturb_state, random_poses,
-                      random_unit_quat, rotation_observables, safe_random_poses, single_block,
-                      stack_poses, window_graph)
+from conftest import (PARTS, chain_vo, fd_jacobian, linearize, objective, only_parts,
+                      perturb_state, random_poses, random_unit_quat, reweighted,
+                      rotation_observables, safe_random_poses, single_block, stack_poses,
+                      window_graph)
 
 
 class TestPgoConfig:
@@ -49,20 +50,24 @@ class TestPgoConfig:
 
 class TestBuildWindowGraph:
     def test_counts(self, rng):
-        for T, expected in [(2, 6), (7, 26)]:
+        for T, expected in [(2, 3), (7, 13)]:
             t, q = random_poses(rng, T)
             blocks = window_graph(t, q, *chain_vo(t, q))
+            assert [b.kind for b in blocks] == list(ConstraintKind)
             assert sum(b.obs.shape[1] for b in blocks) == expected
+            assert all(b.obs.shape[2] == 7 for b in blocks)
 
-    def test_covariances(self, rng):
+    def test_covariances(self, rng, monkeypatch):
         t, q = random_poses(rng, 3)
         for b in window_graph(t, q, *chain_vo(t, q)):
-            # the weight is the square root of the kind's information: 1 for
+            # each row's weight is the square root of its information: 1 for
             # translations, 10 for rotations
-            if b.kind in (ConstraintKind.ABS_TRANSLATION, ConstraintKind.REL_TRANSLATION):
-                assert b.weight == 1.0
-            else:
-                assert b.weight == pgo.ROT_WEIGHT == np.sqrt(10.0)
+            assert b.weight.tolist() == [1.0] * 3 + [pgo.ROT_WEIGHT] * 4
+            assert pgo.ROT_WEIGHT == np.sqrt(10.0)
+        # ROT_WEIGHT is read when the graph is built
+        monkeypatch.setattr(pgo, "ROT_WEIGHT", 1e-6)
+        for b in window_graph(t, q, *chain_vo(t, q)):
+            assert b.weight.tolist() == [1.0] * 3 + [1e-6] * 4
 
     def test_length_mismatch(self, rng):
         t, q = random_poses(rng, 3)
@@ -89,22 +94,39 @@ class TestResidualAndJacobian:
 
     def test_identity_covariance_whitening_noop(self, rng):
         t, q = safe_random_poses(rng, 1)
-        b = single_block(ConstraintKind.ABS_TRANSLATION, rng.normal(size=3), 1.0)
+        b = single_block(ConstraintKind.ABSOLUTE, rng.normal(size=3), random_unit_quat(rng),
+                         1.0, 1.0)
         r, _ = linearize([b], t[None], q[None])
-        assert np.allclose(r[0], b.obs[0, 0] - t[0])
+        assert np.allclose(r[0], b.obs[0, 0] - np.append(t[0], pgo._toward(q[0], b.obs[0, 0, 3:])))
 
-    def test_relative_observables_are_relative_pose(self, rng):
+    def test_relative_observables_are_relative_pose(self, rng, monkeypatch):
         W, T = 4, 6
         t = rng.normal(size=(W, T, 3))
         q = rng.normal(size=(W, T, 4))
         q /= np.linalg.norm(q, axis=-1, keepdims=True)
-        obs_t, obs_q = rng.normal(size=(W, T - 1, 3)), rng.normal(size=(W, T - 1, 4))
-        rel_t, rel_q = relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:])
-        f = pgo._linearize_block(pgo.Block(ConstraintKind.REL_TRANSLATION, obs_t, 1.0), t, q)[3]
-        assert np.array_equal(f, rel_t)
-        f = pgo._linearize_block(pgo.Block(ConstraintKind.REL_ROTATION, obs_q, 1.0), t, q)[3]
-        assert np.array_equal(f, pgo._toward(rel_q, obs_q))
-        assert not np.array_equal(f, rel_q)  # some observables were flipped
+        obs = rng.normal(size=(W, T - 1, 7))
+        calls = []
+
+        def counted(*poses):
+            calls.append(relative_pose(*poses))
+            return calls[-1]
+
+        monkeypatch.setattr(pgo, "relative_pose", counted)
+        f = pgo._linearize_block(pgo.Block(ConstraintKind.RELATIVE, obs, np.ones(7)), t, q)[3]
+        # one call per linearization, of poses i and i + 1, and both its halves are f
+        assert len(calls) == 1
+        rel_t, rel_q = calls[0]
+        expected_t, expected_q = relative_pose(t[:, :-1], q[:, :-1], t[:, 1:], q[:, 1:])
+        assert np.array_equal(rel_t, expected_t) and np.array_equal(rel_q, expected_q)
+        assert np.array_equal(f[..., :3], rel_t)
+        assert np.array_equal(f[..., 3:], pgo._toward(rel_q, obs[..., 3:]))
+        assert not np.array_equal(f[..., 3:], rel_q)  # some observables were flipped
+        # an absolute observable is the pose itself
+        f = pgo._linearize_block(pgo.Block(ConstraintKind.ABSOLUTE, obs, np.ones(7)), t[:, :-1],
+                                 q[:, :-1])[3]
+        assert len(calls) == 1
+        assert np.array_equal(f, np.concatenate([t[:, :-1], pgo._toward(q[:, :-1], obs[..., 3:])],
+                                                axis=-1))
 
 
 def half_turn_window(rng):
@@ -124,23 +146,20 @@ def half_turn_window(rng):
 
 
 class TestRotationSign:
-    ROTATION_KINDS = [ConstraintKind.ABS_ROTATION, ConstraintKind.REL_ROTATION]
-
-    @pytest.mark.parametrize("kind", ROTATION_KINDS)
+    @pytest.mark.parametrize("kind", list(ConstraintKind))
     def test_residual_takes_the_observations_hemisphere(self, rng, kind):
         blocks, t, q = half_turn_window(rng)
         b = blocks[list(ConstraintKind).index(kind)]
-        f = rotation_observables(kind, q)
+        f, obs = rotation_observables(kind, q), b.obs[..., 3:]
         # the premise: canonicalization would compare opposite hemispheres
-        assert np.any(np.sum(quat.canonicalize(f) * quat.canonicalize(b.obs), axis=-1) < 0)
-        r = linearize([b], t, q)[0]
-        nearest = np.minimum(np.linalg.norm(b.obs - f, axis=-1),
-                             np.linalg.norm(b.obs + f, axis=-1))
-        assert np.allclose(np.linalg.norm(r.reshape(nearest.shape + (4,)), axis=-1),
-                           b.weight * nearest, rtol=1e-12, atol=0)
+        assert np.any(np.sum(quat.canonicalize(f) * quat.canonicalize(obs), axis=-1) < 0)
+        r = linearize([b], t, q)[0].reshape(f.shape[:-1] + (7,))
+        nearest = np.minimum(np.linalg.norm(obs - f, axis=-1), np.linalg.norm(obs + f, axis=-1))
+        assert np.allclose(np.linalg.norm(r[..., 3:], axis=-1), b.weight[3] * nearest,
+                           rtol=1e-12, atol=0)
         assert np.max(nearest) < 0.2
 
-    @pytest.mark.parametrize("kind", ROTATION_KINDS)
+    @pytest.mark.parametrize("kind", list(ConstraintKind))
     def test_jacobian_matches_finite_differences_across_hemispheres(self, rng, kind):
         blocks, t, q = half_turn_window(rng)
         b = blocks[list(ConstraintKind).index(kind)]
@@ -148,7 +167,7 @@ class TestRotationSign:
         fd = fd_jacobian([b], t, q)
         assert np.max(np.abs(jac[0] - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-5
 
-    @pytest.mark.parametrize("kind", ROTATION_KINDS)
+    @pytest.mark.parametrize("kind", list(ConstraintKind))
     def test_residual_is_the_same_for_q_and_minus_q(self, rng, kind):
         blocks, t, q = noisy_window_stack(rng, 5)
         b = blocks[list(ConstraintKind).index(kind)]
@@ -157,9 +176,11 @@ class TestRotationSign:
         r_flipped = linearize([b], t, signs * q)[0]
         assert np.array_equal(r_flipped, r)
         assert np.array_equal(r_flipped, linearize([b], t, -q)[0])
-        # a negated observation negates the residual, so E is unchanged
-        r_obs = linearize([b._replace(obs=-b.obs)], t, q)[0]
-        assert np.array_equal(r_obs, -r)
+        # a negated rotation observation negates the rotation residual, so E
+        # is unchanged
+        negated = np.repeat([1.0, -1.0], [3, 4])
+        r_obs = linearize([b._replace(obs=negated * b.obs)], t, q)[0]
+        assert np.array_equal(r_obs, (negated * r.reshape(len(r), -1, 7)).reshape(r.shape))
 
 
 class TestGaussNewton:
@@ -208,42 +229,41 @@ class TestGaussNewton:
         # relative constraints only: the global gauge is unobservable
         t, q = safe_random_poses(rng, 2)
         blocks = [b for b in window_graph(t, q, *chain_vo(t, q))
-                  if b.kind in (ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION)]
+                  if b.kind is ConstraintKind.RELATIVE]
         with pytest.raises(RankDeficientError) as err:
             gauss_newton_solve(blocks, t[None] + 0.1, q[None])
         assert len(err.value.columns) > 0
 
     @staticmethod
-    def _straight_chain(kinds, weights=None):
-        """The blocks of kinds on a T=4 chain along x with identity rotations,
-        weights[kind] replacing a kind's weight, and the chain's poses."""
+    def _straight_chain(parts, weights=None):
+        """The blocks on a T=4 chain along x with identity rotations, the rows
+        outside parts (see conftest.PARTS) weighted 0 and those of each part
+        in weights weighted weights[part], and the chain's poses."""
         T = 4
         t = np.zeros((T, 3))
         t[:, 0] = np.arange(T)
         q = np.tile(quat.IDENTITY, (T, 1))
-        blocks = [b._replace(weight=(weights or {}).get(b.kind, b.weight))
-                  for b in window_graph(t, q, *chain_vo(t, q)) if b.kind in kinds]
+        blocks = reweighted(only_parts(window_graph(t, q, *chain_vo(t, q)), parts), weights or {})
         return blocks, t[None], q[None]
 
-    def _straight_chain_columns(self, kinds):
-        """Columns RankDeficientError names for the blocks of kinds on the
+    def _straight_chain_columns(self, parts):
+        """Columns RankDeficientError names for the rows of parts on the
         straight chain."""
-        blocks, t, q = self._straight_chain(kinds)
+        blocks, t, q = self._straight_chain(parts)
         with pytest.raises(RankDeficientError) as err:
             gauss_newton_solve(blocks, t + 0.1, q)
         return err.value
 
-    @pytest.mark.parametrize("kinds, columns", [
+    @pytest.mark.parametrize("parts, columns", [
         # no rotation observed: every rotation column
-        ((ConstraintKind.ABS_TRANSLATION,), [3, 4, 5, 9, 10, 11, 15, 16, 17, 21, 22, 23]),
+        (("abs-t",), [3, 4, 5, 9, 10, 11, 15, 16, 17, 21, 22, 23]),
         # rel-t turns along x: it sees pitch and yaw of its observer poses 1-3, never roll
-        ((ConstraintKind.ABS_TRANSLATION, ConstraintKind.REL_TRANSLATION),
-         [3, 4, 5, 9, 15, 21]),
+        (("abs-t", "rel-t"), [3, 4, 5, 9, 15, 21]),
         # no absolute constraint: the gauge moves every column
-        ((ConstraintKind.REL_TRANSLATION, ConstraintKind.REL_ROTATION), list(range(24))),
-    ])
-    def test_rank_deficiency_names_every_unobserved_column(self, kinds, columns):
-        err = self._straight_chain_columns(kinds)
+        (("rel-t", "rel-r"), list(range(24))),
+    ], ids=["abs-t", "abs-t+rel-t", "rel-t+rel-r"])
+    def test_rank_deficiency_names_every_unobserved_column(self, parts, columns):
+        err = self._straight_chain_columns(parts)
         assert err.columns == columns
         assert all(type(c) is int for c in err.columns)
         assert str(columns) in str(err)
@@ -253,15 +273,14 @@ class TestGaussNewton:
         # eigenvalues of about 6e-15 along the translation gauge and 4e-10 to
         # 7e-10 along the rotation gauge, between MIN_PIVOT_RATIO^2 and
         # MIN_PIVOT_RATIO, so only the translation columns are named
-        weights = {ConstraintKind.ABS_TRANSLATION: 1e-7, ConstraintKind.ABS_ROTATION: 1e-4}
-        blocks, t, q = self._straight_chain(list(ConstraintKind), weights)
+        blocks, t, q = self._straight_chain(list(PARTS), {"abs-t": 1e-7, "abs-r": 1e-4})
         with pytest.raises(RankDeficientError) as err:
             pgo._gn_step(blocks, t + 0.1, q)
         assert err.value.columns == [0, 1, 2, 6, 7, 8, 12, 13, 14, 18, 19, 20]
 
     def test_rank_deficiency_needs_no_scipy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy", None)
-        err = self._straight_chain_columns((ConstraintKind.ABS_TRANSLATION,))
+        err = self._straight_chain_columns(("abs-t",))
         assert err.columns == [3, 4, 5, 9, 10, 11, 15, 16, 17, 21, 22, 23]
 
     def test_non_finite_step_raises(self, rng):
@@ -269,7 +288,7 @@ class TestGaussNewton:
         for bad in (np.nan, np.inf):
             blocks = window_graph(t, q, *chain_vo(t, q))
             obs = blocks[0].obs.copy()  # absolute translation of pose 0
-            obs[0, 0] = [bad, 0.0, 0.0]
+            obs[0, 0, :3] = [bad, 0.0, 0.0]
             blocks[0] = blocks[0]._replace(obs=obs)
             with pytest.raises(np.linalg.LinAlgError):
                 gauss_newton_solve(blocks, t[None], q[None])
@@ -357,7 +376,7 @@ def first_step_state(rng, T, outlier=False):
     blocks, t, q = noisy_window_stack(rng, T)
     if outlier:
         obs = blocks[0].obs.copy()
-        obs[1, T // 2] += 30.0
+        obs[1, T // 2, :3] += 30.0
         blocks[0] = blocks[0]._replace(obs=obs)
     return (blocks, *perturb_state(t, q, pgo._gn_step(blocks, t, q)))
 
@@ -378,18 +397,20 @@ def solved_blocks(blocks, t, q, exact, monkeypatch):
 
 
 class TestExactHessian:
-    @pytest.mark.parametrize("kind", list(ConstraintKind))
+    @pytest.mark.parametrize("part", list(PARTS))
     @pytest.mark.parametrize("T, outlier", [(2, False), (3, False), (7, False), (7, True)])
-    def test_blocks_match_finite_difference_hessian(self, rng, monkeypatch, kind, T, outlier):
+    def test_blocks_match_finite_difference_hessian(self, rng, monkeypatch, part, T, outlier):
         blocks, t, q = first_step_state(rng, T, outlier)
-        b = [blocks[list(ConstraintKind).index(kind)]]
+        # the rows of one part of one block: the others weighted 0
+        kind, _ = PARTS[part]
+        b = only_parts([blocks[list(ConstraintKind).index(kind)]], (part,))
         diag, upper = solved_blocks(b, t, q, True, monkeypatch)
         _, fd_diag, fd_upper = pose_blocks(fd_hessian(b, t, q))
         scale = np.max(np.abs(fd_diag))
         assert np.max(np.abs(diag - fd_diag)) / scale < 1e-5
         assert np.max(np.abs(upper - fd_upper)) / scale < 1e-5
         gn_diag, gn_upper = solved_blocks(b, t, q, False, monkeypatch)
-        if kind is ConstraintKind.ABS_TRANSLATION:
+        if part == "abs-t":
             # linear in the state: the exact Hessian is J^T J
             assert np.array_equal(diag, gn_diag) and np.array_equal(upper, gn_upper)
         else:
@@ -433,8 +454,8 @@ class TestBlockCholesky:
         # MIN_PIVOT_RATIO of the largest, but every pivot stays near the root
         # of its own diagonal entry, so the window is trusted
         blocks, t, q = noisy_window_stack(rng, 3, n_win=2)
-        for k in (1, 3):
-            blocks[k] = blocks[k]._replace(weight=1e8 * blocks[k].weight)
+        heavy = 1e8 * pgo.ROT_WEIGHT
+        blocks = reweighted(blocks, {"abs-r": heavy, "rel-r": heavy})
         h, g = dense_normal_equations(blocks, t, q)
         _, diag, upper = pose_blocks(h)
         _, piv, ok = pgo._block_cholesky_solve(diag, upper, g.reshape(2, 3, 6))
@@ -454,7 +475,7 @@ class TestBlockCholesky:
         # gauge is observed only through them, its block step is no longer
         # accurate, and no pivot ratio of J^T J says otherwise
         blocks, t, q = noisy_window_stack(rng, 3, n_win=2)
-        blocks[0] = blocks[0]._replace(weight=1e-7 * blocks[0].weight)
+        blocks = reweighted(blocks, {"abs-t": 1e-7})
         h, g = dense_normal_equations(blocks, t, q)
         _, diag, upper = pose_blocks(h)
         _, _, ok = pgo._block_cholesky_solve(diag, upper, g.reshape(2, 3, 6))
