@@ -380,9 +380,9 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray):
     Each iteration takes one _gn_step per window, then applies the manifold
     update. A window's first step, from its starting state, is a
     Gauss-Newton step; every later one uses the exact Hessian, which
-    converges quadratically near the optimum. (Exact steps from the
-    absolute poses can leave the Gauss-Newton basin: on one window of a
-    k=150 loop they ended 145 degrees from its Gauss-Newton result.) Every
+    converges quadratically near the optimum. (From the absolute poses of
+    k=150 loops H is often indefinite: exact first steps reach the same
+    optimum, but over half are untrusted and windows take more steps.) Every
     window iterates until its own step norm drops below STEP_TOL or it has
     taken PgoConfig.max_iters steps; windows still iterating are linearized
     together, FUSE_BATCH at a time. Returns the final t and q, and per

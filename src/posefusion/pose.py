@@ -7,10 +7,11 @@ quaternion q (..., 4) too: pose i seen from pose j is
 way, so relative poses do not chain: composing i-from-j with j-from-k
 misses i-from-k (ROADMAP item 15). Every function here takes such arrays
 with leading batch axes. A Trajectory holds n timestamped poses as
-t (n, 3) and q (n, 4), checked in bulk and kept as read-only copies.
-Per-frame VO is a Trajectory of relative poses; only its file format, in
-trajio, stores their rotations as logs. The timestamp rule that trajio's
-readers share is stated once here: a mask function and its message.
+t (n, 3) and q (n, 4), checked in bulk and kept as read-only copies, q with
+the signs it is given: q and -q are one rotation, and only trajio's writers
+pick a sign. Per-frame VO is a Trajectory of relative poses; only its file
+format, in trajio, stores their rotations as logs. The timestamp rule that
+trajio's readers share is stated once here: a mask function and its message.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class Trajectory:
 
     Construction checks, over the whole arrays at once, that every value
     is finite, every quaternion unit-norm (quat.check_unit) and the
-    timestamps strictly increasing; quaternions are then canonicalized.
+    timestamps strictly increasing; q keeps the signs it is given.
     """
 
     timestamps: np.ndarray
@@ -67,12 +68,8 @@ class Trajectory:
         if not_increasing(ts).any():
             raise ValueError(NOT_INCREASING_ERROR)
         quat.check_unit(q)
-        # q first: its temporaries are freed before the copies of ts and t
-        q = quat.canonicalize(q)  # a new array: read-only without a copy
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "timestamps", _freeze(ts))
-        object.__setattr__(self, "t", _freeze(t))
+        for name, a in (("timestamps", ts), ("t", t), ("q", q)):
+            object.__setattr__(self, name, _freeze(a))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -100,20 +97,18 @@ def integrate(t0, q0, vo: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Integrate per-frame VO forward from the start pose (t0 (3,), q0 (4,)).
 
     vo holds m relative poses, row r being frame r seen from frame r + 1
-    (translation d_r, rotation p_r). Returns t (m + 1, 3) and canonical
-    q (m + 1, 4), row 0 being the start: q_{r+1} = q_r * p_r^-1 and
-    t_{r+1} = t_r - R(q_{r+1})^-1 d_r.
+    (translation d_r, rotation p_r). Returns t (m + 1, 3) and q (m + 1, 4),
+    row 0 being the start: q_{r+1} = q_r * p_r^-1, with the sign that
+    product gives, and t_{r+1} = t_r - R(q_{r+1})^-1 d_r.
     """
     # Only the rotations form a sequential chain. It runs on Python floats
     # through quat._hamilton, qmul's formula on one row, BLOCK_ROWS rows at a
-    # time into the preallocated output. Negating a factor negates the product
-    # exactly, so canonicalizing each block as it is stored gives the rows
-    # that canonicalizing every step would. Translations subtract the rotated
+    # time into the preallocated output. Translations subtract the rotated
     # steps one after another, in the order of the chain, carried from block
     # to block; a cumsum would re-associate the sum.
     m = len(vo)
     t, q = np.empty((m + 1, 3)), np.empty((m + 1, 4))
-    t[0], q[0] = t0, quat.canonicalize(q0)
+    t[0], q[0] = t0, q0
     row = np.asarray(q0, dtype=float).tolist()
     for lo in range(0, m, BLOCK_ROWS):
         rows = []
@@ -121,7 +116,7 @@ def integrate(t0, q0, vo: Trajectory) -> tuple[np.ndarray, np.ndarray]:
             row = quat._hamilton(row, step)
             rows.append(row)
         block = slice(lo + 1, lo + 1 + len(rows))
-        q[block] = quat.canonicalize(np.array(rows))
+        q[block] = rows
         steps = quat.qrotate(quat.qinv(q[block]), vo.t[lo:lo + BLOCK_ROWS])
         t[block] = np.subtract.accumulate(np.concatenate((t[lo:lo + 1], steps)), axis=0)[1:]
     return t, q

@@ -10,12 +10,13 @@ log/exp maps use the half-angle form
     log q = (v / |v|) atan2(|v|, u),      exp w = (cos |w|, (w / |w|) sin |w|)
 
 so exp(w) rotates by an angle of 2*|w| about w. Each job has one helper:
-row_norm is the Euclidean norm, canonicalize the sign convention of stored
-rows (scalar part >= 0) and qrotate the rotation of vectors, also of the
-basis vectors that give the pose-graph solver its rotation matrices; its
-rotation Jacobians are built from dqmul_left and dqmul_right. The Hamilton
-product is written out once, in _hamilton; qmul, pose.integrate and the
-constant coefficients of the linear maps dqmul_left and dqmul_right use it.
+row_norm is the Euclidean norm, canonicalize the sign rule (scalar part
+>= 0) of qlog's chart and of trajectory files, q and -q being one rotation,
+and qrotate the rotation of vectors, also of the basis vectors that give
+the pose-graph solver its rotation matrices; its rotation Jacobians are
+built from dqmul_left and dqmul_right. The Hamilton product is written out
+once, in _hamilton; qmul, pose.integrate and the constant coefficients of
+the linear maps dqmul_left and dqmul_right use it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ comment lines are not read.
 Both read into a Trajectory, VO as relative poses (see pose.integrate).
 The VO file is the one place that stores rotations as logs: read_vo
 exponentiates them and write_vo takes the logs, BLOCK_ROWS rows at a time.
+Quaternion sign is a file rule: readers keep the signs a file gives,
+write_trajectory stores u >= 0 and write_vo's logs lie in qlog's chart.
 Values are written with 17 significant digits, so a file's numbers read
 back exactly; exp and log each round, so a VO rotation need not. Readers
 reject NaN and inf and apply pose's timestamp rule, with its message. Two
@@ -163,7 +165,8 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    _write_table(path, "timestamp tx ty tz qu qv1 qv2 qv3", traj, lambda q: q)
+    """Write traj, each quaternion row as quat.canonicalize(q) gives it: u >= 0."""
+    _write_table(path, "timestamp tx ty tz qu qv1 qv2 qv3", traj, quat.canonicalize)
 
 
 def read_vo(path, *, timestamps=None) -> Trajectory:

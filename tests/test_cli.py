@@ -387,6 +387,20 @@ class TestFuse:
                      "--out", str(tmp_path / "o"), "--spacing", "10"]) == DATA_ERROR
         assert f"{path}:{lineno}:" in capsys.readouterr().err
 
+    # the sign of q is a file rule: the writer stores u >= 0 whatever the
+    # input's signs, with and without the median filter
+    @pytest.mark.parametrize("median", [[], ["--median-window", "51"]], ids=["plain", "median"])
+    def test_negated_abs_quaternions_give_the_same_bytes(self, tmp_path, median):
+        gt, abs_path, vo = _simulate(tmp_path, README_NOISE, frames=200)
+        table = np.loadtxt(abs_path)
+        table[:, 4:] *= -1.0
+        flipped = tmp_path / "flipped.txt"
+        np.savetxt(flipped, table, fmt="%.17g")
+        args = ["fuse", "--vo", str(vo), "--spacing", "10", *median]
+        assert main([*args, "--abs", str(abs_path), "--out", str(tmp_path / "f1.txt")]) == 0
+        assert main([*args, "--abs", str(flipped), "--out", str(tmp_path / "f2.txt")]) == 0
+        assert (tmp_path / "f1.txt").read_bytes() == (tmp_path / "f2.txt").read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path):
         gt, abs_path, vo = _simulate(
             tmp_path, ["--abs-t-sigma", "0.3", "--vo-t-bias", "0.01"], frames=100)

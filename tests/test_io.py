@@ -31,6 +31,20 @@ class TestTrajectoryFormat:
         assert np.max(np.abs(back.t - traj.t)) < 1e-12
         assert np.max(np.abs(back.q - traj.q)) < 1e-12
 
+    def test_writer_stores_the_nonnegative_scalar_sign(self, tmp_path):
+        # negative scalar parts, and zero ones with a negative first nonzero
+        # component: the rows canonicalize's tie-break flips
+        q = np.array([[-0.6, 0.0, 0.8, 0.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -0.6, 0.8],
+                      [0.0, 0.0, 0.0, -1.0], [0.0, 0.6, -0.8, 0.0], [0.6, -0.8, 0.0, 0.0]])
+        traj = Trajectory(np.arange(6.0), np.zeros((6, 3)), q)
+        assert np.array_equal(traj.q, q)  # the trajectory keeps them as given
+        path = tmp_path / "traj.txt"
+        write_trajectory(traj, path)
+        assert path.read_text() == _one_shot_text(
+            "timestamp tx ty tz qu qv1 qv2 qv3", [traj.timestamps, traj.t, quat.canonicalize(q)])
+        back = read_trajectory(path)
+        assert np.all(back.q[:, 0] >= 0.0) and np.array_equal(back.q, quat.canonicalize(q))
+
     def test_comment_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n\n# still nothing\n")
@@ -103,7 +117,8 @@ class TestVoFormat:
     @pytest.mark.parametrize("n, t0", [(30, 0.5), (40, 0.0), (BLOCK_ROWS + 3, 0.5)])
     def test_round_trip(self, tmp_path, rng, n, t0):
         # log rotations of every norm up to pi: past pi/2, exp(w) has a
-        # negative scalar part and the reader canonicalizes it
+        # negative scalar part, which the reader keeps and write_vo's log
+        # takes to its chart, norms up to pi/2
         w = rng.normal(size=(n, 3))
         w *= rng.uniform(0.0, np.pi, size=(n, 1)) / np.linalg.norm(w, axis=1, keepdims=True)
         ts, t = np.arange(n, dtype=float) + t0, rng.normal(size=(n, 3))
@@ -111,7 +126,8 @@ class TestVoFormat:
         path.write_text(_one_shot_text(VO_HEADER, [ts, t, w]))
         vo = read_vo(path)
         assert np.array_equal(vo.timestamps, ts) and np.array_equal(vo.t, t)
-        assert np.array_equal(vo.q, quat.canonicalize(quat.qexp(w)))
+        assert np.array_equal(vo.q, quat.qexp(w))
+        assert np.any(vo.q[:, 0] < 0.0)
         # a write takes the logs again; exp then log need not give w back bit for bit
         write_vo(vo, tmp_path / "back.txt")
         assert (tmp_path / "back.txt").read_text() == _one_shot_text(
@@ -198,7 +214,7 @@ class TestVoFormat:
                 read_vo(path)
             assert str(exc.value) == f"{path}:3: log-quaternion norm exceeds pi"
         else:
-            assert np.array_equal(read_vo(path).q[1], quat.canonicalize(quat.qexp(w)))
+            assert np.array_equal(read_vo(path).q[1], quat.qexp(w))
 
     # the bound is on the norm of the whole row: each of these components is under pi
     @pytest.mark.parametrize("component, too_large", [(1.8, False), (1.82, True)])
@@ -353,7 +369,7 @@ class TestBulkReadMatchesLineByLine:
             rotation = rotation / quat.row_norm(rotation)[:, None]
         else:
             rotation = quat.qexp(rotation)
-        assert np.array_equal(back.q, quat.canonicalize(rotation))
+        assert np.array_equal(back.q, rotation)
 
     def _lines(self, count, rows=3):
         return [self.GOOD[count].format(ts=i) for i in range(rows)]
@@ -476,8 +492,10 @@ class TestBlockWrites:
     def test_bytes_match_one_shot_format(self, tmp_path, rng, n):
         traj = _trajectory(rng, n)
         write_trajectory(traj, tmp_path / "traj.txt")
+        # the file rule: the trajectory keeps its rows' signs, the file stores u >= 0
         assert (tmp_path / "traj.txt").read_text() == _one_shot_text(
-            "timestamp tx ty tz qu qv1 qv2 qv3", [traj.timestamps, traj.t, traj.q])
+            "timestamp tx ty tz qu qv1 qv2 qv3",
+            [traj.timestamps, traj.t, quat.canonicalize(traj.q)])
         write_vo(traj, tmp_path / "vo.txt")  # traj's poses as relative ones
         assert (tmp_path / "vo.txt").read_text() == _one_shot_text(
             VO_HEADER, [traj.timestamps, traj.t, quat.qlog(traj.q)])

@@ -5,11 +5,10 @@ outputs it holds no whole-sequence temporaries. tracemalloc traces numpy's
 buffers as well as Python objects. Each bound was about 1.2 times what the
 blocked code took when it was set. Reading, integrating and carrying the whole sequence at
 once took 340-420 bytes per frame in every one of these stages. Building a
-Trajectory keeps 64 bytes per frame, one copy of its arrays; it
-canonicalizes q before it copies timestamps and t, so canonicalization's
-temporaries are gone by then and the copies are the peak (81 with them
-last). The median filter takes its windows a chunk at a time and peaks at
-163 bytes per frame at window 51. Reading a trajectory normalizes its
+Trajectory keeps 64 bytes per frame, one copy of its arrays, q with the
+signs it is given; its checks' temporaries are freed before the copies,
+which are the peak. The median filter takes its windows a chunk at a time
+and peaks at 163 bytes per frame at window 51. Reading a trajectory normalizes its
 quaternions in the table it parsed: 144 bytes per frame, against 168 with a
 normalized copy. Reading a VO file exponentiates its log rotations a block
 at a time into one (n, 4) array and frees its line numbers before it builds

@@ -4,9 +4,9 @@ The references are the per-pose loops the array code replaced: the
 `advance` chain of VO integration, the relative_pose + compose carry of
 off-grid frames, the per-window median filter, the step-by-step
 random-walk positions and the per-line error report with its list-built
-CDF. They run one row at a time on the same array functions,
-canonicalizing as the per-pose code did, and the array code keeps their
-arithmetic, so every comparison here is exact.
+CDF. They run one row at a time on the same array functions, keeping
+each quaternion's sign as the products give it, and the array code keeps
+their arithmetic, so every comparison here is exact, signs included.
 """
 
 import numpy as np
@@ -25,11 +25,11 @@ def advance(t_i, q_i, rel_t, rel_q):
     relative_pose(i, j)."""
     q_j = quat.qmul(q_i, quat.qinv(rel_q))
     t_j = t_i - quat.qrotate(quat.qinv(q_j), rel_t)
-    return t_j, quat.canonicalize(q_j)
+    return t_j, q_j
 
 
 def integrate_reference(t0, q0, vo):
-    out = [(t0, quat.canonicalize(q0))]
+    out = [(t0, q0)]
     for rel_t, rel_q in zip(vo.t, vo.q):
         out.append(advance(*out[-1], rel_t, rel_q))
     return out
@@ -47,8 +47,7 @@ def carry_reference(fused: Trajectory, vo_poses, k: int):
             out.append((fused.t[g], fused.q[g]))
             continue
         rel = relative_pose(*vo_poses[f], *vo_poses[g])
-        t, q = compose(fused.t[g], fused.q[g], *rel)
-        out.append((t, quat.canonicalize(q)))
+        out.append(compose(fused.t[g], fused.q[g], *rel))
     return out
 
 
@@ -106,7 +105,7 @@ def render_reference(report, per_frame, cdf):
 
 def _noisy_loop(n, seed, abs_r_sigma=5.0):
     # A closed loop turns through every heading, so yaw crosses 180 degrees
-    # and the canonical quaternion's scalar part passes through zero.
+    # and the quaternion's scalar part passes through zero.
     # A loop needs n >= 3 frames; below that, the first n of a 3-frame loop.
     gt = generate_trajectory("loop", max(n, 3), 0.1)
     gt = Trajectory(gt.timestamps[:n], gt.t[:n], gt.q[:n])

@@ -35,10 +35,14 @@ class TestTrajectoryType:
             with pytest.raises(ValueError):
                 Trajectory(*args)
 
-    def test_canonical_read_only_copies(self, rng):
+    def test_keeps_q_as_given_in_read_only_copies(self, rng):
         ts, t, q = _arrays(rng, 50)
+        # negative scalar parts, and zero ones with a negative first nonzero
+        # component: the rows canonicalize's tie-break would flip
+        q[:3] = [[-0.6, 0.0, 0.8, 0.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
         traj = Trajectory(ts, t, q)
-        assert np.array_equal(traj.q, quat.canonicalize(q)) and np.all(traj.q[:, 0] >= 0)
+        assert np.array_equal(traj.q, q) and np.array_equal(np.signbit(traj.q), np.signbit(q))
+        assert not np.array_equal(traj.q, quat.canonicalize(q))
         # the trajectory keeps its own copies
         ts[0], t[0, 0], q[0] = -1.0, 99.0, [0.0, 1.0, 0.0, 0.0]
         assert traj.timestamps[0] == 0.0 and traj.t[0, 0] != 99.0 and traj.q[0, 1] != 1.0
@@ -49,7 +53,8 @@ class TestTrajectoryType:
     def test_empty_and_single(self):
         assert len(Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4)))) == 0
         one = Trajectory([2.0], np.ones((1, 3)), -quat.IDENTITY[None])
-        assert np.array_equal(one.q, [quat.IDENTITY])
+        assert np.array_equal(one.q, [-quat.IDENTITY])
+        assert np.array_equal(np.signbit(one.q), np.signbit([-quat.IDENTITY]))
 
 
 @pytest.mark.parametrize("timestamps, mask", [
