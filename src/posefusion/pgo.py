@@ -441,7 +441,8 @@ def fuse_trajectory(abs_traj: Trajectory, vo: Trajectory, cfg: PgoConfig,
     frames off the grid are carried through by composing the nearest
     refined grid pose with the intermediate VO. The carry writes over the
     integrated VO once the window stack is freed, so beside its inputs a
-    fuse holds one per-frame pose array until the output copies it.
+    fuse holds one per-frame pose array. The output keeps it, frozen, and
+    shares abs_traj's timestamps.
     """
     n = len(abs_traj)
     if n < 2:
@@ -492,6 +493,7 @@ def fuse_trajectory(abs_traj: Trajectory, vo: Trajectory, cfg: PgoConfig,
         rel_t, rel_q = relative_pose(vo_t[off], vo_q[off], vo_t[grid[near]], vo_q[grid[near]])
         vo_t[off], vo_q[off] = compose(fused_t[near], fused_q[near], rel_t, rel_q)
     vo_t[grid], vo_q[grid] = fused_t, fused_q
+    vo_t.flags.writeable = vo_q.flags.writeable = False  # the output keeps them
     return Trajectory(abs_traj.timestamps, vo_t, vo_q)
 
 
@@ -556,4 +558,5 @@ def temporal_median_filter(traj: Trajectory, window: int) -> Trajectory:
         sums = inside @ _pairwise_angles(traj.q[frames])
         sums[~inside] = np.inf
         out_q[centre] = traj.q[frames[np.argmin(sums, axis=1)[row]]]
+    out_t.flags.writeable = out_q.flags.writeable = False  # the output keeps them
     return Trajectory(traj.timestamps, out_t, out_q)

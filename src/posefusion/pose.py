@@ -7,11 +7,15 @@ quaternion q (..., 4) too: pose i seen from pose j is
 way, so relative poses do not chain: composing i-from-j with j-from-k
 misses i-from-k (ROADMAP item 15). Every function here takes such arrays
 with leading batch axes. A Trajectory holds n timestamped poses as
-t (n, 3) and q (n, 4), checked in bulk and kept as read-only copies, q with
-the signs it is given: q and -q are one rotation, and only trajio's writers
-pick a sign. Per-frame VO is a Trajectory of relative poses; only its file
-format, in trajio, stores their rotations as logs. The timestamp rule that
-trajio's readers share is stated once here: a mask function and its message.
+t (n, 3) and q (n, 4), checked in bulk and kept read-only, q with the signs
+it is given: q and -q are one rotation, and only trajio's writers pick a
+sign. It keeps an array that is already read-only, float64 and owns its
+data, as the producers in pgo and trajio freeze theirs, and copies any
+other; a writeable view made before such an array was frozen could still
+write into it, and no producer keeps one. Per-frame VO is a Trajectory of
+relative poses; only its file format, in trajio, stores their rotations as
+logs. The timestamp rule that trajio's readers share is stated once here: a
+mask function and its message.
 """
 
 from __future__ import annotations
@@ -38,7 +42,11 @@ def not_increasing(timestamps: np.ndarray) -> np.ndarray:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only copy, so no caller can change a validated array."""
+    """The float64 array a, read-only, so no caller can change it once it is
+    validated: a itself when it is read-only and owns its data, else a
+    read-only copy. A writeable view taken before a was frozen still could."""
+    if a.flags.owndata and not a.flags.writeable:
+        return a
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
@@ -50,7 +58,9 @@ class Trajectory:
 
     Construction checks, over the whole arrays at once, that every value
     is finite, every quaternion unit-norm (quat.check_unit) and the
-    timestamps strictly increasing; q keeps the signs it is given.
+    timestamps strictly increasing; q keeps the signs it is given. Each
+    array is kept read-only, as given when it already is read-only, float64
+    and owns its data, else as a copy.
     """
 
     timestamps: np.ndarray

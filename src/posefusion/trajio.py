@@ -195,10 +195,11 @@ def read_vo(path, *, timestamps=None) -> Trajectory:
     if timestamps is not None and len(table) != len(expected):
         raise TrajectoryFormatError(path, int(linenos[min(len(expected), len(table))]),
                                     f"{len(table)} relative poses, expected {len(expected)}")
-    del linenos  # before the Trajectory's copies
+    del linenos  # before the Trajectory's copies of timestamps and t
     q = np.empty((len(table), 4))
     for lo in range(0, len(table), BLOCK_ROWS):
         q[lo:lo + BLOCK_ROWS] = quat.qexp(table[lo:lo + BLOCK_ROWS, 4:])
+    q.flags.writeable = False  # the Trajectory keeps q
     return Trajectory(table[:, 0], table[:, 1:4], q)
 
 

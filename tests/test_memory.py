@@ -5,22 +5,29 @@ outputs it holds no whole-sequence temporaries. tracemalloc traces numpy's
 buffers as well as Python objects. Each bound was about 1.2 times what the
 blocked code took when it was set. Reading, integrating and carrying the whole sequence at
 once took 340-420 bytes per frame in every one of these stages. Building a
-Trajectory keeps 64 bytes per frame, one copy of its arrays, q with the
-signs it is given; its checks' temporaries are freed before the copies,
-which are the peak. The median filter takes its windows a chunk at a time
-and peaks at 163 bytes per frame at window 51. Reading a trajectory normalizes its
+Trajectory from writeable arrays keeps 64 bytes per frame, one copy of its
+arrays, q with the signs it is given; its checks' temporaries are freed
+before the copies, which are the peak. It keeps arrays that are read-only,
+float64 and own their data, and then peaks at 24 bytes per frame, in the
+unit-norm check. fuse_trajectory, the median filter and read_vo freeze the
+arrays they build, so their Trajectory keeps them. The median filter takes
+its windows a chunk at a time and peaks at 106 bytes per frame at window
+51, against 146 when its Trajectory copied the arrays it built. Reading a trajectory normalizes its
 quaternions in the table it parsed: 144 bytes per frame, against 168 with a
 normalized copy. Reading a VO file exponentiates its log rotations a block
-at a time into one (n, 4) array and frees its line numbers before it builds
-the Trajectory: 152 bytes per frame, against 168 with a whole-table exp.
+at a time into one (n, 4) array, which the Trajectory keeps, and frees its
+line numbers before it builds the Trajectory: 128 bytes per frame, against
+168 with a whole-table exp and 152 with a copy of q.
 
 fuse_trajectory carries the off-grid frames into its integrated VO and frees
-the window stack and solver state before the carry: 124 bytes per frame at
-spacing 150 and 140 at spacing 10, against 204 and 323 with a separate
-output and the stack kept to the end. Windows start every T - 4 grid poses;
-with a window at every grid pose, spacing 10 took 213. The CLI fuse frees its inputs before
-the median filter and peaks at 255 bytes per frame, inside fuse_trajectory,
-against 353 when it kept them to the write.
+the window stack and solver state before the carry: 96 bytes per frame at
+spacing 150 and 153 at spacing 10, against 204 and 323 with a separate
+output and the stack kept to the end, and 125 at spacing 150 when the output
+copied the carried arrays. Windows start every T - 4 grid poses; with a
+window at every grid pose, spacing 10 took 213. The CLI fuse frees its
+inputs before the median filter and peaks at 227 bytes per frame, inside
+fuse_trajectory, against 353 when it kept them to the write and 256 when
+each Trajectory copied its arrays.
 """
 
 import tracemalloc
@@ -63,7 +70,7 @@ def test_read_trajectory(inputs):
 
 
 def test_read_vo(inputs):
-    assert _peak_bytes_per_frame(lambda: read_vo(inputs[1])) < 155
+    assert _peak_bytes_per_frame(lambda: read_vo(inputs[1])) < 154
 
 
 def test_integrate(inputs):
@@ -73,7 +80,7 @@ def test_integrate(inputs):
 
 def test_fuse_trajectory(inputs):
     abs_traj, vo = inputs[2:]
-    assert _peak_bytes_per_frame(lambda: fuse_trajectory(abs_traj, vo, PgoConfig())) < 170
+    assert _peak_bytes_per_frame(lambda: fuse_trajectory(abs_traj, vo, PgoConfig())) < 116
 
 
 def test_fuse_trajectory_spacing_10(inputs):
@@ -85,15 +92,21 @@ def test_fuse_trajectory_spacing_10(inputs):
 def test_cli_fuse(inputs, tmp_path):
     argv = ["fuse", "--abs", str(inputs[0]), "--vo", str(inputs[1]),
             "--out", str(tmp_path / "fused.txt"), "--median-window", "51"]
-    assert _peak_bytes_per_frame(lambda: main(argv)) < 315
+    assert _peak_bytes_per_frame(lambda: main(argv)) < 273
 
 
 def test_trajectory(inputs):
     abs_traj = inputs[2]
+    ts, t, q = (a.copy() for a in (abs_traj.timestamps, abs_traj.t, abs_traj.q))
+    assert _peak_bytes_per_frame(lambda: Trajectory(ts, t, q)) < 77
+
+
+def test_trajectory_keeps_frozen_arrays(inputs):
+    abs_traj = inputs[2]
     ts, t, q = abs_traj.timestamps, abs_traj.t, abs_traj.q
-    assert _peak_bytes_per_frame(lambda: Trajectory(ts, t, q)) < 97
+    assert _peak_bytes_per_frame(lambda: Trajectory(ts, t, q)) < 29
 
 
 def test_temporal_median_filter(inputs):
     abs_traj = inputs[2]
-    assert _peak_bytes_per_frame(lambda: temporal_median_filter(abs_traj, 51)) < 190
+    assert _peak_bytes_per_frame(lambda: temporal_median_filter(abs_traj, 51)) < 128

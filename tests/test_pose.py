@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from posefusion import quat
+from posefusion.pgo import PgoConfig, fuse_trajectory, temporal_median_filter
 from posefusion.pose import (
     Trajectory,
     compose,
@@ -9,6 +10,8 @@ from posefusion.pose import (
     relative_pose,
     rotation_error_deg,
 )
+from posefusion.sim import NoiseModel, corrupt_absolute, corrupt_vo, generate_trajectory
+from posefusion.trajio import read_vo, write_vo
 
 from conftest import random_pose, random_poses, random_unit_quat
 
@@ -17,6 +20,12 @@ def _arrays(rng, n):
     t = rng.normal(size=(n, 3))
     q = rng.normal(size=(n, 4))
     return np.arange(n, dtype=float), t, q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def _frozen(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
 
 
 class TestTrajectoryType:
@@ -49,6 +58,39 @@ class TestTrajectoryType:
         for a in (traj.timestamps, traj.t, traj.q):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_keeps_frozen_owned_float_arrays(self, rng):
+        ts, t, q = (_frozen(a) for a in _arrays(rng, 50))
+        traj = Trajectory(ts, t, q)
+        assert traj.timestamps is ts and traj.t is t and traj.q is q
+
+    @pytest.mark.parametrize("kind", ["writeable", "read-only view", "frombuffer", "int"])
+    def test_copies_every_other_input_read_only(self, rng, kind):
+        if kind == "int":
+            given = (np.arange(50), rng.integers(-5, 5, size=(50, 3)),
+                     np.tile([1, 0, 0, 0], (50, 1)))
+        else:
+            given = _arrays(rng, 50)
+        if kind == "read-only view":
+            given = tuple(_frozen(np.concatenate((a[:1], a)))[1:] for a in given)
+        elif kind == "frombuffer":
+            given = tuple(np.frombuffer(a.tobytes()).reshape(a.shape) for a in given)
+        traj = Trajectory(*given)
+        for kept, a in zip((traj.timestamps, traj.t, traj.q), given):
+            assert kept is not a and np.array_equal(kept, a) and kept.dtype == np.float64
+            assert kept.flags.owndata and not kept.flags.writeable
+
+    def test_producers_freeze_what_they_build(self, tmp_path):
+        gt = generate_trajectory("loop", 400, 0.1)
+        nm = NoiseModel(abs_t_sigma=0.5, abs_r_sigma=5, vo_t_sigma=0.01, seed=0)
+        abs_traj, vo = corrupt_absolute(gt, nm), corrupt_vo(gt, nm)
+        write_vo(vo, tmp_path / "vo.txt")
+        fused = fuse_trajectory(abs_traj, vo, PgoConfig(spacing_k=10))
+        smoothed = temporal_median_filter(fused, 51)
+        for out, source in ((fused, abs_traj), (smoothed, fused)):
+            assert out.timestamps is source.timestamps
+        for a in (fused.t, fused.q, smoothed.t, smoothed.q, read_vo(tmp_path / "vo.txt").q):
+            assert a.flags.owndata and not a.flags.writeable
 
     def test_empty_and_single(self):
         assert len(Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4)))) == 0

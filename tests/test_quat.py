@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,24 @@ class TestBatches:
             assert np.array_equal(quat.row_norm(x), expected)
             assert np.array_equal(quat.row_norm(x.reshape(40, 50, dim)).ravel(), expected)
             assert np.allclose(expected, np.linalg.norm(x, axis=-1), rtol=1e-15, atol=0.0)
+        # the bits of the sum of squares, added in component order
+        for shape in ((4,), (0, 4), (300, 3), (300, 4), (6, 50, 4)):
+            x = rng.normal(size=shape)
+            norm = quat.row_norm(x)
+            assert norm.shape == shape[:-1]
+            assert np.array_equal(norm, np.sqrt(sum([c * c for c in np.moveaxis(x, -1, 0)])))
+        assert type(quat.row_norm(rng.normal(size=4))) is np.float64
+
+    def test_row_norm_peaks_below_20_bytes_per_row(self, rng):
+        # one array of squares beside the component being squared: 16 bytes
+        x = rng.normal(size=(64000, 4))
+        tracemalloc.start()
+        try:
+            quat.row_norm(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(x) < 20
 
     def test_check_unit_rejects_any_bad_row(self):
         q = np.tile(quat.IDENTITY, (2, 3, 1))
