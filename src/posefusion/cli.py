@@ -9,6 +9,7 @@ import argparse
 import itertools
 import os
 import sys
+from dataclasses import fields
 
 from . import metrics, pgo, sim, trajio
 
@@ -27,12 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--shape", choices=sim.SHAPES, default="loop")
     p_sim.add_argument("--frames", type=int, default=1000)
     p_sim.add_argument("--step", type=float, default=0.1)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--abs-t-sigma", type=float, default=0.0)
-    p_sim.add_argument("--abs-r-sigma", type=float, default=0.0)
-    p_sim.add_argument("--vo-t-sigma", type=float, default=0.0)
-    p_sim.add_argument("--vo-r-sigma", type=float, default=0.0)
-    p_sim.add_argument("--vo-t-bias", type=float, default=0.0)
+    for f in fields(sim.NoiseModel):  # --abs-t-sigma ... --seed
+        p_sim.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p_sim.add_argument("--out-gt", required=True)
     p_sim.add_argument("--out-abs", required=True)
     p_sim.add_argument("--out-vo", required=True)
@@ -76,9 +73,7 @@ def _cmd_simulate(args) -> int:
     _check_outputs(outputs, {})
     # every option is checked, and every output built, before the first file is written
     try:
-        nm = sim.NoiseModel(abs_t_sigma=args.abs_t_sigma, abs_r_sigma=args.abs_r_sigma,
-                            vo_t_sigma=args.vo_t_sigma, vo_r_sigma=args.vo_r_sigma,
-                            vo_t_bias=args.vo_t_bias, seed=args.seed)
+        nm = sim.NoiseModel(**{f.name: getattr(args, f.name) for f in fields(sim.NoiseModel)})
         gt = sim.generate_trajectory(args.shape, args.frames, args.step, seed=args.seed)
         abs_traj, vo = sim.corrupt_absolute(gt, nm), sim.corrupt_vo(gt, nm)
     except (MemoryError, ValueError) as exc:  # MemoryError: too many --frames

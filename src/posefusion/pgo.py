@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quat
-from .pose import BLOCK_ROWS, Trajectory, compose, integrate, relative_pose
+from .pose import BLOCK_ROWS, Trajectory, _index, compose, integrate, relative_pose
 
 
 class ConstraintKind(Enum):
@@ -92,9 +92,9 @@ class PgoConfig:
     max_iters: ClassVar[int] = 50
 
     def __post_init__(self):
-        if self.window_T < 2:
+        if _index("window_T", self.window_T) < 2:
             raise ValueError("window_T must be >= 2")
-        if self.spacing_k < 1:
+        if _index("spacing_k", self.spacing_k) < 1:
             raise ValueError("spacing_k must be >= 1")
 
 
@@ -522,7 +522,7 @@ def temporal_median_filter(traj: Trajectory, window: int) -> Trajectory:
     median is then the mean of its middle two values, as np.median's is.
     A rotation tie goes to the earliest frame.
     """
-    if window < 1 or window % 2 == 0:
+    if _index("window", window) < 1 or window % 2 == 0:
         raise ValueError("window must be odd and >= 1")
     n = len(traj)
     if window == 1 or n < 2:

@@ -15,11 +15,14 @@ other; a writeable view made before such an array was frozen could still
 write into it, and no producer keeps one. Per-frame VO is a Trajectory of
 relative poses; only its file format, in trajio, stores their rotations as
 logs. The timestamp rule that trajio's readers share is stated once here: a
-mask function and its message.
+mask function and its message; so is the integer check (_index) of the
+integer parameters of pgo and sim.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,14 @@ def not_increasing(timestamps: np.ndarray) -> np.ndarray:
     mask = np.zeros(len(timestamps), dtype=bool)
     mask[1:] = timestamps[1:] <= timestamps[:-1]
     return mask
+
+
+def _index(name: str, value) -> int:
+    """value as operator.index gives it (numpy integers too), else a TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -111,22 +122,18 @@ def integrate(t0, q0, vo: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     row 0 being the start: q_{r+1} = q_r * p_r^-1, with the sign that
     product gives, and t_{r+1} = t_r - R(q_{r+1})^-1 d_r.
     """
-    # Only the rotations form a sequential chain. It runs on Python floats
-    # through quat._hamilton, qmul's formula on one row, BLOCK_ROWS rows at a
-    # time into the preallocated output. Translations subtract the rotated
-    # steps one after another, in the order of the chain, carried from block
-    # to block; a cumsum would re-associate the sum.
+    # Only the rotations form a sequential chain: itertools.accumulate of
+    # quat._hamilton, qmul's formula on one row of Python floats, BLOCK_ROWS
+    # rows at a time from the last row written; a block's steps are freed
+    # before its rows are stored. Translations subtract the rotated steps in
+    # chain order, carried from block to block; a cumsum would re-associate.
     m = len(vo)
     t, q = np.empty((m + 1, 3)), np.empty((m + 1, 4))
     t[0], q[0] = t0, q0
-    row = np.asarray(q0, dtype=float).tolist()
     for lo in range(0, m, BLOCK_ROWS):
-        rows = []
-        for step in quat.qinv(vo.q[lo:lo + BLOCK_ROWS]).tolist():
-            row = quat._hamilton(row, step)
-            rows.append(row)
-        block = slice(lo + 1, lo + 1 + len(rows))
-        q[block] = rows
+        block = slice(lo + 1, min(lo + BLOCK_ROWS, m) + 1)
+        q[block] = list(itertools.accumulate(quat.qinv(vo.q[lo:lo + BLOCK_ROWS]).tolist(),
+                                             quat._hamilton, initial=q[lo].tolist()))[1:]
         steps = quat.qrotate(quat.qinv(q[block]), vo.t[lo:lo + BLOCK_ROWS])
         t[block] = np.subtract.accumulate(np.concatenate((t[lo:lo + 1], steps)), axis=0)[1:]
     return t, q

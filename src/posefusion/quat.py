@@ -3,9 +3,10 @@
 Quaternions are numpy arrays of shape (..., 4), scalar first: q = (u, x, y, z),
 Hamilton convention (i*j = k); 3-vectors have shape (..., 3). Every function
 takes any number of leading batch axes (broadcast between arguments) and
-is plain numpy arithmetic over the components x[..., k], so a single pose
-of shape (4,) and a stack of windows (W, T, 4) run the same code. The
-log/exp maps use the half-angle form
+is plain numpy arithmetic over the components x[..., k] (_split), stacked
+once into a C-contiguous result, so a single pose of shape (4,) and a stack
+of windows (W, T, 4) run the same code. The log/exp maps use the half-angle
+form
 
     log q = (v / |v|) atan2(|v|, u),      exp w = (cos |w|, (w / |w|) sin |w|)
 
@@ -33,11 +34,6 @@ def _split(x: np.ndarray) -> list[np.ndarray]:
     """The components of x along its last axis, one array each."""
     x = np.asarray(x, dtype=float)
     return [x[..., k] for k in range(x.shape[-1])]
-
-
-def _join(parts) -> np.ndarray:
-    """Inverse of _split: a list of components onto the last axis."""
-    return np.ascontiguousarray(np.moveaxis(np.array(parts), 0, -1))
 
 
 def row_norm(x: np.ndarray) -> np.ndarray:
@@ -96,7 +92,7 @@ def qexp(w: np.ndarray) -> np.ndarray:
     """Exponential map: 3-vector to unit quaternion (inverse of qlog)."""
     n = row_norm(w)
     sinc = np.divide(np.sin(n), n, out=np.ones_like(n), where=n > 0.0)
-    return _join([np.cos(n), *(c * sinc for c in _split(w))])
+    return np.stack([np.cos(n), *(c * sinc for c in _split(w))], axis=-1)
 
 
 def _hamilton(a, b) -> tuple:
@@ -112,7 +108,7 @@ def _hamilton(a, b) -> tuple:
 
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b."""
-    return _join(_hamilton(_split(a), _split(b)))
+    return np.stack(_hamilton(_split(a), _split(b)), axis=-1)
 
 
 def qinv(q: np.ndarray) -> np.ndarray:
@@ -130,19 +126,19 @@ def qrotate(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     a0 = y * t2 - z * t1 + u * t0
     a1 = z * t0 - x * t2 + u * t1
     a2 = x * t1 - y * t0 + u * t2
-    return _join([
+    return np.stack([
         t0 + 2.0 * (y * a2 - z * a1),
         t1 + 2.0 * (z * a0 - x * a2),
         t2 + 2.0 * (x * a1 - y * a0),
-    ])
+    ], axis=-1)
 
 
 # a * b is linear in each factor: a * (0, e_k) = sum_i a_i (e_i * (0, e_k)).
 # The coefficients, indexed (i, component, k), are _hamilton on the unit
 # quaternions e_i (axis 0) and the pure basis (0, e_k) (axis 1).
 _UNIT, _PURE = _split(np.eye(4)[:, None]), _split(np.eye(4)[None, 1:])
-_DQMUL_LEFT = np.moveaxis(_join(_hamilton(_UNIT, _PURE)), -1, 1)
-_DQMUL_RIGHT = np.moveaxis(_join(_hamilton(_PURE, _UNIT)), -1, 1)
+_DQMUL_LEFT = np.stack(_hamilton(_UNIT, _PURE), axis=1)
+_DQMUL_RIGHT = np.stack(_hamilton(_PURE, _UNIT), axis=1)
 
 
 def dqmul_left(a: np.ndarray) -> np.ndarray:

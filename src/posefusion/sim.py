@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .pose import Trajectory, relative_pose
+from .pose import Trajectory, _index, relative_pose
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class NoiseModel:
                 raise ValueError(f"{name} must be <= 1e6 degrees")
         if not np.isfinite(self.vo_t_bias):
             raise ValueError("vo_t_bias must be finite")
-        if self.seed < 0:
+        if _index("seed", self.seed) < 0:
             raise ValueError("seed must be >= 0")
 
 

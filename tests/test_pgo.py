@@ -30,6 +30,15 @@ class TestPgoConfig:
         with pytest.raises(ValueError, match=field):
             PgoConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["window_T", "spacing_k"])
+    @pytest.mark.parametrize("value", [7.5, 7.0, np.float64(7.0), "7"],
+                             ids=["7.5", "7.0", "float64", "str"])
+    def test_rejects_non_integer_solver_options(self, field, value):
+        # here, not as an IndexError inside fuse_trajectory
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            PgoConfig(**{field: value})
+        assert getattr(PgoConfig(**{field: np.int64(7)}), field) == 7
+
     def test_iteration_cap_is_not_a_constructor_field(self):
         assert PgoConfig.max_iters == PgoConfig().max_iters == 50
         with pytest.raises(TypeError, match="max_iters"):
@@ -858,6 +867,15 @@ class TestTemporalMedianFilter:
         traj = generate_trajectory("loop", 20, 0.3)
         with pytest.raises(ValueError):
             temporal_median_filter(traj, 4)
+
+    @pytest.mark.parametrize("window", [3.0, 3.5, np.float64(3.0), "3"],
+                             ids=["3.0", "3.5", "float64", "str"])
+    def test_non_integer_window_rejected(self, window):
+        traj = generate_trajectory("loop", 20, 0.3)
+        with pytest.raises(TypeError, match="window must be an integer"):
+            temporal_median_filter(traj, window)
+        assert np.array_equal(temporal_median_filter(traj, np.int64(3)).t,
+                              temporal_median_filter(traj, 3).t)
 
     def test_empty_trajectory_passes_through(self):
         traj = Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4)))

@@ -279,6 +279,31 @@ class TestBatches:
             tracemalloc.stop()
         assert peak / len(x) < 20
 
+    @pytest.mark.parametrize("fn, bound", [("qmul", 70), ("qrotate", 80), ("qexp", 88)])
+    def test_products_peak_at_one_copy_of_the_result(self, rng, fn, bound):
+        # the components, then one stack of them: 64, 72 and 80 bytes per row;
+        # stacking them on a leading axis and transposing took 96, 96 and 112
+        x = rng.normal(size=(64000, 3))
+        q = quat.qexp(x)
+        args = {"qmul": (q, q), "qrotate": (q, x), "qexp": (x,)}[fn]
+        tracemalloc.start()
+        try:
+            getattr(quat, fn)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(x) < bound
+
+    @pytest.mark.parametrize("lead", [(), (50,), (6, 50)])
+    def test_products_are_c_contiguous_float64(self, rng, lead):
+        # the solver's stacked matmuls take them as they are
+        q, v = quat.qexp(rng.normal(size=lead + (3,))), rng.normal(size=lead + (3,))
+        row = quat.qexp(rng.normal(size=3))
+        for out, width in ((quat.qmul(q, row), 4), (quat.qmul(row, q), 4),
+                           (quat.qrotate(q, v), 3), (quat.qrotate(row, v), 3), (quat.qexp(v), 4)):
+            assert out.shape == lead + (width,)
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+
     def test_check_unit_rejects_any_bad_row(self):
         q = np.tile(quat.IDENTITY, (2, 3, 1))
         quat.check_unit(q)

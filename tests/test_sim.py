@@ -103,6 +103,14 @@ class TestCorruptAbsolute:
         with pytest.raises(ValueError, match=field):
             NoiseModel(**{field: np.nextafter(1e6, np.inf)})
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "4"],
+                             ids=["1.5", "2.0", "float64", "str"])
+    def test_non_integer_seed_rejected(self, seed):
+        # here, not in corrupt_*'s SeedSequence; numpy integers are seeds
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            NoiseModel(seed=seed)
+        assert NoiseModel(seed=np.int64(4)).seed == 4
+
     def test_translation_sigma_has_no_upper_bound(self):
         NoiseModel(abs_t_sigma=1e300, vo_t_sigma=1e300)
 
