@@ -23,11 +23,12 @@ gauss_newton_solve takes one Gauss-Newton step per window, with the normal
 matrix J^T J, then steps with the exact Hessian of the window objective:
 J^T J plus each block's residual-curvature term (_add_curvature), also in
 closed form. Both matrices are block-tridiagonal with 6x6 blocks;
-the solver accumulates those blocks and solves each window by block
-Cholesky, up to FUSE_BATCH windows at a time, each stopping on its own and
-reporting whether it converged. Those blocks are the one representation of
-a window: the columns of a rank-deficient window are named from the
-eigenvectors of its J^T J, assembled from them.
+the solver accumulates those blocks and solves each window of the stack it
+is given by block Cholesky, each stopping on its own and reporting whether
+it converged. fuse_trajectory gives it the windows one stack at a time
+(see STACK_POSES). Those blocks are the one representation of a window: the
+columns of a rank-deficient window are named from the eigenvectors of its
+J^T J, assembled from them.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ class ConstraintKind(Enum):
     RELATIVE = "relative"
 
 
-# Most windows that gauss_newton_solve linearizes and solves together.
-# Per-stack temporaries grow with it, so it bounds the solver's peak memory
-# on long trajectories. No one count suits every size: larger stacks raise
-# that peak, and smaller ones slow the solve.
-FUSE_BATCH = 128
+# Most window poses that fuse_trajectory solves together. It solves the
+# windows one stack at a time, in the fewest stacks of at most
+# max(1, STACK_POSES // T) windows, equal in size to within one. A stack's
+# arrays grow with it, so it bounds the solve's peak memory: larger stacks
+# raise that peak, and smaller ones slow the solve.
+STACK_POSES = 896
 
 # Smallest accepted ratio of each pivot (diagonal entry of the Cholesky
 # factor) of a window's step matrix H to the root of its own diagonal entry
@@ -385,9 +387,9 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray):
     optimum, but over half are untrusted and windows take more steps.) Every
     window iterates until its own step norm drops below STEP_TOL or it has
     taken PgoConfig.max_iters steps; windows still iterating are linearized
-    together, FUSE_BATCH at a time. Returns the final t and q, and per
-    window the number of steps taken, the norm of the last one and whether
-    the window converged: whether that norm fell below STEP_TOL. Raises
+    together, in one _gn_step call per iteration. Returns the final t and q,
+    and per window the number of steps taken, the norm of the last one and
+    whether the window converged: whether that norm fell below STEP_TOL. Raises
     RankDeficientError when a window's Jacobian loses full column rank and
     numpy.linalg.LinAlgError when a step is not finite.
     """
@@ -397,13 +399,11 @@ def gauss_newton_solve(blocks: list[Block], t: np.ndarray, q: np.ndarray):
     step_norm = np.full(n_win, np.inf)
     active = np.arange(n_win)
     for i in range(PgoConfig.max_iters):
-        for lo in range(0, len(active), FUSE_BATCH):
-            stack = active[lo:lo + FUSE_BATCH]
-            dz = _gn_step([b.windows(stack) for b in blocks], t[stack], q[stack], exact=i > 0)
-            step = dz.reshape(len(stack), T, 6)
-            t[stack] += step[..., :3]
-            q[stack] = quat.qmul(q[stack], quat.qexp(step[..., 3:]))
-            step_norm[stack] = np.linalg.norm(dz, axis=-1)
+        dz = _gn_step([b.windows(active) for b in blocks], t[active], q[active], exact=i > 0)
+        step = dz.reshape(len(active), T, 6)
+        t[active] += step[..., :3]
+        q[active] = quat.qmul(q[active], quat.qexp(step[..., 3:]))
+        step_norm[active] = np.linalg.norm(dz, axis=-1)
         iterations[active] += 1
         active = active[step_norm[active] >= STEP_TOL]
         if not active.size:
@@ -435,14 +435,15 @@ def fuse_trajectory(abs_traj: Trajectory, vo: Trajectory, cfg: PgoConfig,
     whose centre is nearest it (a tie goes to the earlier window), so it has
     at least two poses of context on each side unless it lies within two of
     an end or T < 5. Each window's optimum depends only on its own
-    observations, so every window starts from its absolute poses, and one
-    gauss_newton_solve call solves all windows independently.
+    observations, so every window starts from its absolute poses, and the
+    windows are solved independently, one stack at a time (see STACK_POSES),
+    each freed before the next is built; the stacks change no output.
     Grid-step VO observations come from the integrated VO trajectory, and
     frames off the grid are carried through by composing the nearest
     refined grid pose with the intermediate VO. The carry writes over the
-    integrated VO once the window stack is freed, so beside its inputs a
-    fuse holds one per-frame pose array. The output keeps it, frozen, and
-    shares abs_traj's timestamps.
+    integrated VO once the last stack is freed, so beside its inputs a fuse
+    holds one per-frame pose array. The output keeps it, frozen, and shares
+    abs_traj's timestamps.
     """
     n = len(abs_traj)
     if n < 2:
@@ -453,33 +454,36 @@ def fuse_trajectory(abs_traj: Trajectory, vo: Trajectory, cfg: PgoConfig,
 
     k = min(cfg.spacing_k, n - 1)
     grid = np.arange(0, n, k)
-    T = min(cfg.window_T, len(grid))
+    G = len(grid)
+    T = min(cfg.window_T, G)
 
     # Smooth-but-drifty trajectory from integrating the VO chain; grid-step
-    # relative observations are taken between its samples.
+    # relative observations are taken between its samples, sliced as views.
     vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
-    step_t, step_q = relative_pose(vo_t[grid[:-1]], vo_q[grid[:-1]], vo_t[grid[1:]], vo_q[grid[1:]])
+    step_t, step_q = relative_pose(vo_t[::k][:-1], vo_q[::k][:-1], vo_t[::k][1:], vo_q[::k][1:])
 
     # A stride of T - 4 leaves each emitted pose two grid poses of context on
     # each side; a wider one lost accuracy (T = 7 at stride 5). The last
     # window ends at the last grid pose.
-    starts = np.append(np.arange(0, len(grid) - T, max(1, T - 4)), len(grid) - T)
-    windows = starts[:, None] + np.arange(T)
-    abs_t = abs_traj.t[grid][windows]
-    abs_q = abs_traj.q[grid][windows]
-    blocks = build_window_graph(abs_t, abs_q, step_t[windows[:, :-1]], step_q[windows[:, :-1]])
-    t, q, iterations, _, converged = gauss_newton_solve(blocks, abs_t, abs_q)
-    if stats is not None:
-        stats.window_iterations.extend(iterations.tolist())
-        stats.window_converged.extend(converged.tolist())
-
+    starts = np.append(np.arange(0, G - T, max(1, T - 4)), G - T)
     # Each grid pose comes from the window whose centre, start + (T - 1) / 2,
     # is nearest it; a tie goes to the earlier window. In doubled units the
     # boundaries are the midpoints between consecutive centres.
-    pose = np.arange(len(grid))
-    win = np.searchsorted(starts[:-1] + starts[1:] + T - 1, 2 * pose)
-    fused_t, fused_q = t[win, pose - starts[win]], q[win, pose - starts[win]]
-    del blocks, abs_t, abs_q, t, q  # the window stack and the solver state
+    win = np.searchsorted(starts[:-1] + starts[1:] + T - 1, 2 * np.arange(G))
+    fused_t, fused_q = np.empty((G, 3)), np.empty((G, 4))
+    per_stack = max(1, STACK_POSES // T)
+    for stack in np.array_split(np.arange(len(starts)), -(-len(starts) // per_stack)):
+        windows = starts[stack, None] + np.arange(T)
+        abs_t, abs_q = abs_traj.t[::k][windows], abs_traj.q[::k][windows]
+        blocks = build_window_graph(abs_t, abs_q, step_t[windows[:, :-1]], step_q[windows[:, :-1]])
+        t, q, iterations, _, converged = gauss_newton_solve(blocks, abs_t, abs_q)
+        if stats is not None:
+            stats.window_iterations.extend(iterations.tolist())
+            stats.window_converged.extend(converged.tolist())
+        lo, hi = np.searchsorted(win, [stack[0], stack[-1] + 1])  # the grid poses it emits
+        w, pose = win[lo:hi] - stack[0], np.arange(lo, hi) - starts[win[lo:hi]]
+        fused_t[lo:hi], fused_q[lo:hi] = t[w, pose], q[w, pose]
+        del windows, abs_t, abs_q, blocks, t, q  # this stack and its solver state
 
     # Carry non-grid frames through the VO chain from the nearest grid pose,
     # BLOCK_ROWS frames at a time, into the integrated VO: grid frames are
@@ -492,7 +496,7 @@ def fuse_trajectory(abs_traj: Trajectory, vo: Trajectory, cfg: PgoConfig,
         near = np.searchsorted(grid[:-1] + grid[1:], 2 * off)
         rel_t, rel_q = relative_pose(vo_t[off], vo_q[off], vo_t[grid[near]], vo_q[grid[near]])
         vo_t[off], vo_q[off] = compose(fused_t[near], fused_q[near], rel_t, rel_q)
-    vo_t[grid], vo_q[grid] = fused_t, fused_q
+    vo_t[::k], vo_q[::k] = fused_t, fused_q
     vo_t.flags.writeable = vo_q.flags.writeable = False  # the output keeps them
     return Trajectory(abs_traj.timestamps, vo_t, vo_q)
 

@@ -309,6 +309,39 @@ class TestFuse:
         assert all(c % 6 >= 3 for c in columns)  # rotation columns only
         assert not out.exists()
 
+    def test_rank_deficient_window_in_a_later_stack_is_numerical_error(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # one abs translation of 1e9 m at frame 290, the last grid pose of
+        # the 300-frame loop at --spacing 10: only the last of its 9 windows
+        # holds it, and a budget of 5 windows of 7 solves that one in the
+        # second of two stacks, after the first has converged
+        monkeypatch.setattr(pgo, "STACK_POSES", 5 * 7)
+        gt, abs_path, vo = _simulate(tmp_path, README_NOISE, frames=300)
+        lines = abs_path.read_text().splitlines()
+        fields = lines[291].split()  # line 292: frame 290
+        fields[1] = "1e9"
+        lines[291] = " ".join(fields)
+        abs_path.write_text("\n".join(lines) + "\n")
+        solve, stacks = pgo.gauss_newton_solve, []
+
+        def recorded(blocks, t, q):
+            stacks.append(len(t))
+            return solve(blocks, t, q)
+
+        monkeypatch.setattr(pgo, "gauss_newton_solve", recorded)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fuse", "--abs", str(abs_path), "--vo", str(vo), "--out", str(out),
+                         "--spacing", "10"]) == NUMERICAL_ERROR
+        assert stacks == [5, 4]
+        err = capsys.readouterr().err
+        prefix = "fuse: rank-deficient system; offending manifold columns ["
+        assert err.startswith(prefix) and err.count("\n") == 1
+        columns = [int(c) for c in err[len(prefix):err.index("]")].split(",")]
+        assert all(c % 6 >= 3 for c in columns)  # rotation columns only
+        assert not out.exists()
+
     def test_malformed_file_is_data_error(self, tmp_path):
         gt, abs_path, vo = _simulate(tmp_path)
         bad = tmp_path / "bad.txt"

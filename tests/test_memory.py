@@ -19,15 +19,18 @@ at a time into one (n, 4) array, which the Trajectory keeps, and frees its
 line numbers before it builds the Trajectory: 128 bytes per frame, against
 168 with a whole-table exp and 152 with a copy of q.
 
-fuse_trajectory carries the off-grid frames into its integrated VO and frees
-the window stack and solver state before the carry: 96 bytes per frame at
-spacing 150 and 153 at spacing 10, against 204 and 323 with a separate
-output and the stack kept to the end, and 125 at spacing 150 when the output
-copied the carried arrays. Windows start every T - 4 grid poses; with a
-window at every grid pose, spacing 10 took 213. The CLI fuse frees its
-inputs before the median filter and peaks at 227 bytes per frame, inside
-fuse_trajectory, against 353 when it kept them to the write and 256 when
-each Trajectory copied its arrays.
+fuse_trajectory carries the off-grid frames into its integrated VO, and
+builds, solves and frees its windows one stack of at most 896 poses at a
+time, so the solve holds one stack, not every window: 84 bytes per frame at
+spacing 150, and 109 at spacing 10 with windows of 7 or of 25 poses, against
+96, 153 and 219 when every window was built at once and solved 128 windows
+at a time, 204 and 323 with a separate output and the stack kept to the
+end, and 125 at spacing 150 when the output copied the carried arrays.
+Windows start every T - 4 grid poses; with a window at every grid pose,
+spacing 10 took 213. The CLI fuse frees its inputs before the median filter
+and peaks at 215 bytes per frame, against 227 with every window built at
+once, 353 when it kept its inputs to the write and 256 when each Trajectory
+copied its arrays.
 
 quat's products stack their components into the result once: corrupting
 ground truth peaks at 216 bytes per frame for the absolute poses and 272
@@ -92,19 +95,25 @@ def test_integrate(inputs):
 
 def test_fuse_trajectory(inputs):
     abs_traj, vo = inputs[2:]
-    assert _peak_bytes_per_frame(lambda: fuse_trajectory(abs_traj, vo, PgoConfig())) < 116
+    assert _peak_bytes_per_frame(lambda: fuse_trajectory(abs_traj, vo, PgoConfig())) < 101
 
 
 def test_fuse_trajectory_spacing_10(inputs):
     abs_traj, vo = inputs[2:]
     cfg = PgoConfig(spacing_k=10)
-    assert _peak_bytes_per_frame(lambda: fuse_trajectory(abs_traj, vo, cfg)) < 190
+    assert _peak_bytes_per_frame(lambda: fuse_trajectory(abs_traj, vo, cfg)) < 131
+
+
+def test_fuse_trajectory_window_25(inputs):
+    abs_traj, vo = inputs[2:]
+    cfg = PgoConfig(window_T=25, spacing_k=10)
+    assert _peak_bytes_per_frame(lambda: fuse_trajectory(abs_traj, vo, cfg)) < 131
 
 
 def test_cli_fuse(inputs, tmp_path):
     argv = ["fuse", "--abs", str(inputs[0]), "--vo", str(inputs[1]),
             "--out", str(tmp_path / "fused.txt"), "--median-window", "51"]
-    assert _peak_bytes_per_frame(lambda: main(argv)) < 273
+    assert _peak_bytes_per_frame(lambda: main(argv)) < 259
 
 
 def test_trajectory(inputs):

@@ -639,27 +639,43 @@ class TestCholeskyInverse:
 
 
 class TestSolverStacks:
-    def test_stacks_hold_at_most_fuse_batch_windows(self, rng, monkeypatch):
-        monkeypatch.setattr(pgo, "FUSE_BATCH", 3)
-        n_win = 2 * pgo.FUSE_BATCH + 1
-        blocks, t0, q0 = noisy_window_stack(rng, 4, n_win=n_win)
-        single = [gauss_newton_solve([b.windows([w]) for b in blocks], t0[[w]], q0[[w]])
-                  for w in range(n_win)]
-        stacks = []
+    def test_equal_stacks_of_at_most_stack_poses(self, monkeypatch):
+        # 30 grid poses give 9 windows of 7 at stride 3. A budget of 62
+        # poses, 8 whole windows, makes 2 stacks of 5 and 4 windows, not 8
+        # and 1; each is one gauss_newton_solve call, whose windows get the
+        # bits they get alone
+        monkeypatch.setattr(pgo, "STACK_POSES", 8 * 7 + 6)
+        gt = generate_trajectory("loop", 300, 0.1)
+        nm = NoiseModel(abs_t_sigma=0.3, abs_r_sigma=3, vo_t_sigma=0.01, vo_r_sigma=0.1,
+                        vo_t_bias=0.01, seed=3)
+        solve, calls, steps = pgo.gauss_newton_solve, [], []
         gn_step = pgo._gn_step
 
-        def recorded(blocks, t, q, exact=False):
-            stacks.append(len(t))
+        def recorded_solve(blocks, t, q):
+            calls.append((blocks, t, q, solve(blocks, t, q)))
+            return calls[-1][-1]
+
+        def recorded_step(blocks, t, q, exact=False):
+            steps.append(len(t))
             return gn_step(blocks, t, q, exact)
 
-        monkeypatch.setattr(pgo, "_gn_step", recorded)
-        t, q, iterations, step_norm, converged = gauss_newton_solve(blocks, t0, q0)
-        assert max(stacks) == pgo.FUSE_BATCH
-        assert sum(stacks) == iterations.sum()
-        for w, (t_w, q_w, iterations_w, step_norm_w, converged_w) in enumerate(single):
-            assert np.array_equal(t[w], t_w[0]) and np.array_equal(q[w], q_w[0])
-            assert iterations[w] == iterations_w[0] and step_norm[w] == step_norm_w[0]
-            assert converged[w] == converged_w[0]
+        monkeypatch.setattr(pgo, "gauss_newton_solve", recorded_solve)
+        monkeypatch.setattr(pgo, "_gn_step", recorded_step)
+        stats = FusionStats()
+        fuse_trajectory(corrupt_absolute(gt, nm), corrupt_vo(gt, nm),
+                        PgoConfig(window_T=7, spacing_k=10), stats)
+        assert [len(t) for _, t, _, _ in calls] == [5, 4]
+        # one _gn_step call per iteration, over the windows still iterating
+        assert len(steps) == sum(max(result[2]) for *_, result in calls)
+        assert sum(steps) == sum(stats.window_iterations)
+        monkeypatch.setattr(pgo, "_gn_step", gn_step)
+        for blocks, t0, q0, (t, q, iterations, step_norm, converged) in calls:
+            for w in range(len(t0)):
+                t_w, q_w, iterations_w, step_norm_w, converged_w = solve(
+                    [b.windows([w]) for b in blocks], t0[[w]], q0[[w]])
+                assert np.array_equal(t[w], t_w[0]) and np.array_equal(q[w], q_w[0])
+                assert iterations[w] == iterations_w[0] and step_norm[w] == step_norm_w[0]
+                assert converged[w] == converged_w[0]
 
 
 def transform(t, q, g_t, g_q):
@@ -732,8 +748,9 @@ class TestFuseTrajectory:
 
     def test_batches_match_single_window_solver(self, monkeypatch):
         # 20 grid poses give 6 windows at stride T - 4 = 3, starting at 0, 3,
-        # 6, 9, 12 and 13: a batch of 4 and a partial one
-        monkeypatch.setattr(pgo, "FUSE_BATCH", 4)
+        # 6, 9, 12 and 13; a budget of 4 windows of 7 solves them in two
+        # stacks of 3
+        monkeypatch.setattr(pgo, "STACK_POSES", 4 * 7)
         abs_traj, vo = self._noisy_loop()
         cfg = PgoConfig(window_T=7, spacing_k=10)
         stats = FusionStats()
@@ -772,17 +789,19 @@ class TestFuseTrajectory:
     ])
     def test_window_starts_and_emission(self, monkeypatch, G, T):
         # grid pose g has abs translation (g, 0, 0), which tells the solver
-        # each window's start; it returns (w, i, 0) as pose i of window w, so
-        # each fused grid pose names the window and the offset it came from
-        starts = []
+        # each window's start; it returns (start, i, 0) as pose i of that
+        # window, so each fused grid pose names the window and the offset it
+        # came from, whichever stack solved it. It reports start + 1 steps
+        # and convergence for even starts, so FusionStats shows window order
+        stacks = []
 
         def marking_solve(blocks, t, q):
-            starts.extend(t[:, 0, 0].astype(int).tolist())
+            first = t[:, 0, 0].astype(int)
+            stacks.append(first.tolist())
             marks = np.zeros(t.shape)
-            marks[..., 0] = np.arange(t.shape[0])[:, None]
+            marks[..., 0] = first[:, None]
             marks[..., 1] = np.arange(t.shape[1])
-            steps = np.ones(len(t), dtype=int)
-            return marks, q, steps, np.zeros(len(t)), steps == 1
+            return marks, q, first + 1, np.zeros(len(t)), first % 2 == 0
 
         monkeypatch.setattr(pgo, "gauss_newton_solve", marking_solve)
         timestamps = np.arange(G, dtype=float)
@@ -790,34 +809,83 @@ class TestFuseTrajectory:
         t[:, 0] = np.arange(G)
         abs_traj = Trajectory(timestamps, t, np.tile([1.0, 0.0, 0.0, 0.0], (G, 1)))
         vo = Trajectory(timestamps[1:], np.zeros((G - 1, 3)), np.tile(quat.IDENTITY, (G - 1, 1)))
-        fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=T, spacing_k=1))
+        width = min(T, G)
+        expected = list(range(0, G - width, max(1, width - 4))) + [G - width]
+        context = min(2, (width - 1) // 2)
+        # one stack, then stacks of at most 3 windows: G = 27 and G = 100
+        # take 3 and 11 of them
+        for poses in (pgo.STACK_POSES, 3 * width):
+            monkeypatch.setattr(pgo, "STACK_POSES", poses)
+            stacks.clear()
+            stats = FusionStats()
+            fused = fuse_trajectory(abs_traj, vo, PgoConfig(window_T=T, spacing_k=1), stats)
 
-        T = min(T, G)
-        assert starts == list(range(0, G - T, max(1, T - 4))) + [G - T]
-        window, offset = fused.t[:, 0].astype(int), fused.t[:, 1].astype(int)
-        # every grid pose comes from its own place in one window
-        assert np.array_equal(np.asarray(starts)[window] + offset, np.arange(G))
-        assert set(window.tolist()) == set(range(len(starts)))
-        context = min(2, (T - 1) // 2)
-        for g in range(G):
-            # doubled distances to the centres; argmin takes the earlier of a tie
-            assert window[g] == np.argmin(np.abs(2 * np.asarray(starts) + T - 1 - 2 * g))
-            assert offset[g] >= min(context, g)
-            assert T - 1 - offset[g] >= min(context, G - 1 - g)
+            starts = [s for stack in stacks for s in stack]
+            assert starts == expected
+            per_stack = max(1, poses // width)
+            sizes = [len(stack) for stack in stacks]
+            assert len(sizes) == -(-len(starts) // per_stack)
+            assert max(sizes) <= per_stack and max(sizes) - min(sizes) <= 1
+            assert stats.window_iterations == [s + 1 for s in starts]
+            assert stats.window_converged == [s % 2 == 0 for s in starts]
+            start, offset = fused.t[:, 0].astype(int), fused.t[:, 1].astype(int)
+            # every grid pose comes from its own place in one window
+            assert np.array_equal(start + offset, np.arange(G))
+            window = np.searchsorted(starts, start)
+            assert np.array_equal(np.asarray(starts)[window], start)
+            assert set(window.tolist()) == set(range(len(starts)))
+            for g in range(G):
+                # doubled distances to the centres; argmin takes the earlier of a tie
+                assert window[g] == np.argmin(np.abs(2 * np.asarray(starts) + width - 1 - 2 * g))
+                assert offset[g] >= min(context, g)
+                assert width - 1 - offset[g] >= min(context, G - 1 - g)
 
     def test_output_independent_of_batch_size(self, monkeypatch):
         abs_traj, vo = self._noisy_loop()
         cfg = PgoConfig(window_T=5, spacing_k=10)
         runs = []
-        for batch in (1, 3, 16, 100):
-            monkeypatch.setattr(pgo, "FUSE_BATCH", batch)
+        # 20 grid poses give 16 windows of 5 at stride 1: stacks of 1 (a
+        # budget below one window still takes one), of 3 and 2, of 8, and all
+        # 16 at once. Each window's steps are its own, so the bits are the same
+        for poses in (1, 15, 40, 500):
+            monkeypatch.setattr(pgo, "STACK_POSES", poses)
             stats = FusionStats()
             runs.append((fuse_trajectory(abs_traj, vo, cfg, stats), stats.window_iterations))
         ref, ref_iterations = runs[0]
         for fused, iterations in runs[1:]:
             assert iterations == ref_iterations
-            assert np.max(np.abs(fused.t - ref.t)) < 1e-12
-            assert np.max(np.abs(fused.q - ref.q)) < 1e-12
+            assert np.array_equal(fused.t, ref.t) and np.array_equal(fused.q, ref.q)
+
+    def test_rank_deficient_window_in_a_later_stack(self, monkeypatch):
+        # an abs translation 1e9 m off at the last grid pose, which only the
+        # last window holds: relative translations 1e9 m long dwarf its
+        # rotation observations. 30 grid poses give 9 windows, which a budget
+        # of 5 windows of 7 solves in stacks of 5 and 4; the second stack
+        # raises what the last window raises when solved alone
+        monkeypatch.setattr(pgo, "STACK_POSES", 5 * 7)
+        abs_traj, vo = self._noisy_loop(n=300)
+        t = abs_traj.t.copy()
+        t[290, 0] = 1e9
+        abs_traj = Trajectory(abs_traj.timestamps, t, abs_traj.q)
+        solve, stacks = pgo.gauss_newton_solve, []
+
+        def recorded(blocks, t, q):
+            stacks.append(len(t))
+            return solve(blocks, t, q)
+
+        monkeypatch.setattr(pgo, "gauss_newton_solve", recorded)
+        with pytest.raises(RankDeficientError) as err:
+            fuse_trajectory(abs_traj, vo, PgoConfig(window_T=7, spacing_k=10))
+        assert stacks == [5, 4]
+
+        frames = list(range(230, 300, 10))  # the last window: grid poses 23-29
+        vo_t, vo_q = integrate(abs_traj.t[0], abs_traj.q[0], vo)
+        abs_t, abs_q = abs_traj.t[frames], abs_traj.q[frames]
+        blocks = window_graph(abs_t, abs_q, *chain_vo(vo_t[frames], vo_q[frames]))
+        with pytest.raises(RankDeficientError) as alone:
+            solve(blocks, abs_t[None], abs_q[None])
+        assert err.value.columns == alone.value.columns
+        assert len(err.value.columns) > 0
 
     @pytest.mark.parametrize("frame", [0, 10, 15])  # grid frame, off-grid frame
     def test_non_finite_pose_rejected_before_fuse(self, frame):
